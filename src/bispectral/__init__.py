@@ -25,13 +25,14 @@ from .wavefn import (ContourSpec, CoincidentCoordinatesError,
                      kernel_K, measure_mu, sinh_prefactor, validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,
                              apply_reduced_HS, prefactor_log_derivatives)
-from .dual_ops import (ShiftedEvaluationRequest, apply_dual_hamiltonian,
-                       apply_dual_operator, dual_coefficient, gauge_function,
-                       gauge_relation_residual, measure_weight)
+from .dual_ops import (apply_dual_hamiltonian, apply_dual_operator,
+                       dual_coefficient, gauge_function, gauge_relation_residual,
+                       gauge_shift_residual, measure_shift_residual,
+                       measure_weight)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, qpochhammer, tau_limit_check,
                         verify_gauge_equivalence, weight_and_gauge,
-                        weight_limit_check)
+                        weight_limit_check, weight_shift_residual)
 from .identities import (EpsRationalFunction, ExactRational,
                          binomial_limit_check, residue_check,
                          substitution_map, sum_S, verify_lemma1)

@@ -1,16 +1,17 @@
 """Batch verification front end.
 
-Each subcommand runs one family of checks and emits newline-delimited JSON
-reports on stdout (one object per check) plus a human summary on stderr.
-Configuration comes from an optional JSON file with flat keys mirroring
-RunConfig, overridden by command-line flags; complex numbers are serialized
-as "re:im" pairs.  Exit status: 0 all checks passed, 1 at least one check
-failed, 2 configuration errors, 3 infeasible-domain errors (no separating
-contour, unconverged tails, coordinates at a coincidence).
+Every check belongs to one family in an ordered registry.  A family maps a
+RunConfig to its checks and draws their seeded inputs while it builds them,
+so running a check is a pure function call.  ``all`` runs every family in
+order; each check-* command runs its own.  BISPECTRAL_THREADS caps the worker
+pool over a command's checks (default 1, i.e. sequential).
 
-Reports are deterministic for a fixed config and seed, except for the
-wall_time fields.  BISPECTRAL_THREADS caps the size of the worker pool used
-for independent point sweeps (default 1, i.e. sequential).
+Reports are newline-delimited JSON on stdout, one object per check, and are
+deterministic for a fixed config and seed except for their wall_time fields;
+a human summary goes to stderr.  Configuration is an optional JSON file with
+flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
+Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
+(an unknown key, a non-finite number), 3 an infeasible domain.
 """
 
 from __future__ import annotations
@@ -19,32 +20,37 @@ import argparse
 import cmath
 import json
 import os
+import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
+from functools import partial
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cgamma import GammaPoleError
-from .dual_ops import (apply_dual_hamiltonian, gauge_function,
-                       gauge_relation_residual, measure_weight)
+from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
+                       gauge_shift_residual, measure_shift_residual,
+                       measure_weight)
 from .identities import (binomial_limit_check, residue_check, substitution_map,
                          sum_S, verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, tau_limit_check,
-                        verify_gauge_equivalence, weight_and_gauge,
-                        weight_limit_check)
+                        verify_gauge_equivalence, weight_limit_check,
+                        weight_shift_residual)
 from .sutherland_ops import apply_H1, apply_H2, apply_reduced_HS
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      InfeasibleContourError, QuadratureSpec,
                      TailNotConvergedError, eval_phi, eval_psi)
 
-__all__ = ["RunConfig", "CheckReport", "run", "main", "COMMANDS"]
+__all__ = ["RunConfig", "CheckReport", "REGISTRY", "checks", "run", "main"]
 
 _DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError,
                   CoincidentCoordinatesError, ConvergenceWindowError,
@@ -87,6 +93,24 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}:{z.imag!r}"
 
 
+# numeric RunConfig fields that map one-to-one to flags
+_INTEGER_FIELDS = ("n", "seed", "trials", "n_max", "grid", "r")
+_REAL_FIELDS = ("g", "step", "half_width", "tail_tol")
+
+
+# kinds of number, as concrete types: the numbers ABCs would cost tens of
+# microseconds on every RunConfig built
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+_COMPLEX = _REAL + (complex, np.complexfloating)
+
+
+def _is_finite(value, kind=_REAL) -> bool:
+    """A finite number of the given kind; bools do not count."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, _INTEGER) or cmath.isfinite(value)))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Flat run configuration; every field maps to a JSON key and a flag."""
@@ -106,12 +130,27 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            kind, what = ((_INTEGER, "an integer") if name in _INTEGER_FIELDS
+                          else (_REAL, "a finite real number"))
+            if not (value is None and name in ("r", "half_width") or _is_finite(value, kind)):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        for name, values, kind, what in (("lambda", self.lam, _COMPLEX, "complex"),
+                                         ("x", self.x, _REAL, "real")):
+            if not all(_is_finite(v, kind) for v in values):
+                raise ValueError(f"{name} must hold finite {what} numbers, got {values!r}")
         if len(self.lam) != len(self.x):
             raise ValueError(f"lambda has {len(self.lam)} entries, x has {len(self.x)}")
         if self.n != len(self.lam):
             raise ValueError(f"n = {self.n} does not match {len(self.lam)} lambda entries")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise ValueError("all tolerances must be positive")
+        unknown = set(self.tolerances) - set(_DEFAULT_TOLS)
+        if unknown:
+            raise ValueError(f"unknown tolerance keys {sorted(unknown)}; "
+                             f"known keys: {sorted(_DEFAULT_TOLS)}")
+        if not all(_is_finite(t) and t > 0 for t in self.tolerances.values()):
+            raise ValueError(f"tolerances must be positive finite numbers, "
+                             f"got {self.tolerances!r}")
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(step=self.step, half_width=self.half_width,
@@ -125,7 +164,7 @@ class RunConfig:
 class CheckReport:
     check_id: str
     inputs: dict
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     residual: float | None = None
     exact_pass: bool | None = None
     wall_time: float = 0.0
@@ -133,18 +172,10 @@ class CheckReport:
     value: str | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "check_id": self.check_id,
-            "inputs": self.inputs,
-            "status": self.status,
-            "residual": self.residual,
-            "exact_pass": self.exact_pass,
-            "wall_time": self.wall_time,
-        }
-        if self.witness is not None:
-            payload["witness"] = self.witness
-        if self.value is not None:
-            payload["value"] = self.value
+        payload = asdict(self)
+        for key in ("witness", "value"):
+            if payload[key] is None:
+                del payload[key]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -163,23 +194,44 @@ def _map_ordered(fn: Callable, items: Sequence) -> list:
         return list(pool.map(fn, items))
 
 
-def _residual_report(check_id: str, inputs: dict, residual: float, tol: float,
-                     started: float) -> CheckReport:
-    status = "pass" if residual <= tol else "fail"
-    witness = None
-    if status == "fail":
-        witness = {"inputs": inputs, "residual": residual, "tolerance": tol}
-    return CheckReport(check_id=check_id, inputs=dict(inputs, tolerance=tol),
-                       status=status, residual=residual,
-                       wall_time=time.perf_counter() - started, witness=witness)
+# ---------------------------------------------------------------------------
+# checks
+#
+# A check is (check_id, inputs, kind, thunk).  kind is a key of _DEFAULT_TOLS
+# when the thunk returns a residual, EXACT when it returns a bool or a report
+# with .passed (and maybe .witness), and VALUE when it returns a number.
+
+EXACT, VALUE = "exact", "value"
+Check = tuple[str, dict, str, Callable[[], object]]
+Family = Callable[[RunConfig], list[Check]]
 
 
-def _exact_report(check_id: str, inputs: dict, passed: bool, started: float,
-                  witness: dict | None = None) -> CheckReport:
-    return CheckReport(check_id=check_id, inputs=inputs,
-                       status="pass" if passed else "fail", exact_pass=passed,
-                       wall_time=time.perf_counter() - started,
-                       witness=None if passed else (witness or {"inputs": inputs}))
+def _report(config: RunConfig, check: Check) -> CheckReport:
+    """Run one check and report it."""
+    check_id, inputs, kind, thunk = check
+    started = time.perf_counter()
+    result = thunk()
+    rep = CheckReport(check_id=check_id, inputs=inputs, status="pass",
+                      wall_time=time.perf_counter() - started)
+    if kind == VALUE:
+        rep.value = format_complex(result)
+    elif kind == EXACT:
+        rep.exact_pass = getattr(result, "passed", result)
+        if not rep.exact_pass:
+            rep.status = "fail"
+            rep.witness = getattr(result, "witness", None) or {"inputs": inputs}
+    else:
+        tol = config.tol(kind)
+        rep.inputs, rep.residual = dict(inputs, tolerance=tol), result
+        if not result <= tol:
+            rep.status = "fail"
+            rep.witness = {"inputs": inputs, "residual": result, "tolerance": tol}
+    return rep
+
+
+def _worst(fn: Callable, draws: Sequence[tuple]) -> Callable[[], float]:
+    """Thunk for the largest fn(*draw) over the drawn inputs."""
+    return lambda: max(fn(*draw) for draw in draws)
 
 
 def _echo_point(config: RunConfig) -> dict:
@@ -191,47 +243,20 @@ def _echo_point(config: RunConfig) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# commands
+def _ratio_spread(ratios: Sequence[complex]) -> float:
+    """max |ratio - mean| / |mean|: zero exactly when all ratios agree."""
+    arr = np.asarray(ratios)
+    return float(np.max(np.abs(arr - arr.mean())) / abs(arr.mean()))
 
 
-def _cmd_eval_phi(config: RunConfig) -> list[CheckReport]:
-    started = time.perf_counter()
-    value = eval_phi(config.lam, config.x, config.g, quad=config.quad())
-    return [CheckReport(check_id="eval-phi", inputs=_echo_point(config),
-                        status="pass", value=format_complex(value),
-                        wall_time=time.perf_counter() - started)]
-
-
-def _cmd_eval_psi(config: RunConfig) -> list[CheckReport]:
-    started = time.perf_counter()
-    value = eval_psi(config.lam, config.x, config.g, quad=config.quad())
-    return [CheckReport(check_id="eval-psi", inputs=_echo_point(config),
-                        status="pass", value=format_complex(value),
-                        wall_time=time.perf_counter() - started)]
-
-
-def _cmd_check_sutherland(config: RunConfig) -> list[CheckReport]:
-    quad = config.quad()
-    inputs = _echo_point(config)
-    n = config.n
-    jobs = [
-        ("h1", "sutherland.h1", lambda: apply_H1(config.lam, config.x, config.g, quad)),
-        ("h2", "sutherland.h2", lambda: apply_H2(config.lam, config.x, config.g, quad)),
-        ("hs1", "sutherland.hs1", lambda: apply_reduced_HS(config.lam, config.x, config.g, quad, order=1)),
-        ("hs2", "sutherland.hs2", lambda: apply_reduced_HS(config.lam, config.x, config.g, quad, order=2)),
-    ]
-
-    def one(job):
-        name, tol_key, fn = job
-        if n >= 3:
-            tol_key = "sutherland.n3"
-        started = time.perf_counter()
-        res = fn()
-        return _residual_report(f"sutherland.n{n}.{name}", inputs,
-                                res.relative_residual, config.tol(tol_key), started)
-
-    return _map_ordered(one, jobs)
+def _sutherland(config: RunConfig) -> list[Check]:
+    n, lam, x, g, quad = config.n, config.lam, config.x, config.g, config.quad()
+    operators = (("h1", apply_H1, {}), ("h2", apply_H2, {}),
+                 ("hs1", apply_reduced_HS, {"order": 1}), ("hs2", apply_reduced_HS, {"order": 2}))
+    return [(f"sutherland.n{n}.{name}", _echo_point(config),
+             "sutherland.n3" if n >= 3 else f"sutherland.{name}",
+             lambda op=op, kw=kw: op(lam, x, g, quad, **kw).relative_residual)
+            for name, op, kw in operators]
 
 
 def _dual_metric(r: int, config: RunConfig) -> float:
@@ -241,19 +266,11 @@ def _dual_metric(r: int, config: RunConfig) -> float:
     return res.relative_residual * abs(e_r)
 
 
-def _cmd_check_dual(config: RunConfig) -> list[CheckReport]:
+def _dual(config: RunConfig) -> list[Check]:
     n = config.n
-    orders = [config.r] if config.r is not None else list(range(1, n + 1))
-    tol_key = "dual.n3" if n >= 3 else "dual"
-    inputs = _echo_point(config)
-
-    def one(r):
-        started = time.perf_counter()
-        metric = _dual_metric(r, config)
-        return _residual_report(f"dual.n{n}.r{r}", dict(inputs, r=r), metric,
-                                config.tol(tol_key), started)
-
-    return _map_ordered(one, orders)
+    orders = [config.r] if config.r is not None else range(1, n + 1)
+    return [(f"dual.n{n}.r{r}", dict(_echo_point(config), r=r), "dual.n3" if n >= 3 else "dual",
+             partial(_dual_metric, r, config)) for r in orders]
 
 
 def _rand_generic_lambda(rng: np.random.Generator, n: int) -> tuple[complex, ...]:
@@ -261,84 +278,44 @@ def _rand_generic_lambda(rng: np.random.Generator, n: int) -> tuple[complex, ...
                  for _ in range(n))
 
 
-def _cmd_check_gauge(config: RunConfig) -> list[CheckReport]:
+def _rand_exp_probe(rng: np.random.Generator, n: int) -> Callable:
+    coeffs = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(n)]
+    return lambda lam: cmath.exp(sum(c * v for c, v in zip(coeffs, lam)))
+
+
+def _gauge(config: RunConfig) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    n, g = 3, config.g if config.g > 1 else 1.5
-    reports = []
-
-    started = time.perf_counter()
-    worst = 0.0
-    for _ in range(10):
-        lam = _rand_generic_lambda(rng, n)
-        i = int(rng.integers(0, n))
-        shifted = tuple(v + 2.0 if k == i else v for k, v in enumerate(lam))
-        ratio = cmath.exp(gauge_function(shifted, g) - gauge_function(lam, g))
-        predicted = (-1.0) ** (n - 1)
-        for j in range(n):
-            if j != i:
-                predicted *= (lam[i] - lam[j] - 2.0 * g + 2.0) / (lam[i] - lam[j] + 2.0 * g)
-        worst = max(worst, abs(ratio - predicted) / abs(predicted))
-    reports.append(_residual_report("gauge.shift", {"n": n, "g": g, "seed": config.seed},
-                                    worst, config.tol("gauge.shift"), started))
-
+    n, g, seed = 3, config.g, config.seed
+    shifts = [(_rand_generic_lambda(rng, n), int(rng.integers(0, n)), g) for _ in range(10)]
+    out = [("gauge.shift", {"n": n, "g": g, "seed": seed}, "gauge.shift",
+            _worst(gauge_shift_residual, shifts))]
     for r in range(1, n + 1):
-        started = time.perf_counter()
-        worst = 0.0
-        for _ in range(10):
-            lam = _rand_generic_lambda(rng, n)
-            coeffs = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-                      for _ in range(n)]
-            probe = lambda l: cmath.exp(sum(c * v for c, v in zip(coeffs, l)))
-            worst = max(worst, gauge_relation_residual(r, lam, g, probe))
-        reports.append(_residual_report(f"gauge.relation.r{r}",
-                                        {"n": n, "g": g, "r": r, "seed": config.seed},
-                                        worst, config.tol("gauge.relation"), started))
-    return reports
+        draws = [(r, _rand_generic_lambda(rng, n), g, _rand_exp_probe(rng, n)) for _ in range(10)]
+        out.append((f"gauge.relation.r{r}", {"n": n, "g": g, "r": r, "seed": seed},
+                    "gauge.relation", _worst(gauge_relation_residual, draws)))
+    return out
 
 
-def _cmd_check_measures(config: RunConfig) -> list[CheckReport]:
+def _measures(config: RunConfig) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    n = 3
-    g = config.g
-    reports = []
-
+    n, g, seed = 3, config.g, config.seed
+    out = []
     for kind in ("mu_g", "mu_1mg"):
-        started = time.perf_counter()
-        worst = 0.0
-        for _ in range(10):
-            lam = _rand_generic_lambda(rng, n)
-            i = int(rng.integers(0, n))
-            shifted = tuple(v + 2.0 if k == i else v for k, v in enumerate(lam))
-            ratio = cmath.exp(measure_weight(shifted, g, kind) - measure_weight(lam, g, kind))
-            predicted = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    d = lam[i] - lam[j]
-                    predicted *= (d + 2.0) / d
-                    if kind == "mu_g":
-                        predicted *= (d + 2.0 * g) / (d + 2.0 - 2.0 * g)
-                    else:
-                        predicted *= (d + 2.0 - 2.0 * g) / (d + 2.0 * g)
-            worst = max(worst, abs(ratio - predicted) / abs(predicted))
-        reports.append(_residual_report(f"measures.diffeq.{kind}",
-                                        {"n": n, "g": g, "seed": config.seed},
-                                        worst, config.tol("measures.diffeq"), started))
+        draws = [(_rand_generic_lambda(rng, n), int(rng.integers(0, n)), g, kind)
+                 for _ in range(10)]
+        out.append((f"measures.diffeq.{kind}", {"n": n, "g": g, "seed": seed},
+                    "measures.diffeq", _worst(measure_shift_residual, draws)))
 
     # g = 1/2: both weights proportional to the Sklyanin measure
     for kind in ("mu_g", "mu_1mg"):
-        started = time.perf_counter()
-        ratios = []
-        for _ in range(20):
-            lam = tuple(complex(0.0, v) for v in
-                        np.sort(rng.uniform(-2.0, 2.0, size=n))[::-1])
-            ratios.append(cmath.exp(measure_weight(lam, 0.5, kind)
-                                    - measure_weight(lam, 0.5, "sklyanin")))
-        arr = np.asarray(ratios)
-        spread = float(np.max(np.abs(arr - arr.mean())) / abs(arr.mean()))
-        reports.append(_residual_report(f"measures.sklyanin.{kind}",
-                                        {"n": n, "g": 0.5, "seed": config.seed},
-                                        spread, config.tol("measures.sklyanin"), started))
-    return reports
+        lams = [tuple(complex(0.0, v) for v in np.sort(rng.uniform(-2.0, 2.0, size=n))[::-1])
+                for _ in range(20)]
+        out.append((f"measures.sklyanin.{kind}", {"n": n, "g": 0.5, "seed": seed},
+                    "measures.sklyanin",
+                    lambda kind=kind, lams=lams: _ratio_spread(
+                        [cmath.exp(measure_weight(lam, 0.5, kind)
+                                   - measure_weight(lam, 0.5, "sklyanin")) for lam in lams])))
+    return out
 
 
 def _rand_torus_point(rng: np.random.Generator, n: int) -> TorusPoint:
@@ -346,181 +323,130 @@ def _rand_torus_point(rng: np.random.Generator, n: int) -> TorusPoint:
         complex(rng.uniform(0.6, 1.8), rng.uniform(-0.6, 0.6)) for _ in range(n)))
 
 
-def _cmd_check_macdonald(config: RunConfig) -> list[CheckReport]:
+def _commutator_residual(params: MacdonaldParams, z: TorusPoint, f: Callable) -> float:
+    """Largest relative [M_r, M_s] f at z over 1 <= r < s <= n."""
+    def m(r: int, fn: Callable) -> Callable:
+        return lambda zz: apply_macdonald(r, params, "z_space_t", zz, fn)
+
+    worst = 0.0
+    for r, s in combinations(range(1, z.n + 1), 2):
+        lhs, rhs = m(r, m(s, f))(z), m(s, m(r, f))(z)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return worst
+
+
+def _macdonald(config: RunConfig) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     params = MacdonaldParams(q=0.3, t=0.7)
-    reports = []
+    g, seed = config.g, config.seed
 
-    # shift laws of the two-parameter weight and both dual weights, pointwise
-    started = time.perf_counter()
-    worst = 0.0
-    for kind, pa, pb in (("phi_ab", 0.4 + 0.1j, 1.7 - 0.2j),
-                         ("delta_qt", 1.0 + 0.0j, params.t ** 2),
-                         ("delta_dual_qt", 1.0 + 0.0j, params.t ** 2),
-                         ("delta_dual_qt_inv", 1.0 + 0.0j, (params.q / params.t) ** 2)):
-        for _ in range(5):
-            z = _rand_torus_point(rng, 3)
-            i = int(rng.integers(0, 3))
-            zs = list(z.values)
-            zs[i] *= params.qsq
-            kwargs = {"a": pa, "b": pb} if kind == "phi_ab" else {}
-            ratio = (weight_and_gauge(kind, params, tuple(zs), **kwargs)
-                     / weight_and_gauge(kind, params, z, **kwargs))
-            predicted = 1.0 + 0.0j
-            for j in range(3):
-                if j != i:
-                    zi, zj = z.values[i], z.values[j]
-                    predicted *= ((zi - pa / params.qsq * zj) * (pb * zi - zj)
-                                  / ((pa * zi - zj) * (zi - pb / params.qsq * zj)))
-            worst = max(worst, abs(ratio - predicted) / abs(predicted))
-    reports.append(_residual_report("macdonald.shift", {"q": format_complex(params.q),
-                                                        "t": format_complex(params.t),
-                                                        "seed": config.seed},
-                                    worst, config.tol("macdonald.shift"), started))
+    # shift laws of the two-parameter weight (the only kind that reads this
+    # (a, b)), the scalar-product weight and both dual weights, pointwise
+    shifts = [(kind, params, _rand_torus_point(rng, 3), int(rng.integers(0, 3)),
+               0.4 + 0.1j, 1.7 - 0.2j)
+              for kind in ("phi_ab", "delta_qt", "delta_dual_qt", "delta_dual_qt_inv")
+              for _ in range(5)]
 
     # gauge equivalence on random Laurent-polynomial test functions
-    started = time.perf_counter()
-    worst = 0.0
+    gauge = []
     for n in (2, 3):
         for _ in range(10):
-            z = _rand_torus_point(rng, n)
-            f = LaurentPolynomial.random(n, rng)
-            r = int(rng.integers(1, n + 1))
-            worst = max(worst, verify_gauge_equivalence(r, params, z, f))
-    reports.append(_residual_report("macdonald.gauge", {"seed": config.seed},
-                                    worst, config.tol("macdonald.gauge"), started))
+            z, f = _rand_torus_point(rng, n), LaurentPolynomial.random(n, rng)
+            gauge.append((int(rng.integers(1, n + 1)), params, z, f))
 
     # commutativity [M_r, M_s] = 0 on random Laurent polynomials
-    started = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3):
-        z = _rand_torus_point(rng, n)
-        f = LaurentPolynomial.random(n, rng)
-        for r in range(1, n + 1):
-            for s in range(r + 1, n + 1):
-                lhs = apply_macdonald(r, params, "z_space_t", z,
-                                      lambda zz: apply_macdonald(s, params, "z_space_t", zz, f))
-                rhs = apply_macdonald(s, params, "z_space_t", z,
-                                      lambda zz: apply_macdonald(r, params, "z_space_t", zz, f))
-                scale = max(abs(lhs), abs(rhs), 1.0)
-                worst = max(worst, abs(lhs - rhs) / scale)
-    reports.append(_residual_report("macdonald.commutator", {"seed": config.seed},
-                                    worst, config.tol("macdonald.commutator"), started))
+    commuting = [(params, _rand_torus_point(rng, n), LaurentPolynomial.random(n, rng))
+                 for n in (2, 3)]
 
     # tau -> 0 degeneration of M_1 onto the reduced Hamiltonians
-    started = time.perf_counter()
-    worst = 0.0
-    for n, x_pt in ((2, (0.4, -0.2)), (3, (0.5, 0.1, -0.4))):
-        for f in (LaurentPolynomial(n, {(0,) * n: 1.0}),
-                  LaurentPolynomial.random(n, rng, max_degree=3, n_terms=3)):
-            fit = tau_limit_check(x_pt, config.g, f)
-            worst = max(worst, fit.hs1_error, fit.hs2_error)
-    reports.append(_residual_report("macdonald.tau", {"g": config.g, "seed": config.seed},
-                                    worst, config.tol("macdonald.tau"), started))
+    tau = [(x_pt, g, f) for n, x_pt in ((2, (0.4, -0.2)), (3, (0.5, 0.1, -0.4)))
+           for f in (LaurentPolynomial(n, {(0,) * n: 1.0}),
+                     LaurentPolynomial.random(n, rng, max_degree=3, n_terms=3))]
 
-    # limiting weight differential equation
-    started = time.perf_counter()
-    worst = max(weight_limit_check((0.4, -0.2), config.g),
-                weight_limit_check((0.7, 0.1, -0.5), config.g))
-    reports.append(_residual_report("macdonald.weight_ode", {"g": config.g},
-                                    worst, config.tol("macdonald.weight_ode"), started))
-    return reports
+    return [
+        ("macdonald.shift",
+         {"q": format_complex(params.q), "t": format_complex(params.t), "seed": seed},
+         "macdonald.shift", _worst(weight_shift_residual, shifts)),
+        ("macdonald.gauge", {"seed": seed}, "macdonald.gauge",
+         _worst(verify_gauge_equivalence, gauge)),
+        ("macdonald.commutator", {"seed": seed}, "macdonald.commutator",
+         _worst(_commutator_residual, commuting)),
+        ("macdonald.tau", {"g": g, "seed": seed}, "macdonald.tau",
+         _worst(lambda x_pt, g, f: tau_limit_check(x_pt, g, f).error, tau)),
+        # limiting weight differential equation
+        ("macdonald.weight_ode", {"g": g}, "macdonald.weight_ode",
+         _worst(weight_limit_check, [((0.4, -0.2), g), ((0.7, 0.1, -0.5), g)])),
+    ]
 
 
-def _cmd_check_identities(config: RunConfig) -> list[CheckReport]:
-    reports = []
-    for n in range(1, config.n_max + 1):
-        for r in range(1, n + 1):
-            started = time.perf_counter()
-            rep = verify_lemma1(n, r, trials=config.trials, seed=config.seed)
-            reports.append(_exact_report(f"identities.lemma1.n{n}r{r}",
-                                         {"n": n, "r": r, "trials": config.trials,
-                                          "seed": config.seed},
-                                         rep.passed, started, rep.witness))
-    for n in range(2, min(config.n_max, 4) + 1):
-        for r in range(1, n + 1):
-            started = time.perf_counter()
-            rep = residue_check(n, r, seed=config.seed)
-            reports.append(_exact_report(f"identities.residue.n{n}r{r}",
-                                         {"n": n, "r": r, "seed": config.seed},
-                                         rep.passed, started))
-    started = time.perf_counter()
-    reports.append(_exact_report("identities.binomial", {"n_max": 10},
-                                 binomial_limit_check(10, seed=config.seed), started))
+def _substitution_round_trip(draws: Sequence[tuple]) -> bool:
+    """Both subset-sum forms agree before and after the substitution map."""
+    for lam, nu, g in draws:
+        u, v, alpha = substitution_map(lam, nu, g)
+        if not all(sum_S(r, lam, nu, alpha, "unprimed" + form)
+                   == sum_S(r, u, v, alpha, "primed" + form)
+                   for r in range(1, 4) for form in ("_S", "_Stilde")):
+            return False
+    return True
+
+
+def _identities(config: RunConfig) -> list[Check]:
+    trials, seed = config.trials, config.seed
+    out = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": trials, "seed": seed},
+            EXACT, partial(verify_lemma1, n, r, trials=trials, seed=seed))
+           for n in range(1, config.n_max + 1) for r in range(1, n + 1)]
+    out += [(f"identities.residue.n{n}r{r}", {"n": n, "r": r, "seed": seed}, EXACT,
+             partial(residue_check, n, r, seed=seed))
+            for n in range(2, min(config.n_max, 4) + 1) for r in range(1, n + 1)]
+    out.append(("identities.binomial", {"n_max": 10}, EXACT,
+                partial(binomial_limit_check, 10, seed=seed)))
 
     # substitution round trip at random rationals
-    import random as _random
-    from fractions import Fraction
-    started = time.perf_counter()
-    rnd = _random.Random(config.seed)
-    ok = True
+    rnd = random.Random(seed)
+    draws = []
     for _ in range(10):
         vals = set()
         while len(vals) < 5:
             vals.add(rnd.randint(-10 ** 6, 10 ** 6))
         vals = [Fraction(v) for v in vals]
-        lam, nu = vals[:3], vals[3:]
         g_exact = Fraction(rnd.randint(-100, 100), rnd.randint(1, 100) * 2 + 1)
-        u, v, alpha = substitution_map(lam, nu, g_exact)
-        for r in range(1, 4):
-            ok = ok and (sum_S(r, lam, nu, alpha, "unprimed_S")
-                         == sum_S(r, u, v, alpha, "primed_S"))
-            ok = ok and (sum_S(r, lam, nu, alpha, "unprimed_Stilde")
-                         == sum_S(r, u, v, alpha, "primed_Stilde"))
-    reports.append(_exact_report("identities.substitution", {"seed": config.seed},
-                                 ok, started))
-    return reports
+        draws.append((vals[:3], vals[3:], g_exact))
+    out.append(("identities.substitution", {"seed": seed}, EXACT,
+                partial(_substitution_round_trip, draws)))
+    return out
 
 
-def _oracle_grid(config: RunConfig) -> list[tuple[float, float]]:
-    seps = np.linspace(0.2, 1.0, config.grid)
-    shifts = np.linspace(-0.3, 0.3, config.grid)
-    return [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
-
-
-def _cmd_compare_oracle(config: RunConfig) -> list[CheckReport]:
+def _oracle(config: RunConfig) -> list[Check]:
     if len(config.lam) != 2:
         raise ValueError("compare-oracle is the n = 2 closed-form check")
-    started = time.perf_counter()
-    l1, l2 = config.lam
-    quad = config.quad()
+    (l1, l2), g, quad = config.lam, config.g, config.quad()
+    seps, shifts = np.linspace(0.2, 1.0, config.grid), np.linspace(-0.3, 0.3, config.grid)
+    grid = [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
 
-    def one(pt):
+    def ratio(pt):
         x1, x2 = pt
-        mb = eval_phi((l1, l2), (x1, x2), config.g, quad=quad)
-        cf = closed_form_phi2(l1, l2, x1, x2, config.g)
-        return mb / cf
+        return eval_phi((l1, l2), (x1, x2), g, quad=quad) / closed_form_phi2(l1, l2, x1, x2, g)
 
-    ratios = np.asarray(_map_ordered(one, _oracle_grid(config)))
-    spread = float(np.max(np.abs(ratios - ratios.mean())) / abs(ratios.mean()))
-    inputs = dict(_echo_point(config), grid=config.grid)
-    return [_residual_report("oracle.ratio_spread", inputs, spread,
-                             config.tol("oracle.spread"), started)]
+    return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
+             "oracle.spread", lambda: _ratio_spread(_map_ordered(ratio, grid)))]
 
 
-def _cmd_check_legendre(config: RunConfig) -> list[CheckReport]:
+def _legendre(config: RunConfig) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    reports = []
-    started = time.perf_counter()
-    worst = 0.0
+    points = []
     for g in (0.5, 1.5, 2.0):
         for _ in range(10):
             lam = complex(rng.uniform(-0.3, 0.3), rng.uniform(-5.0, 5.0))
             if abs(lam) < 0.2:
                 lam += 0.5
-            x = float(rng.uniform(0.1, 1.5))
-            worst = max(worst, recurrence_check(lam, x, g))
-    reports.append(_residual_report("legendre.recurrence", {"seed": config.seed},
-                                    worst, config.tol("legendre.recurrence"), started))
-
-    started = time.perf_counter()
-    worst = 0.0
-    for g in (1.25, 1.5, 2.0):
-        r1, r2 = dual_system_residuals(0.7j, -0.3j, 0.4, -0.2, g)
-        worst = max(worst, r1, r2)
-    reports.append(_residual_report("legendre.dual_system", {"seed": config.seed},
-                                    worst, config.tol("legendre.dual_system"), started))
-    return reports
+            points.append((lam, float(rng.uniform(0.1, 1.5)), g))
+    return [
+        ("legendre.recurrence", {"seed": config.seed}, "legendre.recurrence",
+         _worst(recurrence_check, points)),
+        ("legendre.dual_system", {"seed": config.seed}, "legendre.dual_system",
+         _worst(lambda g: max(dual_system_residuals(0.7j, -0.3j, 0.4, -0.2, g)),
+                [(1.25,), (1.5,), (2.0,)])),
+    ]
 
 
 # documented defaults for the n = 3 leg of the full run: well-separated
@@ -530,34 +456,38 @@ _N3_DEFAULTS = dict(n=3, lam=(0.9j, 0.1j, -0.6j), x=(0.45, 0.0, -0.4),
                     step=0.15, tail_tol=1e-10)
 
 
-def _cmd_all(config: RunConfig) -> list[CheckReport]:
-    config3 = replace(config, **_N3_DEFAULTS)
-    reports = []
-    reports += _cmd_check_identities(config)
-    reports += _cmd_compare_oracle(config)
-    reports += _cmd_check_sutherland(config)
-    reports += _cmd_check_sutherland(config3)
-    reports += _cmd_check_dual(config)
-    reports += _cmd_check_dual(config3)
-    reports += _cmd_check_gauge(config)
-    reports += _cmd_check_measures(config)
-    reports += _cmd_check_macdonald(config)
-    reports += _cmd_check_legendre(config)
-    return reports
+def _at_n3(family: Family) -> Family:
+    return lambda config: family(replace(config, **_N3_DEFAULTS))
 
 
-COMMANDS: dict[str, Callable[[RunConfig], list[CheckReport]]] = {
-    "eval-phi": _cmd_eval_phi,
-    "eval-psi": _cmd_eval_psi,
-    "check-sutherland": _cmd_check_sutherland,
-    "check-dual": _cmd_check_dual,
-    "check-gauge": _cmd_check_gauge,
-    "check-measures": _cmd_check_measures,
-    "check-macdonald": _cmd_check_macdonald,
-    "check-identities": _cmd_check_identities,
-    "compare-oracle": _cmd_compare_oracle,
-    "all": _cmd_all,
-}
+# (command, family) in the order `all` runs them; a check-* command runs the
+# families registered under its name, and the n = 3 legs run only in `all`.
+# eval-phi and eval-psi are single evaluations outside `all`.
+REGISTRY: tuple[tuple[str, Family], ...] = (
+    ("check-identities", _identities),
+    ("compare-oracle", _oracle),
+    ("check-sutherland", _sutherland),
+    ("all", _at_n3(_sutherland)),
+    ("check-dual", _dual),
+    ("all", _at_n3(_dual)),
+    ("check-gauge", _gauge),
+    ("check-measures", _measures),
+    ("check-macdonald", _macdonald),
+    ("check-legendre", _legendre),
+)
+_EVALS = ("eval-phi", "eval-psi")
+
+
+def checks(command: str, config: RunConfig) -> list[Check]:
+    """The checks a command runs, in order, with their seeded inputs drawn."""
+    if command in _EVALS:
+        fn = eval_phi if command == "eval-phi" else eval_psi
+        return [(command, _echo_point(config), VALUE,
+                 lambda: fn(config.lam, config.x, config.g, quad=config.quad()))]
+    families = [family for name, family in REGISTRY if command in (name, "all")]
+    if not families:
+        raise ValueError(f"unknown command {command!r}")
+    return [check for family in families for check in family(config)]
 
 
 def run(command: str, config: RunConfig) -> tuple[int, list[CheckReport]]:
@@ -566,9 +496,7 @@ def run(command: str, config: RunConfig) -> tuple[int, list[CheckReport]]:
     Domain errors (infeasible contours etc.) propagate to the caller; main()
     maps them to exit status 3.
     """
-    if command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r}")
-    reports = COMMANDS[command](config)
+    reports = _map_ordered(partial(_report, config), checks(command, config))
     status = 0 if all(rep.status != "fail" for rep in reports) else 1
     return status, reports
 
@@ -581,31 +509,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bispectral",
         description="verification runs for the Sutherland wave function and its dual operators")
-    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("command", choices=sorted({*_EVALS, *(name for name, _ in REGISTRY)}))
     parser.add_argument("--config", help="JSON config file with flat RunConfig keys")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--g", type=float)
     parser.add_argument("--lambda", dest="lam",
                         help="comma-separated re:im pairs, e.g. 0:0.7,0:-0.3")
     parser.add_argument("--x", help="comma-separated reals, e.g. 0.4,-0.2")
-    parser.add_argument("--step", type=float)
-    parser.add_argument("--half-width", type=float)
-    parser.add_argument("--tail-tol", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--n-max", type=int)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--r", type=int)
+    for name in _INTEGER_FIELDS + _REAL_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=int if name in _INTEGER_FIELDS else float)
     parser.add_argument("--tolerance", action="append", default=[],
                         metavar="KEY=VALUE", help="override one tolerance")
     return parser
 
 
-# per-n defaults so `--n 1` / `--n 3` work without explicit lambda and x
+# per-n points so `--n 1` / `--n 3` work without explicit lambda and x
+# (n = 2 is RunConfig's own default point)
 _POINT_DEFAULTS = {
-    1: {"lam": (0.5j,), "x": (0.4,)},
-    2: {"lam": (0.7j, -0.3j), "x": (0.4, -0.2)},
-    3: {"lam": _N3_DEFAULTS["lam"], "x": _N3_DEFAULTS["x"]},
+    1: ((0.5j,), (0.4,)),
+    3: (_N3_DEFAULTS["lam"], _N3_DEFAULTS["x"]),
 }
 
 
@@ -613,25 +534,19 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
+            data = json.load(handle)
+        if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        data.update(raw)
-    if args.n is not None:
-        data["n"] = args.n
-        if args.n in _POINT_DEFAULTS:
-            data.setdefault("lam", _POINT_DEFAULTS[args.n]["lam"])
-            data.setdefault("x", _POINT_DEFAULTS[args.n]["x"])
-    if args.g is not None:
-        data["g"] = args.g
+    if args.n in _POINT_DEFAULTS:
+        data.setdefault("lam", _POINT_DEFAULTS[args.n][0])
+        data.setdefault("x", _POINT_DEFAULTS[args.n][1])
     if args.lam is not None:
         data["lambda"] = args.lam.split(",")
     if args.x is not None:
         data["x"] = [float(v) for v in args.x.split(",")]
-    for key in ("step", "half_width", "tail_tol", "seed", "trials", "n_max", "grid", "r"):
-        flag = getattr(args, key)
-        if flag is not None:
-            data[key] = flag
+    for key in _INTEGER_FIELDS + _REAL_FIELDS:
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     tols = dict(data.get("tolerances", {}))
     for item in args.tolerance:
         key, _, value = item.partition("=")
@@ -641,27 +556,22 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     data["tolerances"] = tols
 
     lam_raw = data.pop("lambda", None)
-    kwargs: dict = {}
-    for fld in fields(RunConfig):
-        if fld.name in data:
-            kwargs[fld.name] = data[fld.name]
-    if lam_raw is not None:
-        kwargs["lam"] = tuple(parse_complex(str(v)) for v in lam_raw)
-        kwargs.setdefault("n", len(kwargs["lam"]))
-    if "x" in kwargs:
-        kwargs["x"] = tuple(float(v) for v in kwargs["x"])
     unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(**kwargs)
+    if lam_raw is not None:
+        data["lam"] = tuple(parse_complex(str(v)) for v in lam_raw)
+        data.setdefault("n", len(data["lam"]))
+    if "x" in data:
+        data["x"] = tuple(float(v) for v in data["x"])
+    return RunConfig(**data)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_sources(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
@@ -677,11 +587,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(rep.to_json())
     passed = sum(1 for rep in reports if rep.status == "pass")
     for rep in reports:
-        marker = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[rep.status]
         detail = f"residual={rep.residual:.3e}" if rep.residual is not None else \
             (f"exact={rep.exact_pass}" if rep.exact_pass is not None else
              f"value={rep.value}")
-        print(f"{marker:4s} {rep.check_id:32s} {detail}", file=sys.stderr)
+        print(f"{rep.status.upper()} {rep.check_id:32s} {detail}", file=sys.stderr)
     print(f"{passed}/{len(reports)} checks passed "
           f"in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return status

@@ -21,24 +21,24 @@ Sklyanin measure at g = 1/2.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .cgamma import gamma_log_sum
 from .symfun import SubsetIndex, elementary_symmetric, subsets
 from .sutherland_ops import EigenResidual
-from .wavefn import (ContourSpec, InfeasibleContourError, QuadratureSpec,
-                     as_position, as_spectral, default_contour, eval_phi)
+from .wavefn import (InfeasibleContourError, QuadratureSpec, as_position,
+                     as_spectral, default_contour, eval_phi)
 
 __all__ = [
     "DualWeightKind",
-    "ShiftedEvaluationRequest",
     "dual_coefficient",
     "apply_dual_operator",
     "apply_dual_hamiltonian",
     "gauge_function",
     "measure_weight",
     "gauge_relation_residual",
+    "gauge_shift_residual",
+    "measure_shift_residual",
 ]
 
 DualWeightKind = Literal["mu_g", "mu_1mg", "sklyanin"]
@@ -46,19 +46,10 @@ _VARIANTS = ("H_g", "D_g", "D_1mg")
 _EPS_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class ShiftedEvaluationRequest:
-    """One wave-function evaluation at lambda + 2 * subset, with its contour."""
-
-    base_lambda: tuple[complex, ...]
-    subset: SubsetIndex
-    contour: ContourSpec
-
-    @property
-    def shifted_lambda(self) -> tuple[complex, ...]:
-        inside = set(self.subset.members)
-        return tuple(v + 2.0 if i + 1 in inside else v
-                     for i, v in enumerate(self.base_lambda))
+def _shifted(lam: tuple[complex, ...], subset: SubsetIndex) -> tuple[complex, ...]:
+    """lambda + 2 * (indicator of the subset)."""
+    inside = set(subset.members)
+    return tuple(v + 2.0 if i + 1 in inside else v for i, v in enumerate(lam))
 
 
 def dual_coefficient(r_subset: SubsetIndex, lam, g: float,
@@ -90,8 +81,7 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable, variant: str = "H_g"
     lam = as_spectral(lam)
     total = 0.0 + 0.0j
     for sub in subsets(lam.n, r):
-        req = ShiftedEvaluationRequest(lam.values, sub, ContourSpec(level_re=()))
-        total += dual_coefficient(sub, lam, g, variant) * f(req.shifted_lambda)
+        total += dual_coefficient(sub, lam, g, variant) * f(_shifted(lam.values, sub))
     return total
 
 
@@ -122,9 +112,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     for sub in subsets(n, r):
         shift_pattern = tuple(2 if i + 1 in set(sub.members) else 0 for i in range(n))
         contour = default_contour(n, g, shift_pattern)
-        req = ShiftedEvaluationRequest(lam.values, sub, contour)
         coef = dual_coefficient(sub, lam, g, variant)
-        total += coef * eval_phi(req.shifted_lambda, x, g, contour=contour, quad=quad)
+        total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad)
     phi = eval_phi(lam, x, g, quad=quad)
     eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x.values])
     if variant == "D_1mg":
@@ -141,6 +130,22 @@ def gauge_function(lam, g: float) -> complex:
             if p != q:
                 args.append((lam[p] - lam[q] + 2.0 - 2.0 * g) / 2.0)
     return gamma_log_sum(args, ())
+
+
+def gauge_shift_residual(lam, i: int, g: float) -> float:
+    """Relative residual of the gauge shift law under lambda_i -> lambda_i + 2, i 0-based.
+
+    Predicted ratio: (-1)^{n-1} prod_{j != i} (l_i - l_j + 2 - 2g) / (l_i - l_j + 2g).
+    """
+    lam = as_spectral(lam).values
+    n = len(lam)
+    ratio = cmath.exp(gauge_function(_shifted(lam, SubsetIndex((i + 1,), n)), g)
+                      - gauge_function(lam, g))
+    predicted = (-1.0) ** (n - 1)
+    for j in range(n):
+        if j != i:
+            predicted *= (lam[i] - lam[j] - 2.0 * g + 2.0) / (lam[i] - lam[j] + 2.0 * g)
+    return abs(ratio - predicted) / abs(predicted)
 
 
 def measure_weight(lam, g: float, kind: DualWeightKind) -> complex:
@@ -165,6 +170,28 @@ def measure_weight(lam, g: float, kind: DualWeightKind) -> complex:
     return gamma_log_sum((), den)
 
 
+def measure_shift_residual(lam, i: int, g: float, kind: DualWeightKind) -> float:
+    """Relative residual of the mu_g / mu_1mg shift law under lambda_i -> lambda_i + 2.
+
+    Predicted ratio for mu_g, i 0-based and d = l_i - l_j:
+    prod_{j != i} (d + 2)/d * (d + 2g)/(d + 2 - 2g); mu_1mg inverts the last quotient.
+    """
+    if kind not in ("mu_g", "mu_1mg"):
+        raise ValueError(f"shift law is stated for mu_g and mu_1mg, got {kind!r}")
+    lam = as_spectral(lam).values
+    n = len(lam)
+    ratio = cmath.exp(measure_weight(_shifted(lam, SubsetIndex((i + 1,), n)), g, kind)
+                      - measure_weight(lam, g, kind))
+    predicted = 1.0 + 0.0j
+    for j in range(n):
+        if j != i:
+            d = lam[i] - lam[j]
+            up, down = d + 2.0 * g, d + 2.0 - 2.0 * g
+            predicted *= (d + 2.0) / d
+            predicted *= up / down if kind == "mu_g" else down / up
+    return abs(ratio - predicted) / abs(predicted)
+
+
 def gauge_relation_residual(r: int, lam, g: float, f: Callable) -> float:
     """Residual of D_r^{(g)} (gauge * f) = gauge * (H_r^{(g)} f) at lambda.
 
@@ -175,8 +202,7 @@ def gauge_relation_residual(r: int, lam, g: float, f: Callable) -> float:
     base_log = gauge_function(lam, g)
     lhs = 0.0 + 0.0j
     for sub in subsets(lam.n, r):
-        req = ShiftedEvaluationRequest(lam.values, sub, ContourSpec(level_re=()))
-        shifted = req.shifted_lambda
+        shifted = _shifted(lam.values, sub)
         ratio = cmath.exp(gauge_function(shifted, g) - base_log)
         lhs += dual_coefficient(sub, lam, g, "D_g") * ratio * f(shifted)
     rhs = apply_dual_operator(r, lam, g, f, "H_g")

@@ -30,6 +30,7 @@ __all__ = [
     "qpochhammer",
     "apply_macdonald",
     "weight_and_gauge",
+    "weight_shift_residual",
     "verify_gauge_equivalence",
     "tau_limit_check",
     "TauFitResult",
@@ -161,6 +162,23 @@ def _pair_ratio_product(point: TorusPoint, a: complex, b: complex, qsq: complex,
     return out
 
 
+def _weight_pair(kind: WeightKind, params: MacdonaldParams,
+                 a: complex | None, b: complex | None) -> tuple[complex, complex]:
+    """The (a, b) pair of the two-parameter weight that the kind names."""
+    q, t = params.q, params.t
+    if kind == "phi_ab":
+        if a is None or b is None:
+            raise ValueError("phi_ab requires explicit a and b")
+        return complex(a), complex(b)
+    if kind in ("delta_qt", "delta_dual_qt"):
+        return 1.0 + 0.0j, t * t
+    if kind == "phi_gauge":
+        return q, (q / t) ** 2
+    if kind == "delta_dual_qt_inv":
+        return 1.0 + 0.0j, (q / t) ** 2
+    raise ValueError(f"unknown weight kind {kind!r}")
+
+
 def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
                      a: complex | None = None, b: complex | None = None,
                      trunc_tol: float = 1e-16) -> complex:
@@ -172,21 +190,28 @@ def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
     * delta_dual_qt      -- same as delta_qt, evaluated in the dual variables
     * delta_dual_qt_inv  -- weight of the pair (q, q/t): (a, b) = (1, q^2/t^2)
     """
+    pa, pb = _weight_pair(kind, params, a, b)
+    return _pair_ratio_product(_as_point(point), pa, pb, params.qsq, trunc_tol)
+
+
+def weight_shift_residual(kind: WeightKind, params: MacdonaldParams, point, i: int,
+                          a: complex | None = None, b: complex | None = None) -> float:
+    """Relative residual of the weight's shift law under z_i -> q^2 z_i, i 0-based.
+
+    Predicted ratio for the pair (a, b):
+    prod_{j != i} (z_i - a q^{-2} z_j)(b z_i - z_j) / ((a z_i - z_j)(z_i - b q^{-2} z_j)).
+    """
     point = _as_point(point)
-    q, t = params.q, params.t
-    if kind == "phi_ab":
-        if a is None or b is None:
-            raise ValueError("phi_ab requires explicit a and b")
-        pa, pb = complex(a), complex(b)
-    elif kind in ("delta_qt", "delta_dual_qt"):
-        pa, pb = 1.0 + 0.0j, t * t
-    elif kind == "phi_gauge":
-        pa, pb = q, (q / t) ** 2
-    elif kind == "delta_dual_qt_inv":
-        pa, pb = 1.0 + 0.0j, (q / t) ** 2
-    else:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    return _pair_ratio_product(point, pa, pb, params.qsq, trunc_tol)
+    pa, pb = _weight_pair(kind, params, a, b)
+    z, qsq = point.values, params.qsq
+    ratio = (weight_and_gauge(kind, params, _subset_shift(z, (i,), qsq), a, b)
+             / weight_and_gauge(kind, params, point, a, b))
+    predicted = 1.0 + 0.0j
+    for j in range(point.n):
+        if j != i:
+            predicted *= ((z[i] - pa / qsq * z[j]) * (pb * z[i] - z[j])
+                          / ((pa * z[i] - z[j]) * (z[i] - pb / qsq * z[j])))
+    return abs(ratio - predicted) / abs(predicted)
 
 
 def verify_gauge_equivalence(r: int, params: MacdonaldParams, point, f: Callable) -> float:
@@ -252,6 +277,10 @@ class TauFitResult:
     @property
     def hs2_error(self) -> float:
         return abs(self.hs2_fitted - self.hs2_analytic) / max(abs(self.hs2_analytic), 1.0)
+
+    @property
+    def error(self) -> float:
+        return max(self.hs1_error, self.hs2_error)
 
 
 def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tuple[complex, complex]:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from bispectral.cli import (RunConfig, format_complex, main, parse_complex, run)
+from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,
+                            format_complex, main, parse_complex, run)
 
 
 def run_main(capsys, argv):
@@ -91,6 +92,28 @@ class TestExitStatus:
         code, _, err = run_main(capsys, ["eval-phi", "--x", "1.6,-1.6"])
         assert code == 3
 
+    def test_unknown_tolerance_key_is_two(self, capsys):
+        code, out, err = run_main(capsys, ["check-dual", "--tolerance", "dual.n2=1e-30"])
+        assert code == 2 and not out
+        assert "dual.n2" in err
+
+    def test_non_number_in_config_file_is_two(self, capsys, tmp_path):
+        bad = tmp_path / "conf.json"
+        bad.write_text(json.dumps({"g": "abc"}))
+        code, _, err = run_main(capsys, ["check-dual", "--config", str(bad)])
+        assert code == 2
+        assert "config error: g " in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["check-dual", "--g", "nan"], "g"),
+        (["check-dual", "--x", "nan,0.1"], "x"),
+        (["eval-phi", "--tolerance", "dual=inf"], "tolerances"),
+    ])
+    def test_non_finite_value_is_two(self, capsys, argv, name):
+        code, _, err = run_main(capsys, argv)
+        assert code == 2
+        assert f"config error: {name} " in err
+
     def test_missing_config_file_is_two(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--config", "/nonexistent.json"])
         assert code == 2
@@ -132,11 +155,12 @@ class TestReports:
         assert strip_wall_time(out1) == strip_wall_time(out2)
 
     def test_determinism_under_thread_cap(self, capsys, monkeypatch):
-        argv = ["check-sutherland"]
-        _, out1, _ = run_main(capsys, argv)
-        monkeypatch.setenv("BISPECTRAL_THREADS", "4")
-        _, out2, _ = run_main(capsys, argv)
-        assert strip_wall_time(out1) == strip_wall_time(out2)
+        for argv in (["check-sutherland"], ["check-macdonald", "--seed", "2"]):
+            monkeypatch.delenv("BISPECTRAL_THREADS", raising=False)
+            _, out1, _ = run_main(capsys, argv)
+            monkeypatch.setenv("BISPECTRAL_THREADS", "4")
+            _, out2, _ = run_main(capsys, argv)
+            assert strip_wall_time(out1) == strip_wall_time(out2)
 
 
 class TestCommandCoverage:
@@ -147,6 +171,7 @@ class TestCommandCoverage:
         ["check-measures", "--seed", "2"],
         ["check-macdonald", "--seed", "2"],
         ["compare-oracle", "--grid", "3"],
+        ["check-legendre"],
     ])
     def test_command_passes(self, capsys, argv):
         code, out, _ = run_main(capsys, argv)
@@ -163,6 +188,31 @@ class TestCommandCoverage:
                       "dual.n3.r3", "gauge.relation.r2", "measures.sklyanin.mu_g",
                       "macdonald.tau", "legendre.recurrence"):
             assert probe in ids, probe
+
+    def test_gauge_uses_the_given_coupling(self, capsys):
+        code, out, _ = run_main(capsys, ["check-gauge", "--g", "0.8"])
+        assert code == 0
+        reps = reports_of(out)
+        assert len(reps) == 4
+        assert all(rep["inputs"]["g"] == 0.8 and rep["status"] == "pass" for rep in reps)
+
+
+class TestRegistry:
+    def test_every_tolerance_key_is_used(self):
+        # `all` builds its n = 2 families at the default config and its n = 3
+        # legs at the documented n = 3 config
+        kinds = {kind for _, _, kind, _ in checks("all", RunConfig())}
+        assert kinds - {EXACT, VALUE} == set(_DEFAULT_TOLS)
+
+    def test_each_command_runs_a_part_of_all(self):
+        config = RunConfig(n_max=3, trials=2)
+        ids = [check[0] for check in checks("all", config)]
+        for command in ("check-identities", "compare-oracle", "check-sutherland",
+                        "check-dual", "check-gauge", "check-measures",
+                        "check-macdonald", "check-legendre"):
+            own = [check[0] for check in checks(command, config)]
+            assert own and set(own) <= set(ids), command
+        assert len(ids) == len(set(ids))
 
 
 class TestConfigSources:

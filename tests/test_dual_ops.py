@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from bispectral.dual_ops import (ShiftedEvaluationRequest, apply_dual_hamiltonian,
-                                 apply_dual_operator, dual_coefficient,
-                                 gauge_function, gauge_relation_residual,
-                                 measure_weight)
+from bispectral.dual_ops import (apply_dual_hamiltonian, apply_dual_operator,
+                                 dual_coefficient, gauge_function,
+                                 gauge_relation_residual, gauge_shift_residual,
+                                 measure_shift_residual, measure_weight)
 from bispectral.symfun import SubsetIndex
-from bispectral.wavefn import InfeasibleContourError, default_contour
+from bispectral.wavefn import InfeasibleContourError
 from bispectral.cgamma import log_gamma
 
 LAM2 = (0.7j, -0.3j)
@@ -106,6 +106,20 @@ class TestGauge:
                     predicted *= (lam[i] - lam[j] - 2 * g + 2) / (lam[i] - lam[j] + 2 * g)
             assert ratio == pytest.approx(predicted, rel=1e-12)
 
+    @pytest.mark.parametrize("g", [0.5, 0.8, 1.8])
+    def test_shift_residual_predicate(self, g):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            lam = rand_lambda(rng, 3)
+            assert gauge_shift_residual(lam, int(rng.integers(0, 3)), g) <= 1e-12
+
+    def test_shift_residual_sees_a_wrong_gauge(self, monkeypatch):
+        import bispectral.dual_ops as dual_ops
+        exact = dual_ops.gauge_function
+        monkeypatch.setattr(dual_ops, "gauge_function",
+                            lambda lam, g: exact(lam, g) + 1e-6 * lam[0])
+        assert gauge_shift_residual(rand_lambda(np.random.default_rng(16), 3), 0, 1.5) > 1e-7
+
     def test_gauge_relation_on_probes(self):
         rng = np.random.default_rng(6)
         for n in (2, 3):
@@ -136,6 +150,17 @@ class TestMeasures:
                     else:
                         predicted *= (d + 2 - 2 * g) / (d + 2 * g)
             assert ratio == pytest.approx(predicted, rel=1e-11)
+
+    @pytest.mark.parametrize("kind", ["mu_g", "mu_1mg"])
+    def test_shift_residual_predicate(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            lam = rand_lambda(rng, 3)
+            assert measure_shift_residual(lam, int(rng.integers(0, 3)), 1.35, kind) <= 1e-11
+
+    def test_shift_residual_needs_a_stated_law(self):
+        with pytest.raises(ValueError):
+            measure_shift_residual(LAM2, 0, 1.5, "sklyanin")
 
     def test_sklyanin_proportionality_at_half(self):
         rng = np.random.default_rng(8)
@@ -185,11 +210,6 @@ class TestDualHamiltonian:
     def test_r_range(self):
         with pytest.raises(ValueError):
             apply_dual_hamiltonian(3, LAM2, X2, 1.5)
-
-    def test_shifted_request_bookkeeping(self):
-        sub = SubsetIndex(members=(2,), n=2)
-        req = ShiftedEvaluationRequest(LAM2, sub, default_contour(2, 1.5, (0, 2)))
-        assert req.shifted_lambda == (LAM2[0], LAM2[1] + 2.0)
 
 
 class TestLevelReduction:

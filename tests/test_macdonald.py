@@ -7,7 +7,7 @@ import pytest
 from bispectral.macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                                   apply_macdonald, qpochhammer, tau_limit_check,
                                   verify_gauge_equivalence, weight_and_gauge,
-                                  weight_limit_check)
+                                  weight_limit_check, weight_shift_residual)
 
 
 def rand_point(rng, n):
@@ -164,10 +164,31 @@ class TestWeights:
                         predicted *= first * (1.0 / second if swap else second)
                 assert ratio == pytest.approx(predicted, rel=1e-10)
 
+    @pytest.mark.parametrize("kind", ["delta_qt", "phi_gauge", "delta_dual_qt",
+                                      "delta_dual_qt_inv", "phi_ab"])
+    def test_shift_residual_predicate(self, kind):
+        rng = np.random.default_rng(10)
+        params = MacdonaldParams(q=0.35, t=0.6)
+        for _ in range(5):
+            z = rand_point(rng, 3)
+            i = int(rng.integers(0, 3))
+            assert weight_shift_residual(kind, params, z, i, 0.4 + 0.1j, 1.7 - 0.2j) <= 1e-10
+
+    def test_shift_residual_sees_a_wrong_weight(self, monkeypatch):
+        import bispectral.macdonald as macdonald
+        exact = macdonald.weight_and_gauge
+        monkeypatch.setattr(macdonald, "weight_and_gauge",
+                            lambda kind, params, point, a, b: exact(kind, params, point, a, b + 0.01))
+        z = rand_point(np.random.default_rng(11), 3)
+        params = MacdonaldParams(q=0.35, t=0.6)
+        assert weight_shift_residual("phi_ab", params, z, 0, 0.4, 1.7) > 1e-4
+
     def test_phi_ab_requires_parameters(self):
         params = MacdonaldParams(q=0.35, t=0.6)
         with pytest.raises(ValueError):
             weight_and_gauge("phi_ab", params, (1.0, 2.0))
+        with pytest.raises(ValueError):
+            weight_shift_residual("phi_ab", params, (1.0, 2.0), 0)
 
 
 class TestGaugeEquivalence:

@@ -136,6 +136,10 @@ class RunConfig:
                           else (_REAL, "a finite real number"))
             if not (value is None and name in ("r", "half_width") or _is_finite(value, kind)):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        # fewer trials, oracle points or identity sizes would test nothing
+        for name, low in (("trials", 1), ("grid", 2), ("n_max", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name, values, kind, what in (("lambda", self.lam, _COMPLEX, "complex"),
                                          ("x", self.x, _REAL, "real")):
             if not all(_is_finite(v, kind) for v in values):

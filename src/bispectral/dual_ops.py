@@ -108,10 +108,10 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
         raise InfeasibleContourError(
             f"dual Hamiltonians need g > 1: the shifted-contour window "
             f"(-g+2, g) is empty for g = {g}")
+    # every subset shifts at least one variable, so all share the Re = 1 contour
+    contour = default_contour(n, g, (2,) * n)
     total = 0.0 + 0.0j
     for sub in subsets(n, r):
-        shift_pattern = tuple(2 if i + 1 in set(sub.members) else 0 for i in range(n))
-        contour = default_contour(n, g, shift_pattern)
         coef = dual_coefficient(sub, lam, g, variant)
         total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad)
     phi = eval_phi(lam, x, g, quad=quad)

@@ -66,26 +66,25 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
     return first, second
 
 
-def _unit_derivs(n: int, order: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n):
-        d = [0] * n
-        d[i] = order
-        out.append(tuple(d))
-    return out
+def _jet(lam, x, g: float, quad: QuadratureSpec | None,
+         order: int) -> tuple[complex, list, list]:
+    """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass; the second
+    derivatives only for order 2, else an empty list."""
+    n = lam.n
+    derivs = [(0,) * n] + [tuple(o if j == i else 0 for j in range(n))
+                           for o in range(1, order + 1) for i in range(n)]
+    vals = eval_phi_many(lam, x, g, derivs, quad=quad)
+    return vals[0], vals[1:n + 1], vals[n + 1:]
 
 
 def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResidual:
     """(sum_i d/dx_i) Psi compared with (sum_p lam_p) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
-    n = lam.n
-    derivs = [(0,) * n] + _unit_derivs(n, 1)
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad)
-    phi, grads = vals[0], vals[1:]
+    phi, grad, _ = _jet(lam, x, g, quad, 1)
     w = sinh_prefactor(x, g)
-    dlogw = sum(prefactor_log_derivatives(x, g, i)[0] for i in range(n))
-    value = w * (dlogw * phi + sum(grads))
+    dlogw = sum(prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n))
+    value = w * (dlogw * phi + sum(grad))
     expected = sum(lam.values) * w * phi
     return EigenResidual.build(value, expected)
 
@@ -95,11 +94,7 @@ def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResid
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    derivs = [(0,) * n] + _unit_derivs(n, 1) + _unit_derivs(n, 2)
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad)
-    phi = vals[0]
-    grad = vals[1:n + 1]
-    grad2 = vals[n + 1:]
+    phi, grad, grad2 = _jet(lam, x, g, quad, 2)
     w = sinh_prefactor(x, g)
 
     lap_psi = 0.0 + 0.0j
@@ -124,18 +119,9 @@ def apply_reduced_HS(lam, x, g: float, quad: QuadratureSpec | None = None,
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
+    phi, grad, grad2 = _jet(lam, x, g, quad, order)
     if order == 1:
-        vals = eval_phi_many(lam, x, g, [(0,) * n] + _unit_derivs(n, 1), quad=quad)
-        phi, grads = vals[0], vals[1:]
-        value = sum(grads)
-        expected = sum(lam.values) * phi
-        return EigenResidual.build(value, expected)
-
-    derivs = [(0,) * n] + _unit_derivs(n, 1) + _unit_derivs(n, 2)
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad)
-    phi = vals[0]
-    grad = vals[1:n + 1]
-    grad2 = vals[n + 1:]
+        return EigenResidual.build(sum(grad), sum(lam.values) * phi)
     value = sum(grad2) + g * g * n * (n * n - 1) / 3.0 * phi
     for i in range(n):
         for j in range(i + 1, n):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cgamma import gamma_log_sum, log_gamma
+from .cgamma import _is_pole, log_gamma
 
 __all__ = [
     "SpectralPoint",
@@ -128,13 +128,10 @@ class ContourSpec:
     """Vertical-line real parts per integration level.
 
     level_re[i] is the common real part of the i+1 variables at level i+1,
-    for levels 1..n-1.  shift_pattern records the +2 shifts applied to the
-    top-level spectral parameters (0 or 2 per variable); it is what
-    ``default_contour`` used to pick the real parts.
+    for levels 1..n-1.
     """
 
     level_re: tuple[float, ...]
-    shift_pattern: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -142,9 +139,9 @@ class QuadratureSpec:
     """Trapezoid discretisation of one vertical line.
 
     step is the node spacing along the imaginary axis (must be <= 0.25);
-    half_width is the truncation half-width, or None to expand adaptively
-    until the boundary magnitude is below tail_tol times the running
-    maximum (hard cap max_half_width).
+    half_width is a fixed truncation half-width (at most max_half_width),
+    or None to expand adaptively until the boundary magnitude is below
+    tail_tol times the running maximum (hard cap max_half_width).
     """
 
     step: float = 0.1
@@ -157,8 +154,9 @@ class QuadratureSpec:
             raise ValueError(f"step must be in (0, 0.25], got {self.step}")
         if not (0.0 < self.tail_tol < 1e-3):
             raise ValueError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
-        if self.half_width is not None and self.half_width <= 0:
-            raise ValueError("half_width must be positive or None")
+        if self.half_width is not None and not 0.0 < self.half_width <= self.max_half_width:
+            raise ValueError(f"half_width must be None or in (0, {self.max_half_width}], "
+                             f"got {self.half_width}")
 
 
 def as_spectral(lam) -> SpectralPoint:
@@ -178,20 +176,38 @@ def as_position(x, max_separation: float = 1.0) -> PositionPoint:
 # kernel, measure, contours
 
 
+def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
+    """log G((gam_i - p_j + g)/2) G((p_j - gam_i + g)/2) for every gam_i and p_j.
+
+    Rows follow gam (the lower level), columns follow pts (the level above).
+    A gamma pole raises GammaPoleError.
+    """
+    return (log_gamma((gam[:, None] - pts[None, :] + g) / 2)
+            + log_gamma((pts[None, :] - gam[:, None] + g) / 2))
+
+
+def _log_measure(d: np.ndarray, g: float) -> np.ndarray:
+    """-log[G(d/2) G(-d/2) G(d/2 + g) G(g - d/2)] for each difference d.
+
+    The four factors are the measure's pair (r, s) and (s, r) together.  An
+    argument on a gamma pole is a zero of the measure: the entry is -inf.
+    """
+    h = np.asarray(d, dtype=complex) / 2.0
+    out = np.full(h.shape, -np.inf, dtype=complex)
+    ok = ~(_is_pole(h) | _is_pole(-h) | _is_pole(h + g) | _is_pole(-h + g))
+    h = h[ok]
+    out[ok] = -(log_gamma(h) + log_gamma(-h) + log_gamma(h + g) + log_gamma(-h + g))
+    return out
+
+
 def kernel_K(lam, nu, g: float) -> complex:
     """Log of the inter-level kernel: prod_{j,k} G((nu_j-lam_k+g)/2) G((lam_k-nu_j+g)/2).
 
     lam has n entries, nu has n-1; the n=1 case (empty nu) gives log 1 = 0.
     Coincident entries are fine here (only the measure vanishes there).
     """
-    lam = tuple(complex(v) for v in lam)
-    nu = tuple(complex(v) for v in nu)
-    args = []
-    for nj in nu:
-        for lk in lam:
-            args.append((nj - lk + g) / 2.0)
-            args.append((lk - nj + g) / 2.0)
-    return gamma_log_sum(args, ())
+    return complex(np.sum(_log_kernel(np.asarray(nu, dtype=complex),
+                                      np.asarray(lam, dtype=complex), g)))
 
 
 def measure_mu(nu, g: float) -> complex:
@@ -200,32 +216,19 @@ def measure_mu(nu, g: float) -> complex:
     Coincident nu entries make an inverse gamma of a pole, i.e. a zero
     factor: the returned log has real part -inf and exp() of it is 0.
     """
-    nu = tuple(complex(v) for v in nu)
-    den = []
-    for r in range(len(nu)):
-        for s in range(len(nu)):
-            if r != s:
-                d = (nu[r] - nu[s]) / 2.0
-                den.append(d)
-                den.append(d + g)
-    return gamma_log_sum((), den)
-
-
-def _level_margin(c: float, upper_re: Sequence[float], g: float) -> float:
-    """Distance from the line Re = c to the nearest pole lattice of the level above.
-
-    The lattices attached to an upper variable with real part d are
-    d + g + 2k (ascending) and d - g - 2k (descending), k >= 0; the line
-    separates them iff |c - d| < g for every d.
-    """
-    return min(g - abs(c - d) for d in upper_re)
+    nu = np.asarray(nu, dtype=complex)
+    r, s = np.triu_indices(nu.size, 1)
+    return complex(np.sum(_log_measure(nu[r] - nu[s], g)))
 
 
 def validate_contour(contour: ContourSpec, lam, g: float) -> float:
     """Check pole separation for every adjacent pair of levels.
 
-    Returns the smallest margin (distance from a contour line to the nearest
-    pole real part); raises InfeasibleContourError if any margin is <= 0.
+    The lattices attached to an upper variable with real part d are
+    d + g + 2k (ascending) and d - g - 2k (descending), k >= 0; the line
+    Re = c separates them iff its margin g - |c - d| is positive for every d.
+    Returns the smallest margin over all levels; raises
+    InfeasibleContourError if it is <= 0.
     """
     lam = as_spectral(lam)
     n = lam.n
@@ -233,12 +236,10 @@ def validate_contour(contour: ContourSpec, lam, g: float) -> float:
         raise ValueError(f"contour has {len(contour.level_re)} levels, need {n - 1}")
     if n == 1:
         return g
-    margins = []
     top_re = [v.real for v in lam.values]
-    for i in range(n - 2, -1, -1):
-        upper = top_re if i == n - 2 else [contour.level_re[i + 1]]
-        margins.append(_level_margin(contour.level_re[i], upper, g))
-    margin = min(margins)
+    # each level's line against the real parts of the level above it
+    uppers = [[c] for c in contour.level_re[1:]] + [top_re]
+    margin = min(g - abs(c - d) for c, upper in zip(contour.level_re, uppers) for d in upper)
     if margin <= 0.0:
         raise InfeasibleContourError(
             f"contour {contour.level_re} does not separate the pole lattices "
@@ -261,17 +262,12 @@ def default_contour(n: int, g: float, shift_pattern: Sequence[int] | None = None
     if any(s not in (0, 2) for s in shifts):
         raise ValueError("shifts must be 0 or 2")
     if not any(shifts):
-        return ContourSpec(level_re=(0.0,) * (n - 1), shift_pattern=shifts)
+        return ContourSpec(level_re=(0.0,) * (n - 1))
     if g <= 1.0:
         raise InfeasibleContourError(
             f"shifted pole lattices admit no separating line for g = {g}: "
             f"the window (-g+2, g) = ({2 - g:.3g}, {g:.3g}) is empty")
-    # validate Re = 1 against both lattices (shifted 2 +- g, unshifted +- g)
-    margin = min(g - abs(1.0 - s) for s in set(shifts))
-    if margin < min(g - 1.0, 1.0) - 1e-12 or margin <= 0:
-        raise InfeasibleContourError(
-            f"Re = 1 lies within {margin:.3g} of a pole lattice for g = {g}")
-    return ContourSpec(level_re=(1.0,) * (n - 1), shift_pattern=shifts)
+    return ContourSpec(level_re=(1.0,) * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,39 +300,57 @@ def _quantities_n1(lam, x, derivs):
     return [l1 ** d[0] * base for d in derivs]
 
 
-def _quantities_n2(lam, x, g, contour, quad, derivs):
-    l1, l2 = lam
-    x1, x2 = x
-    c = contour.level_re[0]
-    center = 0.5 * (l1.imag + l2.imag)
-    lam_sum = l1 + l2
-    log_tol = math.log(quad.tail_tol)
-    rate = max(math.pi - abs(x1 - x2), 0.5)
-    im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
-    T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
-    fixed = quad.half_width is not None
+def _level2(pts, x1, x2, g, c, center, T, cap, quad, m_max):
+    """Moments C[m][p, q] = sum_i w_i gam_i^m e^{gam_i (x1-x2)} K(gam_i, pts_p) K(gam_i, pts_q).
 
+    gam runs over the level-1 line Re = c, m over 0..m_max.  One tail envelope
+    bounds every moment and pair; T grows by 1.5x up to cap, and the T that
+    passed is returned with C.
+    """
+    log_tol = math.log(quad.tail_tol)
     while True:
         t, w = _grid(center, T, quad.step)
         gam = c + 1j * t
-        lg = (log_gamma((gam - l1 + g) / 2) + log_gamma((l1 - gam + g) / 2)
-              + log_gamma((gam - l2 + g) / 2) + log_gamma((l2 - gam + g) / 2))
-        expo = (lam_sum - gam) * x2 + gam * x1
-        base_logmag = lg.real + expo.real
+        lgA = _log_kernel(gam, pts, g)
+        base = w * np.exp(gam * (x1 - x2))
         with np.errstate(divide="ignore"):
-            ok = all(
-                _tail_ok(base_logmag
-                         + d1 * np.log(np.abs(gam) + 1e-300)
-                         + d2 * np.log(np.abs(lam_sum - gam) + 1e-300), log_tol)
-                for (d1, d2) in derivs)
-        if ok:
-            integrand = np.exp(lg + expo)
-            return [complex(np.sum(w * integrand * gam ** d1 * (lam_sum - gam) ** d2))
-                    for (d1, d2) in derivs]
-        if fixed or T >= quad.max_half_width:
+            profile = (np.log(np.abs(base))
+                       + m_max * np.log(np.abs(gam) + 1e-300)
+                       + 2.0 * np.max(lgA.real, axis=1))
+        if _tail_ok(profile, log_tol):
+            break
+        if T >= cap:
             raise TailNotConvergedError(
-                f"n=2 integrand tail above tail_tol at half-width {T:.1f}")
-        T = min(1.5 * T, quad.max_half_width)
+                f"level-1 integrand tail above tail_tol at half-width {T:.1f}")
+        T = min(1.5 * T, cap)
+    A = np.exp(lgA)
+    return [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)], T
+
+
+def _moment(C, S, d1, d2):
+    """sum_i (...) gam^d1 (S - gam)^d2, binomially expanded over the moments C[m]."""
+    out = np.zeros(C[0].shape, dtype=complex)
+    for j_pow in range(d2 + 1):
+        out += (math.comb(d2, j_pow) * (-1.0) ** (d2 - j_pow)
+                * S ** j_pow * C[d1 + d2 - j_pow])
+    return out
+
+
+def _quantities_n2(lam, x, g, contour, quad, derivs):
+    # Phi_2 is the n = 3 inner contraction at the single pair (l1, l2):
+    # its integrand is e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2)
+    l1, l2 = lam
+    x1, x2 = x
+    center = 0.5 * (l1.imag + l2.imag)
+    rate = max(math.pi - abs(x1 - x2), 0.5)
+    im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
+    T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
+    m_max = max(d1 + d2 for d1, d2 in derivs)
+    C, _ = _level2(np.array(lam), x1, x2, g, contour.level_re[0], center, T,
+                   quad.half_width or quad.max_half_width, quad, m_max)
+    lam_sum = l1 + l2
+    scale = np.exp(lam_sum * x2)
+    return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
 
 
 def _quantities_n3(lam, x, g, contour, quad, derivs):
@@ -345,7 +359,6 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
     c1, c2 = contour.level_re
     center = (l1.imag + l2.imag + l3.imag) / 3.0
     lam_sum = l1 + l2 + l3
-    log_tol = math.log(quad.tail_tol)
     im_spread = max(abs(v.imag - center) for v in lam)
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
     rate_out = 1.2  # net outer decay: kernel beats the inverse-gamma measure growth
@@ -354,41 +367,18 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
     T_in = T_out + _initial_half_width(0.0, rate_in, quad.tail_tol)
     m_max = max(d[0] + d[1] for d in derivs)
 
-    for _attempt in range(12):
+    while True:
         t_out, w_out = _grid(center, T_out, quad.step)
         nu = c2 + 1j * t_out
         M = nu.size
 
         # inner contraction: phi at level 2 on the full (nu_p, nu_q) grid
-        while True:
-            t_in, w_in = _grid(center, T_in, quad.step)
-            gam = c1 + 1j * t_in
-            lgA = (log_gamma((gam[:, None] - nu[None, :] + g) / 2)
-                   + log_gamma((nu[None, :] - gam[:, None] + g) / 2))
-            A = np.exp(lgA)
-            base_in = w_in * np.exp(gam * (x1 - x2))
-            with np.errstate(divide="ignore"):
-                profile = (np.log(np.abs(base_in))
-                           + m_max * np.log(np.abs(gam) + 1e-300)
-                           + 2.0 * np.max(lgA.real, axis=1))
-            if _tail_ok(profile, log_tol):
-                break
-            if T_in >= quad.max_half_width + T_out:
-                raise TailNotConvergedError(
-                    f"inner integrand tail above tail_tol at half-width {T_in:.1f}")
-            T_in = min(1.5 * T_in, quad.max_half_width + T_out)
-        C = {m: (A * (base_in * gam ** m)[:, None]).T @ A for m in range(m_max + 1)}
+        C, T_in = _level2(nu, x1, x2, g, c1, center, T_in,
+                          quad.max_half_width + T_out, quad, m_max)
 
         # outer pieces, all M x M elementwise
-        log_b = np.zeros(M, dtype=complex)
-        for lk in lam:
-            log_b += (log_gamma((nu - lk + g) / 2) + log_gamma((lk - nu + g) / 2))
-        offsets = 1j * quad.step * np.arange(-(M - 1), M)
-        log_mu_off = np.full(offsets.shape, -np.inf, dtype=complex)
-        nz = np.abs(offsets) > 0
-        d_half = offsets[nz] / 2.0
-        log_mu_off[nz] = -(log_gamma(d_half) + log_gamma(-d_half)
-                           + log_gamma(d_half + g) + log_gamma(-d_half + g))
+        log_b = np.sum(_log_kernel(nu, np.array(lam), g), axis=1)
+        log_mu_off = _log_measure(1j * quad.step * np.arange(-(M - 1), M), g)
         idx = np.arange(M)
         log_mu = log_mu_off[idx[:, None] - idx[None, :] + M - 1]
         S = nu[:, None] + nu[None, :]
@@ -398,22 +388,16 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         W2 = np.exp(log_w2)
 
         values = []
-        ok = True
         for (d1, d2, d3) in derivs:
-            phi2part = np.zeros((M, M), dtype=complex)
-            for j_pow in range(d2 + 1):
-                phi2part += (math.comb(d2, j_pow) * (-1.0) ** (d2 - j_pow)
-                             * S ** j_pow * C[d1 + d2 - j_pow])
-            O = W2 * (lam_sum - S) ** d3 * phi2part
+            O = W2 * (lam_sum - S) ** d3 * _moment(C, S, d1, d2)
             mag = np.abs(O)
             peak = float(mag.max())
             edge = float(max(mag[0, :].max(), mag[-1, :].max(),
                              mag[:, 0].max(), mag[:, -1].max()))
             if peak <= 0.0 or edge > peak * quad.tail_tol:
-                ok = False
                 break
             values.append(complex(O.sum()))
-        if ok:
+        else:
             return values
         if fixed or T_out >= quad.max_half_width:
             raise TailNotConvergedError(
@@ -421,7 +405,6 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         grow = min(1.4 * T_out, quad.max_half_width) - T_out
         T_out += grow
         T_in += grow
-    raise TailNotConvergedError("n=3 adaptive expansion did not converge")
 
 
 def eval_phi_many(lam, x, g: float, derivs, contour: ContourSpec | None = None,

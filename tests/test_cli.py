@@ -108,8 +108,16 @@ class TestExitStatus:
         (["check-dual", "--g", "nan"], "g"),
         (["check-dual", "--x", "nan,0.1"], "x"),
         (["eval-phi", "--tolerance", "dual=inf"], "tolerances"),
+        # values that would make a check vacuous or a grid unbounded
+        (["check-identities", "--trials", "0"], "trials"),
+        (["check-identities", "--trials", "-3"], "trials"),
+        (["compare-oracle", "--grid", "1"], "grid"),
+        (["compare-oracle", "--grid", "0"], "grid"),
+        (["check-identities", "--n-max", "0"], "n_max"),
+        (["check-sutherland", "--n", "3", "--half-width", "1000"], "half_width"),
+        (["eval-phi", "--half-width", "1e300"], "half_width"),
     ])
-    def test_non_finite_value_is_two(self, capsys, argv, name):
+    def test_invalid_value_is_two(self, capsys, argv, name):
         code, _, err = run_main(capsys, argv)
         assert code == 2
         assert f"config error: {name} " in err

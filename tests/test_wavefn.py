@@ -3,8 +3,12 @@ invariants, exact derivatives."""
 
 import cmath
 import math
-import pytest
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bispectral.cgamma import GammaPoleError
 from bispectral.wavefn import (CoincidentCoordinatesError, ContourSpec,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
@@ -16,6 +20,21 @@ from bispectral.wavefn import (CoincidentCoordinatesError, ContourSpec,
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
 G = 1.5
+
+
+@st.composite
+def n2_points(draw):
+    """(lambda, x, g) over the n = 2 domain: Im lambda in [-10, 10] at least
+    0.3 apart, x1 - x2 in [0.2, 0.95]."""
+    im = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)
+              .filter(lambda v: abs(v[0] - v[1]) >= 0.3))
+    sep = draw(st.floats(0.2, 0.95))
+    centre = draw(st.floats(-0.3, 0.3))
+    g = draw(st.sampled_from((0.5, 1.25, 1.5, 2.0, 3.0)))
+    return (1j * im[0], 1j * im[1]), (centre + sep / 2, centre - sep / 2), g
+
+
+n2_property = settings(derandomize=True, max_examples=40, deadline=None)
 
 
 class TestKernelAndMeasure:
@@ -38,9 +57,16 @@ class TestKernelAndMeasure:
         assert got == pytest.approx(complex(1.9105456166474800461, 0.0), rel=1e-12)
 
     def test_measure_zero_marker_at_coincidence(self):
-        value = measure_mu([0.4j, 0.4j], 1.5)
-        assert value.real == float("-inf")
-        assert cmath.exp(value) == 0.0
+        # also at nu_1 - nu_2 = -2, which puts G(-1) in the denominator
+        for nu in ([0.4j, 0.4j], [0.0, 2.0]):
+            value = measure_mu(nu, 1.5)
+            assert value.real == float("-inf")
+            assert cmath.exp(value) == 0.0
+
+    def test_kernel_pole_raises(self):
+        # (nu - lam + g) / 2 = 0
+        with pytest.raises(GammaPoleError):
+            kernel_K([1.5], [0.0], 1.5)
 
 
 class TestContours:
@@ -94,15 +120,24 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(tail_tol=1.0)
 
+    def test_fixed_half_width_within_cap(self):
+        assert QuadratureSpec(half_width=120.0).half_width == 120.0
+        with pytest.raises(ValueError, match="half_width"):
+            QuadratureSpec(half_width=120.5)
+
 
 class TestEvalPhi:
     def test_n1_exponential(self):
         lam, x = 0.37j, 0.81
         assert eval_phi([lam], [x], 1.2) == pytest.approx(cmath.exp(lam * x), rel=1e-15)
 
-    def test_lambda_swap_symmetry(self):
-        a = eval_phi(LAM2, X2, G)
-        b = eval_phi((LAM2[1], LAM2[0]), X2, G)
+    @n2_property
+    @given(n2_points())
+    @example((LAM2, X2, G))
+    def test_lambda_swap_symmetry(self, point):
+        lam, x, g = point
+        a = eval_phi(lam, x, g)
+        b = eval_phi((lam[1], lam[0]), x, g)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_lambda_permutation_n3(self):
@@ -113,11 +148,14 @@ class TestEvalPhi:
         b = eval_phi((lam[2], lam[0], lam[1]), x, G, quad=quad)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_translation_covariance_n2(self):
-        c = 0.21
-        base = eval_phi(LAM2, X2, G)
-        moved = eval_phi(LAM2, tuple(v + c for v in X2), G)
-        assert moved == pytest.approx(cmath.exp(c * sum(LAM2)) * base, rel=1e-10)
+    @n2_property
+    @given(n2_points(), st.floats(-0.5, 0.5))
+    @example((LAM2, X2, G), 0.21)
+    def test_translation_covariance_n2(self, point, c):
+        lam, x, g = point
+        base = eval_phi(lam, x, g)
+        moved = eval_phi(lam, tuple(v + c for v in x), g)
+        assert moved == pytest.approx(cmath.exp(c * sum(lam)) * base, rel=1e-10)
 
     def test_translation_covariance_n3(self):
         lam = (0.9j, 0.1j, -0.6j)
@@ -128,10 +166,14 @@ class TestEvalPhi:
         moved = eval_phi(lam, tuple(v + c for v in x), G, quad=quad)
         assert moved == pytest.approx(cmath.exp(c * sum(lam)) * base, rel=1e-8)
 
-    def test_conjugation(self):
+    @n2_property
+    @given(n2_points())
+    @example((LAM2, X2, G))
+    def test_conjugation(self, point):
         # imaginary lambda, real x: conj(Phi(lam)) = Phi(-lam)
-        base = eval_phi(LAM2, X2, G)
-        negated = eval_phi(tuple(-v for v in LAM2), X2, G)
+        lam, x, g = point
+        base = eval_phi(lam, x, g)
+        negated = eval_phi(tuple(-v for v in lam), x, g)
         assert base.conjugate() == pytest.approx(negated, rel=1e-12)
 
     def test_x_permutation_observational(self):

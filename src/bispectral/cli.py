@@ -4,14 +4,15 @@ Every check belongs to one family in an ordered registry.  A family maps a
 RunConfig to its checks and draws their seeded inputs while it builds them,
 so running a check is a pure function call.  ``all`` runs every family in
 order; each check-* command runs its own.  BISPECTRAL_THREADS caps the worker
-pool over a command's checks (default 1, i.e. sequential).
+pool over a command's checks (a positive integer; default 1, i.e. sequential).
 
 Reports are newline-delimited JSON on stdout, one object per check, and are
 deterministic for a fixed config and seed except for their wall_time fields;
 a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
-(an unknown key, a non-finite number), 3 an infeasible domain.
+(an unknown key, a non-finite number, a bad BISPECTRAL_THREADS), 3 an
+infeasible domain, 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
@@ -184,10 +186,15 @@ class CheckReport:
 
 
 def _thread_cap() -> int:
+    """BISPECTRAL_THREADS as a positive integer; unset means 1."""
+    raw = os.environ.get("BISPECTRAL_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("BISPECTRAL_THREADS", "1")))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"BISPECTRAL_THREADS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _map_ordered(fn: Callable, items: Sequence) -> list:
@@ -498,7 +505,7 @@ def run(command: str, config: RunConfig) -> tuple[int, list[CheckReport]]:
     """Run one command; returns (exit_status, reports).
 
     Domain errors (infeasible contours etc.) propagate to the caller; main()
-    maps them to exit status 3.
+    maps them to exit status 3, a ValueError to 2 and any other error to 4.
     """
     reports = _map_ordered(partial(_report, config), checks(command, config))
     status = 0 if all(rep.status != "fail" for rep in reports) else 1
@@ -587,6 +594,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a fault in the program, not a failed check
+        traceback.print_exc()
+        return 4
     for rep in reports:
         print(rep.to_json())
     passed = sum(1 for rep in reports if rep.status == "pass")

@@ -21,13 +21,14 @@ Sklyanin measure at g = 1/2.
 from __future__ import annotations
 
 import cmath
+from itertools import permutations
 from typing import Callable, Literal
 
 from .cgamma import gamma_log_sum
 from .symfun import SubsetIndex, elementary_symmetric, subsets
 from .sutherland_ops import EigenResidual
 from .wavefn import (InfeasibleContourError, QuadratureSpec, as_position,
-                     as_spectral, default_contour, eval_phi)
+                     as_spectral, default_contour, eval_phi, measure_mu)
 
 __all__ = [
     "DualWeightKind",
@@ -149,25 +150,19 @@ def gauge_shift_residual(lam, i: int, g: float) -> float:
 
 
 def measure_weight(lam, g: float, kind: DualWeightKind) -> complex:
-    """Log of the requested dual measure weight (inverse-gamma products)."""
+    """Log of the requested dual measure weight (inverse-gamma products).
+
+    mu_1mg is the wave function's within-level measure ``measure_mu`` at g,
+    mu_g the same measure at 1 - g; sklyanin is prod_{j != k} 1/G(l_j - l_k).
+    """
     lam = as_spectral(lam).values
-    den = []
-    for j in range(len(lam)):
-        for k in range(len(lam)):
-            if j == k:
-                continue
-            diff = lam[j] - lam[k]
-            if kind == "mu_g":
-                den.append(diff / 2.0)
-                den.append(diff / 2.0 + 1.0 - g)
-            elif kind == "mu_1mg":
-                den.append(diff / 2.0)
-                den.append(diff / 2.0 + g)
-            elif kind == "sklyanin":
-                den.append(diff)
-            else:
-                raise ValueError(f"unknown weight kind {kind!r}")
-    return gamma_log_sum((), den)
+    if kind == "mu_1mg":
+        return measure_mu(lam, g)
+    if kind == "mu_g":
+        return measure_mu(lam, 1.0 - g)
+    if kind != "sklyanin":
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return gamma_log_sum((), [a - b for a, b in permutations(lam, 2)])
 
 
 def measure_shift_residual(lam, i: int, g: float, kind: DualWeightKind) -> float:

@@ -300,18 +300,19 @@ def _quantities_n1(lam, x, derivs):
     return [l1 ** d[0] * base for d in derivs]
 
 
-def _level2(pts, x1, x2, g, c, center, T, cap, quad, m_max):
-    """Moments C[m][p, q] = sum_i w_i gam_i^m e^{gam_i (x1-x2)} K(gam_i, pts_p) K(gam_i, pts_q).
+def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
+    """Moments C[m][p, q] = sum_i w_i gam_i^m e^{gam_i (x1-x2)} K(gam_i, p) K(gam_i, q).
 
-    gam runs over the level-1 line Re = c, m over 0..m_max.  One tail envelope
-    bounds every moment and pair; T grows by 1.5x up to cap, and the T that
-    passed is returned with C.
+    gam runs over the level-1 line Re = c, m over 0..m_max, and p, q over the
+    upper points; log_kernel(gam) gives log K as a len(gam) x (points) matrix.
+    One tail envelope bounds every moment and pair; T grows by 1.5x up to
+    cap, and the T that passed is returned with C.
     """
     log_tol = math.log(quad.tail_tol)
     while True:
         t, w = _grid(center, T, quad.step)
         gam = c + 1j * t
-        lgA = _log_kernel(gam, pts, g)
+        lgA = log_kernel(gam)
         base = w * np.exp(gam * (x1 - x2))
         with np.errstate(divide="ignore"):
             profile = (np.log(np.abs(base))
@@ -325,6 +326,27 @@ def _level2(pts, x1, x2, g, c, center, T, cap, quad, m_max):
         T = min(1.5 * T, cap)
     A = np.exp(lgA)
     return [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)], T
+
+
+def _toeplitz(f, N, M):
+    """The N x M matrix whose entry (i, p) is f[i - p + M - 1]."""
+    return f[np.arange(N)[:, None] - np.arange(M)[None, :] + M - 1]
+
+
+def _lattice_kernel(dc, step, M, g):
+    """log_kernel for _level2 against an M-node outer grid of the same step and centre.
+
+    Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with
+    k the integer grid index counted from the centre, so the N x M matrix
+    _log_kernel(gam, nu, g) takes only N + M - 1 distinct values: it is a
+    gather of these offsets.
+    """
+    def log_kernel(gam):
+        N = gam.size  # N and M are odd, so (M - N) // 2 is exact
+        d = dc + 1j * step * (np.arange(-(M - 1), N) + (M - N) // 2)
+        f = log_gamma((d + g) / 2) + log_gamma((g - d) / 2)
+        return _toeplitz(f, N, M)
+    return log_kernel
 
 
 def _moment(C, S, d1, d2):
@@ -346,8 +368,9 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
     T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
     m_max = max(d1 + d2 for d1, d2 in derivs)
-    C, _ = _level2(np.array(lam), x1, x2, g, contour.level_re[0], center, T,
-                   quad.half_width or quad.max_half_width, quad, m_max)
+    pts = np.array(lam)
+    C, _ = _level2(lambda gam: _log_kernel(gam, pts, g), x1, x2, contour.level_re[0],
+                   center, T, quad.half_width or quad.max_half_width, quad, m_max)
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
@@ -373,14 +396,13 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         M = nu.size
 
         # inner contraction: phi at level 2 on the full (nu_p, nu_q) grid
-        C, T_in = _level2(nu, x1, x2, g, c1, center, T_in,
-                          quad.max_half_width + T_out, quad, m_max)
+        C, T_in = _level2(_lattice_kernel(c1 - c2, quad.step, M, g), x1, x2, c1,
+                          center, T_in, quad.max_half_width + T_out, quad, m_max)
 
         # outer pieces, all M x M elementwise
         log_b = np.sum(_log_kernel(nu, np.array(lam), g), axis=1)
         log_mu_off = _log_measure(1j * quad.step * np.arange(-(M - 1), M), g)
-        idx = np.arange(M)
-        log_mu = log_mu_off[idx[:, None] - idx[None, :] + M - 1]
+        log_mu = _toeplitz(log_mu_off, M, M)
         S = nu[:, None] + nu[None, :]
         log_w2 = (log_mu + log_b[:, None] + log_b[None, :]
                   + lam_sum * x3 + S * (x2 - x3)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bispectral import cli
 from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,
                             format_complex, main, parse_complex, run)
 
@@ -121,6 +122,28 @@ class TestExitStatus:
         code, _, err = run_main(capsys, argv)
         assert code == 2
         assert f"config error: {name} " in err
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+    def test_bad_thread_cap_is_two(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("BISPECTRAL_THREADS", threads)
+        code, out, err = run_main(capsys, ["check-gauge"])
+        assert code == 2 and not out
+        assert "config error: BISPECTRAL_THREADS " in err
+
+    def test_internal_error_is_four(self, capsys, monkeypatch):
+        # an exception that is neither a domain nor a config error, inside a check
+        def fault():
+            raise RuntimeError("broken check")
+
+        def broken(config):
+            return [("gauge.broken", {}, EXACT, fault)]
+
+        registry = tuple((name, broken if name == "check-gauge" else family)
+                         for name, family in cli.REGISTRY)
+        monkeypatch.setattr(cli, "REGISTRY", registry)
+        code, out, err = run_main(capsys, ["check-gauge"])
+        assert code == 4 and not out
+        assert "RuntimeError: broken check" in err
 
     def test_missing_config_file_is_two(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--config", "/nonexistent.json"])

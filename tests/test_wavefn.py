@@ -4,12 +4,15 @@ invariants, exact derivatives."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
-from bispectral.wavefn import (CoincidentCoordinatesError, ContourSpec,
+from bispectral.wavefn import (_grid, _lattice_kernel, _log_kernel,
+                               CoincidentCoordinatesError, ContourSpec,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
                                TailNotConvergedError, default_contour,
@@ -67,6 +70,33 @@ class TestKernelAndMeasure:
         # (nu - lam + g) / 2 = 0
         with pytest.raises(GammaPoleError):
             kernel_K([1.5], [0.0], 1.5)
+        # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
+        with pytest.raises(GammaPoleError):
+            _lattice_kernel(-1.5, 0.1, 3, 1.5)(np.zeros(5))
+
+    @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 1.0), (0.3, -0.2)])
+    @pytest.mark.parametrize("t_in, t_out", [(3.0, 2.0), (1.2, 2.5)])
+    def test_lattice_kernel_matches_direct(self, c1, c2, t_in, t_out):
+        # the n = 3 level-1 kernel, gathered from the N + M - 1 grid offsets,
+        # against the entrywise kernel on two grids of one step and centre
+        validate_contour(ContourSpec(level_re=(c1, c2)), (0.9j, 0.1j, -0.6j), G)
+        gam = c1 + 1j * _grid(0.13, t_in, 0.1)[0]
+        nu = c2 + 1j * _grid(0.13, t_out, 0.1)[0]
+        assert gam.size != nu.size
+        got = _lattice_kernel(c1 - c2, 0.1, nu.size, G)(gam)
+        assert np.max(np.abs(got - _log_kernel(gam, nu, G))) <= 1e-12
+
+    def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
+        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
+        elems, log_gamma = [], wavefn.log_gamma
+
+        def counting(z):
+            elems.append(np.size(z))
+            return log_gamma(z)
+
+        monkeypatch.setattr(wavefn, "log_gamma", counting)
+        eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
+        assert 0 < sum(elems) < 20_000
 
 
 class TestContours:

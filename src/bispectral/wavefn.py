@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cgamma import _is_pole, log_gamma
 
@@ -193,10 +194,10 @@ def _log_measure(d: np.ndarray, g: float) -> np.ndarray:
     argument on a gamma pole is a zero of the measure: the entry is -inf.
     """
     h = np.asarray(d, dtype=complex) / 2.0
+    args = np.stack([h, -h, h + g, -h + g])
+    ok = ~np.any(_is_pole(args), axis=0)
     out = np.full(h.shape, -np.inf, dtype=complex)
-    ok = ~(_is_pole(h) | _is_pole(-h) | _is_pole(h + g) | _is_pole(-h + g))
-    h = h[ok]
-    out[ok] = -(log_gamma(h) + log_gamma(-h) + log_gamma(h + g) + log_gamma(-h + g))
+    out[ok] = -log_gamma(args[:, ok]).sum(axis=0)
     return out
 
 
@@ -301,52 +302,76 @@ def _quantities_n1(lam, x, derivs):
 
 
 def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
-    """Moments C[m][p, q] = sum_i w_i gam_i^m e^{gam_i (x1-x2)} K(gam_i, p) K(gam_i, q).
+    """Grow the level-1 line Re = c by 1.5x up to cap until its tail passes.
 
-    gam runs over the level-1 line Re = c, m over 0..m_max, and p, q over the
-    upper points; log_kernel(gam) gives log K as a len(gam) x (points) matrix.
-    One tail envelope bounds every moment and pair; T grows by 1.5x up to
-    cap, and the T that passed is returned with C.
+    log_kernel(gam) returns (env, lgK): env[i] is the largest Re log K(gam_i, p)
+    over the upper points p, and lgK is what the caller contracts.  The one
+    envelope |w e^{gam (x1-x2)}| |gam|^m_max e^{2 env} bounds every moment and
+    pair.  Returns gam, w e^{gam (x1-x2)}, lgK and T of the grid that passed.
     """
     log_tol = math.log(quad.tail_tol)
     while True:
         t, w = _grid(center, T, quad.step)
         gam = c + 1j * t
-        lgA = log_kernel(gam)
+        env, lgK = log_kernel(gam)
         base = w * np.exp(gam * (x1 - x2))
         with np.errstate(divide="ignore"):
             profile = (np.log(np.abs(base))
                        + m_max * np.log(np.abs(gam) + 1e-300)
-                       + 2.0 * np.max(lgA.real, axis=1))
+                       + 2.0 * env)
         if _tail_ok(profile, log_tol):
-            break
+            return gam, base, lgK, T
         if T >= cap:
             raise TailNotConvergedError(
                 f"level-1 integrand tail above tail_tol at half-width {T:.1f}")
         T = min(1.5 * T, cap)
-    A = np.exp(lgA)
-    return [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)], T
 
 
-def _toeplitz(f, N, M):
-    """The N x M matrix whose entry (i, p) is f[i - p + M - 1]."""
-    return f[np.arange(N)[:, None] - np.arange(M)[None, :] + M - 1]
+def _toeplitz(f, M):
+    """The view whose entry (i, p) is f[i - p + M - 1], with f.size - M + 1 rows."""
+    return sliding_window_view(f[::-1], M)[::-1]
 
 
-def _lattice_kernel(dc, step, M, g):
+def _offset_kernel(dc, step, M, g):
     """log_kernel for _level2 against an M-node outer grid of the same step and centre.
 
     Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with
-    k the integer grid index counted from the centre, so the N x M matrix
-    _log_kernel(gam, nu, g) takes only N + M - 1 distinct values: it is a
-    gather of these offsets.
+    k the integer grid index counted from the centre, so log K(gam_i, nu_p) is
+    f(k_i - k_p).  f comes back on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2)
+    that _lattice_moments reaches; node i's envelope is the largest Re f over
+    its M offsets k_i - k_p, a sliding-window maximum.
     """
     def log_kernel(gam):
-        N = gam.size  # N and M are odd, so (M - N) // 2 is exact
-        d = dc + 1j * step * (np.arange(-(M - 1), N) + (M - N) // 2)
+        reach = gam.size // 2 + 3 * (M // 2)
+        d = dc + 1j * step * np.arange(-reach, reach + 1)
         f = log_gamma((d + g) / 2) + log_gamma((g - d) / 2)
-        return _toeplitz(f, N, M)
+        return sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1), f
     return log_kernel
+
+
+def _lattice_moments(f, step, dx, gam_p, m_max):
+    """C[m][p, q] = sum_j step e^{gam dx} gam^m F(j) F(j + p - q), gam = gam_p + 1j*step*j.
+
+    F = e^f on the offsets of _offset_kernel, gam_p is the level-1 node at
+    outer index p, and j runs over |j| <= J = N//2 + M//2 for every p: the
+    union of the level-1 grid's per-p windows (the narrower |j| <= N//2 drops
+    the large-|p - q| entries).  Expanding gam^m around gam_p leaves one
+    correlation G_l(p - q) of 2M - 1 values per power l of 1j*step*j, summed
+    directly: by FFT the entries near |p - q| = M - 1, some 40 orders of
+    magnitude below the peak, lose every digit, and the outer measure
+    multiplies exactly those entries by a growing factor.
+    """
+    M = gam_p.size
+    F = np.exp(f)
+    J = F.size // 2 - (M - 1)
+    u = 1j * step * np.arange(-J, J + 1)
+    v = step * np.exp(u * dx) * F[M - 1:F.size - M + 1]
+    # np.correlate conjugates its second argument; with (-u)^l, _moment's
+    # expansion of (S - x)^m at S = gam_p reads (gam_p + u)^m
+    G = [_toeplitz(np.correlate(F, np.conj(v * (-u) ** l), "valid"), M)
+         for l in range(m_max + 1)]
+    rows = np.exp(gam_p * dx)[:, None]
+    return [rows * _moment(G, gam_p[:, None], 0, m) for m in range(m_max + 1)]
 
 
 def _moment(C, S, d1, d2):
@@ -368,9 +393,14 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
     T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
     m_max = max(d1 + d2 for d1, d2 in derivs)
-    pts = np.array(lam)
-    C, _ = _level2(lambda gam: _log_kernel(gam, pts, g), x1, x2, contour.level_re[0],
-                   center, T, quad.half_width or quad.max_half_width, quad, m_max)
+
+    def pair_kernel(gam):
+        lgK = _log_kernel(gam, np.array(lam), g)
+        return lgK.real.max(axis=1), lgK
+    gam, base, lgK, _ = _level2(pair_kernel, x1, x2, contour.level_re[0], center, T,
+                                quad.half_width or quad.max_half_width, quad, m_max)
+    A = np.exp(lgK)
+    C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
@@ -396,18 +426,17 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         M = nu.size
 
         # inner contraction: phi at level 2 on the full (nu_p, nu_q) grid
-        C, T_in = _level2(_lattice_kernel(c1 - c2, quad.step, M, g), x1, x2, c1,
-                          center, T_in, quad.max_half_width + T_out, quad, m_max)
+        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g), x1, x2, c1,
+                                center, T_in, quad.max_half_width + T_out, quad, m_max)
+        C = _lattice_moments(f, quad.step, x1 - x2, c1 + 1j * t_out, m_max)
 
-        # outer pieces, all M x M elementwise
-        log_b = np.sum(_log_kernel(nu, np.array(lam), g), axis=1)
+        # outer weight: the measure is Toeplitz in p - q, the rest one factor per node
+        u = (np.sum(_log_kernel(nu, np.array(lam), g), axis=1) + nu * (x2 - x3)
+             + np.log(w_out) + lam_sum * x3 / 2)
         log_mu_off = _log_measure(1j * quad.step * np.arange(-(M - 1), M), g)
-        log_mu = _toeplitz(log_mu_off, M, M)
+        W2 = _toeplitz(log_mu_off, M) + u[:, None] + u[None, :]
+        np.exp(W2, out=W2)
         S = nu[:, None] + nu[None, :]
-        log_w2 = (log_mu + log_b[:, None] + log_b[None, :]
-                  + lam_sum * x3 + S * (x2 - x3)
-                  + np.log(w_out)[:, None] + np.log(w_out)[None, :])
-        W2 = np.exp(log_w2)
 
         values = []
         for (d1, d2, d3) in derivs:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
-from bispectral.wavefn import (_grid, _lattice_kernel, _log_kernel,
+from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _offset_kernel,
                                CoincidentCoordinatesError, ContourSpec,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
@@ -38,6 +38,26 @@ def n2_points(draw):
 
 
 n2_property = settings(derandomize=True, max_examples=40, deadline=None)
+
+LAM3 = (0.9j, 0.1j, -0.6j)
+X3 = (0.45, 0.0, -0.4)
+
+
+@st.composite
+def n3_points(draw):
+    """(lambda, x, g) jittered around (LAM3, X3) as in the n3_default
+    benchmark: Im lambda +-0.1 each plus a common +-0.3, x +-0.04 each plus a
+    common +-0.2, g in {1.25, 1.5, 2}."""
+    shift = draw(st.floats(-0.3, 0.3))
+    lam = tuple(1j * (v.imag + shift + draw(st.floats(-0.1, 0.1))) for v in LAM3)
+    shift = draw(st.floats(-0.2, 0.2))
+    x = tuple(v + shift + draw(st.floats(-0.04, 0.04)) for v in X3)
+    return lam, x, draw(st.sampled_from((1.25, 1.5, 2.0)))
+
+
+# one default n = 3 evaluation takes about 0.06 s: seven drawn points plus the
+# explicit one
+n3_property = settings(derandomize=True, max_examples=7, deadline=None)
 
 
 class TestKernelAndMeasure:
@@ -72,19 +92,34 @@ class TestKernelAndMeasure:
             kernel_K([1.5], [0.0], 1.5)
         # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
         with pytest.raises(GammaPoleError):
-            _lattice_kernel(-1.5, 0.1, 3, 1.5)(np.zeros(5))
+            _offset_kernel(-1.5, 0.1, 3, 1.5)(np.zeros(5))
 
     @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 1.0), (0.3, -0.2)])
     @pytest.mark.parametrize("t_in, t_out", [(3.0, 2.0), (1.2, 2.5)])
     def test_lattice_kernel_matches_direct(self, c1, c2, t_in, t_out):
-        # the n = 3 level-1 kernel, gathered from the N + M - 1 grid offsets,
-        # against the entrywise kernel on two grids of one step and centre
+        # the n = 3 moments C_0..C_2 by lattice correlation, against the sum over
+        # level-1 nodes gam = gam_p + 1j*h*j, |j| <= N//2 + M//2, of
+        # h e^{gam dx} gam^m K(gam, nu_p) K(gam, nu_q), each K from _log_kernel
         validate_contour(ContourSpec(level_re=(c1, c2)), (0.9j, 0.1j, -0.6j), G)
-        gam = c1 + 1j * _grid(0.13, t_in, 0.1)[0]
-        nu = c2 + 1j * _grid(0.13, t_out, 0.1)[0]
-        assert gam.size != nu.size
-        got = _lattice_kernel(c1 - c2, 0.1, nu.size, G)(gam)
-        assert np.max(np.abs(got - _log_kernel(gam, nu, G))) <= 1e-12
+        h, dx = 0.1, 0.45
+        gam = c1 + 1j * _grid(0.13, t_in, h)[0]
+        t = _grid(0.13, t_out, h)[0]
+        N, M = gam.size, t.size
+        assert N != M
+        env, f = _offset_kernel(c1 - c2, h, M, G)(gam)
+        direct_env = _log_kernel(gam, c2 + 1j * t, G).real.max(axis=1)
+        assert np.max(np.abs(env - direct_env)) <= 1e-12
+        got = _lattice_moments(f, h, dx, c1 + 1j * t, 2)
+
+        # every level-1 node any p reaches: k in [-(N//2 + 2(M//2)), N//2 + 2(M//2)]
+        reach = N // 2 + 2 * (M // 2)
+        k = np.arange(-reach, reach + 1)
+        node = c1 + 1j * (0.13 + h * k)
+        K = np.exp(_log_kernel(node, c2 + 1j * t, G))
+        window = np.abs(k[:, None] - (np.arange(M) - M // 2)[None, :]) <= N // 2 + M // 2
+        for m in range(3):
+            want = (K * window * (h * np.exp(node * dx) * node ** m)[:, None]).T @ K
+            assert np.max(np.abs(got[m] - want) / np.abs(want)) <= 1e-9
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
         # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
@@ -170,12 +205,13 @@ class TestEvalPhi:
         b = eval_phi((lam[1], lam[0]), x, g)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_lambda_permutation_n3(self):
-        lam = (0.9j, 0.1j, -0.6j)
-        x = (0.45, 0.0, -0.4)
-        quad = QuadratureSpec(step=0.15, tail_tol=1e-10)
-        a = eval_phi(lam, x, G, quad=quad)
-        b = eval_phi((lam[2], lam[0], lam[1]), x, G, quad=quad)
+    @n3_property
+    @given(n3_points(), st.permutations(range(3)))
+    @example((LAM3, X3, G), (2, 0, 1))
+    def test_lambda_permutation_n3(self, point, order):
+        lam, x, g = point
+        a = eval_phi(lam, x, g)
+        b = eval_phi(tuple(lam[i] for i in order), x, g)
         assert a == pytest.approx(b, rel=1e-12)
 
     @n2_property
@@ -187,14 +223,14 @@ class TestEvalPhi:
         moved = eval_phi(lam, tuple(v + c for v in x), g)
         assert moved == pytest.approx(cmath.exp(c * sum(lam)) * base, rel=1e-10)
 
-    def test_translation_covariance_n3(self):
-        lam = (0.9j, 0.1j, -0.6j)
-        x = (0.45, 0.0, -0.4)
-        c = -0.13
-        quad = QuadratureSpec(step=0.125, tail_tol=1e-12)
-        base = eval_phi(lam, x, G, quad=quad)
-        moved = eval_phi(lam, tuple(v + c for v in x), G, quad=quad)
-        assert moved == pytest.approx(cmath.exp(c * sum(lam)) * base, rel=1e-8)
+    @n3_property
+    @given(n3_points(), st.floats(-0.5, 0.5))
+    @example((LAM3, X3, G), -0.13)
+    def test_translation_covariance_n3(self, point, c):
+        lam, x, g = point
+        base = eval_phi(lam, x, g)
+        moved = eval_phi(lam, tuple(v + c for v in x), g)
+        assert moved == pytest.approx(cmath.exp(c * sum(lam)) * base, rel=1e-10)
 
     @n2_property
     @given(n2_points())

@@ -9,8 +9,8 @@ Layers:
 * ``dual_ops`` -- difference operators in the spectral variables, gauges,
   measure weights.
 * ``macdonald`` -- the q,t-difference parents and their tau -> 0 limit.
-* ``identities`` -- exact rational-arithmetic verification of the subset-sum
-  recurrences and residue relations.
+* ``identities`` -- exact verification of the subset-sum recurrences and
+  residue relations, on plain integers.
 * ``legendre`` -- the independent n = 2 closed-form oracle.
 * ``cli`` -- batch verification runs with NDJSON reports.
 """
@@ -33,9 +33,9 @@ from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, qpochhammer, tau_limit_check,
                         verify_gauge_equivalence, weight_and_gauge,
                         weight_limit_check, weight_shift_residual)
-from .identities import (EpsRationalFunction, ExactRational,
-                         binomial_limit_check, residue_check,
-                         substitution_map, sum_S, verify_lemma1)
+from .identities import (binomial_limit_check, residue_check,
+                         substitution_check, substitution_map, sum_S,
+                         verify_lemma1)
 from .legendre import (HypergeometricError, LegendreArgs, closed_form_phi2,
                        dual_system_residuals, hyp2f1, legendre_P,
                        recurrence_check)

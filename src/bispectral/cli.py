@@ -21,13 +21,11 @@ import argparse
 import cmath
 import json
 import os
-import random
 import sys
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
@@ -38,8 +36,8 @@ from .cgamma import GammaPoleError
 from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
                        gauge_shift_residual, measure_shift_residual,
                        measure_weight)
-from .identities import (binomial_limit_check, residue_check, substitution_map,
-                         sum_S, verify_lemma1)
+from .identities import (binomial_limit_check, residue_check, substitution_check,
+                         verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
@@ -390,17 +388,6 @@ def _macdonald(config: RunConfig) -> list[Check]:
     ]
 
 
-def _substitution_round_trip(draws: Sequence[tuple]) -> bool:
-    """Both subset-sum forms agree before and after the substitution map."""
-    for lam, nu, g in draws:
-        u, v, alpha = substitution_map(lam, nu, g)
-        if not all(sum_S(r, lam, nu, alpha, "unprimed" + form)
-                   == sum_S(r, u, v, alpha, "primed" + form)
-                   for r in range(1, 4) for form in ("_S", "_Stilde")):
-            return False
-    return True
-
-
 def _identities(config: RunConfig) -> list[Check]:
     trials, seed = config.trials, config.seed
     out = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": trials, "seed": seed},
@@ -411,19 +398,8 @@ def _identities(config: RunConfig) -> list[Check]:
             for n in range(2, min(config.n_max, 4) + 1) for r in range(1, n + 1)]
     out.append(("identities.binomial", {"n_max": 10}, EXACT,
                 partial(binomial_limit_check, 10, seed=seed)))
-
-    # substitution round trip at random rationals
-    rnd = random.Random(seed)
-    draws = []
-    for _ in range(10):
-        vals = set()
-        while len(vals) < 5:
-            vals.add(rnd.randint(-10 ** 6, 10 ** 6))
-        vals = [Fraction(v) for v in vals]
-        g_exact = Fraction(rnd.randint(-100, 100), rnd.randint(1, 100) * 2 + 1)
-        draws.append((vals[:3], vals[3:], g_exact))
     out.append(("identities.substitution", {"seed": seed}, EXACT,
-                partial(_substitution_round_trip, draws)))
+                partial(substitution_check, seed)))
     return out
 
 

@@ -1,10 +1,12 @@
 """Exact verification of the rational-function identities behind the dual
 spectral problem.
 
-Everything here is exact: points are rationals (``fractions.Fraction``), and
-the residue computations run in univariate rational-function arithmetic over
-an indeterminate eps rather than as numeric limits.  The central objects are
-the subset sums S'_r / S~'_r whose recurrence
+Everything here is exact.  Points are rationals (ints or
+``fractions.Fraction``); each call scales them by one common integer, so the
+subset sums run on plain Python integers as unreduced (numerator,
+denominator) pairs, and residues are taken term by term at the collision
+itself rather than as numeric limits.  The central objects are the subset
+sums S'_r / S~'_r whose recurrence
 
     S'_r(u, v) = S~'_{r-1}(v, u) + S~'_r(v, u)
 
@@ -26,8 +28,6 @@ from itertools import combinations
 from typing import Sequence
 
 __all__ = [
-    "ExactRational",
-    "EpsRationalFunction",
     "sum_S",
     "substitution_map",
     "verify_lemma1",
@@ -35,274 +35,116 @@ __all__ = [
     "residue_check",
     "ResidueReport",
     "binomial_limit_check",
+    "substitution_check",
 ]
-
-ExactRational = Fraction
 
 _FORMS = ("primed_S", "primed_Stilde", "unprimed_S", "unprimed_Stilde")
 _BOX = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over Fraction (ascending coefficient tuples)
-
-
-def _trim(c: list[Fraction]) -> tuple[Fraction, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    m = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else Fraction(0))
-                  + (b[i] if i < len(b) else Fraction(0)) for i in range(m)])
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(_trim(list(a)))
-    while len(r) >= len(b):
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            r[shift + i] -= factor * bc
-        r = list(_trim(r))
-    return _trim(q), tuple(r)
-
-
-def _pgcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return tuple(c / a[-1] for c in a)  # monic
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-class EpsRationalFunction:
-    """Rational function of one indeterminate eps over exact rationals.
-
-    Stored reduced (polynomial gcd divided out) with a monic denominator, so
-    equality is representation equality.  Mixed arithmetic with Fraction/int
-    is supported; division by the zero function raises ZeroDivisionError.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _trim([Fraction(c) for c in num])
-        den = _trim([Fraction(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if num:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-        else:
-            den = (Fraction(1),)
-        lead = den[-1]
-        self.num = tuple(c / lead for c in num)
-        self.den = tuple(c / lead for c in den)
-
-    # construction helpers -------------------------------------------------
-    @classmethod
-    def constant(cls, value) -> "EpsRationalFunction":
-        return cls([Fraction(value)])
-
-    @classmethod
-    def eps(cls) -> "EpsRationalFunction":
-        return cls([Fraction(0), Fraction(1)])
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, EpsRationalFunction):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls.constant(other)
-        return NotImplemented
-
-    # arithmetic -----------------------------------------------------------
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EpsRationalFunction(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EpsRationalFunction(_pneg(self.num), self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EpsRationalFunction(_pmul(self.num, other.num),
-                                   _pmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return EpsRationalFunction(_pmul(self.num, other.den),
-                                   _pmul(self.den, other.num))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"EpsRationalFunction(num={self.num}, den={self.den})"
-
-    # queries ----------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __call__(self, value) -> Fraction:
-        value = Fraction(value)
-        den = _peval(self.den, value)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at eps = {value}")
-        return _peval(self.num, value) / den
-
-    def residue_at_zero(self) -> Fraction:
-        """Residue at eps = 0 assuming at most a simple pole there."""
-        return (self * EpsRationalFunction.eps())(Fraction(0))
-
-
-# ---------------------------------------------------------------------------
 # the subset sums
 
 
-def _ratio(num, den, label: str):
-    if isinstance(den, EpsRationalFunction):
-        if den.is_zero():
-            raise ZeroDivisionError(f"factor {label} vanishes identically")
-        return num / den
-    if den == 0:
-        raise ZeroDivisionError(f"factor {label} vanishes")
-    return num / den
+def _clear_denominators(u: Sequence, v: Sequence, alpha):
+    """Integers D*u, D*v, D*alpha and the scale D = 2 lcm of their denominators.
+
+    Every factor of a subset sum is a ratio of linear forms homogeneous in
+    (u, v, alpha, 1), so scaling all four by D leaves it unchanged; the factor
+    2 keeps D*g = D*alpha/2 + D integral for the unprimed forms.
+    """
+    values = (*u, *v, alpha)
+    scale = 2 * math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    return ints[:len(u)], ints[len(u):-1], ints[-1], scale
 
 
-def sum_S(r: int, u: Sequence, v: Sequence, alpha, form: str = "primed_S"):
-    """Subset sum S'_r, S~'_r or their pre-substitution forms, exactly.
+def _subset_sum(r: int, u: Sequence, v: Sequence, alpha, form: str,
+                residue: bool = False) -> tuple[int, int]:
+    """``sum_S`` as an unreduced integer pair (numerator, denominator).
 
-    u has n entries and v has n - 1; entries are Fractions (or ints), any of
-    which may be an EpsRationalFunction for symbolic residue work.  For the
-    unprimed forms the coupling enters through alpha = 2g - 2, i.e.
-    g = alpha/2 + 1, matching ``substitution_map``.
+    With ``residue`` set, at most one cross factor may have a vanishing
+    denominator (a collision u_i = v_a), and the pair is the residue there in
+    the u_i variable: that factor contributes its numerator divided by the
+    scale, and a term without it contributes 0.
     """
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
-    u = list(u)
-    v = list(v)
     n = len(u)
     if len(v) != n - 1:
         raise ValueError(f"need len(v) = len(u) - 1, got {len(u)} and {len(v)}")
-    primed = form.startswith("primed")
-    tilde = form.endswith("Stilde")
-    if not primed:
-        if isinstance(alpha, EpsRationalFunction):
-            g = (alpha + 2) / 2
-        else:
-            g = (Fraction(alpha) + 2) / 2
-
-    base = v if tilde else u
-    other = u if tilde else v
     if r < 0:
         raise ValueError(f"negative subset order r={r}")
+    primed = form.startswith("primed")
+    tilde = form.endswith("Stilde")
+    u, v, alpha, scale = _clear_denominators(u, v, alpha)
+    base = v if tilde else u
+    other = u if tilde else v
     if r > len(base):
         # subsets of that cardinality do not exist; the empty sum is 0
-        return Fraction(0)
+        return 0, 1
 
-    # ratio tables, each entry computed once; the subset loop only multiplies
+    # factor tables as (num, den) pairs, each entry computed once; for the
+    # unprimed forms the coupling enters through D*g = D*alpha/2 + D
     m = len(base)
-    if primed:
-        pair_shift = alpha if tilde else -alpha
-    else:
-        pair_shift = (2 * g - 2) if tilde else (2 - 2 * g)
-    pair_ratio = [[None] * m for _ in range(m)]
+    pair_shift = alpha if tilde else -alpha
+    pair = [[(1, 1)] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
             if a != b:
                 diff = base[a] - base[b]
-                pair_ratio[a][b] = _ratio(diff + pair_shift, diff,
-                                          f"(base_{a}-base_{b})")
-    cross = [Fraction(1)] * m
+                if diff == 0:
+                    raise ZeroDivisionError(f"factor (base_{a}-base_{b}) vanishes")
+                pair[a][b] = (diff + pair_shift, diff)
+    g = alpha // 2 + scale
+    cross = [[1, 1] for _ in range(m)]
+    pole = None
     for a in range(m):
         for c in range(len(other)):
-            ui = other[c] if tilde else base[a]
-            va = base[a] if tilde else other[c]
-            diff = ui - va
-            if primed:
-                cross[a] = cross[a] * _ratio(diff + alpha, diff, f"(u-v)[{a},{c}]")
-            else:
-                cross[a] = cross[a] * _ratio(diff + g, diff + 2 - g, f"(u-v)[{a},{c}]")
+            diff = other[c] - base[a] if tilde else base[a] - other[c]
+            num, den = (diff + alpha, diff) if primed else (diff + g, diff + 2 * scale - g)
+            if den == 0:
+                if not residue or pole is not None:
+                    raise ZeroDivisionError(f"factor (u-v)[{a},{c}] vanishes")
+                pole, den = a, scale
+            cross[a][0] *= num
+            cross[a][1] *= den
 
-    total = Fraction(0)
+    # one common denominator, the product of every table denominator
+    common = math.prod(den for row in pair for _, den in row)
+    common *= math.prod(den for _, den in cross)
+    total = 0
     for members in combinations(range(m), r):
-        inside = set(members)
-        term = Fraction(1)
+        if residue and pole not in members:
+            continue
+        num, den = 1, 1
         for a in members:
-            term = term * cross[a]
-            row = pair_ratio[a]
+            num, den = num * cross[a][0], den * cross[a][1]
+            row = pair[a]
             for b in range(m):
-                if b not in inside:
-                    term = term * row[b]
-        total = total + term
-    return total
+                if b not in members:
+                    num, den = num * row[b][0], den * row[b][1]
+        total += num * (common // den)
+    return total, common
+
+
+def sum_S(r: int, u: Sequence, v: Sequence, alpha, form: str = "primed_S") -> Fraction:
+    """Subset sum S'_r, S~'_r or their pre-substitution forms, exactly.
+
+    u has n entries and v has n - 1; entries and alpha are ints or Fractions,
+    and the result is a reduced Fraction.  For the unprimed forms the
+    coupling enters through alpha = 2g - 2, i.e. g = alpha/2 + 1, matching
+    ``substitution_map``.
+    """
+    return Fraction(*_subset_sum(r, u, v, alpha, form))
+
+
+def _add(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+
+def _equal(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    return p[0] * q[1] == q[0] * p[1]
 
 
 def substitution_map(lam: Sequence, nu: Sequence, g) -> tuple[list[Fraction], list[Fraction], Fraction]:
@@ -317,11 +159,11 @@ def substitution_map(lam: Sequence, nu: Sequence, g) -> tuple[list[Fraction], li
 # randomized identity checks
 
 
-def _distinct_rationals(rng: random.Random, count: int) -> list[Fraction]:
+def _distinct_integers(rng: random.Random, count: int) -> list[int]:
     seen: set[int] = set()
     while len(seen) < count:
         seen.add(rng.randint(-_BOX, _BOX))
-    return [Fraction(s) for s in sorted(seen)]
+    return sorted(seen)
 
 
 @dataclass(frozen=True)
@@ -344,31 +186,32 @@ def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> Lemma1Rep
         raise ValueError(f"need 1 <= r <= n <= 6, got n={n}, r={r}")
     rng = random.Random(seed)
     for _ in range(trials):
-        vals = _distinct_rationals(rng, 2 * n - 1)
+        vals = _distinct_integers(rng, 2 * n - 1)
         rng.shuffle(vals)
         u, v = vals[:n], vals[n:]
-        alpha = Fraction(rng.randint(-_BOX, _BOX))
-        lhs = sum_S(r, u, v, alpha, "primed_S")
-        rhs = sum_S(r - 1, u, v, alpha, "primed_Stilde") + sum_S(r, u, v, alpha, "primed_Stilde")
-        if lhs != rhs:
+        alpha = rng.randint(-_BOX, _BOX)
+        lhs = _subset_sum(r, u, v, alpha, "primed_S")
+        rhs = _add(_subset_sum(r - 1, u, v, alpha, "primed_Stilde"),
+                   _subset_sum(r, u, v, alpha, "primed_Stilde"))
+        if not _equal(lhs, rhs):
             witness = {
                 "n": n, "r": r,
                 "u": [str(x) for x in u],
                 "v": [str(x) for x in v],
                 "alpha": str(alpha),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
+                "lhs": str(Fraction(*lhs)),
+                "rhs": str(Fraction(*rhs)),
             }
             return Lemma1Report(passed=False, n=n, r=r, trials=trials, witness=witness)
     return Lemma1Report(passed=True, n=n, r=r, trials=trials)
 
 
-def _E_n(w: Fraction, u: Sequence[Fraction], v: Sequence[Fraction], alpha: Fraction) -> Fraction:
+def _E_n(w, u: Sequence, v: Sequence, alpha) -> Fraction:
     out = Fraction(1)
     for ui in u:
-        out *= (w - ui - alpha) / (w - ui)
+        out *= Fraction(w - ui - alpha, w - ui)
     for va in v:
-        out *= (w - va + alpha) / (w - va)
+        out *= Fraction(w - va + alpha, w - va)
     return out
 
 
@@ -384,10 +227,11 @@ class ResidueReport:
 def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
     """Exact residue relations at the collision v_{n-1} = u_n.
 
-    Substitutes v_{n-1} = u_n + eps symbolically and extracts the residue at
-    the collision, oriented in the u_n variable (i.e. -1 times the residue in
-    eps; the n = 2, r = 1 case fixes the orientation by direct expansion).
-    Both the S' and the S~' relations are compared with
+    Substitutes v_{n-1} = u_n exactly and takes the residue at the collision
+    in the u_n variable term by term: only the cross factor
+    (u_n - v_{n-1} + alpha)/(u_n - v_{n-1}) has a pole there, so a term's
+    residue is alpha times its other factors, and a term without that factor
+    has none.  Both the S' and the S~' relations are compared with
     alpha * E_n(u_n) * (order r-1 sum on the reduced variable sets).
     """
     if n < 2:
@@ -395,25 +239,19 @@ def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}")
     rng = random.Random(seed)
-    vals = _distinct_rationals(rng, 2 * n - 2)
+    vals = _distinct_integers(rng, 2 * n - 2)
     rng.shuffle(vals)
     u = vals[:n]
     v_rest = vals[n:]
-    alpha = Fraction(rng.randint(-_BOX, _BOX))
-    eps = EpsRationalFunction.eps()
-    v_sym = list(v_rest) + [u[-1] + eps]
+    alpha = rng.randint(-_BOX, _BOX)
+    v_hit = v_rest + [u[-1]]
+    weight = alpha * _E_n(u[-1], u[:-1], v_rest, alpha)
 
-    res_s = -sum_S(r, u, v_sym, alpha, "primed_S").residue_at_zero()
-    expected_s = alpha * _E_n(u[-1], u[:-1], v_rest, alpha) \
-        * sum_S(r - 1, u[:-1], v_rest, alpha, "primed_S")
-    s_ok = res_s == expected_s
+    def side(form: str) -> bool:
+        res = Fraction(*_subset_sum(r, u, v_hit, alpha, form, residue=True))
+        return res == weight * sum_S(r - 1, u[:-1], v_rest, alpha, form)
 
-    res_st = sum_S(r, u, v_sym, alpha, "primed_Stilde")
-    res_st = -res_st.residue_at_zero() if isinstance(res_st, EpsRationalFunction) else Fraction(0)
-    expected_st = alpha * _E_n(u[-1], u[:-1], v_rest, alpha) \
-        * sum_S(r - 1, u[:-1], v_rest, alpha, "primed_Stilde")
-    st_ok = res_st == expected_st
-
+    s_ok, st_ok = side("primed_S"), side("primed_Stilde")
     return ResidueReport(passed=s_ok and st_ok, n=n, r=r, s_side=s_ok, stilde_side=st_ok)
 
 
@@ -427,16 +265,36 @@ def binomial_limit_check(n_max: int = 10, seed: int = 0) -> bool:
         seen: set[int] = set()
         while len(seen) < 2 * n - 1:
             seen.add(rng.randint(-500, 500))
-        vals = [Fraction(s) for s in seen]
+        vals = list(seen)
         u, v = vals[:n], vals[n:]
         for r in range(0, n + 1):
-            s = sum_S(r, u, v, Fraction(0), "primed_S")
-            st_prev = sum_S(r - 1, u, v, Fraction(0), "primed_Stilde") if r >= 1 else None
-            st = sum_S(r, u, v, Fraction(0), "primed_Stilde")
-            if s != math.comb(n, r):
+            s = _subset_sum(r, u, v, 0, "primed_S")
+            st = _subset_sum(r, u, v, 0, "primed_Stilde")
+            if not _equal(s, (math.comb(n, r), 1)):
                 return False
-            if st != math.comb(n - 1, r):
+            if not _equal(st, (math.comb(n - 1, r), 1)):
                 return False
-            if r >= 1 and st_prev + st != s:
+            if r >= 1 and not _equal(_add(_subset_sum(r - 1, u, v, 0, "primed_Stilde"), st), s):
                 return False
+    return True
+
+
+def substitution_check(seed: int = 0) -> bool:
+    """Both subset-sum forms agree before and after ``substitution_map``.
+
+    Ten random rational points (lam, nu, g) with n = 3, orders r = 1..3.
+    """
+    rng = random.Random(seed)
+    for _ in range(10):
+        seen: set[int] = set()
+        while len(seen) < 5:
+            seen.add(rng.randint(-_BOX, _BOX))
+        vals = list(seen)
+        g = Fraction(rng.randint(-100, 100), rng.randint(1, 100) * 2 + 1)
+        lam, nu = vals[:3], vals[3:]
+        u, v, alpha = substitution_map(lam, nu, g)
+        if not all(_equal(_subset_sum(r, lam, nu, alpha, "unprimed" + form),
+                          _subset_sum(r, u, v, alpha, "primed" + form))
+                   for r in range(1, 4) for form in ("_S", "_Stilde")):
+            return False
     return True

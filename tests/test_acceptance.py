@@ -73,7 +73,7 @@ def test_criterion_02_residue_relations():
     elapsed = time.time() - started
     report("criterion 02 residue relations",
            not failures and elapsed < 60.0,
-           f"exact eps-arithmetic, n<=4, {elapsed:.1f}s" if not failures else str(failures))
+           f"exact term-by-term residues, n<=4, {elapsed:.1f}s" if not failures else str(failures))
 
 
 def test_criterion_03_binomial_degeneration():

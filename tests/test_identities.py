@@ -1,5 +1,5 @@
 """Exact rational-identity layer: subset sums, the Pascal-type recurrence,
-residue relations, and the eps-rational-function arithmetic they run on."""
+residue relations, and the integer engine they run on."""
 
 import json
 import math
@@ -9,25 +9,41 @@ from itertools import combinations
 
 import pytest
 
-from bispectral.identities import (EpsRationalFunction, Lemma1Report,
-                                   binomial_limit_check, residue_check,
+from bispectral import identities
+from bispectral.identities import (Lemma1Report, binomial_limit_check,
+                                   residue_check, substitution_check,
                                    substitution_map, sum_S, verify_lemma1)
 
 
-def brute_force_S_primed(r, u, v, alpha):
-    """Independent direct-summation oracle (no ratio tables, no shortcuts)."""
-    n = len(u)
-    total = Fraction(0)
-    for subset in combinations(range(n), r):
-        term = Fraction(1)
+def brute_force_S_primed(r, u, v, alpha, tilde=False):
+    """Independent direct-summation oracle (no ratio tables, no shortcuts):
+    S'_r(u, v), or S~'_r(v, u) with ``tilde``.  Works on Fractions and on
+    sympy expressions alike."""
+    base, other = (v, u) if tilde else (u, v)
+    total = 0
+    for subset in combinations(range(len(base)), r):
+        term = 1
         for i in subset:
-            for j in range(n):
+            for j in range(len(base)):
                 if j not in subset:
-                    term *= (u[i] - u[j] - alpha) / (u[i] - u[j])
-            for a in range(len(v)):
-                term *= (u[i] - v[a] + alpha) / (u[i] - v[a])
+                    d = base[i] - base[j]
+                    term *= (d + alpha) / d if tilde else (d - alpha) / d
+            for c in range(len(other)):
+                d = other[c] - base[i] if tilde else base[i] - other[c]
+                term *= (d + alpha) / d
         total += term
     return total
+
+
+def plant(monkeypatch, wrong):
+    """Route the identity checks through ``_subset_sum`` with ``wrong(result,
+    r, form, residue)`` applied to every integer pair it returns."""
+    subset_sum = identities._subset_sum
+
+    def planted(r, u, v, alpha, form, residue=False):
+        return wrong(subset_sum(r, u, v, alpha, form, residue), r, form, residue)
+
+    monkeypatch.setattr(identities, "_subset_sum", planted)
 
 
 def rand_distinct(rnd, count, box=10 ** 6):
@@ -69,7 +85,13 @@ class TestSumS:
             vals = rand_distinct(rnd, 2 * n - 1)
             u, v = vals[:n], vals[n:]
             alpha = Fraction(rnd.randint(-10 ** 6, 10 ** 6))
-            assert sum_S(2, u, v, alpha, "primed_S") == brute_force_S_primed(2, u, v, alpha)
+            expected = brute_force_S_primed(2, u, v, alpha)
+            assert sum_S(2, u, v, alpha, "primed_S") == expected
+            # plain ints give the same reduced Fraction, never a float
+            got = sum_S(2, [int(x) for x in u], [int(x) for x in v], int(alpha), "primed_S")
+            assert type(got) is Fraction and got == expected
+            assert (sum_S(1, u, v, alpha, "primed_Stilde")
+                    == brute_force_S_primed(1, u, v, alpha, tilde=True))
 
     def test_symmetry_under_permutations(self):
         rnd = random.Random(3)
@@ -139,6 +161,19 @@ class TestLemma1:
         assert decoded["alpha"] == "4"
         assert Lemma1Report(passed=True, n=2, r=1, trials=1).witness_json() is None
 
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 4), (5, 3)])
+    def test_planted_error_gives_witness(self, monkeypatch, n, r):
+        # S~'_r off by exactly 1: the check fails, and its witness shows it
+        plant(monkeypatch, lambda p, r_, form, residue:
+              (p[0] + p[1], p[1]) if form == "primed_Stilde" and r_ == r else p)
+        rep = verify_lemma1(n, r, trials=5, seed=11)
+        assert not rep.passed
+        w = json.loads(rep.witness_json())
+        lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
+        assert rhs - lhs == 1
+        u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]
+        assert lhs == brute_force_S_primed(r, u, v, Fraction(w["alpha"]))
+
 
 class TestResidues:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -149,10 +184,40 @@ class TestResidues:
 
     def test_alpha_zero_residue_vanishes(self):
         # at alpha = 0 the sums have no pole at the collision at all
-        u = [Fraction(3), Fraction(11)]
-        v_sym = [u[-1] + EpsRationalFunction.eps()]
-        value = sum_S(1, u, v_sym, Fraction(0), "primed_S")
-        assert value.residue_at_zero() == 0
+        u, v = [Fraction(3), Fraction(11)], [Fraction(11)]
+        for form in ("primed_S", "primed_Stilde"):
+            assert identities._subset_sum(1, u, v, 0, form, residue=True)[0] == 0
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (3, 2)])
+    def test_residue_matches_symbolic(self, n, r):
+        # residue in u_n at u_n = v_{n-1}, from sympy on the direct sum
+        sympy = pytest.importorskip("sympy")
+        rnd = random.Random(40 + 10 * n + r)
+        vals = rand_distinct(rnd, 2 * n - 2)
+        alpha = Fraction(rnd.randint(-100, 100), 7)
+        u, v = vals[:n], vals[n:] + [vals[n - 1]]
+        x = sympy.Symbol("x")
+        u_sym = [sympy.Rational(str(c)) for c in u[:-1]] + [x]
+        v_sym = [sympy.Rational(str(c)) for c in v]
+        a_sym = sympy.Rational(str(alpha))
+        for tilde, form in ((False, "primed_S"), (True, "primed_Stilde")):
+            expr = brute_force_S_primed(r, u_sym, v_sym, a_sym, tilde=tilde)
+            want = sympy.cancel((x - v_sym[-1]) * expr).subs(x, v_sym[-1])
+            got = Fraction(*identities._subset_sum(r, u, v, alpha, form, residue=True))
+            assert got == Fraction(str(want)), form
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("form, flipped, kept", [
+        ("primed_S", "s_side", "stilde_side"),
+        ("primed_Stilde", "stilde_side", "s_side")])
+    def test_planted_residue_error_flips_one_side(self, monkeypatch, n, r,
+                                                  form, flipped, kept):
+        plant(monkeypatch, lambda p, r_, form_, residue:
+              (p[0] + p[1], p[1]) if residue and form_ == form else p)
+        rep = residue_check(n, r, seed=31 * n + r)
+        assert not rep.passed
+        assert not getattr(rep, flipped) and getattr(rep, kept)
 
     def test_n_range(self):
         with pytest.raises(ValueError):
@@ -191,37 +256,26 @@ class TestSubstitution:
                 assert (sum_S(r, lam, nu, alpha, "unprimed_Stilde")
                         == sum_S(r, u, v, alpha, "primed_Stilde"))
 
+    def test_check_passes_and_catches_a_planted_error(self, monkeypatch):
+        assert all(substitution_check(seed) for seed in (0, 7, 1009))
+        plant(monkeypatch, lambda p, r, form, residue:
+              (p[0] + p[1], p[1]) if form == "unprimed_S" and r == 2 else p)
+        assert not substitution_check(7)
 
-class TestEpsRationalFunction:
-    def test_reduction(self):
-        eps = EpsRationalFunction.eps()
-        f = (eps + 1) * (eps - 1) / (eps - 1)
-        assert f == eps + 1
 
-    def test_simple_pole_residue(self):
-        one_over_eps = 1 / EpsRationalFunction.eps()
-        assert one_over_eps.residue_at_zero() == 1
+class TestWork:
+    def test_exact_batteries_run_no_gcd(self, monkeypatch):
+        # Fraction arithmetic reduces by math.gcd after every operation; the
+        # integer engine reduces only a witness or a returned value
+        calls, gcd = [0], math.gcd
 
-    def test_no_pole_residue_zero(self):
-        f = EpsRationalFunction.eps() + 7
-        assert f.residue_at_zero() == 0
+        def counting(*args):
+            calls[0] += 1
+            return gcd(*args)
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            EpsRationalFunction.eps() / EpsRationalFunction.constant(0)
+        monkeypatch.setattr(math, "gcd", counting)
+        assert verify_lemma1(5, 3, trials=20, seed=7).passed
+        lemma1, calls[0] = calls[0], 0
+        assert binomial_limit_check(6, seed=7)
+        assert lemma1 <= 10 and calls[0] <= 10, (lemma1, calls[0])
 
-    def test_eval_at_pole(self):
-        f = 1 / EpsRationalFunction.eps()
-        with pytest.raises(ZeroDivisionError):
-            f(0)
-
-    def test_mixed_arithmetic_with_fractions(self):
-        eps = EpsRationalFunction.eps()
-        f = Fraction(1, 2) + eps * Fraction(3, 2) - 1
-        assert f(Fraction(1)) == Fraction(1)
-        assert (Fraction(2) / (eps + 1))(Fraction(1)) == 1
-
-    def test_canonical_denominator(self):
-        f = EpsRationalFunction([Fraction(2)], [Fraction(0), Fraction(2)])
-        assert f.den[-1] == 1  # monic
-        assert f.residue_at_zero() == 1

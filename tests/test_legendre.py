@@ -5,11 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bispectral.cli import main
 from bispectral.legendre import (HypergeometricError, LegendreArgs,
                                  closed_form_phi2, dual_system_residuals,
                                  hyp2f1, legendre_P, recurrence_check)
-from bispectral.wavefn import eval_phi
+from bispectral.wavefn import ConvergenceWindowError, eval_phi
+
+
+@st.composite
+def window_edge_points(draw, separations):
+    """(lambda, x, g) at n = 2 with x = (s/2, -s/2), so x1 - x2 is exactly a
+    drawn separation s; Im lambda in [-10, 10] at least 0.3 apart."""
+    im = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)
+              .filter(lambda v: abs(v[0] - v[1]) >= 0.3))
+    sep = draw(separations)
+    g = draw(st.sampled_from((1.25, 1.5, 3.0)))
+    return (1j * im[0], 1j * im[1]), (sep / 2, -sep / 2), g
+
+
+window_edge_property = settings(derandomize=True, max_examples=9, deadline=None)
 
 
 class TestHyp2F1:
@@ -97,6 +114,28 @@ class TestClosedForm:
             ratios.append(mb / cf)
         arr = np.asarray(ratios)
         assert np.max(np.abs(arr - arr.mean())) / abs(arr.mean()) <= 1e-8
+
+
+class TestWindowEdge:
+    """Refuse, never garbage: up to the convergence window |x1 - x2| <= 1 the
+    contour integral is as good as in the middle of it, and past it the
+    evaluation is refused."""
+
+    @window_edge_property
+    @given(window_edge_points(st.floats(0.9, 1.0)))
+    def test_ratio_holds_up_to_the_edge(self, point):
+        (l1, l2), (x1, x2), g = point
+        edge = eval_phi((l1, l2), (x1, x2), g) / closed_form_phi2(l1, l2, x1, x2, g)
+        inner = eval_phi((l1, l2), (0.25, -0.25), g) / closed_form_phi2(l1, l2, 0.25, -0.25, g)
+        assert abs(edge / inner - 1) <= 1e-12
+
+    @window_edge_property
+    @given(window_edge_points(st.floats(1.0, 1.5, exclude_min=True)))
+    def test_past_the_edge_is_refused(self, point):
+        lam, (x1, x2), g = point
+        with pytest.raises(ConvergenceWindowError):
+            eval_phi(lam, (x1, x2), g)
+        assert main(["check-dual", "--x", f"{x1!r},{x2!r}", "--g", repr(g)]) == 3
 
 
 class TestRecurrence:

@@ -436,11 +436,9 @@ def _legendre(config: RunConfig) -> list[Check]:
     ]
 
 
-# documented defaults for the n = 3 leg of the full run: well-separated
-# imaginary spectral parameters, coordinates inside the convergence window,
-# and a relaxed quadrature matching the stated n = 3 tolerances
-_N3_DEFAULTS = dict(n=3, lam=(0.9j, 0.1j, -0.6j), x=(0.45, 0.0, -0.4),
-                    step=0.15, tail_tol=1e-10)
+# the n = 3 point of the full run, at the config's quadrature: well-separated
+# imaginary spectral parameters, coordinates inside the convergence window
+_N3_DEFAULTS = dict(n=3, lam=(0.9j, 0.1j, -0.6j), x=(0.45, 0.0, -0.4))
 
 
 def _at_n3(family: Family) -> Family:

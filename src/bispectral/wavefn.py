@@ -327,11 +327,6 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
         T = min(1.5 * T, cap)
 
 
-def _toeplitz(f, M):
-    """The view whose entry (i, p) is f[i - p + M - 1], with f.size - M + 1 rows."""
-    return sliding_window_view(f[::-1], M)[::-1]
-
-
 def _offset_kernel(dc, step, M, g):
     """log_kernel for _level2 against an M-node outer grid of the same step and centre.
 
@@ -349,38 +344,26 @@ def _offset_kernel(dc, step, M, g):
     return log_kernel
 
 
-def _lattice_moments(f, step, dx, gam_p, m_max):
-    """C[m][p, q] = sum_j step e^{gam dx} gam^m F(j) F(j + p - q), gam = gam_p + 1j*step*j.
+def _lattice_moments(f, step, dx, M, m_max):
+    """G_l(d) = sum_j step e^{u_j dx} (-u_j)^l F(j) F(j + d), u_j = 1j*step*j, at d = 1-M..M-1.
 
-    F = e^f on the offsets of _offset_kernel, gam_p is the level-1 node at
-    outer index p, and j runs over |j| <= J = N//2 + M//2 for every p: the
-    union of the level-1 grid's per-p windows (the narrower |j| <= N//2 drops
-    the large-|p - q| entries).  Expanding gam^m around gam_p leaves one
-    correlation G_l(p - q) of 2M - 1 values per power l of 1j*step*j, summed
-    directly: by FFT the entries near |p - q| = M - 1, some 40 orders of
-    magnitude below the peak, lose every digit, and the outer measure
-    multiplies exactly those entries by a growing factor.
+    F = e^f on the offsets of _offset_kernel; |j| <= N//2 + M//2 is the union
+    of the level-1 grid's per-p windows.  The level-2 moments are C_m[p, q] =
+    e^{gam_p dx} _moment(G(p - q), gam_p, 0, m).  No FFT: G_l's entries near
+    |d| = M - 1 are some 40 orders below its peak, and the measure grows there.
     """
-    M = gam_p.size
     F = np.exp(f)
     J = F.size // 2 - (M - 1)
     u = 1j * step * np.arange(-J, J + 1)
     v = step * np.exp(u * dx) * F[M - 1:F.size - M + 1]
-    # np.correlate conjugates its second argument; with (-u)^l, _moment's
-    # expansion of (S - x)^m at S = gam_p reads (gam_p + u)^m
-    G = [_toeplitz(np.correlate(F, np.conj(v * (-u) ** l), "valid"), M)
-         for l in range(m_max + 1)]
-    rows = np.exp(gam_p * dx)[:, None]
-    return [rows * _moment(G, gam_p[:, None], 0, m) for m in range(m_max + 1)]
+    # np.correlate conjugates its second argument
+    return [np.correlate(F, np.conj(v * (-u) ** l), "valid") for l in range(m_max + 1)]
 
 
 def _moment(C, S, d1, d2):
     """sum_i (...) gam^d1 (S - gam)^d2, binomially expanded over the moments C[m]."""
-    out = np.zeros(C[0].shape, dtype=complex)
-    for j_pow in range(d2 + 1):
-        out += (math.comb(d2, j_pow) * (-1.0) ** (d2 - j_pow)
-                * S ** j_pow * C[d1 + d2 - j_pow])
-    return out
+    return sum(math.comb(d2, j) * (-1.0) ** (d2 - j) * S ** j * C[d1 + d2 - j]
+               for j in range(d2 + 1))
 
 
 def _quantities_n2(lam, x, g, contour, quad, derivs):
@@ -406,6 +389,45 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
 
 
+def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
+    """O[p, q] = (lam_sum - S)^d3 _moment(W2 C, S, d1, d2) at index arrays p, q.
+
+    S = nu_p + nu_q, and the outer weight times C_k is a_p _moment(H(p - q), gam_p, 0, k) b_q.
+    """
+    H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
+    C = [a[p] * b[q] * _moment(H_pq, gam[p], 0, k) for k in range(d[0] + d[1] + 1)]
+    return (lam_sum - nu[p] - nu[q]) ** d[2] * _moment(C, nu[p] + nu[q], d[0], d[1])
+
+
+def _outer_values(outer, derivs, tail_tol):
+    """Each derivative's sum of _outer_entries(*outer) over all (p, q), or None if a tail fails.
+
+    Y[i][l] = sum_q H_l(p - q) b_q nu_q^i are direct Toeplitz mat-vecs, and expanding
+    S^s gives Z[s][k] = sum_{p,q} S^s W2 C_k.  A tail passes if each edge |O| <= tail_tol
+    max|O| < inf; rows and columns 0, M // 2, M - 1 bound max|O| from below (not the
+    diagonal: mu(0) = 0), and only when that bound fails is the full M x M |O| taken.
+    """
+    nu, gam, a, b, H, lam_sum = outer
+    top = max(map(sum, derivs))
+    Y = [[np.convolve(H_l, b * nu ** i, "valid") for H_l in H] for i in range(top + 1)]
+    Z = [[sum(math.comb(s, i) * np.dot(a * nu ** (s - i), _moment(Y[i], gam, 0, k))
+              for i in range(s + 1)) for k in range(len(H))] for s in range(top + 1)]
+    values = [complex(sum(math.comb(d3, e) * (-1) ** e * lam_sum ** (d3 - e)
+                          * math.comb(d2, j) * (-1) ** (d2 - j) * Z[e + j][d1 + d2 - j]
+                          for e in range(d3 + 1) for j in range(d2 + 1)))
+              for d1, d2, d3 in derivs]
+    idx = np.arange(nu.size)
+    ends = np.array([[0], [nu.size // 2], [nu.size - 1]])
+    for d in derivs:
+        mag = np.abs([_outer_entries(*outer, ends, idx, d), _outer_entries(*outer, idx, ends, d)])
+        edge, peak = mag[:, ::2].max(), mag.max()
+        if np.isfinite(peak) and not edge < peak * tail_tol:
+            peak = np.abs(_outer_entries(*outer, idx[:, None], idx, d)).max()
+        if not (0.0 < peak < np.inf and edge <= peak * tail_tol):
+            return None
+    return values if np.isfinite(values).all() else None
+
+
 def _quantities_n3(lam, x, g, contour, quad, derivs):
     l1, l2, l3 = lam
     x1, x2, x3 = x
@@ -416,7 +438,6 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
     rate_out = 1.2  # net outer decay: kernel beats the inverse-gamma measure growth
     T_out = quad.half_width or _initial_half_width(im_spread, rate_out, quad.tail_tol)
-    fixed = quad.half_width is not None
     T_in = T_out + _initial_half_width(0.0, rate_in, quad.tail_tol)
     m_max = max(d[0] + d[1] for d in derivs)
 
@@ -425,32 +446,22 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         nu = c2 + 1j * t_out
         M = nu.size
 
-        # inner contraction: phi at level 2 on the full (nu_p, nu_q) grid
+        # inner contraction: phi at level 2 as 2M - 1 Toeplitz offsets
         _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g), x1, x2, c1,
                                 center, T_in, quad.max_half_width + T_out, quad, m_max)
-        C = _lattice_moments(f, quad.step, x1 - x2, c1 + 1j * t_out, m_max)
+        G = _lattice_moments(f, quad.step, x1 - x2, M, m_max)
 
-        # outer weight: the measure is Toeplitz in p - q, the rest one factor per node
+        # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
         u = (np.sum(_log_kernel(nu, np.array(lam), g), axis=1) + nu * (x2 - x3)
              + np.log(w_out) + lam_sum * x3 / 2)
+        gam = nu + (c1 - c2)
         log_mu_off = _log_measure(1j * quad.step * np.arange(-(M - 1), M), g)
-        W2 = _toeplitz(log_mu_off, M) + u[:, None] + u[None, :]
-        np.exp(W2, out=W2)
-        S = nu[:, None] + nu[None, :]
-
-        values = []
-        for (d1, d2, d3) in derivs:
-            O = W2 * (lam_sum - S) ** d3 * _moment(C, S, d1, d2)
-            mag = np.abs(O)
-            peak = float(mag.max())
-            edge = float(max(mag[0, :].max(), mag[-1, :].max(),
-                             mag[:, 0].max(), mag[:, -1].max()))
-            if peak <= 0.0 or edge > peak * quad.tail_tol:
-                break
-            values.append(complex(O.sum()))
-        else:
+        H = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
+        outer = (nu, gam, np.exp(u + gam * (x1 - x2)), np.exp(u), H, lam_sum)
+        values = _outer_values(outer, derivs, quad.tail_tol)
+        if values is not None:
             return values
-        if fixed or T_out >= quad.max_half_width:
+        if quad.half_width is not None or T_out >= quad.max_half_width:
             raise TailNotConvergedError(
                 f"n=3 outer integrand tail above tail_tol at half-width {T_out:.1f}")
         grow = min(1.4 * T_out, quad.max_half_width) - T_out

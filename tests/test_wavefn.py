@@ -3,6 +3,7 @@ invariants, exact derivatives."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ n2_property = settings(derandomize=True, max_examples=40, deadline=None)
 
 LAM3 = (0.9j, 0.1j, -0.6j)
 X3 = (0.45, 0.0, -0.4)
+# the seven derivatives of one second-order Sutherland jet
+D7 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 
 
 @st.composite
@@ -109,7 +112,15 @@ class TestKernelAndMeasure:
         env, f = _offset_kernel(c1 - c2, h, M, G)(gam)
         direct_env = _log_kernel(gam, c2 + 1j * t, G).real.max(axis=1)
         assert np.max(np.abs(env - direct_env)) <= 1e-12
-        got = _lattice_moments(f, h, dx, c1 + 1j * t, 2)
+        # C_m[p, q] = e^{gam_p dx} sum_l binom(m, l) gam_p^(m-l) G_l(p - q), from
+        # the 2M - 1 offsets G_l(d) = sum_j ... (-u_j)^l ... at index d + M - 1
+        G_off = _lattice_moments(f, h, dx, M, 2)
+        assert [g_l.size for g_l in G_off] == [2 * M - 1] * 3
+        gam_p = (c1 + 1j * t)[:, None]
+        offset = np.arange(M)[:, None] - np.arange(M)[None, :] + M - 1
+        got = [np.exp(gam_p * dx) * sum(math.comb(m, l) * gam_p ** (m - l) * (-1) ** l
+                                        * G_off[l][offset] for l in range(m + 1))
+               for m in range(3)]
 
         # every level-1 node any p reaches: k in [-(N//2 + 2(M//2)), N//2 + 2(M//2)]
         reach = N // 2 + 2 * (M // 2)
@@ -132,6 +143,101 @@ class TestKernelAndMeasure:
         monkeypatch.setattr(wavefn, "log_gamma", counting)
         eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
         assert 0 < sum(elems) < 20_000
+
+    def test_n3_pass_builds_no_outer_square(self):
+        # one default 7-derivative pass at the `all` n = 3 point (M = 599 outer
+        # nodes): a single M x M complex array would be 5.7 MB
+        tracemalloc.start()
+        try:
+            eval_phi_many(LAM3, X3, G, D7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+def _spy_outer(monkeypatch):
+    """Record the factors and values of every n = 3 outer pass that passes its tail."""
+    passes, outer_values = [], wavefn._outer_values
+
+    def spy(outer, derivs, tail_tol):
+        values = outer_values(outer, derivs, tail_tol)
+        if values is not None:
+            passes.append((outer, values))
+        return values
+
+    monkeypatch.setattr(wavefn, "_outer_values", spy)
+    return passes
+
+
+def _no_middle_certificate(monkeypatch):
+    """Zero the sampled middle row and column, so the tail test takes the full M x M peak."""
+    full, entries = [], wavefn._outer_entries
+
+    def patched(*args):
+        O = entries(*args)
+        if O.shape[0] == 3:  # rows or columns 0, M // 2, M - 1
+            O[1] = 0.0
+        else:
+            full.append(O.shape)
+        return O
+
+    monkeypatch.setattr(wavefn, "_outer_entries", patched)
+    return full
+
+
+class TestOuterSum:
+    @pytest.mark.parametrize("shift, quad", [
+        ((0, 0, 0), None), ((2, 0, 0), None),
+        ((0, 0, 0), QuadratureSpec(step=0.25, half_width=119.0))])
+    @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
+    def test_factored_sums_match_entrywise(self, monkeypatch, shift, quad, g):
+        # the Toeplitz mat-vec sums against the sum of every M x M entry, in row
+        # blocks; half_width 119 reaches offsets where mu alone overflows
+        lam = tuple(v + s for v, s in zip(LAM3, shift))
+        passes = _spy_outer(monkeypatch)
+        eval_phi_many(lam, X3, g, D7, default_contour(3, g, shift), quad)
+        (outer, values), = passes
+        idx = np.arange(outer[0].size)
+        for d, value in zip(D7, values):
+            blocks = [wavefn._outer_entries(*outer, idx[i:i + 64, None], idx, d)
+                      for i in range(0, idx.size, 64)]
+            total = sum(block.sum() for block in blocks)
+            scale = sum(np.abs(block).sum() for block in blocks)
+            assert np.isfinite(value) and abs(value - total) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("g, quad", [
+        (1.25, None), (1.5, None), (2.0, None),
+        # the first grid fails its tail and grows once: M = 103, then 143
+        (8.0, QuadratureSpec(step=0.25, tail_tol=1e-4))])
+    def test_full_peak_fallback_agrees(self, monkeypatch, g, quad):
+        want = eval_phi_many(LAM3, X3, g, D7, quad=quad)
+        full = _no_middle_certificate(monkeypatch)
+        assert eval_phi_many(LAM3, X3, g, D7, quad=quad) == want
+        assert len(full) >= len(D7)
+
+    def test_full_peak_fallback_still_refuses(self, monkeypatch):
+        quad = QuadratureSpec(half_width=8.0)
+        with pytest.raises(TailNotConvergedError):
+            eval_phi_many(LAM3, X3, G, D7, quad=quad)
+        full = _no_middle_certificate(monkeypatch)
+        with pytest.raises(TailNotConvergedError):
+            eval_phi_many(LAM3, X3, G, D7, quad=quad)
+        assert full
+
+    def test_nan_measure_is_refused(self, monkeypatch):
+        # a NaN peak compares False with any bound: the tail test must refuse
+        # it rather than return the NaN as the value
+        log_measure = wavefn._log_measure
+
+        def planted(d, g):
+            out = log_measure(d, g)
+            out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(wavefn, "_log_measure", planted)
+        with pytest.raises(TailNotConvergedError):
+            eval_phi(LAM3, X3, G)
 
 
 class TestContours:

@@ -109,13 +109,15 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
         raise InfeasibleContourError(
             f"dual Hamiltonians need g > 1: the shifted-contour window "
             f"(-g+2, g) is empty for g = {g}")
-    # every subset shifts at least one variable, so all share the Re = 1 contour
-    contour = default_contour(n, g, (2,) * n)
+    # every subset shifts at least one variable, so all share the Re = 1 contour; the
+    # shifts are real and both contours have c1 = c2, so all share one n = 3 lattice
+    contour, lattice = default_contour(n, g, (2,) * n), {}
     total = 0.0 + 0.0j
     for sub in subsets(n, r):
         coef = dual_coefficient(sub, lam, g, variant)
-        total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad)
-    phi = eval_phi(lam, x, g, quad=quad)
+        total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad,
+                                 lattice=lattice)
+    phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
     eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x.values])
     if variant == "D_1mg":
         eig *= (-1.0) ** (r * (n - 1))

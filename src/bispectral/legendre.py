@@ -31,6 +31,8 @@ __all__ = [
 _EPS_FLOOR = 1e-300
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 4000
+# refuse a sum whose round-off u max|term| / |sum| exceeds this (10x below oracle.spread)
+_ROUNDOFF, _CANCELLATION_TOL = 2.0 ** -53, 1e-7
 
 
 class HypergeometricError(ArithmeticError):
@@ -64,29 +66,33 @@ def hyp2f1(a: complex, b: complex, c: complex, w: complex,
 
     Terms follow t_{k+1} = t_k (a+k)(b+k) w / ((c+k)(k+1)); summation stops
     once a geometric bound on the remaining tail drops below tol relative to
-    the running sum.  Terminating (polynomial) cases stop exactly.
+    the running sum.  Terminating (polynomial) cases stop exactly.  A sum that
+    cancels so far that u max|term| / |sum| > 1e-7 (u = 2^-53) is refused.
     """
     a, b, c, w = complex(a), complex(b), complex(c), complex(w)
     if _near_nonpositive_int(c):
         raise HypergeometricError(f"lower parameter c = {c} is a non-positive integer")
     if abs(w) >= 0.95:
         raise HypergeometricError(f"|w| = {abs(w):.3f} >= 0.95: series not convergent enough")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    total = term = 1.0 + 0.0j
+    peak = 1.0
     for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) * w / ((c + k) * (k + 1))
         total += term
-        if term == 0:
-            return total  # terminating series
-        # geometric tail bound: once k dominates the parameters the step
-        # ratio is below rho < 1 and the tail is |term| * rho / (1 - rho)
+        peak = max(peak, abs(term))
+        # geometric tail bound: once k dominates the parameters the step ratio
+        # is below rho < 1 and the tail is |term| * rho / (1 - rho); a
+        # terminating series stops at its first zero term
         kk = k + 1.0
         denom = (kk - abs(c)) * (kk + 1.0)
-        if denom > 0:
-            rho = abs(w) * (kk + abs(a)) * (kk + abs(b)) / denom
-            if rho < 1.0 and abs(term) * rho / (1.0 - rho) <= tol * abs(total):
-                return total
-    raise HypergeometricError(f"series did not converge within {_MAX_TERMS} terms")
+        rho = abs(w) * (kk + abs(a)) * (kk + abs(b)) / denom if denom > 0 else 1.0
+        if term == 0 or (rho < 1.0 and abs(term) * rho / (1.0 - rho) <= tol * abs(total)):
+            break
+    else:
+        raise HypergeometricError(f"series did not converge within {_MAX_TERMS} terms")
+    if _ROUNDOFF * peak > _CANCELLATION_TOL * abs(total):
+        raise HypergeometricError(f"series cancels: max|term| / |sum| = {peak / abs(total):.3g}")
+    return total
 
 
 def legendre_P(args: LegendreArgs) -> complex:

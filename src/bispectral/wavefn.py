@@ -327,20 +327,26 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
         T = min(1.5 * T, cap)
 
 
-def _offset_kernel(dc, step, M, g):
+def _offset_kernel(dc, step, M, g, lattice):
     """log_kernel for _level2 against an M-node outer grid of the same step and centre.
 
     Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with
     k the integer grid index counted from the centre, so log K(gam_i, nu_p) is
     f(k_i - k_p).  f comes back on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2)
     that _lattice_moments reaches; node i's envelope is the largest Re f over
-    its M offsets k_i - k_p, a sliding-window maximum.
+    its M offsets k_i - k_p, a sliding-window maximum.  f(-j) = conj f(j) for real
+    dc, so log_gamma runs on j >= 0; f(0), which may carry Im = +-pi, is not mirrored.
+    (env, f) is kept in the lattice dict under every scalar it depends on.
     """
     def log_kernel(gam):
         reach = gam.size // 2 + 3 * (M // 2)
-        d = dc + 1j * step * np.arange(-reach, reach + 1)
-        f = log_gamma((d + g) / 2) + log_gamma((g - d) / 2)
-        return sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1), f
+        key = (dc, step, g, M, reach)
+        if key not in lattice:
+            d = dc + 1j * step * np.arange(reach + 1)
+            f = log_gamma((d + g) / 2) + log_gamma((g - d) / 2)
+            f = np.concatenate([np.conj(f[:0:-1]), f])
+            lattice[key] = sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1), f
+        return lattice[key]
     return log_kernel
 
 
@@ -428,7 +434,10 @@ def _outer_values(outer, derivs, tail_tol):
     return values if np.isfinite(values).all() else None
 
 
-def _quantities_n3(lam, x, g, contour, quad, derivs):
+def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
+    """lattice keeps f and H_l = mu G_l, which do not depend on lambda, under every scalar
+    they do depend on: calls at real shifts of lambda share them, and each call still
+    grows its own grids and runs its own tail tests."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
     c1, c2 = contour.level_re
@@ -447,16 +456,20 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
         M = nu.size
 
         # inner contraction: phi at level 2 as 2M - 1 Toeplitz offsets
-        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g), x1, x2, c1,
-                                center, T_in, quad.max_half_width + T_out, quad, m_max)
-        G = _lattice_moments(f, quad.step, x1 - x2, M, m_max)
+        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g, lattice), x1, x2,
+                                c1, center, T_in, quad.max_half_width + T_out, quad, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
         u = (np.sum(_log_kernel(nu, np.array(lam), g), axis=1) + nu * (x2 - x3)
              + np.log(w_out) + lam_sum * x3 / 2)
         gam = nu + (c1 - c2)
-        log_mu_off = _log_measure(1j * quad.step * np.arange(-(M - 1), M), g)
-        H = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
+        key = (c1 - c2, quad.step, g, M, f.size // 2, x1 - x2, m_max)
+        if key not in lattice:
+            log_mu = _log_measure(1j * quad.step * np.arange(M), g)  # even in the offset
+            log_mu_off = np.concatenate([log_mu[:0:-1], log_mu])
+            G = _lattice_moments(f, quad.step, x1 - x2, M, m_max)
+            lattice[key] = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
+        H = lattice[key]
         outer = (nu, gam, np.exp(u + gam * (x1 - x2)), np.exp(u), H, lam_sum)
         values = _outer_values(outer, derivs, quad.tail_tol)
         if values is not None:
@@ -470,13 +483,16 @@ def _quantities_n3(lam, x, g, contour, quad, derivs):
 
 
 def eval_phi_many(lam, x, g: float, derivs, contour: ContourSpec | None = None,
-                  quad: QuadratureSpec | None = None) -> list[complex]:
+                  quad: QuadratureSpec | None = None, *,
+                  lattice: dict | None = None) -> list[complex]:
     """Evaluate several coordinate derivatives of Phi in one quadrature pass.
 
     derivs is a list of per-coordinate derivative-order tuples (total order
     <= 2 each); the value of Phi itself is the all-zero tuple.  All
     quantities share the same grid, so ratios between them carry no
-    discretisation noise beyond the integrand factors themselves.
+    discretisation noise beyond the integrand factors themselves.  A lattice
+    dict shared between n = 3 calls at real shifts of lambda reuses their
+    lambda-independent parts (None: a fresh one; n <= 2 ignores it).
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -496,14 +512,15 @@ def eval_phi_many(lam, x, g: float, derivs, contour: ContourSpec | None = None,
         return _quantities_n1(lam.values, x.values, derivs)
     if n == 2:
         return _quantities_n2(lam.values, x.values, g, contour, quad, derivs)
-    return _quantities_n3(lam.values, x.values, g, contour, quad, derivs)
+    return _quantities_n3(lam.values, x.values, g, contour, quad, derivs,
+                          {} if lattice is None else lattice)
 
 
 def eval_phi(lam, x, g: float, contour: ContourSpec | None = None,
-             quad: QuadratureSpec | None = None) -> complex:
+             quad: QuadratureSpec | None = None, *, lattice: dict | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
     n = as_spectral(lam).n
-    return eval_phi_many(lam, x, g, [(0,) * n], contour, quad)[0]
+    return eval_phi_many(lam, x, g, [(0,) * n], contour, quad, lattice=lattice)[0]
 
 
 def eval_phi_derivative(lam, x, g: float, multi_index, contour: ContourSpec | None = None,

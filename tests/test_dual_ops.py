@@ -7,16 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from bispectral.dual_ops import (apply_dual_hamiltonian, apply_dual_operator,
+from bispectral import wavefn
+from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_operator,
                                  dual_coefficient, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
-from bispectral.symfun import SubsetIndex
-from bispectral.wavefn import InfeasibleContourError
+from bispectral.symfun import SubsetIndex, elementary_symmetric, subsets
+from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import log_gamma
 
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
+LAM3 = (0.9j, 0.1j, -0.6j)
+X3 = (0.45, 0.0, -0.4)
 
 
 def rand_lambda(rng, n, spread=2.0):
@@ -210,6 +213,36 @@ class TestDualHamiltonian:
     def test_r_range(self):
         with pytest.raises(ValueError):
             apply_dual_hamiltonian(3, LAM2, X2, 1.5)
+
+
+class TestSharedLattice:
+    """One dual check shares one n = 3 lattice between all its evaluations."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
+    def test_equals_separate_evaluations(self, r, g):
+        # the operator written out with one fresh eval_phi per point
+        contour = default_contour(3, g, (2, 2, 2))
+        total = 0.0 + 0.0j
+        for sub in subsets(3, r):
+            total += dual_coefficient(sub, LAM3, g) * eval_phi(_shifted(LAM3, sub), X3, g,
+                                                                contour=contour)
+        eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X3])
+        res = apply_dual_hamiltonian(r, LAM3, X3, g)
+        assert res.value == total
+        assert res.expected == eig * eval_phi(LAM3, X3, g)
+
+    def test_log_gamma_work(self, monkeypatch):
+        # one offset kernel and one measure for all four points, on half the offsets
+        elems, original = [], wavefn.log_gamma
+
+        def counting(z):
+            elems.append(np.size(z))
+            return original(z)
+
+        monkeypatch.setattr(wavefn, "log_gamma", counting)
+        apply_dual_hamiltonian(1, LAM3, X3, 1.5)
+        assert 0 < sum(elems) < 30_000
 
 
 class TestLevelReduction:

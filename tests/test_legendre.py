@@ -58,6 +58,34 @@ class TestHyp2F1:
         with pytest.raises(HypergeometricError):
             hyp2f1(0.5, 0.5, -1.0, 0.3)
 
+    def test_cancellation_is_refused(self):
+        # at lambda = +-30i the series cancels about ten digits: refused (exit
+        # 3), where it used to FAIL the 1e-6 spread; +-20i still passes
+        assert main(["compare-oracle", "--lambda", "0:30,0:-30"]) == 3
+        assert main(["compare-oracle", "--lambda", "0:20,0:-20"]) == 0
+
+    def test_kept_values_match_mpmath(self):
+        # the oracle's series at d = (l1 - l2)/2, |Im d| <= 32, separations 0.2..1:
+        # every value not refused is within oracle.spread (1e-6) of mpmath
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(9)
+        kept, refused = 0, 0
+        for _ in range(200):
+            d = 1j * rng.uniform(-32.0, 32.0)
+            g = float(rng.choice([0.5, 1.25, 1.5, 2.0, 3.0]))
+            a, b, c = 0.5 - d, 0.5 + d, 0.5 + g
+            w = (1.0 - math.cosh(rng.uniform(0.2, 1.0))) / 2.0
+            try:
+                value = hyp2f1(a, b, c, w)
+            except HypergeometricError:
+                refused += 1
+                continue
+            kept += 1
+            with mpmath.workdps(40):
+                want = complex(mpmath.hyp2f1(a, b, c, w))
+            assert abs(value - want) <= 1e-6 * abs(want)
+        assert kept > 100 and refused > 0
+
 
 class TestLegendreP:
     def test_constant(self):

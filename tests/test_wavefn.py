@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
-from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _offset_kernel,
-                               CoincidentCoordinatesError, ContourSpec,
+from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _log_measure,
+                               _offset_kernel, CoincidentCoordinatesError, ContourSpec,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
                                TailNotConvergedError, default_contour,
@@ -95,7 +95,7 @@ class TestKernelAndMeasure:
             kernel_K([1.5], [0.0], 1.5)
         # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
         with pytest.raises(GammaPoleError):
-            _offset_kernel(-1.5, 0.1, 3, 1.5)(np.zeros(5))
+            _offset_kernel(-1.5, 0.1, 3, 1.5, {})(np.zeros(5))
 
     @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 1.0), (0.3, -0.2)])
     @pytest.mark.parametrize("t_in, t_out", [(3.0, 2.0), (1.2, 2.5)])
@@ -109,7 +109,7 @@ class TestKernelAndMeasure:
         t = _grid(0.13, t_out, h)[0]
         N, M = gam.size, t.size
         assert N != M
-        env, f = _offset_kernel(c1 - c2, h, M, G)(gam)
+        env, f = _offset_kernel(c1 - c2, h, M, G, {})(gam)
         direct_env = _log_kernel(gam, c2 + 1j * t, G).real.max(axis=1)
         assert np.max(np.abs(env - direct_env)) <= 1e-12
         # C_m[p, q] = e^{gam_p dx} sum_l binom(m, l) gam_p^(m-l) G_l(p - q), from
@@ -131,6 +131,48 @@ class TestKernelAndMeasure:
         for m in range(3):
             want = (K * window * (h * np.exp(node * dx) * node ** m)[:, None]).T @ K
             assert np.max(np.abs(got[m] - want) / np.abs(want)) <= 1e-9
+
+    @pytest.mark.parametrize("dc", [0.0, 0.5, -0.3, 1.0])
+    @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
+    def test_offset_kernel_mirror_is_exact(self, dc, g):
+        # f on j < 0 is conj f(-j), against log_gamma on every offset
+        h, M = 0.1, 41
+        env, f = _offset_kernel(dc, h, M, g, {})(np.zeros(61))
+        d = dc + 1j * h * np.arange(-(f.size // 2), f.size // 2 + 1)
+        direct = wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2)
+        assert np.array_equal(f, direct)
+        windows = np.lib.stride_tricks.sliding_window_view(direct.real, M)[M - 1:-(M - 1)]
+        assert np.array_equal(env, windows.max(axis=1))
+
+    @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
+    def test_measure_mirror_is_exact(self, g):
+        # the outer measure on offsets 0..M - 1, mirrored evenly, against all 2M - 1
+        h, M = 0.1, 599
+        half = _log_measure(1j * h * np.arange(M), g)
+        direct = _log_measure(1j * h * np.arange(-(M - 1), M), g)
+        assert np.array_equal(np.concatenate([half[:0:-1], half]), direct)
+
+    @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
+    def test_lattice_holds_the_direct_arrays(self, g):
+        # what a shared lattice returns: f and H_l = mu G_l built on every offset
+        lattice = {}
+        eval_phi(LAM3, X3, g, lattice=lattice)
+        (kernel_key, (_, f)), (key, H) = lattice.items()
+        assert kernel_key == key[:5] and f.size // 2 == key[4]
+        h, M = key[1], key[3]
+        d = 1j * h * np.arange(-(f.size // 2), f.size // 2 + 1)
+        assert np.array_equal(f, wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2))
+        log_mu = _log_measure(1j * h * np.arange(-(M - 1), M), g)
+        G = _lattice_moments(f, h, X3[0] - X3[1], M, 0)
+        assert all(np.array_equal(H_l, np.exp(log_mu + np.log(G_l))) for H_l, G_l in zip(H, G))
+
+    def test_lattice_misses_on_other_grids(self):
+        # a wider Im spread gives another outer M: the second call builds its own
+        wide = (1.9j, 0.1j, -1.6j)
+        lattice = {}
+        shared = [eval_phi(lam, X3, G, lattice=lattice) for lam in (LAM3, wide)]
+        assert shared == [eval_phi(LAM3, X3, G), eval_phi(wide, X3, G)]
+        assert len({key[3] for key in lattice}) == 2 and len(lattice) == 4
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
         # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
@@ -232,7 +274,7 @@ class TestOuterSum:
 
         def planted(d, g):
             out = log_measure(d, g)
-            out[0] = np.nan
+            out[-1] = np.nan  # the widest offset; out[0] is offset 0, where mu = 0
             return out
 
         monkeypatch.setattr(wavefn, "_log_measure", planted)

@@ -3,16 +3,15 @@
 Every check belongs to one family in an ordered registry.  A family maps a
 RunConfig to its checks and draws their seeded inputs while it builds them,
 so running a check is a pure function call.  ``all`` runs every family in
-order; each check-* command runs its own.  BISPECTRAL_THREADS caps the worker
-pool over a command's checks (a positive integer; default 1, i.e. sequential).
+order; each check-* command runs its own, one check after another.
 
 Reports are newline-delimited JSON on stdout, one object per check, and are
 deterministic for a fixed config and seed except for their wall_time fields;
 a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
-(an unknown key, a non-finite number, a bad BISPECTRAL_THREADS), 3 an
-infeasible domain, 4 an internal error (traceback on stderr).
+(an unknown key, a non-finite number), 3 an infeasible domain, 4 an internal
+error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import combinations
@@ -181,26 +178,6 @@ class CheckReport:
             if payload[key] is None:
                 del payload[key]
         return json.dumps(payload, sort_keys=True)
-
-
-def _thread_cap() -> int:
-    """BISPECTRAL_THREADS as a positive integer; unset means 1."""
-    raw = os.environ.get("BISPECTRAL_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"BISPECTRAL_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    cap = _thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +392,7 @@ def _oracle(config: RunConfig) -> list[Check]:
         return eval_phi((l1, l2), (x1, x2), g, quad=quad) / closed_form_phi2(l1, l2, x1, x2, g)
 
     return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
-             "oracle.spread", lambda: _ratio_spread(_map_ordered(ratio, grid)))]
+             "oracle.spread", lambda: _ratio_spread([ratio(pt) for pt in grid]))]
 
 
 def _legendre(config: RunConfig) -> list[Check]:
@@ -481,7 +458,7 @@ def run(command: str, config: RunConfig) -> tuple[int, list[CheckReport]]:
     Domain errors (infeasible contours etc.) propagate to the caller; main()
     maps them to exit status 3, a ValueError to 2 and any other error to 4.
     """
-    reports = _map_ordered(partial(_report, config), checks(command, config))
+    reports = [_report(config, check) for check in checks(command, config)]
     status = 0 if all(rep.status != "fail" for rep in reports) else 1
     return status, reports
 
@@ -507,8 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# per-n points so `--n 1` / `--n 3` work without explicit lambda and x
-# (n = 2 is RunConfig's own default point)
+# per-n points so n = 1 / n = 3, from a flag or the config file, work without
+# explicit lambda and x (n = 2 is RunConfig's own default point)
 _POINT_DEFAULTS = {
     1: ((0.5j,), (0.4,)),
     3: (_N3_DEFAULTS["lam"], _N3_DEFAULTS["x"]),
@@ -522,9 +499,6 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-    if args.n in _POINT_DEFAULTS:
-        data.setdefault("lam", _POINT_DEFAULTS[args.n][0])
-        data.setdefault("x", _POINT_DEFAULTS[args.n][1])
     if args.lam is not None:
         data["lambda"] = args.lam.split(",")
     if args.x is not None:
@@ -532,6 +506,11 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     for key in _INTEGER_FIELDS + _REAL_FIELDS:
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)
+    # the n that file and flags settle on picks the default point
+    n = data.get("n")
+    if isinstance(n, int) and n in _POINT_DEFAULTS:
+        data.setdefault("lam", _POINT_DEFAULTS[n][0])
+        data.setdefault("x", _POINT_DEFAULTS[n][1])
     tols = dict(data.get("tolerances", {}))
     for item in args.tolerance:
         key, _, value = item.partition("=")

@@ -87,19 +87,16 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable, variant: str = "H_g"
 
 
 def apply_dual_hamiltonian(r: int, lam, x, g: float,
-                           quad: QuadratureSpec | None = None,
-                           variant: str = "H_g") -> EigenResidual:
+                           quad: QuadratureSpec | None = None) -> EigenResidual:
     """Order-r dual Hamiltonian on Phi versus its e_r(e^{2x}) eigenvalue.
 
     Each shifted term re-evaluates the Mellin-Barnes integral with all
     contour levels at Re = 1, which separates the shifted pole lattices
     exactly when g > 1.  The sinh prefactor is lambda-independent, so the
     statement on Psi is equivalent to the same relation on Phi; Phi is what
-    is tested.  Variant D_1mg differs from H_g by the global sign
-    (-1)^{r(n-1)} on both sides.
+    is tested.  The operator is the H_g variant; D_1mg would multiply both
+    sides by the same sign (-1)^{r(n-1)} and give the same residual.
     """
-    if variant not in ("H_g", "D_1mg"):
-        raise ValueError("eigenvalue comparison is defined for variants H_g and D_1mg")
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
@@ -114,13 +111,11 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     contour, lattice = default_contour(n, g, (2,) * n), {}
     total = 0.0 + 0.0j
     for sub in subsets(n, r):
-        coef = dual_coefficient(sub, lam, g, variant)
+        coef = dual_coefficient(sub, lam, g)
         total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad,
                                  lattice=lattice)
     phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
     eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x.values])
-    if variant == "D_1mg":
-        eig *= (-1.0) ** (r * (n - 1))
     return EigenResidual.build(total, eig * phi)
 
 

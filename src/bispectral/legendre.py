@@ -60,12 +60,11 @@ def _near_nonpositive_int(c: complex, tol: float = 1e-12) -> bool:
     return k <= 0 and abs(c - k) <= tol
 
 
-def hyp2f1(a: complex, b: complex, c: complex, w: complex,
-           tol: float = _SERIES_TOL) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, w: complex) -> complex:
     """Gauss hypergeometric series, |w| < 0.95, truncated with a certified tail.
 
     Terms follow t_{k+1} = t_k (a+k)(b+k) w / ((c+k)(k+1)); summation stops
-    once a geometric bound on the remaining tail drops below tol relative to
+    once a geometric bound on the remaining tail drops below 1e-14 relative to
     the running sum.  Terminating (polynomial) cases stop exactly.  A sum that
     cancels so far that u max|term| / |sum| > 1e-7 (u = 2^-53) is refused.
     """
@@ -86,7 +85,7 @@ def hyp2f1(a: complex, b: complex, c: complex, w: complex,
         kk = k + 1.0
         denom = (kk - abs(c)) * (kk + 1.0)
         rho = abs(w) * (kk + abs(a)) * (kk + abs(b)) / denom if denom > 0 else 1.0
-        if term == 0 or (rho < 1.0 and abs(term) * rho / (1.0 - rho) <= tol * abs(total)):
+        if term == 0 or (rho < 1.0 and abs(term) * rho / (1.0 - rho) <= _SERIES_TOL * abs(total)):
             break
     else:
         raise HypergeometricError(f"series did not converge within {_MAX_TERMS} terms")

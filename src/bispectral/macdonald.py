@@ -40,6 +40,10 @@ __all__ = [
 MacdonaldMode = Literal["z_space_t", "dual_t", "dual_qt_inv"]
 WeightKind = Literal["delta_qt", "phi_ab", "phi_gauge", "delta_dual_qt", "delta_dual_qt_inv"]
 _EPS_FLOOR = 1e-300
+# q-Pochhammer products stop once |z| |qsq|^N drops below this
+_TRUNC_TOL = 1e-16
+# tau = i*sigma samples of the small-tau fit: four powers, four unknowns
+_TAU_SIGMAS = (0.004, 0.002, 0.001, 0.0005)
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,11 @@ def _as_point(z) -> TorusPoint:
     return z if isinstance(z, TorusPoint) else TorusPoint(tuple(complex(v) for v in z))
 
 
-def qpochhammer(z: complex, qsq: complex, trunc_tol: float = 1e-16) -> complex:
+def qpochhammer(z: complex, qsq: complex) -> complex:
     """(z; qsq)_infinity = prod_{i >= 0} (1 - z qsq^i), truncated.
 
-    Truncates once |z| |qsq|^N < trunc_tol, which bounds the neglected log
-    tail by ~ trunc_tol / (1 - |qsq|).
+    Truncates once |z| |qsq|^N < 1e-16, which bounds the neglected log
+    tail by ~ 1e-16 / (1 - |qsq|).
     """
     aq = abs(qsq)
     if aq >= 1.0:
@@ -102,7 +106,7 @@ def qpochhammer(z: complex, qsq: complex, trunc_tol: float = 1e-16) -> complex:
     if z == 0:
         return 1.0 + 0.0j
     n_terms = max(1, int(math.ceil(
-        (math.log(trunc_tol) - math.log(max(abs(z), 1.0))) / math.log(aq))) + 1) if aq > 0 else 1
+        (math.log(_TRUNC_TOL) - math.log(max(abs(z), 1.0))) / math.log(aq))) + 1) if aq > 0 else 1
     out = 1.0 + 0.0j
     zq = complex(z)
     for _ in range(n_terms):
@@ -150,15 +154,14 @@ def apply_macdonald(r: int, params: MacdonaldParams, mode: MacdonaldMode,
     return total
 
 
-def _pair_ratio_product(point: TorusPoint, a: complex, b: complex, qsq: complex,
-                        trunc_tol: float) -> complex:
+def _pair_ratio_product(point: TorusPoint, a: complex, b: complex, qsq: complex) -> complex:
     z = point.values
     out = 1.0 + 0.0j
     for j in range(point.n):
         for k in range(point.n):
             if j != k:
                 w = z[j] / z[k]
-                out *= qpochhammer(a * w, qsq, trunc_tol) / qpochhammer(b * w, qsq, trunc_tol)
+                out *= qpochhammer(a * w, qsq) / qpochhammer(b * w, qsq)
     return out
 
 
@@ -180,8 +183,7 @@ def _weight_pair(kind: WeightKind, params: MacdonaldParams,
 
 
 def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
-                     a: complex | None = None, b: complex | None = None,
-                     trunc_tol: float = 1e-16) -> complex:
+                     a: complex | None = None, b: complex | None = None) -> complex:
     """Evaluate one of the q-Pochhammer weight/gauge functions at the point.
 
     * delta_qt           -- weight with (a, b) = (1, t^2)
@@ -191,7 +193,7 @@ def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
     * delta_dual_qt_inv  -- weight of the pair (q, q/t): (a, b) = (1, q^2/t^2)
     """
     pa, pb = _weight_pair(kind, params, a, b)
-    return _pair_ratio_product(_as_point(point), pa, pb, params.qsq, trunc_tol)
+    return _pair_ratio_product(_as_point(point), pa, pb, params.qsq)
 
 
 def weight_shift_residual(kind: WeightKind, params: MacdonaldParams, point, i: int,
@@ -296,34 +298,27 @@ def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tup
     return hs1, 4.0 * hs2
 
 
-def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial,
-                    sigma_list: Sequence[float] = (0.004, 0.002, 0.001, 0.0005)) -> TauFitResult:
+def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) -> TauFitResult:
     """Fit the small-tau expansion of M_1 against the reduced Hamiltonians.
 
     tau = i*sigma with real sigma > 0 keeps q = e^{pi i tau} in (0, 1), so all
     operator coefficients stay real and the Richardson solve is
     well-conditioned.  M_1 f - n f is modelled as
-    pi*i*tau * HS1 f - (pi*tau)^2/2 * HS2 f + O(tau^3); four sigma values fit
-    the two leading coefficients plus two spillover powers.
+    pi*i*tau * HS1 f - (pi*tau)^2/2 * HS2 f + O(tau^3); the four sigma values
+    0.004, 0.002, 0.001, 0.0005 fit the two leading coefficients plus two
+    spillover powers exactly (a square 4 x 4 solve).
     """
-    if len(sigma_list) < 4:
-        raise ValueError("need at least 4 tau samples for a stable quartic fit")
     z = tuple(cmath.exp(2.0 * xi) for xi in x_point)
     n = len(z)
     hs1, hs2 = _reduced_action(f, z, g)
     rows, rhs = [], []
-    for sigma in sigma_list:
+    for sigma in _TAU_SIGMAS:
         q = math.exp(-math.pi * sigma)
         params = MacdonaldParams.from_coupling(q, g)
         value = apply_macdonald(1, params, "z_space_t", z, f) - n * f(z)
         rows.append([-math.pi * sigma, (math.pi * sigma) ** 2 / 2.0, sigma ** 3, sigma ** 4])
         rhs.append(value)
-    rows_arr = np.asarray(rows, dtype=complex)
-    rhs_arr = np.asarray(rhs, dtype=complex)
-    if len(sigma_list) == 4:
-        sol = np.linalg.solve(rows_arr, rhs_arr)
-    else:
-        sol = np.linalg.lstsq(rows_arr, rhs_arr, rcond=None)[0]
+    sol = np.linalg.solve(np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex))
     return TauFitResult(hs1_fitted=complex(sol[0]), hs1_analytic=hs1,
                         hs2_fitted=complex(sol[1]), hs2_analytic=hs2)
 

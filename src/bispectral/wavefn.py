@@ -67,6 +67,8 @@ class ConvergenceWindowError(ValueError):
 
 
 _DISTINCT_TOL = 1e-12
+# hard cap on a truncation half-width, fixed or adaptive
+_MAX_HALF_WIDTH = 120.0
 
 
 @dataclass(frozen=True)
@@ -140,23 +142,22 @@ class QuadratureSpec:
     """Trapezoid discretisation of one vertical line.
 
     step is the node spacing along the imaginary axis (must be <= 0.25);
-    half_width is a fixed truncation half-width (at most max_half_width),
-    or None to expand adaptively until the boundary magnitude is below
-    tail_tol times the running maximum (hard cap max_half_width).
+    half_width is a fixed truncation half-width (at most 120), or None to
+    expand adaptively until the boundary magnitude is below tail_tol times
+    the running maximum (hard cap 120).
     """
 
     step: float = 0.1
     half_width: float | None = None
     tail_tol: float = 1e-13
-    max_half_width: float = 120.0
 
     def __post_init__(self):
         if not (0.0 < self.step <= 0.25):
             raise ValueError(f"step must be in (0, 0.25], got {self.step}")
         if not (0.0 < self.tail_tol < 1e-3):
             raise ValueError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
-        if self.half_width is not None and not 0.0 < self.half_width <= self.max_half_width:
-            raise ValueError(f"half_width must be None or in (0, {self.max_half_width}], "
+        if self.half_width is not None and not 0.0 < self.half_width <= _MAX_HALF_WIDTH:
+            raise ValueError(f"half_width must be None or in (0, {_MAX_HALF_WIDTH}], "
                              f"got {self.half_width}")
 
 
@@ -166,11 +167,10 @@ def as_spectral(lam) -> SpectralPoint:
     return SpectralPoint(values=tuple(complex(v) for v in lam))
 
 
-def as_position(x, max_separation: float = 1.0) -> PositionPoint:
+def as_position(x) -> PositionPoint:
     if isinstance(x, PositionPoint):
         return x
-    return PositionPoint(values=tuple(float(v) for v in x),
-                         max_separation=max_separation)
+    return PositionPoint(values=tuple(float(v) for v in x))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
         lgK = _log_kernel(gam, np.array(lam), g)
         return lgK.real.max(axis=1), lgK
     gam, base, lgK, _ = _level2(pair_kernel, x1, x2, contour.level_re[0], center, T,
-                                quad.half_width or quad.max_half_width, quad, m_max)
+                                quad.half_width or _MAX_HALF_WIDTH, quad, m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
@@ -396,9 +396,10 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
 
 
 def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
-    """O[p, q] = (lam_sum - S)^d3 _moment(W2 C, S, d1, d2) at index arrays p, q.
+    """O[p, q] = (lam_sum - S)^d3 _moment(C, S, d1, d2) at index arrays p, q.
 
-    S = nu_p + nu_q, and the outer weight times C_k is a_p _moment(H(p - q), gam_p, 0, k) b_q.
+    S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), gam_p, 0, k): the per-node
+    factors a, b times the level-2 moments, read off the Toeplitz offsets H_l.
     """
     H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
     C = [a[p] * b[q] * _moment(H_pq, gam[p], 0, k) for k in range(d[0] + d[1] + 1)]
@@ -409,7 +410,8 @@ def _outer_values(outer, derivs, tail_tol):
     """Each derivative's sum of _outer_entries(*outer) over all (p, q), or None if a tail fails.
 
     Y[i][l] = sum_q H_l(p - q) b_q nu_q^i are direct Toeplitz mat-vecs, and expanding
-    S^s gives Z[s][k] = sum_{p,q} S^s W2 C_k.  A tail passes if each edge |O| <= tail_tol
+    S^s = (nu_p + nu_q)^s over them gives Z[s][k] = sum_{p,q} S^s C_k[p, q], with C_k as
+    in _outer_entries.  A tail passes if each edge |O| <= tail_tol
     max|O| < inf; rows and columns 0, M // 2, M - 1 bound max|O| from below (not the
     diagonal: mu(0) = 0), and only when that bound fails is the full M x M |O| taken.
     """
@@ -457,7 +459,7 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
 
         # inner contraction: phi at level 2 as 2M - 1 Toeplitz offsets
         _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g, lattice), x1, x2,
-                                c1, center, T_in, quad.max_half_width + T_out, quad, m_max)
+                                c1, center, T_in, _MAX_HALF_WIDTH + T_out, quad, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
         u = (np.sum(_log_kernel(nu, np.array(lam), g), axis=1) + nu * (x2 - x3)
@@ -474,10 +476,10 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
         values = _outer_values(outer, derivs, quad.tail_tol)
         if values is not None:
             return values
-        if quad.half_width is not None or T_out >= quad.max_half_width:
+        if quad.half_width is not None or T_out >= _MAX_HALF_WIDTH:
             raise TailNotConvergedError(
                 f"n=3 outer integrand tail above tail_tol at half-width {T_out:.1f}")
-        grow = min(1.4 * T_out, quad.max_half_width) - T_out
+        grow = min(1.4 * T_out, _MAX_HALF_WIDTH) - T_out
         T_out += grow
         T_in += grow
 

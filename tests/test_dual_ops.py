@@ -12,6 +12,7 @@ from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_op
                                  dual_coefficient, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
+from bispectral.sutherland_ops import EigenResidual
 from bispectral.symfun import SubsetIndex, elementary_symmetric, subsets
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import log_gamma
@@ -199,12 +200,17 @@ class TestDualHamiltonian:
         assert res.relative_residual <= 1e-5
 
     def test_d_1mg_variant(self):
-        a = apply_dual_hamiltonian(1, LAM2, X2, 1.5, variant="D_1mg")
-        assert a.relative_residual <= 1e-5
-
-    def test_d_g_variant_rejected(self):
-        with pytest.raises(ValueError):
-            apply_dual_hamiltonian(1, LAM2, X2, 1.5, variant="D_g")
+        # D_1mg multiplies both sides of the H_g relation by (-1)^{r(n-1)}, so
+        # its residual is apply_dual_hamiltonian's bit for bit
+        n, g = 2, 1.5
+        contour = default_contour(n, g, (2,) * n)
+        for r in (1, 2):
+            value = apply_dual_operator(
+                r, LAM2, g, lambda lam: eval_phi(lam, X2, g, contour=contour), "D_1mg")
+            eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X2])
+            res = EigenResidual.build(value, (-1) ** (r * (n - 1)) * eig * eval_phi(LAM2, X2, g))
+            assert res.relative_residual <= 1e-5
+            assert res.relative_residual == apply_dual_hamiltonian(r, LAM2, X2, g).relative_residual
 
     def test_infeasible_at_g_one(self):
         with pytest.raises(InfeasibleContourError):

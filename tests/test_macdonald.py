@@ -4,6 +4,7 @@ the degeneration to the reduced Sutherland Hamiltonians."""
 import numpy as np
 import pytest
 
+from bispectral import macdonald
 from bispectral.macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                                   apply_macdonald, qpochhammer, tau_limit_check,
                                   verify_gauge_equivalence, weight_and_gauge,
@@ -231,9 +232,13 @@ class TestTauLimit:
         assert fit.hs2_error <= 1e-4
 
     def test_needs_four_samples(self):
-        with pytest.raises(ValueError):
-            tau_limit_check((0.3,), 1.0, LaurentPolynomial(1, {(1,): 1.0}),
-                            sigma_list=(0.01, 0.005))
+        # four unknowns (HS1, HS2 and two spillover powers) need four distinct
+        # sigma samples; with its columns scaled the 4 x 4 design is well posed
+        sigma = np.asarray(macdonald._TAU_SIGMAS)
+        assert sigma.shape == (4,) and len(set(sigma)) == 4 and (sigma > 0).all()
+        rows = np.stack([-np.pi * sigma, (np.pi * sigma) ** 2 / 2.0, sigma ** 3, sigma ** 4],
+                        axis=1)
+        assert np.linalg.cond(rows / np.abs(rows).max(axis=0)) < 1e4
 
 
 class TestWeightLimit:

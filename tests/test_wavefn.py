@@ -267,6 +267,7 @@ class TestOuterSum:
             eval_phi_many(LAM3, X3, G, D7, quad=quad)
         assert full
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
     def test_nan_measure_is_refused(self, monkeypatch):
         # a NaN peak compares False with any bound: the tail test must refuse
         # it rather than return the NaN as the value

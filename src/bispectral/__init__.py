@@ -3,11 +3,12 @@ wave function and its dual difference operators.
 
 Layers:
 
-* ``cgamma`` / ``symfun`` -- log-gamma kernel and subset combinatorics.
+* ``cgamma`` / ``symfun`` -- log-gamma kernel and elementary symmetric
+  functions.
 * ``wavefn``  -- nested Mellin-Barnes evaluation of Phi / Psi.
 * ``sutherland_ops`` -- differential Hamiltonians applied to the wave function.
-* ``dual_ops`` -- difference operators in the spectral variables, gauges,
-  measure weights.
+* ``dual_ops`` -- difference operators in the spectral variables (sums over
+  0-based index subsets), gauges, measure weights.
 * ``macdonald`` -- the q,t-difference parents and their tau -> 0 limit.
 * ``identities`` -- exact verification of the subset-sum recurrences and
   residue relations, on plain integers.
@@ -16,13 +17,12 @@ Layers:
 """
 
 from .cgamma import GammaPoleError, gamma_log_sum, log_gamma
-from .symfun import SubsetIndex, elementary_symmetric, subsets
-from .wavefn import (ContourSpec, CoincidentCoordinatesError,
-                     ConvergenceWindowError, InfeasibleContourError,
-                     PositionPoint, QuadratureSpec,
+from .symfun import elementary_symmetric
+from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
+                     InfeasibleContourError, PositionPoint, QuadratureSpec,
                      SpectralPoint, TailNotConvergedError, default_contour,
-                     eval_phi, eval_phi_derivative, eval_phi_many, eval_psi,
-                     kernel_K, measure_mu, sinh_prefactor, validate_contour)
+                     eval_phi, eval_phi_many, eval_psi, kernel_K, measure_mu,
+                     sinh_prefactor, validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,
                              apply_reduced_HS, prefactor_log_derivatives)
 from .dual_ops import (apply_dual_hamiltonian, apply_dual_operator,

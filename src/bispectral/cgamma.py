@@ -49,10 +49,11 @@ _LOG_PI = math.log(math.pi)
 _POLE_TOL = 1e-14
 
 
-def _is_pole(z: np.ndarray, tol: float = _POLE_TOL) -> np.ndarray:
-    """True where z is within tol of a non-positive integer."""
+def _is_pole(z: np.ndarray) -> np.ndarray:
+    """True where z is within _POLE_TOL of a non-positive integer."""
     near_int = np.round(z.real)
-    return (np.abs(z.real - near_int) <= tol) & (np.abs(z.imag) <= tol) & (near_int <= 0)
+    return ((np.abs(z.real - near_int) <= _POLE_TOL) & (np.abs(z.imag) <= _POLE_TOL)
+            & (near_int <= 0))
 
 
 def _loggamma_right(z: np.ndarray) -> np.ndarray:

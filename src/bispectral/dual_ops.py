@@ -1,7 +1,9 @@
 """Dual difference operators in the spectral variables.
 
-These act by lambda_i -> lambda_i + 2 shifts with rational coefficients.
-Three coefficient variants appear:
+These act by lambda_i -> lambda_i + 2 shifts with rational coefficients, one
+term per r-subset of the indices: a sorted tuple of 0-based members, summed in
+the lexicographic order of ``itertools.combinations(range(n), r)``.  Three
+coefficient variants appear:
 
 * ``H_g``    -- (-1)^{r(n-1)} prod (l_i - l_j + 2 - 2g)/(l_i - l_j); the
   operators whose eigenvalues on the wave function are the elementary
@@ -10,9 +12,10 @@ Three coefficient variants appear:
 * ``D_1mg``  -- prod (l_i - l_j + 2 - 2g)/(l_i - l_j); H_g is exactly
   (-1)^{r(n-1)} times this one.
 
-Applying a shift to the Mellin-Barnes integral requires moving the
-integration contours so they keep separating the shifted pole lattices;
-``apply_dual_hamiltonian`` re-runs the full integral at shifted lambda on the
+``apply_dual_operator`` applies H_g to any function of lambda.  Applying a
+shift to the Mellin-Barnes integral requires moving the integration contours
+so they keep separating the shifted pole lattices; ``apply_dual_hamiltonian``
+applies H_g to Phi, re-running the full integral at shifted lambda on the
 shifted contour (no surrogate continuation).  The gauge function and the
 measure weights tie the D and H variants together and degenerate to the
 Sklyanin measure at g = 1/2.
@@ -21,11 +24,11 @@ Sklyanin measure at g = 1/2.
 from __future__ import annotations
 
 import cmath
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Literal
 
 from .cgamma import gamma_log_sum
-from .symfun import SubsetIndex, elementary_symmetric, subsets
+from .symfun import elementary_symmetric
 from .sutherland_ops import EigenResidual
 from .wavefn import (InfeasibleContourError, QuadratureSpec, as_position,
                      as_spectral, default_contour, eval_phi, measure_mu)
@@ -47,42 +50,50 @@ _VARIANTS = ("H_g", "D_g", "D_1mg")
 _EPS_FLOOR = 1e-300
 
 
-def _shifted(lam: tuple[complex, ...], subset: SubsetIndex) -> tuple[complex, ...]:
-    """lambda + 2 * (indicator of the subset)."""
-    inside = set(subset.members)
-    return tuple(v + 2.0 if i + 1 in inside else v for i, v in enumerate(lam))
+def _check_members(members: tuple[int, ...], n: int) -> None:
+    if list(members) != sorted(set(members)) or any(not 0 <= i < n for i in members):
+        raise ValueError(f"subset members must be sorted, distinct and in 0..{n - 1}, "
+                         f"got {members}")
 
 
-def dual_coefficient(r_subset: SubsetIndex, lam, g: float,
+def _shifted(lam: tuple[complex, ...], members: tuple[int, ...]) -> tuple[complex, ...]:
+    """lambda + 2 * (indicator of the 0-based members)."""
+    _check_members(members, len(lam))
+    return tuple(v + 2.0 if i in members else v for i, v in enumerate(lam))
+
+
+def dual_coefficient(members: tuple[int, ...], lam, g: float,
                      variant: str = "H_g") -> complex:
-    """Rational shift coefficient of the given subset, sign included for H_g."""
+    """Rational shift coefficient of the 0-based subset members, sign included for H_g."""
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     lam = as_spectral(lam).values
     n = len(lam)
-    if r_subset.n != n:
-        raise ValueError("subset ambient size does not match lambda")
+    _check_members(members, n)
     numer_shift = 2.0 * g if variant == "D_g" else 2.0 - 2.0 * g
     coef = 1.0 + 0.0j
-    for i in r_subset.members:
-        for j in r_subset.complement():
-            diff = lam[i - 1] - lam[j - 1]
-            coef *= (diff + numer_shift) / diff
+    for i in members:
+        for j in range(n):
+            if j not in members:
+                diff = lam[i] - lam[j]
+                coef *= (diff + numer_shift) / diff
     if variant == "H_g":
-        coef *= (-1.0) ** (r_subset.r * (n - 1))
+        coef *= (-1.0) ** (len(members) * (n - 1))
     return coef
 
 
-def apply_dual_operator(r: int, lam, g: float, f: Callable, variant: str = "H_g") -> complex:
-    """Apply the order-r difference operator to a black-box function of lambda.
+def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
+    """Apply the order-r dual Hamiltonian H_g to a black-box function of lambda.
 
-    Used for operator-algebra probes (gauge relations, commutativity) where f
-    is entire, so no contour bookkeeping is involved.
+    For f entire (gauge relations, commutativity probes) no contour bookkeeping
+    is involved; ``apply_dual_hamiltonian`` passes Phi on the shifted contour.
     """
     lam = as_spectral(lam)
+    if not (0 <= r <= lam.n):
+        raise ValueError(f"need 0 <= r <= n={lam.n}, got r={r}")
     total = 0.0 + 0.0j
-    for sub in subsets(lam.n, r):
-        total += dual_coefficient(sub, lam, g, variant) * f(_shifted(lam.values, sub))
+    for members in combinations(range(lam.n), r):
+        total += dual_coefficient(members, lam, g) * f(_shifted(lam.values, members))
     return total
 
 
@@ -108,12 +119,9 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
             f"(-g+2, g) is empty for g = {g}")
     # every subset shifts at least one variable, so all share the Re = 1 contour; the
     # shifts are real and both contours have c1 = c2, so all share one n = 3 lattice
-    contour, lattice = default_contour(n, g, (2,) * n), {}
-    total = 0.0 + 0.0j
-    for sub in subsets(n, r):
-        coef = dual_coefficient(sub, lam, g)
-        total += coef * eval_phi(_shifted(lam.values, sub), x, g, contour=contour, quad=quad,
-                                 lattice=lattice)
+    contour, lattice = default_contour(n, g, shifted=True), {}
+    total = apply_dual_operator(r, lam, g, lambda s: eval_phi(s, x, g, contour=contour,
+                                                             quad=quad, lattice=lattice))
     phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
     eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x.values])
     return EigenResidual.build(total, eig * phi)
@@ -137,7 +145,7 @@ def gauge_shift_residual(lam, i: int, g: float) -> float:
     """
     lam = as_spectral(lam).values
     n = len(lam)
-    ratio = cmath.exp(gauge_function(_shifted(lam, SubsetIndex((i + 1,), n)), g)
+    ratio = cmath.exp(gauge_function(_shifted(lam, (i,)), g)
                       - gauge_function(lam, g))
     predicted = (-1.0) ** (n - 1)
     for j in range(n):
@@ -172,7 +180,7 @@ def measure_shift_residual(lam, i: int, g: float, kind: DualWeightKind) -> float
         raise ValueError(f"shift law is stated for mu_g and mu_1mg, got {kind!r}")
     lam = as_spectral(lam).values
     n = len(lam)
-    ratio = cmath.exp(measure_weight(_shifted(lam, SubsetIndex((i + 1,), n)), g, kind)
+    ratio = cmath.exp(measure_weight(_shifted(lam, (i,)), g, kind)
                       - measure_weight(lam, g, kind))
     predicted = 1.0 + 0.0j
     for j in range(n):
@@ -193,9 +201,9 @@ def gauge_relation_residual(r: int, lam, g: float, f: Callable) -> float:
     lam = as_spectral(lam)
     base_log = gauge_function(lam, g)
     lhs = 0.0 + 0.0j
-    for sub in subsets(lam.n, r):
-        shifted = _shifted(lam.values, sub)
+    for members in combinations(range(lam.n), r):
+        shifted = _shifted(lam.values, members)
         ratio = cmath.exp(gauge_function(shifted, g) - base_log)
-        lhs += dual_coefficient(sub, lam, g, "D_g") * ratio * f(shifted)
-    rhs = apply_dual_operator(r, lam, g, f, "H_g")
+        lhs += dual_coefficient(members, lam, g, "D_g") * ratio * f(shifted)
+    rhs = apply_dual_operator(r, lam, g, f)
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs), _EPS_FLOOR)

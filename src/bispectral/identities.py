@@ -19,7 +19,6 @@ is returned as a reproducible witness point.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -173,11 +172,6 @@ class Lemma1Report:
     r: int
     trials: int
     witness: dict | None = None
-
-    def witness_json(self) -> str | None:
-        if self.witness is None:
-            return None
-        return json.dumps(self.witness, sort_keys=True)
 
 
 def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> Lemma1Report:

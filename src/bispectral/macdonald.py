@@ -48,11 +48,10 @@ _TAU_SIGMAS = (0.004, 0.002, 0.001, 0.0005)
 
 @dataclass(frozen=True)
 class MacdonaldParams:
-    """Parameter pair (q, t) with |q| < 1; optionally linked by t = q^g."""
+    """Parameter pair (q, t) with |q| < 1; ``from_coupling`` links them by t = q^g."""
 
     q: complex
     t: complex
-    g: float | None = None
 
     def __post_init__(self):
         if self.q == 0 or self.t == 0:
@@ -62,7 +61,7 @@ class MacdonaldParams:
 
     @classmethod
     def from_coupling(cls, q: complex, g: float) -> "MacdonaldParams":
-        return cls(q=complex(q), t=complex(q) ** g, g=g)
+        return cls(q=complex(q), t=complex(q) ** g)
 
     @property
     def qsq(self) -> complex:

@@ -1,49 +1,15 @@
-"""Elementary symmetric functions and subset enumeration.
+"""Elementary symmetric functions.
 
-Every operator in this package is a sum over r-element index subsets; the
-enumeration here is lexicographic and deterministic so that operator sums
-are bit-for-bit reproducible across runs.
+The dual operators' eigenvalues are e_r(e^{2x}); the operators themselves sum
+over 0-based r-subsets from ``itertools.combinations(range(n), r)``, whose
+lexicographic order keeps operator sums bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
-__all__ = ["SubsetIndex", "subsets", "elementary_symmetric"]
-
-_MAX_N = 12
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A sorted r-subset of {1..n} (1-based, matching operator index sets)."""
-
-    members: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError("subset members must be sorted and distinct")
-        if self.members and (self.members[0] < 1 or self.members[-1] > self.n):
-            raise ValueError(f"subset members must lie in 1..{self.n}")
-
-    @property
-    def r(self) -> int:
-        return len(self.members)
-
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.members)
-        return tuple(i for i in range(1, self.n + 1) if i not in inside)
-
-
-def subsets(n: int, r: int) -> Iterator[SubsetIndex]:
-    """All C(n, r) subsets of {1..n} of cardinality r, lexicographic order."""
-    if not (0 <= r <= n <= _MAX_N):
-        raise ValueError(f"need 0 <= r <= n <= {_MAX_N}, got n={n}, r={r}")
-    for combo in combinations(range(1, n + 1), r):
-        yield SubsetIndex(members=combo, n=n)
+__all__ = ["elementary_symmetric"]
 
 
 def elementary_symmetric(r: int, y: Sequence[complex]) -> complex:
@@ -57,7 +23,6 @@ def elementary_symmetric(r: int, y: Sequence[complex]) -> complex:
     row = [0.0 + 0.0j] * (r + 1)
     row[0] = 1.0 + 0.0j
     for value in y:
-        upper = min(r, len(row) - 1)
-        for k in range(upper, 0, -1):
+        for k in range(r, 0, -1):
             row[k] = row[k] + complex(value) * row[k - 1]
     return row[r]

@@ -20,9 +20,9 @@ built on top of this module is a ratio or eigenvalue test.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +32,6 @@ from .cgamma import _is_pole, log_gamma
 __all__ = [
     "SpectralPoint",
     "PositionPoint",
-    "ContourSpec",
     "QuadratureSpec",
     "InfeasibleContourError",
     "TailNotConvergedError",
@@ -44,7 +43,6 @@ __all__ = [
     "validate_contour",
     "eval_phi",
     "eval_phi_many",
-    "eval_phi_derivative",
     "eval_psi",
     "sinh_prefactor",
 ]
@@ -67,13 +65,16 @@ class ConvergenceWindowError(ValueError):
 
 
 _DISTINCT_TOL = 1e-12
+# the convergence window: the exponential factor grows like e^{|t| max|x_i - x_j|}
+# against the gamma decay, so separations are capped instead of returning garbage
+_MAX_SEPARATION = 1.0
 # hard cap on a truncation half-width, fixed or adaptive
 _MAX_HALF_WIDTH = 120.0
 
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """Tuple of n spectral parameters, pairwise distinct.
+    """Tuple of n finite spectral parameters, pairwise distinct.
 
     Nominally purely imaginary; a small real part (or the +2 shifts produced
     by the dual difference operators) is admitted as long as a separating
@@ -85,6 +86,8 @@ class SpectralPoint:
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(map(cmath.isfinite, vals)):
+            raise ValueError(f"spectral parameters must be finite, got {vals}")
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 if abs(vals[i] - vals[j]) <= _DISTINCT_TOL:
@@ -97,44 +100,30 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class PositionPoint:
-    """Tuple of n real coordinates, pairwise distinct, inside the window.
-
-    max_separation is the convergence window: the exponential factor grows
-    like e^{|t| * max|x_i - x_j|} against the gamma decay, so separations are
-    capped (default 1.0) instead of silently returning garbage.
-    """
+    """Tuple of n finite real coordinates, pairwise distinct, no two further
+    apart than the convergence window _MAX_SEPARATION."""
 
     values: tuple[float, ...]
-    max_separation: float = 1.0
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"coordinates must be finite, got {vals}")
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
                 sep = abs(vals[i] - vals[j])
                 if sep <= _DISTINCT_TOL:
                     raise CoincidentCoordinatesError(
                         f"coordinates {i} and {j} coincide at {vals[i]}")
-                if sep > self.max_separation:
+                if sep > _MAX_SEPARATION:
                     raise ConvergenceWindowError(
                         f"|x_{i} - x_{j}| = {sep} exceeds the convergence "
-                        f"window {self.max_separation}")
+                        f"window {_MAX_SEPARATION}")
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Vertical-line real parts per integration level.
-
-    level_re[i] is the common real part of the i+1 variables at level i+1,
-    for levels 1..n-1.
-    """
-
-    level_re: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -222,53 +211,49 @@ def measure_mu(nu, g: float) -> complex:
     return complex(np.sum(_log_measure(nu[r] - nu[s], g)))
 
 
-def validate_contour(contour: ContourSpec, lam, g: float) -> float:
+def validate_contour(contour: tuple[float, ...], lam, g: float) -> float:
     """Check pole separation for every adjacent pair of levels.
 
     The lattices attached to an upper variable with real part d are
     d + g + 2k (ascending) and d - g - 2k (descending), k >= 0; the line
     Re = c separates them iff its margin g - |c - d| is positive for every d.
-    Returns the smallest margin over all levels; raises
-    InfeasibleContourError if it is <= 0.
+    Returns the smallest margin over all levels (g when there are none);
+    raises InfeasibleContourError unless it is > 0, so a NaN is refused too.
     """
     lam = as_spectral(lam)
     n = lam.n
-    if len(contour.level_re) != n - 1:
-        raise ValueError(f"contour has {len(contour.level_re)} levels, need {n - 1}")
-    if n == 1:
-        return g
+    if len(contour) != n - 1:
+        raise ValueError(f"contour has {len(contour)} levels, need {n - 1}")
     top_re = [v.real for v in lam.values]
     # each level's line against the real parts of the level above it
-    uppers = [[c] for c in contour.level_re[1:]] + [top_re]
-    margin = min(g - abs(c - d) for c, upper in zip(contour.level_re, uppers) for d in upper)
-    if margin <= 0.0:
+    uppers = [[c] for c in contour[1:]] + [top_re]
+    margin = min((g - abs(c - d) for c, upper in zip(contour, uppers) for d in upper),
+                 default=g)
+    if not margin > 0.0:
         raise InfeasibleContourError(
-            f"contour {contour.level_re} does not separate the pole lattices "
+            f"contour {contour} does not separate the pole lattices "
             f"for Re(lambda) = {top_re}, g = {g} (margin {margin:.3g})")
     return margin
 
 
-def default_contour(n: int, g: float, shift_pattern: Sequence[int] | None = None) -> ContourSpec:
+def default_contour(n: int, g: float, shifted: bool = False) -> tuple[float, ...]:
     """Pole-separating contour for a base point with Re(lambda) ~ 0.
 
-    Unshifted evaluation integrates along the imaginary axes.  When any
-    top-level variable carries a +2 shift, all levels move to Re = 1, which
-    lies in the admissible window (-g+2, g) exactly when g > 1.
+    A contour is the tuple of the n - 1 level real parts: entry i is the
+    common real part of the i + 1 variables at level i + 1.  Unshifted
+    evaluation integrates along the imaginary axes.  When some top-level
+    variables carry a +2 shift (shifted=True), all levels move to Re = 1,
+    which lies in the admissible window (-g+2, g) exactly when g > 1.
     """
     if g <= 0:
         raise ValueError("coupling g must be positive")
-    shifts = tuple(int(s) for s in (shift_pattern or (0,) * n))
-    if len(shifts) != n:
-        raise ValueError(f"shift_pattern must have length n={n}")
-    if any(s not in (0, 2) for s in shifts):
-        raise ValueError("shifts must be 0 or 2")
-    if not any(shifts):
-        return ContourSpec(level_re=(0.0,) * (n - 1))
+    if not shifted:
+        return (0.0,) * (n - 1)
     if g <= 1.0:
         raise InfeasibleContourError(
             f"shifted pole lattices admit no separating line for g = {g}: "
             f"the window (-g+2, g) = ({2 - g:.3g}, {g:.3g}) is empty")
-    return ContourSpec(level_re=(1.0,) * (n - 1))
+    return (1.0,) * (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +371,7 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
     def pair_kernel(gam):
         lgK = _log_kernel(gam, np.array(lam), g)
         return lgK.real.max(axis=1), lgK
-    gam, base, lgK, _ = _level2(pair_kernel, x1, x2, contour.level_re[0], center, T,
+    gam, base, lgK, _ = _level2(pair_kernel, x1, x2, contour[0], center, T,
                                 quad.half_width or _MAX_HALF_WIDTH, quad, m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
@@ -442,7 +427,7 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
     grows its own grids and runs its own tail tests."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
-    c1, c2 = contour.level_re
+    c1, c2 = contour
     center = (l1.imag + l2.imag + l3.imag) / 3.0
     lam_sum = l1 + l2 + l3
     im_spread = max(abs(v.imag - center) for v in lam)
@@ -484,7 +469,7 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
         T_in += grow
 
 
-def eval_phi_many(lam, x, g: float, derivs, contour: ContourSpec | None = None,
+def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = None,
                   quad: QuadratureSpec | None = None, *,
                   lattice: dict | None = None) -> list[complex]:
     """Evaluate several coordinate derivatives of Phi in one quadrature pass.
@@ -518,17 +503,11 @@ def eval_phi_many(lam, x, g: float, derivs, contour: ContourSpec | None = None,
                           {} if lattice is None else lattice)
 
 
-def eval_phi(lam, x, g: float, contour: ContourSpec | None = None,
+def eval_phi(lam, x, g: float, contour: tuple[float, ...] | None = None,
              quad: QuadratureSpec | None = None, *, lattice: dict | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
     n = as_spectral(lam).n
     return eval_phi_many(lam, x, g, [(0,) * n], contour, quad, lattice=lattice)[0]
-
-
-def eval_phi_derivative(lam, x, g: float, multi_index, contour: ContourSpec | None = None,
-                        quad: QuadratureSpec | None = None) -> complex:
-    """Exact derivative of Phi under the integral sign; total order <= 2."""
-    return eval_phi_many(lam, x, g, [tuple(multi_index)], contour, quad)[0]
 
 
 def sinh_prefactor(x, g: float) -> float:
@@ -541,7 +520,7 @@ def sinh_prefactor(x, g: float) -> float:
     return out
 
 
-def eval_psi(lam, x, g: float, contour: ContourSpec | None = None,
+def eval_psi(lam, x, g: float, contour: tuple[float, ...] | None = None,
              quad: QuadratureSpec | None = None) -> complex:
     """Full wave function Psi = prefactor * Phi."""
     return sinh_prefactor(x, g) * eval_phi(lam, x, g, contour, quad)

@@ -59,7 +59,7 @@ def test_criterion_01_appendix_identity():
         for r in range(1, n + 1):
             rep = verify_lemma1(n, r, trials=100, seed=1000 + 10 * n + r)
             if not rep.passed:
-                failures.append((n, r, rep.witness_json()))
+                failures.append((n, r, rep.witness))
     elapsed = time.time() - started
     report("criterion 01 appendix identity",
            not failures and elapsed < 30.0,

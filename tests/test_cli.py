@@ -173,17 +173,26 @@ class TestReports:
         assert failed and all("witness" in rep for rep in failed)
         assert failed[0]["witness"]["tolerance"] == 1e-30
 
-    def test_all_seed_7_digest(self):
+    @pytest.mark.parametrize("command, config, want", [
+        ("all", RunConfig(seed=7),
+         "e3fb126c820252c302fecf8864f09f1e25e0bd562e605f3d1d945362a9f1bc6f"),
+        ("all", RunConfig(seed=1),
+         "1f2c58a0a1be77b338af9247f5112fd863ea87a68cf6f239f1400014e11a5cb2"),
+        ("all", RunConfig(seed=1009),
+         "845ec0307d848c826165a384fa078e704df9a7b35c02f5a376842cd6464db407"),
+        ("check-identities", RunConfig(n_max=6, seed=7),
+         "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
+        ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
+    def test_report_digest(self, command, config, want):
         # sha256 of the NDJSON reports without wall_time, one per line: the
-        # byte-determinism contract of `bispectral all --seed 7`
-        _, reports = run("all", RunConfig(seed=7))
+        # byte-determinism contract of each run
+        _, reports = run(command, config)
         lines = []
         for rep in reports:
             payload = json.loads(rep.to_json())
             payload.pop("wall_time")
             lines.append(json.dumps(payload, sort_keys=True))
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "e3fb126c820252c302fecf8864f09f1e25e0bd562e605f3d1d945362a9f1bc6f"
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want
 
     def test_determinism_excluding_wall_time(self, capsys):
         argv = ["check-measures", "--seed", "11"]

@@ -3,6 +3,7 @@ difference-operator eigenrelations on the wave function."""
 
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_op
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
 from bispectral.sutherland_ops import EigenResidual
-from bispectral.symfun import SubsetIndex, elementary_symmetric, subsets
+from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import log_gamma
 
@@ -35,36 +36,38 @@ def exp_probe(rng, n):
 
 class TestCoefficients:
     def test_n1_r1_is_one(self):
-        sub = SubsetIndex(members=(1,), n=1)
-        assert dual_coefficient(sub, (0.3j,), 1.5) == pytest.approx(1.0)
+        assert dual_coefficient((0,), (0.3j,), 1.5) == pytest.approx(1.0)
 
     def test_sign_relation_between_variants(self):
         rng = np.random.default_rng(2)
         for n in (2, 3, 4):
             lam = rand_lambda(rng, n)
             for r in range(1, n + 1):
-                for members in [tuple(range(1, r + 1))]:
-                    sub = SubsetIndex(members=members, n=n)
-                    h = dual_coefficient(sub, lam, 1.7, "H_g")
-                    d = dual_coefficient(sub, lam, 1.7, "D_1mg")
+                for members in [tuple(range(r))]:
+                    h = dual_coefficient(members, lam, 1.7, "H_g")
+                    d = dual_coefficient(members, lam, 1.7, "D_1mg")
                     assert h == pytest.approx((-1.0) ** (r * (n - 1)) * d, rel=1e-14)
 
     def test_full_subset_collapses_to_pure_shift(self):
         # n = 2, r = 2: empty complement, sign (+1) only, so the order-2
         # operator is the plain double shift
-        sub = SubsetIndex(members=(1, 2), n=2)
-        assert dual_coefficient(sub, LAM2, 1.5) == 1.0
+        assert dual_coefficient((0, 1), LAM2, 1.5) == 1.0
 
     def test_d_g_differs(self):
-        sub = SubsetIndex(members=(1,), n=2)
-        a = dual_coefficient(sub, LAM2, 1.5, "D_g")
-        b = dual_coefficient(sub, LAM2, 1.5, "D_1mg")
+        a = dual_coefficient((0,), LAM2, 1.5, "D_g")
+        b = dual_coefficient((0,), LAM2, 1.5, "D_1mg")
         assert abs(a - b) > 0.1
 
-    def test_unknown_variant(self):
-        sub = SubsetIndex(members=(1,), n=2)
+    @pytest.mark.parametrize("members, variant", [
+        ((0,), "bogus"),
+        # 0-based members must be sorted, distinct and inside 0..n-1
+        ((1, 0), "H_g"), ((0, 0), "H_g"), ((-1,), "H_g"), ((2,), "H_g")])
+    def test_unknown_variant(self, members, variant):
         with pytest.raises(ValueError):
-            dual_coefficient(sub, LAM2, 1.5, "bogus")
+            dual_coefficient(members, LAM2, 1.5, variant)
+        if variant == "H_g":
+            with pytest.raises(ValueError):
+                _shifted(LAM2, members)
 
 
 class TestOperatorAlgebra:
@@ -74,8 +77,9 @@ class TestOperatorAlgebra:
         lam = rand_lambda(rng, n)
         f = exp_probe(rng, n)
         for r in (1, 2, 3):
-            a = apply_dual_operator(r, lam, 1.6, f, "H_g")
-            b = apply_dual_operator(r, lam, 1.6, f, "D_1mg")
+            a = apply_dual_operator(r, lam, 1.6, f)
+            b = sum(dual_coefficient(members, lam, 1.6, "D_1mg") * f(_shifted(lam, members))
+                    for members in combinations(range(n), r))
             assert a == pytest.approx((-1.0) ** (r * (n - 1)) * b, rel=1e-13)
 
     def test_commutativity_probe(self):
@@ -116,6 +120,10 @@ class TestGauge:
         for _ in range(10):
             lam = rand_lambda(rng, 3)
             assert gauge_shift_residual(lam, int(rng.integers(0, 3)), g) <= 1e-12
+        # i is 0-based: -1 is refused, not wrapped round to the last entry
+        for i in (-1, 3):
+            with pytest.raises(ValueError):
+                gauge_shift_residual(LAM3, i, g)
 
     def test_shift_residual_sees_a_wrong_gauge(self, monkeypatch):
         import bispectral.dual_ops as dual_ops
@@ -161,6 +169,9 @@ class TestMeasures:
         for _ in range(10):
             lam = rand_lambda(rng, 3)
             assert measure_shift_residual(lam, int(rng.integers(0, 3)), 1.35, kind) <= 1e-11
+        for i in (-1, 3):
+            with pytest.raises(ValueError):
+                measure_shift_residual(LAM3, i, 1.35, kind)
 
     def test_shift_residual_needs_a_stated_law(self):
         with pytest.raises(ValueError):
@@ -203,10 +214,12 @@ class TestDualHamiltonian:
         # D_1mg multiplies both sides of the H_g relation by (-1)^{r(n-1)}, so
         # its residual is apply_dual_hamiltonian's bit for bit
         n, g = 2, 1.5
-        contour = default_contour(n, g, (2,) * n)
+        contour = default_contour(n, g, shifted=True)
         for r in (1, 2):
-            value = apply_dual_operator(
-                r, LAM2, g, lambda lam: eval_phi(lam, X2, g, contour=contour), "D_1mg")
+            value = 0.0 + 0.0j
+            for members in combinations(range(n), r):
+                value += dual_coefficient(members, LAM2, g, "D_1mg") * eval_phi(
+                    _shifted(LAM2, members), X2, g, contour=contour)
             eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X2])
             res = EigenResidual.build(value, (-1) ** (r * (n - 1)) * eig * eval_phi(LAM2, X2, g))
             assert res.relative_residual <= 1e-5
@@ -216,9 +229,16 @@ class TestDualHamiltonian:
         with pytest.raises(InfeasibleContourError):
             apply_dual_hamiltonian(1, LAM2, X2, 1.0)
 
-    def test_r_range(self):
+    @pytest.mark.parametrize("r", [-1, 0, 3])
+    def test_r_range(self, r):
         with pytest.raises(ValueError):
-            apply_dual_hamiltonian(3, LAM2, X2, 1.5)
+            apply_dual_hamiltonian(r, LAM2, X2, 1.5)
+        # the bare operator admits r = 0, the identity
+        if r == 0:
+            assert apply_dual_operator(0, LAM2, 1.5, sum) == pytest.approx(sum(LAM2))
+        else:
+            with pytest.raises(ValueError):
+                apply_dual_operator(r, LAM2, 1.5, sum)
 
 
 class TestSharedLattice:
@@ -228,11 +248,11 @@ class TestSharedLattice:
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_equals_separate_evaluations(self, r, g):
         # the operator written out with one fresh eval_phi per point
-        contour = default_contour(3, g, (2, 2, 2))
+        contour = default_contour(3, g, shifted=True)
         total = 0.0 + 0.0j
-        for sub in subsets(3, r):
-            total += dual_coefficient(sub, LAM3, g) * eval_phi(_shifted(LAM3, sub), X3, g,
-                                                                contour=contour)
+        for members in combinations(range(3), r):
+            total += dual_coefficient(members, LAM3, g) * eval_phi(_shifted(LAM3, members), X3,
+                                                                    g, contour=contour)
         eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X3])
         res = apply_dual_hamiltonian(r, LAM3, X3, g)
         assert res.value == total

@@ -1,7 +1,6 @@
 """Exact rational-identity layer: subset sums, the Pascal-type recurrence,
 residue relations, and the integer engine they run on."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,9 +9,9 @@ from itertools import combinations
 import pytest
 
 from bispectral import identities
-from bispectral.identities import (Lemma1Report, binomial_limit_check,
-                                   residue_check, substitution_check,
-                                   substitution_map, sum_S, verify_lemma1)
+from bispectral.identities import (binomial_limit_check, residue_check,
+                                   substitution_check, substitution_map, sum_S,
+                                   verify_lemma1)
 
 
 def brute_force_S_primed(r, u, v, alpha, tilde=False):
@@ -153,14 +152,6 @@ class TestLemma1:
         with pytest.raises(ValueError):
             verify_lemma1(7, 1)
 
-    def test_witness_serialization(self):
-        rep = Lemma1Report(passed=False, n=2, r=1, trials=1,
-                           witness={"u": ["1", "2"], "v": ["3"], "alpha": "4",
-                                    "lhs": "0", "rhs": "1", "n": 2, "r": 1})
-        decoded = json.loads(rep.witness_json())
-        assert decoded["alpha"] == "4"
-        assert Lemma1Report(passed=True, n=2, r=1, trials=1).witness_json() is None
-
     @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (4, 4), (5, 3)])
     def test_planted_error_gives_witness(self, monkeypatch, n, r):
         # S~'_r off by exactly 1: the check fails, and its witness shows it
@@ -168,7 +159,7 @@ class TestLemma1:
               (p[0] + p[1], p[1]) if form == "primed_Stilde" and r_ == r else p)
         rep = verify_lemma1(n, r, trials=5, seed=11)
         assert not rep.passed
-        w = json.loads(rep.witness_json())
+        w = rep.witness
         lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
         assert rhs - lhs == 1
         u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]

@@ -1,11 +1,9 @@
-"""Elementary symmetric functions and subset streams."""
-
-import math
+"""Elementary symmetric functions."""
 
 import numpy as np
 import pytest
 
-from bispectral.symfun import SubsetIndex, elementary_symmetric, subsets
+from bispectral.symfun import elementary_symmetric
 
 
 def test_e1_two_variables():
@@ -51,44 +49,3 @@ def test_elementary_range_error(r):
     with pytest.raises(ValueError):
         elementary_symmetric(r, [1.0, 2.0, 3.0])
 
-
-def test_subsets_singletons():
-    got = [s.members for s in subsets(3, 1)]
-    assert got == [(1,), (2,), (3,)]
-
-
-def test_subsets_counts_and_order():
-    got = [s.members for s in subsets(4, 2)]
-    assert len(got) == 6
-    assert got == sorted(got)  # lexicographic, deterministic
-
-
-def test_subsets_empty():
-    got = list(subsets(5, 0))
-    assert len(got) == 1 and got[0].members == ()
-
-
-def test_pascal_property():
-    for n in range(1, 9):
-        for r in range(0, n + 1):
-            count = sum(1 for _ in subsets(n, r))
-            prev = sum(1 for _ in subsets(n - 1, r - 1)) if r >= 1 else 0
-            same = sum(1 for _ in subsets(n - 1, r)) if r <= n - 1 else 0
-            assert count == math.comb(n, r) == prev + same
-
-
-def test_subsets_range_errors():
-    with pytest.raises(ValueError):
-        list(subsets(3, 4))
-    with pytest.raises(ValueError):
-        list(subsets(13, 1))
-
-
-def test_subset_index_validation():
-    with pytest.raises(ValueError):
-        SubsetIndex(members=(2, 1), n=3)
-    with pytest.raises(ValueError):
-        SubsetIndex(members=(0, 1), n=3)
-    sub = SubsetIndex(members=(1, 3), n=4)
-    assert sub.complement() == (2, 4)
-    assert sub.r == 2

@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
 from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _log_measure,
-                               _offset_kernel, CoincidentCoordinatesError, ContourSpec,
+                               _offset_kernel, CoincidentCoordinatesError,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
                                TailNotConvergedError, default_contour,
-                               eval_phi, eval_phi_derivative, eval_phi_many,
-                               eval_psi, kernel_K, measure_mu, sinh_prefactor,
-                               validate_contour)
+                               eval_phi, eval_phi_many, eval_psi, kernel_K,
+                               measure_mu, sinh_prefactor, validate_contour)
 
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
@@ -103,7 +102,7 @@ class TestKernelAndMeasure:
         # the n = 3 moments C_0..C_2 by lattice correlation, against the sum over
         # level-1 nodes gam = gam_p + 1j*h*j, |j| <= N//2 + M//2, of
         # h e^{gam dx} gam^m K(gam, nu_p) K(gam, nu_q), each K from _log_kernel
-        validate_contour(ContourSpec(level_re=(c1, c2)), (0.9j, 0.1j, -0.6j), G)
+        validate_contour((c1, c2), (0.9j, 0.1j, -0.6j), G)
         h, dx = 0.1, 0.45
         gam = c1 + 1j * _grid(0.13, t_in, h)[0]
         t = _grid(0.13, t_out, h)[0]
@@ -238,7 +237,7 @@ class TestOuterSum:
         # blocks; half_width 119 reaches offsets where mu alone overflows
         lam = tuple(v + s for v, s in zip(LAM3, shift))
         passes = _spy_outer(monkeypatch)
-        eval_phi_many(lam, X3, g, D7, default_contour(3, g, shift), quad)
+        eval_phi_many(lam, X3, g, D7, default_contour(3, g, any(shift)), quad)
         (outer, values), = passes
         idx = np.arange(outer[0].size)
         for d, value in zip(D7, values):
@@ -285,28 +284,31 @@ class TestOuterSum:
 
 class TestContours:
     def test_unshifted_at_zero_any_g(self):
-        contour = default_contour(3, 0.8)
-        assert contour.level_re == (0.0, 0.0)
+        assert default_contour(3, 0.8) == (0.0, 0.0)
 
     def test_shifted_moves_to_one(self):
-        contour = default_contour(2, 1.5, (2, 0))
-        assert contour.level_re == (1.0,)
+        contour = default_contour(2, 1.5, shifted=True)
+        assert contour == (1.0,)
         # 1 sits inside both windows: (-g+2, g) = (0.5, 1.5) and (-g, g)
         assert validate_contour(contour, (0.7j + 2.0, -0.3j), 1.5) > 0
 
     def test_shift_infeasible_at_g_one(self):
         with pytest.raises(InfeasibleContourError):
-            default_contour(2, 1.0, (0, 2))
+            default_contour(2, 1.0, shifted=True)
 
     def test_validate_rejects_wrong_level_count(self):
         with pytest.raises(ValueError):
-            validate_contour(ContourSpec(level_re=(0.0,)), (0.1j, 0.9j, -0.8j), 1.5)
+            validate_contour((0.0,), (0.1j, 0.9j, -0.8j), 1.5)
 
-    def test_validate_rejects_pole_crossing(self):
+    @pytest.mark.parametrize("contour, lam, g", [
         # contour at 0 cannot separate lattices once lambda is shifted by +2 at g=1.5
-        bad = ContourSpec(level_re=(0.0,))
+        ((0.0,), (2.0 + 0.7j, -0.3j), 1.5),
+        # a NaN margin is not a positive one, with or without levels
+        ((math.nan,), (2.0 + 0.7j, -0.3j), 1.5), ((1.0,), (2.0 + 0.7j, -0.3j), math.nan),
+        ((), (0.5j,), math.nan)])
+    def test_validate_rejects_pole_crossing(self, contour, lam, g):
         with pytest.raises(InfeasibleContourError):
-            validate_contour(bad, (2.0 + 0.7j, -0.3j), 1.5)
+            validate_contour(contour, lam, g)
 
 
 class TestPoints:
@@ -317,12 +319,20 @@ class TestPoints:
     def test_window_enforced(self):
         with pytest.raises(ConvergenceWindowError):
             PositionPoint((1.4, -1.4))
-        # configurable window admits the same pair
-        assert PositionPoint((1.4, -1.4), max_separation=3.0).n == 2
+        # the window is closed: a separation of exactly 1.0 is admitted
+        assert PositionPoint((0.5, -0.5)).n == 2
 
     def test_spectral_distinct(self):
         with pytest.raises(ValueError):
             SpectralPoint((0.5j, 0.5j))
+
+    @pytest.mark.parametrize("lam, x", [
+        ((math.nan,), (0.4,)), ((0.5j,), (math.inf,)),
+        ((complex(0.0, math.nan), -0.3j), (0.4, -0.2)),
+        ((complex(math.inf, 0.0),), (0.4,)), ((0.7j, -0.3j), (0.4, -math.inf))])
+    def test_non_finite_refused(self, lam, x):
+        with pytest.raises(ValueError, match="finite"):
+            eval_phi(lam, x, G)
 
 
 class TestQuadratureSpec:
@@ -413,16 +423,11 @@ class TestEvalPhi:
         with pytest.raises(ValueError):
             eval_phi((1j, 2j, 3j, 4j), (0.3, 0.2, 0.1, 0.0), G)
 
-    def test_wide_window_opt_in(self):
-        point = PositionPoint((0.9, -0.9), max_separation=2.0)
-        value = eval_phi(LAM2, point, G)
-        assert value == value and abs(value) > 0
-
 
 class TestDerivatives:
     def test_n1_derivative(self):
         lam, x = 0.9j, 0.5
-        got = eval_phi_derivative([lam], [x], G, (1,))
+        got = eval_phi_many([lam], [x], G, [(1,)])[0]
         assert got == pytest.approx(lam * cmath.exp(lam * x), rel=1e-15)
 
     def test_gradient_sums_to_total_momentum(self):
@@ -440,16 +445,16 @@ class TestDerivatives:
         # 5-point central second difference, O(h^4)
         stencil = (-phi_at(X2[0] + 2 * h) + 16 * phi_at(X2[0] + h) - 30 * phi_at(X2[0])
                    + 16 * phi_at(X2[0] - h) - phi_at(X2[0] - 2 * h)) / (12 * h * h)
-        exact = eval_phi_derivative(LAM2, X2, G, (2, 0))
+        exact = eval_phi_many(LAM2, X2, G, [(2, 0)])[0]
         assert abs(stencil - exact) / abs(exact) <= 1e-6
 
     def test_mixed_derivative_supported(self):
-        got = eval_phi_derivative(LAM2, X2, G, (1, 1))
+        got = eval_phi_many(LAM2, X2, G, [(1, 1)])[0]
         assert got == got  # finite
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
-            eval_phi_derivative(LAM2, X2, G, (2, 1))
+            eval_phi_many(LAM2, X2, G, [(2, 1)])
 
 
 class TestPsi:

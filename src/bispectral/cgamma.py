@@ -6,10 +6,13 @@ assembled in log space and exponentiated once by the caller, so magnitudes
 far beyond double-precision range never appear in intermediate arithmetic.
 
 The core is a Lanczos rational approximation (g = 607/128, 15 terms) valid
-for Re z >= 0.5, with the reflection formula for the left half plane.  The
-resulting relative error of exp(log_gamma(z)) against Gamma(z) is below
-1e-13 for |z| <= 50, and the imaginary part is continuous along vertical
-lines Re z = const > 0 (no branch jumps on integration contours).
+for Re z >= 0.5; the reflection formula, log pi - log sin(pi z) - log
+Gamma(1 - z), is evaluated only on the arguments with Re z < 0.5.  Against
+mpmath's loggamma the error is within 1e-12 max(1, |log Gamma(z)|) on
+Re z in {-7.3, -2.5, -0.7, 0.125, 0.3, 0.75, 1.5} with |Im z| <= 300, which
+covers the n = 3 offsets (|Im z| up to about 66 at the default quadrature, a
+few hundred at the half-width cap).  The imaginary part is continuous along
+vertical lines Re z = const > 0 (no branch jumps on integration contours).
 """
 
 from __future__ import annotations
@@ -89,9 +92,9 @@ def log_gamma(z):
         raise GammaPoleError(f"log_gamma argument {bad} is at a gamma pole")
     refl = arr.real < 0.5
     # evaluate the core only at safe arguments; reflected entries use 1-z
-    zc = np.where(refl, 1.0 - arr, arr)
-    lg = _loggamma_right(zc)
-    out = np.where(refl, _LOG_PI - _log_sin_pi(arr) - lg, lg)
+    out = _loggamma_right(np.where(refl, 1.0 - arr, arr))
+    if refl.any():
+        out[refl] = _LOG_PI - _log_sin_pi(arr[refl]) - out[refl]
     if scalar:
         return complex(out[0])
     return out

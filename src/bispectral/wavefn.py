@@ -170,23 +170,40 @@ def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
     """log G((gam_i - p_j + g)/2) G((p_j - gam_i + g)/2) for every gam_i and p_j.
 
     Rows follow gam (the lower level), columns follow pts (the level above).
-    A gamma pole raises GammaPoleError.
+    A gamma pole raises GammaPoleError.  In a column where d = gam_i - p_j has
+    Re d == 0.0 for every row (the n = 2 pair kernel, and the n = 3 outer kernel
+    at unshifted lambda), (g - d)/2 is conj((d + g)/2) bit for bit, so log_gamma
+    runs once there and the second factor is its conjugate.
     """
-    return (log_gamma((gam[:, None] - pts[None, :] + g) / 2)
-            + log_gamma((pts[None, :] - gam[:, None] + g) / 2))
+    d = gam[:, None] - pts[None, :]
+    pair = ~np.any(d.real, axis=0)
+    out = np.empty(d.shape, dtype=complex)
+    if pair.any():
+        lg = log_gamma((d[:, pair] + g) / 2)
+        out[:, pair] = lg + np.conj(lg)
+    if not pair.all():
+        rest = d[:, ~pair]
+        out[:, ~pair] = log_gamma((rest + g) / 2) + log_gamma((g - rest) / 2)
+    return out
 
 
 def _log_measure(d: np.ndarray, g: float) -> np.ndarray:
     """-log[G(d/2) G(-d/2) G(d/2 + g) G(g - d/2)] for each difference d.
 
     The four factors are the measure's pair (r, s) and (s, r) together.  An
-    argument on a gamma pole is a zero of the measure: the entry is -inf.
+    argument on a gamma pole is a zero of the measure: the entry is -inf.  When
+    every d is purely imaginary (the n = 3 outer offsets), -d/2 and g - d/2 are
+    the conjugates of d/2 and d/2 + g, so log_gamma runs on those two rows only.
     """
     h = np.asarray(d, dtype=complex) / 2.0
-    args = np.stack([h, -h, h + g, -h + g])
+    mirror = not np.any(h.real)
+    args = np.stack([h, h + g] if mirror else [h, -h, h + g, -h + g])
     ok = ~np.any(_is_pole(args), axis=0)
     out = np.full(h.shape, -np.inf, dtype=complex)
-    out[ok] = -log_gamma(args[:, ok]).sum(axis=0)
+    lg = log_gamma(args[:, ok])
+    # same summation order as the direct four-row sum
+    out[ok] = (-(lg[0] + np.conj(lg[0]) + lg[1] + np.conj(lg[1])) if mirror
+               else -lg.sum(axis=0))
     return out
 
 

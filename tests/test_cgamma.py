@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bispectral.cgamma import GammaPoleError, gamma_log_sum, log_gamma
+from bispectral.cgamma import (_LOG_PI, GammaPoleError, _log_sin_pi, _loggamma_right,
+                               gamma_log_sum, log_gamma)
 
 # arbitrary-precision references (40-digit offline run), frozen
 LOGGAMMA_REFS = {
@@ -95,6 +96,35 @@ def test_array_matches_scalar():
     vec = log_gamma(zs)
     for z, v in zip(zs, vec):
         assert complex(v) == pytest.approx(log_gamma(complex(z)), rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [
+    np.array([0.5, 1.25 + 3j, 7.0 - 40j, 0.75 + 0.1j]),         # nothing reflects
+    np.array([0.4999, -2.2 + 0.4j, 0.125 - 66j, -7.3 + 300j]),  # everything reflects
+    np.array([0.3 + 2j, 1.5 - 0.7j, -2.2 + 0.4j, 6.0 + 0j, -0.7 - 12j, 0.5 + 1e-3j]),
+    np.array([], dtype=complex),
+], ids=["right", "left", "mixed", "empty"])
+def test_reflection_on_the_subset_is_exact(z):
+    # the reflection taken only where Re z < 0.5, against the formula
+    # evaluated on every element and selected by np.where
+    refl = z.real < 0.5
+    lg = _loggamma_right(np.where(refl, 1.0 - z, z))
+    everywhere = np.where(refl, _LOG_PI - _log_sin_pi(z) - lg, lg)
+    assert np.array_equal(log_gamma(z), everywhere)
+
+
+def test_matches_mpmath_on_the_reached_domain():
+    # the n = 3 offsets reach |Im z| ~ 66 by default and a few hundred at the
+    # half-width cap; both sides of the reflection line Re z = 0.5
+    mpmath = pytest.importorskip("mpmath")
+    ims = np.concatenate([[0.0], np.geomspace(0.01, 300.0, 40)])
+    ims = np.concatenate([-ims[::-1], ims])
+    res = np.array([-7.3, -2.5, -0.7, 0.125, 0.3, 0.75, 1.5])
+    z = (res[:, None] + 1j * ims[None, :]).ravel()
+    got = log_gamma(z)
+    for zz, value in zip(z, got):
+        ref = complex(mpmath.loggamma(mpmath.mpc(zz.real, zz.imag)))
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), f"z={zz}"
 
 
 class TestGammaLogSum:

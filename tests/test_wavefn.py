@@ -62,6 +62,18 @@ def n3_points(draw):
 n3_property = settings(derandomize=True, max_examples=7, deadline=None)
 
 
+def _count_log_gamma(monkeypatch):
+    """Record the argument count of every log_gamma call wavefn makes."""
+    elems, log_gamma = [], wavefn.log_gamma
+
+    def counting(z):
+        elems.append(np.size(z))
+        return log_gamma(z)
+
+    monkeypatch.setattr(wavefn, "log_gamma", counting)
+    return elems
+
+
 class TestKernelAndMeasure:
     def test_kernel_degenerate_n1(self):
         assert kernel_K([0.5j], [], 2.0) == 0.0
@@ -92,9 +104,46 @@ class TestKernelAndMeasure:
         # (nu - lam + g) / 2 = 0
         with pytest.raises(GammaPoleError):
             kernel_K([1.5], [0.0], 1.5)
+        # the pole in a column with Re d == 0, where log_gamma runs once: (0 - 2) / 2 = -1
+        with pytest.raises(GammaPoleError):
+            _log_kernel(1j * np.arange(3.0), np.array([0j, 2.0]), -2.0)
         # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
         with pytest.raises(GammaPoleError):
             _offset_kernel(-1.5, 0.1, 3, 1.5, {})(np.zeros(5))
+
+    @pytest.mark.parametrize("gam, pts, paired", [
+        (1j * _grid(0.2, 12.0, 0.1)[0], np.array([0.7j, -0.3j]), 2),  # n = 2 unshifted
+        # Re = 1 grid against lambda with real parts 2 and 0: Re d = -1 or 1
+        (1.0 + 1j * _grid(0.2, 12.0, 0.1)[0], np.array([2 + 0.9j, 0.1j, 2 - 0.6j]), 0),
+        (1.0 + 1j * _grid(0.2, 12.0, 0.1)[0], np.array([1 + 0.9j, 2 + 0.1j, -0.6j]), 1),
+        (1j * _grid(0.2, 12.0, 0.1)[0], np.array([], dtype=complex), 0),
+    ], ids=["pair", "shifted", "mixed", "empty"])
+    def test_kernel_pairing_is_exact(self, monkeypatch, gam, pts, paired):
+        # log_gamma once per Re d == 0 column, conjugated, against two calls per entry
+        log_gamma, elems = wavefn.log_gamma, _count_log_gamma(monkeypatch)
+        got = _log_kernel(gam, pts, G)
+        assert np.array_equal(got, log_gamma((gam[:, None] - pts[None, :] + G) / 2)
+                              + log_gamma((pts[None, :] - gam[:, None] + G) / 2))
+        assert sum(elems) == gam.size * (2 * pts.size - paired)
+
+    @pytest.mark.parametrize("g", [0.7, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [
+        1j * 0.1 * np.arange(-40, 41),      # includes 0: a zero of the measure
+        0.3 + 1j * 0.1 * np.arange(-40, 41),
+        np.array([2.0, 0.5j, -1j]),          # one nonzero real part: the direct path
+    ], ids=["imaginary", "shifted", "one-real"])
+    def test_measure_pairing_is_exact(self, monkeypatch, d, g):
+        # purely imaginary differences: log_gamma on two rows of the four
+        h = d / 2
+        args = np.stack([h, -h, h + g, -h + g])
+        ok = ~np.any(wavefn._is_pole(args), axis=0)
+        want = np.full(h.shape, -np.inf, dtype=complex)
+        want[ok] = -wavefn.log_gamma(args[:, ok]).sum(axis=0)
+        elems = _count_log_gamma(monkeypatch)
+        got = _log_measure(d, g)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.isneginf(got.real), ~ok)
+        assert elems == [(4 if np.any(d.real) else 2) * ok.sum()]
 
     @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 1.0), (0.3, -0.2)])
     @pytest.mark.parametrize("t_in, t_out", [(3.0, 2.0), (1.2, 2.5)])
@@ -175,13 +224,7 @@ class TestKernelAndMeasure:
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
         # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
-        elems, log_gamma = [], wavefn.log_gamma
-
-        def counting(z):
-            elems.append(np.size(z))
-            return log_gamma(z)
-
-        monkeypatch.setattr(wavefn, "log_gamma", counting)
+        elems = _count_log_gamma(monkeypatch)
         eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
         assert 0 < sum(elems) < 20_000
 

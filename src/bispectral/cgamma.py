@@ -6,8 +6,15 @@ assembled in log space and exponentiated once by the caller, so magnitudes
 far beyond double-precision range never appear in intermediate arithmetic.
 
 The core is a Lanczos rational approximation (g = 607/128, 15 terms) valid
-for Re z >= 0.5; the reflection formula, log pi - log sin(pi z) - log
-Gamma(1 - z), is evaluated only on the arguments with Re z < 0.5.  Against
+for Re z >= 0.5, in real arithmetic: with X = Re z + k - 1 and
+D = 1/(X^2 + (Im z)^2), each term c_k/(z - 1 + k) is c_k (X - i Im z) D, so
+the sum takes two real row sums over blocks of 2048 x 14 instead of 14 complex
+divisions, and each log is log|w| + i atan2(Im w, Re w).  The row sums use
+np.einsum, not BLAS: a gemv's last bits depend on where a row sits, and the
+callers' conjugate pairing needs log_gamma(conj z) == conj(log_gamma(z)) and
+every element independent of its position, bit for bit.  The reflection
+formula, log pi - log sin(pi z) - log Gamma(1 - z), and the pole test run
+only on the arguments with Re z < 0.5 (every pole has Re z <= 1e-14).  Against
 mpmath's loggamma the error is within 1e-12 max(1, |log Gamma(z)|) on
 Re z in {-7.3, -2.5, -0.7, 0.125, 0.3, 0.75, 1.5} with |Im z| <= 300, which
 covers the n = 3 offsets (|Im z| up to about 66 at the default quadrature, a
@@ -50,6 +57,8 @@ _LANCZOS_C = np.array([
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _POLE_TOL = 1e-14
+_LANCZOS_K = np.arange(len(_LANCZOS_C) - 1, dtype=float)
+_BLOCK = 2048
 
 
 def _is_pole(z: np.ndarray) -> np.ndarray:
@@ -59,13 +68,40 @@ def _is_pole(z: np.ndarray) -> np.ndarray:
             & (near_int <= 0))
 
 
+def _lanczos_sums(x: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    # sum c_k X D and sum c_k D over k >= 1, with X = x + k - 1 and D = 1/(X^2 + y2),
+    # on blocks of _BLOCK rows filled in place; einsum, not BLAS, so that every row's
+    # sum has the same last bits wherever the row sits in the array
+    sums = np.empty((2, x.size))
+    buf = np.empty((2, min(x.size, _BLOCK), _LANCZOS_K.size))
+    for lo in range(0, x.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        XD, D = block = buf[:, :min(_BLOCK, x.size - lo)]
+        np.add(x[rows, None], _LANCZOS_K, out=XD)
+        np.multiply(XD, XD, out=D)
+        D += y2[rows, None]
+        np.divide(1.0, D, out=D)
+        XD *= D
+        np.einsum("aij,j->ai", block, _LANCZOS_C[1:], out=sums[:, rows])
+    return sums
+
+
 def _loggamma_right(z: np.ndarray) -> np.ndarray:
-    # Lanczos core; valid for Re z >= 0.5.
-    s = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        s = s + _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return _HALF_LOG_2PI + (z - 0.5) * np.log(t) - t + np.log(s)
+    # Lanczos core on a 1-D array; valid for Re z >= 0.5.  Each term c_k/(z - 1 + k)
+    # is c_k (X - iy) D, so s = c0 + sum c_k X D - iy sum c_k D in real arithmetic.
+    x, y = z.real, z.imag
+    s_re, s_im = _lanczos_sums(x, y * y)
+    s_re += _LANCZOS_C[0]
+    s_im *= -y
+    # log w = log|w| + i atan2(Im w, Re w), for t = z + g - 1/2 and for s
+    t = x + (_LANCZOS_G - 0.5)
+    log_t = np.log(np.hypot(t, y))
+    arg_t = np.arctan2(y, t)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = (_HALF_LOG_2PI + ((x - 0.5) * log_t - y * arg_t) - t
+                + np.log(np.hypot(s_re, s_im)))
+    out.imag = ((x - 0.5) * arg_t + y * log_t) - y + np.arctan2(s_im, s_re)
+    return out
 
 
 def _log_sin_pi(z: np.ndarray) -> np.ndarray:
@@ -85,19 +121,20 @@ def log_gamma(z):
     non-positive integer.
     """
     arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(_is_pole(arr)):
-        bad = arr[_is_pole(arr)][0]
-        raise GammaPoleError(f"log_gamma argument {bad} is at a gamma pole")
-    refl = arr.real < 0.5
+    flat = arr.ravel()
+    refl = flat.real < 0.5
+    left = flat[refl]
+    if left.size and np.any(_is_pole(left)):
+        raise GammaPoleError(f"log_gamma argument {left[_is_pole(left)][0]} is at a gamma pole")
     # evaluate the core only at safe arguments; reflected entries use 1-z
-    out = _loggamma_right(np.where(refl, 1.0 - arr, arr))
-    if refl.any():
-        out[refl] = _LOG_PI - _log_sin_pi(arr[refl]) - out[refl]
-    if scalar:
+    right = flat.copy()
+    right[refl] = 1.0 - left
+    out = _loggamma_right(right)
+    if left.size:
+        out[refl] = _LOG_PI - _log_sin_pi(left) - out[refl]
+    if arr.ndim == 0:
         return complex(out[0])
-    return out
+    return out.reshape(arr.shape)
 
 
 def gamma_log_sum(numerator_args, denominator_args=()) -> complex:

@@ -171,9 +171,11 @@ def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
 
     Rows follow gam (the lower level), columns follow pts (the level above).
     A gamma pole raises GammaPoleError.  In a column where d = gam_i - p_j has
-    Re d == 0.0 for every row (the n = 2 pair kernel, and the n = 3 outer kernel
-    at unshifted lambda), (g - d)/2 is conj((d + g)/2) bit for bit, so log_gamma
-    runs once there and the second factor is its conjugate.
+    Re d == 0.0 for every row (the n = 2 pair kernel, the n = 3 outer kernel at
+    unshifted lambda, the offsets j >= 1 of _offset_kernel at dc = 0), (g - d)/2
+    is conj((d + g)/2) bit for bit, so log_gamma runs once there and the second
+    factor is its conjugate.  The other columns take both arguments in one
+    log_gamma call.
     """
     d = gam[:, None] - pts[None, :]
     pair = ~np.any(d.real, axis=0)
@@ -183,7 +185,8 @@ def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
         out[:, pair] = lg + np.conj(lg)
     if not pair.all():
         rest = d[:, ~pair]
-        out[:, ~pair] = log_gamma((rest + g) / 2) + log_gamma((g - rest) / 2)
+        lg = log_gamma(np.stack([(rest + g) / 2, (g - rest) / 2]))
+        out[:, ~pair] = lg[0] + lg[1]
     return out
 
 
@@ -337,16 +340,18 @@ def _offset_kernel(dc, step, M, g, lattice):
     f(k_i - k_p).  f comes back on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2)
     that _lattice_moments reaches; node i's envelope is the largest Re f over
     its M offsets k_i - k_p, a sliding-window maximum.  f(-j) = conj f(j) for real
-    dc, so log_gamma runs on j >= 0; f(0), which may carry Im = +-pi, is not mirrored.
+    dc, so log_gamma runs on j >= 0: j >= 1 through _log_kernel, which pairs them
+    at dc = 0, and f(0), which may carry Im = +-pi, on its two arguments in one
+    call, neither paired nor mirrored.
     (env, f) is kept in the lattice dict under every scalar it depends on.
     """
     def log_kernel(gam):
         reach = gam.size // 2 + 3 * (M // 2)
         key = (dc, step, g, M, reach)
         if key not in lattice:
-            d = dc + 1j * step * np.arange(reach + 1)
-            f = log_gamma((d + g) / 2) + log_gamma((g - d) / 2)
-            f = np.concatenate([np.conj(f[:0:-1]), f])
+            f = _log_kernel(dc + 1j * step * np.arange(1, reach + 1), np.zeros(1), g)[:, 0]
+            lg0 = log_gamma(np.array([dc + g, g - dc]) / 2)
+            f = np.concatenate([np.conj(f[::-1]), [lg0[0] + lg0[1]], f])
             lattice[key] = sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1), f
         return lattice[key]
     return log_kernel

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,11 +92,60 @@ def test_pole_raises(z):
         log_gamma(z)
 
 
+def test_pole_among_right_half_arguments_raises():
+    with pytest.raises(GammaPoleError):
+        log_gamma(np.array([1.5 + 2j, 0.75, -2.0 + 1e-15j, 7.0 - 40j]))
+
+
 def test_array_matches_scalar():
     zs = np.array([0.3 + 2j, 1.5 - 0.7j, -2.2 + 0.4j, 6.0 + 0j])
     vec = log_gamma(zs)
     for z, v in zip(zs, vec):
-        assert complex(v) == pytest.approx(log_gamma(complex(z)), rel=1e-14)
+        assert complex(v) == log_gamma(complex(z))
+
+
+def test_shape_is_kept():
+    z = np.array([[0.3 + 2j, 1.5 - 0.7j, 2.5], [-2.2 + 0.4j, 6.0 + 0j, 0.75 + 9j]])
+    got = log_gamma(z)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), log_gamma(z.ravel()))
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 700, 2049, 5000])
+def test_position_independent(n):
+    # the Lanczos core works on blocks of 2048 rows; every element must come out
+    # with the same bits wherever it sits, on both sides of Re z = 1/2
+    rng = np.random.default_rng(n)
+    z = rng.uniform(-3.0, 4.0, n) + 1j * rng.uniform(-70.0, 70.0, n)
+    got = log_gamma(z)
+    assert all(np.array_equal(got[i:i + 1], log_gamma(z[i:i + 1])) for i in range(n))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 4.0), (-7.5, 0.49), (-3.0, 4.0)],
+                         ids=["right", "reflected", "mixed"])
+def test_conjugate_symmetry_is_exact(lo, hi):
+    # _log_kernel and _log_measure take the second factor of a conjugate pair
+    # as the conjugate of the first, so this must hold bit for bit
+    rng = np.random.default_rng(17)
+    z = rng.uniform(lo, hi, 3000) + 1j * rng.uniform(-300.0, 300.0, 3000)
+    z[:40] = rng.uniform(lo, hi, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+    assert np.array_equal(log_gamma(np.conj(z)), np.conj(log_gamma(z)))
+
+
+def test_outer_kernel_call_stays_small():
+    # the n = 3 outer kernel at the half-width cap: 2401 nodes x 3 lambda x 2
+    # arguments in one call; the core's blocks keep the working set bounded
+    nu = 1j * 0.1 * np.arange(-1200, 1201)
+    d = nu[:, None] - np.array([0.9j, 0.1j, -0.6j])[None, :]
+    args = np.stack([(d + 1.5) / 2, (1.5 - d) / 2])
+    assert args.size == 14_406
+    tracemalloc.start()
+    try:
+        log_gamma(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("z", [

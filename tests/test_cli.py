@@ -175,11 +175,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "e3fb126c820252c302fecf8864f09f1e25e0bd562e605f3d1d945362a9f1bc6f"),
+         "23ebd4e3b8796c063cd3a38a18487ec14c6e0262c56a9fee49848828c28def94"),
         ("all", RunConfig(seed=1),
-         "1f2c58a0a1be77b338af9247f5112fd863ea87a68cf6f239f1400014e11a5cb2"),
+         "81ccff19202e90203df29c4c005057445071e964fbbc1a0d94534a0e582e1d43"),
         ("all", RunConfig(seed=1009),
-         "845ec0307d848c826165a384fa078e704df9a7b35c02f5a376842cd6464db407"),
+         "aef32e8923922104e5ba9d2f458eb36d3454f1e672d5775fe04a5ad5ca48b1b3"),
         ("check-identities", RunConfig(n_max=6, seed=7),
          "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])

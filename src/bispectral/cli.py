@@ -387,12 +387,14 @@ def _oracle(config: RunConfig) -> list[Check]:
     seps, shifts = np.linspace(0.2, 1.0, config.grid), np.linspace(-0.3, 0.3, config.grid)
     grid = [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
 
-    def ratio(pt):
-        x1, x2 = pt
-        return eval_phi((l1, l2), (x1, x2), g, quad=quad) / closed_form_phi2(l1, l2, x1, x2, g)
+    def spread():
+        # one lambda at every x: the grid points share the pair-kernel columns
+        lattice = {}
+        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, quad=quad, lattice=lattice)
+                              / closed_form_phi2(l1, l2, x1, x2, g) for x1, x2 in grid])
 
     return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
-             "oracle.spread", lambda: _ratio_spread([ratio(pt) for pt in grid]))]
+             "oracle.spread", spread)]
 
 
 def _legendre(config: RunConfig) -> list[Check]:

@@ -171,11 +171,13 @@ def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
 
     Rows follow gam (the lower level), columns follow pts (the level above).
     A gamma pole raises GammaPoleError.  In a column where d = gam_i - p_j has
-    Re d == 0.0 for every row (the n = 2 pair kernel, the n = 3 outer kernel at
-    unshifted lambda, the offsets j >= 1 of _offset_kernel at dc = 0), (g - d)/2
-    is conj((d + g)/2) bit for bit, so log_gamma runs once there and the second
-    factor is its conjugate.  The other columns take both arguments in one
-    log_gamma call.
+    Re d == 0.0 for every row (the n = 3 outer kernel at unshifted lambda, the
+    offsets j >= 1 of _offset_kernel at dc = 0, the n = 2 pair columns at
+    a = 0), (g - d)/2 is conj((d + g)/2) bit for bit, so log_gamma runs once
+    there and the second factor is its conjugate.  The other columns take both
+    arguments in one log_gamma call; _pair_column pairs the n = 2 ones at
+    Re d = +-1 by the recurrence instead, and the n = 3 outer columns at Re d =
+    +-1 stay unpaired so that their bits do not move.
     """
     d = gam[:, None] - pts[None, :]
     pair = ~np.any(d.real, axis=0)
@@ -379,9 +381,68 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _quantities_n2(lam, x, g, contour, quad, derivs):
-    # Phi_2 is the n = 3 inner contraction at the single pair (l1, l2):
-    # its integrand is e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2)
+def _pair_column(a, delta, step, m, g, lattice):
+    """log K at d = a + 1j*(step*k - delta) for k = -m..m: one column of the n = 2 pair kernel.
+
+    K(-d) = K(d) and K(conj d) = conj K(d) map (a, delta) to (-a, -delta) and to
+    (a, -delta), each with k -> -k, so the column is built at a, delta >= 0 and
+    read back reversed, conjugated or both.  It is kept in the lattice dict under
+    every scalar it depends on, on the widest k-range built so far: a narrower
+    one is a slice (each node's bits depend on k alone), a wider one rebuilds it.
+    log_gamma runs on one argument per node at a = 0 (_log_kernel's pairing) and
+    at a = 1, where A = (d + g)/2 = Q and B = (g - d)/2 = conj(Q) - 1 with
+    Re Q = (g + 1)/2 >= 1, so by Gamma(z + 1) = z Gamma(z) the column is
+    2 Re log G(Q) - log(conj(Q) - 1), mod 2 pi i (the kernel enters through exp
+    and its real part only).  Other a take both arguments in one call.
+    """
+    rev = a < 0
+    if rev:
+        a, delta = -a, -delta
+    conj = delta < 0
+    if conj:
+        delta, rev = -delta, not rev
+    key = ("pair", a, delta, step, g)
+    held = lattice.get(key)
+    if held is None or held.size < 2 * m + 1:
+        y = step * np.arange(-m, m + 1) - delta
+        if a == 1.0:
+            q = (g + 1) / 2 + 0.5j * y
+            held = 2 * log_gamma(q).real - np.log(np.conj(q) - 1)
+        else:
+            held = _log_kernel(a + 1j * y, np.zeros(1), g)[:, 0]
+        lattice[key] = held
+    mid = held.size // 2
+    col = held[mid - m:mid + m + 1]
+    if rev:
+        col = col[::-1]
+    return np.conj(col) if conj else col
+
+
+def _pair_kernel(lam, c, step, g, lattice):
+    """log_kernel for _level2 at n = 2: the grid gam = c + 1j*(centre + step*k), centred at
+    (Im l1 + Im l2)/2, against lam = (l1, l2).
+
+    gam - l1 = a0 + 1j*(step*k - delta) and gam - l2 = a1 + 1j*(step*k + delta), with
+    a_j = c - Re l_j and delta = (Im l1 - Im l2)/2, so both columns are _pair_column's.
+    At a1 = a0 the second is conj of the first reversed, at a1 = -a0 the first reversed:
+    one lattice entry, and log_gamma runs on one argument per node at a0 in {0, +-1}.
+    """
+    delta = 0.5 * (lam[0].imag - lam[1].imag)
+
+    def log_kernel(gam):
+        m = gam.size // 2
+        lgK = np.stack([_pair_column(c - lam[0].real, delta, step, m, g, lattice),
+                        _pair_column(c - lam[1].real, -delta, step, m, g, lattice)], axis=1)
+        return lgK.real.max(axis=1), lgK
+    return log_kernel
+
+
+def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
+    """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
+    e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2), with K from _pair_kernel on one
+    log_gamma argument per node.  lattice keeps its columns under (|c - Re l_j|,
+    |Im(l1 - l2)|/2, step, g), all they depend on: the calls of one check at other x or at
+    real shifts of lambda share them, and each still grows its own grid and tail test."""
     l1, l2 = lam
     x1, x2 = x
     center = 0.5 * (l1.imag + l2.imag)
@@ -389,17 +450,26 @@ def _quantities_n2(lam, x, g, contour, quad, derivs):
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
     T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
     m_max = max(d1 + d2 for d1, d2 in derivs)
-
-    def pair_kernel(gam):
-        lgK = _log_kernel(gam, np.array(lam), g)
-        return lgK.real.max(axis=1), lgK
-    gam, base, lgK, _ = _level2(pair_kernel, x1, x2, contour[0], center, T,
-                                quad.half_width or _MAX_HALF_WIDTH, quad, m_max)
+    gam, base, lgK, _ = _level2(_pair_kernel(lam, contour[0], quad.step, g, lattice), x1, x2,
+                                contour[0], center, T, quad.half_width or _MAX_HALF_WIDTH,
+                                quad, m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
+
+
+def _outer_kernel(nu, lam, g, key, lattice):
+    """_log_kernel(nu, lam, g) with column k kept in the lattice dict under key + (lam_k,):
+    the shifted evaluations of a dual check share the outer grid, so each builds only the
+    columns of the lam_k it shifts, in one _log_kernel call.  _log_kernel pairs per column
+    and log_gamma's bits do not depend on position, so the array is the same bit for bit."""
+    missing = [lam_k for lam_k in lam if key + (lam_k,) not in lattice]
+    if missing:
+        for lam_k, col in zip(missing, _log_kernel(nu, np.array(missing), g).T):
+            lattice[key + (lam_k,)] = col
+    return np.stack([lattice[key + (lam_k,)] for lam_k in lam], axis=1)
 
 
 def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
@@ -444,9 +514,10 @@ def _outer_values(outer, derivs, tail_tol):
 
 
 def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
-    """lattice keeps f and H_l = mu G_l, which do not depend on lambda, under every scalar
-    they do depend on: calls at real shifts of lambda share them, and each call still
-    grows its own grids and runs its own tail tests."""
+    """lattice keeps f and H_l = mu G_l, which do not depend on lambda, and the outer
+    kernel columns, which depend on one lambda_k each, under every scalar they do depend
+    on: calls at real shifts of lambda share them, and each call still grows its own
+    grids and runs its own tail tests."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
     c1, c2 = contour
@@ -469,8 +540,8 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
                                 c1, center, T_in, _MAX_HALF_WIDTH + T_out, quad, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
-        u = (np.sum(_log_kernel(nu, np.array(lam), g), axis=1) + nu * (x2 - x3)
-             + np.log(w_out) + lam_sum * x3 / 2)
+        u = (np.sum(_outer_kernel(nu, lam, g, ("outer", c2, center, quad.step, M, g), lattice),
+                    axis=1) + nu * (x2 - x3) + np.log(w_out) + lam_sum * x3 / 2)
         gam = nu + (c1 - c2)
         key = (c1 - c2, quad.step, g, M, f.size // 2, x1 - x2, m_max)
         if key not in lattice:
@@ -500,8 +571,12 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     <= 2 each); the value of Phi itself is the all-zero tuple.  All
     quantities share the same grid, so ratios between them carry no
     discretisation noise beyond the integrand factors themselves.  A lattice
-    dict shared between n = 3 calls at real shifts of lambda reuses their
-    lambda-independent parts (None: a fresh one; n <= 2 ignores it).
+    dict shared between the calls of one check reuses what they have in common:
+    for n = 3 at real shifts of lambda, the lambda-independent parts and the
+    outer kernel columns; for n = 2, the pair-kernel columns, which depend on
+    the contour and lambda only through c - Re lambda_j and Im(l1 - l2), so
+    calls at other x or at real shifts of lambda share them (None: a fresh one;
+    n = 1 ignores it).  Keep a dict for one check: it holds every array built.
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -519,10 +594,10 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     validate_contour(contour, lam, g)
     if n == 1:
         return _quantities_n1(lam.values, x.values, derivs)
+    lattice = {} if lattice is None else lattice
     if n == 2:
-        return _quantities_n2(lam.values, x.values, g, contour, quad, derivs)
-    return _quantities_n3(lam.values, x.values, g, contour, quad, derivs,
-                          {} if lattice is None else lattice)
+        return _quantities_n2(lam.values, x.values, g, contour, quad, derivs, lattice)
+    return _quantities_n3(lam.values, x.values, g, contour, quad, derivs, lattice)
 
 
 def eval_phi(lam, x, g: float, contour: tuple[float, ...] | None = None,

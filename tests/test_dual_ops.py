@@ -242,21 +242,23 @@ class TestDualHamiltonian:
 
 
 class TestSharedLattice:
-    """One dual check shares one n = 3 lattice between all its evaluations."""
+    """One dual check shares one lattice between all its evaluations."""
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("lam, x, r", [(LAM3, X3, 1), (LAM3, X3, 2), (LAM3, X3, 3),
+                                           (LAM2, X2, 1), (LAM2, X2, 2)])
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
-    def test_equals_separate_evaluations(self, r, g):
+    def test_equals_separate_evaluations(self, lam, x, r, g):
         # the operator written out with one fresh eval_phi per point
-        contour = default_contour(3, g, shifted=True)
+        n = len(lam)
+        contour = default_contour(n, g, shifted=True)
         total = 0.0 + 0.0j
-        for members in combinations(range(3), r):
-            total += dual_coefficient(members, LAM3, g) * eval_phi(_shifted(LAM3, members), X3,
-                                                                    g, contour=contour)
-        eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X3])
-        res = apply_dual_hamiltonian(r, LAM3, X3, g)
+        for members in combinations(range(n), r):
+            total += dual_coefficient(members, lam, g) * eval_phi(_shifted(lam, members), x,
+                                                                   g, contour=contour)
+        eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
+        res = apply_dual_hamiltonian(r, lam, x, g)
         assert res.value == total
-        assert res.expected == eig * eval_phi(LAM3, X3, g)
+        assert res.expected == eig * eval_phi(lam, x, g)
 
     def test_log_gamma_work(self, monkeypatch):
         # one offset kernel and one measure for all four points, on half the offsets

@@ -4,6 +4,7 @@ invariants, exact derivatives."""
 import cmath
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
 from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _log_measure,
-                               _offset_kernel, CoincidentCoordinatesError,
+                               _offset_kernel, _pair_column, _pair_kernel,
+                               CoincidentCoordinatesError,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
                                TailNotConvergedError, default_contour,
@@ -205,7 +207,7 @@ class TestKernelAndMeasure:
         # what a shared lattice returns: f and H_l = mu G_l built on every offset
         lattice = {}
         eval_phi(LAM3, X3, g, lattice=lattice)
-        (kernel_key, (_, f)), (key, H) = lattice.items()
+        (kernel_key, (_, f)), (key, H) = ((k, v) for k, v in lattice.items() if k[0] != "outer")
         assert kernel_key == key[:5] and f.size // 2 == key[4]
         h, M = key[1], key[3]
         d = 1j * h * np.arange(-(f.size // 2), f.size // 2 + 1)
@@ -220,7 +222,25 @@ class TestKernelAndMeasure:
         lattice = {}
         shared = [eval_phi(lam, X3, G, lattice=lattice) for lam in (LAM3, wide)]
         assert shared == [eval_phi(LAM3, X3, G), eval_phi(wide, X3, G)]
-        assert len({key[3] for key in lattice}) == 2 and len(lattice) == 4
+        offsets = [key for key in lattice if key[0] != "outer"]
+        assert len({key[3] for key in offsets}) == 2 and len(offsets) == 4
+        # the outer columns: one per lambda_k on each outer grid
+        assert len(lattice) - len(offsets) == 6
+
+    @pytest.mark.parametrize("r, distinct", [(1, 9), (2, 9), (3, 6)])
+    def test_dual_check_shares_outer_columns(self, r, distinct):
+        # r = 1, 2 evaluate 12 outer columns, 9 of them distinct: the shifted points
+        # share the Re = 1 outer grid and the columns of the lambda_k they do not
+        # shift.  Every value is the unshared one bit for bit.
+        points = [tuple(v + 2.0 if i in s else v for i, v in enumerate(LAM3))
+                  for s in combinations(range(3), r)]
+        contour = default_contour(3, G, shifted=True)
+        lattice = {}
+        shared = [eval_phi(lam, X3, G, contour, lattice=lattice) for lam in points]
+        shared.append(eval_phi(LAM3, X3, G, lattice=lattice))
+        assert len([key for key in lattice if key[0] == "outer"]) == distinct
+        assert shared == ([eval_phi(lam, X3, G, contour) for lam in points]
+                          + [eval_phi(LAM3, X3, G)])
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
         # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
@@ -238,6 +258,110 @@ class TestKernelAndMeasure:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestPairKernel:
+    """The n = 2 pair kernel: one log_gamma argument per node, columns mirrored and shared."""
+
+    @pytest.mark.parametrize("g", [1.01, 1.25, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1.0])
+    @pytest.mark.parametrize("delta", [0.37, -4.05])
+    def test_one_argument_column_matches_two(self, monkeypatch, g, a, delta):
+        # against _log_kernel's column over |Im d| <= 60; at a = 0 that is its own pairing
+        m = int((60.0 - abs(delta)) / 0.1)
+        want = _log_kernel(a + 1j * (0.1 * np.arange(-m, m + 1) - delta), np.zeros(1), g)[:, 0]
+        elems = _count_log_gamma(monkeypatch)
+        got = _pair_column(a, delta, 0.1, m, g, {})
+        assert elems == [2 * m + 1]
+        assert np.max(np.abs(np.expm1(got - want))) <= 1e-13
+        assert a != 0.0 or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("g", [1.01, 1.5, 3.0])
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_one_argument_column_matches_mpmath(self, g, a):
+        mpmath = pytest.importorskip("mpmath")
+        m, delta = 600, 0.37
+        col = _pair_column(a, delta, 0.1, m, g, {})
+        with mpmath.workdps(30):
+            for k in (-600, -377, -150, -4, 0, 3, 50, 222, 600):
+                d = complex(a, 0.1 * k - delta)
+                d = mpmath.mpc(d.real, d.imag)
+                ref = mpmath.loggamma((d + g) / 2) + mpmath.loggamma((g - d) / 2)
+                err = mpmath.expm1(mpmath.mpc(col[k + m].real, col[k + m].imag) - ref)
+                assert abs(complex(err)) <= 3e-14
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 0.3])
+    def test_mirror_identities_are_exact(self, a):
+        # K(conj d) = conj K(d) and K(-d) = K(d) on the direct two-argument columns, bit for
+        # bit: column 1 at a1 = a0 is conj(column 0) reversed, at a1 = -a0 column 0 reversed
+        y = 0.1 * np.arange(-300, 301)
+
+        def column(a, delta):
+            return _log_kernel(a + 1j * (y - delta), np.zeros(1), G)[:, 0]
+        assert np.array_equal(column(a, -0.37), np.conj(column(a, 0.37)[::-1]))
+        assert np.array_equal(column(-a, -0.37), column(a, 0.37)[::-1])
+
+    @pytest.mark.parametrize("lam, c, per_node", [
+        (LAM2, 0.0, 1),                        # a1 = a0 = 0: unshifted
+        ((2 + 0.7j, 2 - 0.3j), 1.0, 1),        # a1 = a0 = -1: the r = 2 shift
+        ((2 + 0.7j, -0.3j), 1.0, 1),           # a1 = -a0 = 1: an r = 1 shift
+        ((0.25 + 0.7j, -0.3j), 0.125, 2),      # a1 = -a0 = 0.125: two arguments, mirrored
+        ((0.2 + 0.7j, -0.3j), 0.0, 3),         # Re l1 != Re l2, a1 != -a0: both direct
+    ], ids=["unshifted", "r2", "r1", "mirror-two-args", "fallback"])
+    def test_pair_kernel_matches_direct(self, monkeypatch, lam, c, per_node):
+        validate_contour((c,), lam, G)
+        gam = c + 1j * _grid(0.5 * (lam[0].imag + lam[1].imag), 15.0, 0.1)[0]
+        want = _log_kernel(gam, np.array(lam), G)
+        elems = _count_log_gamma(monkeypatch)
+        env, got = _pair_kernel(lam, c, 0.1, G, {})(gam)
+        assert sum(elems) == per_node * gam.size
+        assert np.max(np.abs(np.expm1(got - want))) <= 1e-13
+        assert np.array_equal(env, got.real.max(axis=1))
+
+    @pytest.mark.parametrize("lam, contour", [
+        (LAM2, None), ((2 + 0.7j, -0.3j), (1.0,)), ((2 + 0.7j, 2 - 0.3j), (1.0,))],
+        ids=["unshifted", "r1", "r2"])
+    def test_one_argument_per_node(self, monkeypatch, lam, contour):
+        # every grid _level2 builds, growth steps included, costs one argument per node
+        nodes, grid = [], wavefn._grid
+
+        def spy(*args):
+            t, w = grid(*args)
+            nodes.append(t.size)
+            return t, w
+        monkeypatch.setattr(wavefn, "_grid", spy)
+        elems = _count_log_gamma(monkeypatch)
+        eval_phi(lam, X2, G, contour)
+        assert sum(elems) == sum(nodes) > 0
+
+    def test_contours_agree_through_every_path(self):
+        # Phi does not depend on the separating line: a1 = -a0 with two arguments, the
+        # Re lambda_1 != Re lambda_2 fallback and a1 = a0 away from 0 and +-1
+        lam = (0.2 + 0.7j, -0.3j)
+        base = eval_phi(lam, X2, G, (0.1,))
+        for c in (0.0, 0.05, 0.3):
+            assert eval_phi(lam, X2, G, (c,)) == pytest.approx(base, rel=1e-12)
+        assert eval_phi(LAM2, X2, G, (0.3,)) == pytest.approx(eval_phi(LAM2, X2, G), rel=1e-12)
+
+    def test_shifted_pair_shares_one_column(self, monkeypatch):
+        # r = 1's two shifted evaluations: K(-d) = K(d) and K(conj d) = conj K(d) put all
+        # four of their columns on one lattice entry, so the second calls no log_gamma
+        lattice, contour = {}, default_contour(2, G, shifted=True)
+        elems = _count_log_gamma(monkeypatch)
+        eval_phi((2 + 0.7j, -0.3j), X2, G, contour, lattice=lattice)
+        first = len(elems)
+        eval_phi((0.7j, 2 - 0.3j), X2, G, contour, lattice=lattice)
+        assert first > 0 and len(elems) == first and len(lattice) == 1
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["narrow-first", "wide-first"])
+    def test_shared_columns_are_bit_identical(self, order):
+        # the compare-oracle grid: one lambda at several x.  A wider grid rebuilds the
+        # column and a narrower one slices it; either way each value is the unshared one
+        xs = [(0.1, -0.1), (0.35, -0.35), (0.5, -0.5)][::order]
+        lattice = {}
+        shared = [eval_phi(LAM2, x, G, lattice=lattice) for x in xs]
+        assert shared == [eval_phi(LAM2, x, G) for x in xs]
+        assert len(lattice) == 1
 
 
 def _spy_outer(monkeypatch):

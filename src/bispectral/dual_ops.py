@@ -118,8 +118,9 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
             f"dual Hamiltonians need g > 1: the shifted-contour window "
             f"(-g+2, g) is empty for g = {g}")
     # every subset shifts at least one variable, so all share the Re = 1 contour; the
-    # shifts are real and both contours have c1 = c2, so all share one lattice: the
-    # n = 3 offset parts and outer columns, the n = 2 pair columns
+    # shifts are real and both contours have c1 = c2, so all share one lattice: the kernel
+    # columns (a shifted lambda_k's is its unshifted one's read back by K(-d) = K(d)) and,
+    # for n = 3, the offset envelope and moments
     contour, lattice = default_contour(n, g, shifted=True), {}
     total = apply_dual_operator(r, lam, g, lambda s: eval_phi(s, x, g, contour=contour,
                                                              quad=quad, lattice=lattice))

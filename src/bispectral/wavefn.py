@@ -169,26 +169,74 @@ def as_position(x) -> PositionPoint:
 def _log_kernel(gam: np.ndarray, pts: np.ndarray, g: float) -> np.ndarray:
     """log G((gam_i - p_j + g)/2) G((p_j - gam_i + g)/2) for every gam_i and p_j.
 
-    Rows follow gam (the lower level), columns follow pts (the level above).
-    A gamma pole raises GammaPoleError.  In a column where d = gam_i - p_j has
-    Re d == 0.0 for every row (the n = 3 outer kernel at unshifted lambda, the
-    offsets j >= 1 of _offset_kernel at dc = 0, the n = 2 pair columns at
-    a = 0), (g - d)/2 is conj((d + g)/2) bit for bit, so log_gamma runs once
-    there and the second factor is its conjugate.  The other columns take both
-    arguments in one log_gamma call; _pair_column pairs the n = 2 ones at
-    Re d = +-1 by the recurrence instead, and the n = 3 outer columns at Re d =
-    +-1 stay unpaired so that their bits do not move.
+    Rows follow gam (the lower level), columns follow pts (the level above); both
+    arguments go to one log_gamma call, and a gamma pole raises GammaPoleError.  This is
+    kernel_K's form: the quadrature's kernels come from _grid_kernel.
     """
     d = gam[:, None] - pts[None, :]
-    pair = ~np.any(d.real, axis=0)
-    out = np.empty(d.shape, dtype=complex)
-    if pair.any():
-        lg = log_gamma((d[:, pair] + g) / 2)
-        out[:, pair] = lg + np.conj(lg)
-    if not pair.all():
-        rest = d[:, ~pair]
-        lg = log_gamma(np.stack([(rest + g) / 2, (g - rest) / 2]))
-        out[:, ~pair] = lg[0] + lg[1]
+    lg = log_gamma(np.stack([(d + g) / 2, (g - d) / 2]))
+    return lg[0] + lg[1]
+
+
+def _kernel_terms(a, y, g):
+    """The log_gamma arguments of log K at d = a + 1j*y, and the map from their values to it.
+
+    One argument per node at a = 0, where (g - d)/2 is conj((d + g)/2) bit for bit, and at
+    a = 1, where A = (d + g)/2 = Q and B = (g - d)/2 = conj(Q) - 1 with Re Q = (g + 1)/2 >= 1,
+    so by Gamma(z + 1) = z Gamma(z) log K = 2 Re log G(Q) - log(conj(Q) - 1) mod 2 pi i (the
+    kernel enters through exp and its real part only) and Q never reflects.  Both
+    arguments at any other a.
+    """
+    d = a + 1j * y
+    if a == 0.0:
+        return (d + g) / 2, lambda lg: lg + np.conj(lg)
+    if a == 1.0:
+        q = (g + 1) / 2 + 0.5j * y
+        return q, lambda lg: 2 * lg.real - np.log(np.conj(q) - 1)
+    return np.stack([(d + g) / 2, (g - d) / 2]), lambda lg: lg[0] + lg[1]
+
+
+def _grid_kernel(cols, step, m, g, lattice):
+    """log K at d = a + 1j*(step*k - delta), k = -m..m, one column per (a, delta) in cols.
+
+    Every kernel value on a quadrature grid is built here.  K(-d) = K(d) and K(conj d) =
+    conj K(d) map (a, delta) to (-a, -delta) and to (a, -delta), each with k -> -k, so a
+    column is built at a, delta >= 0 and read back reversed, conjugated or both; at
+    delta = 0 it is built on k >= 0 and its k < 0 are their conjugates.  It is kept in the
+    lattice dict under ("column", a, delta, step, g), all it depends on, on the widest
+    k-range asked for so far: each node's bits depend on k alone, so a narrower range is a
+    slice and a wider one adds only its new edge nodes.  The new nodes of every column go
+    to one log_gamma call, on the arguments of _kernel_terms.
+    """
+    reads, new = [], {}
+    for a, delta in cols:
+        rev = a < 0
+        if rev:
+            a, delta = -a, -delta
+        conj = delta < 0
+        if conj:
+            delta, rev = -delta, not rev
+        key = ("column", a, delta, step, g)
+        have = lattice[key].size // 2 if key in lattice else -1
+        if have < m and key not in new:
+            k = np.arange(-m, m + 1)
+            new[key] = k[(np.abs(k) if delta else k) > have]
+        reads.append((key, rev, conj))
+    if new:
+        terms = [_kernel_terms(key[1], step * k - key[2], g) for key, k in new.items()]
+        lg = log_gamma(np.concatenate([z.ravel() for z, _ in terms]))
+        end = 0
+        for (key, k), (z, value) in zip(new.items(), terms):
+            f = value(lg[end:end + z.size].reshape(z.shape))
+            end += z.size
+            held = lattice.get(key, f[:0])
+            lattice[key] = np.concatenate([f[k < 0], held, f[k >= 0]] if key[2] else
+                                          [np.conj(f[k > 0][::-1]), held, f])
+    out = np.empty((2 * m + 1, len(reads)), dtype=complex)
+    for j, (key, rev, conj) in enumerate(reads):
+        held = lattice[key]
+        col = held[held.size // 2 - m:held.size // 2 + m + 1][::-1 if rev else 1]
+        out[:, j] = np.conj(col) if conj else col
     return out
 
 
@@ -337,25 +385,20 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
 def _offset_kernel(dc, step, M, g, lattice):
     """log_kernel for _level2 against an M-node outer grid of the same step and centre.
 
-    Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with
-    k the integer grid index counted from the centre, so log K(gam_i, nu_p) is
-    f(k_i - k_p).  f comes back on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2)
-    that _lattice_moments reaches; node i's envelope is the largest Re f over
-    its M offsets k_i - k_p, a sliding-window maximum.  f(-j) = conj f(j) for real
-    dc, so log_gamma runs on j >= 0: j >= 1 through _log_kernel, which pairs them
-    at dc = 0, and f(0), which may carry Im = +-pi, on its two arguments in one
-    call, neither paired nor mirrored.
-    (env, f) is kept in the lattice dict under every scalar it depends on.
+    Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with k the integer
+    grid index counted from the centre, so log K(gam_i, nu_p) is f(k_i - k_p): the
+    _grid_kernel column at (dc, 0) on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2) that
+    _lattice_moments reaches.  Node i's envelope is the largest Re f over its M offsets
+    k_i - k_p, a sliding-window maximum, kept in the lattice dict under every scalar it
+    depends on.
     """
     def log_kernel(gam):
         reach = gam.size // 2 + 3 * (M // 2)
-        key = (dc, step, g, M, reach)
+        f = _grid_kernel([(dc, 0.0)], step, reach, g, lattice)[:, 0]
+        key = ("envelope", dc, step, g, M, reach)
         if key not in lattice:
-            f = _log_kernel(dc + 1j * step * np.arange(1, reach + 1), np.zeros(1), g)[:, 0]
-            lg0 = log_gamma(np.array([dc + g, g - dc]) / 2)
-            f = np.concatenate([np.conj(f[::-1]), [lg0[0] + lg0[1]], f])
-            lattice[key] = sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1), f
-        return lattice[key]
+            lattice[key] = sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1)
+        return lattice[key], f
     return log_kernel
 
 
@@ -381,95 +424,34 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _pair_column(a, delta, step, m, g, lattice):
-    """log K at d = a + 1j*(step*k - delta) for k = -m..m: one column of the n = 2 pair kernel.
-
-    K(-d) = K(d) and K(conj d) = conj K(d) map (a, delta) to (-a, -delta) and to
-    (a, -delta), each with k -> -k, so the column is built at a, delta >= 0 and
-    read back reversed, conjugated or both.  It is kept in the lattice dict under
-    every scalar it depends on, on the widest k-range built so far: a narrower
-    one is a slice (each node's bits depend on k alone), a wider one rebuilds it.
-    log_gamma runs on one argument per node at a = 0 (_log_kernel's pairing) and
-    at a = 1, where A = (d + g)/2 = Q and B = (g - d)/2 = conj(Q) - 1 with
-    Re Q = (g + 1)/2 >= 1, so by Gamma(z + 1) = z Gamma(z) the column is
-    2 Re log G(Q) - log(conj(Q) - 1), mod 2 pi i (the kernel enters through exp
-    and its real part only).  Other a take both arguments in one call.
-    """
-    rev = a < 0
-    if rev:
-        a, delta = -a, -delta
-    conj = delta < 0
-    if conj:
-        delta, rev = -delta, not rev
-    key = ("pair", a, delta, step, g)
-    held = lattice.get(key)
-    if held is None or held.size < 2 * m + 1:
-        y = step * np.arange(-m, m + 1) - delta
-        if a == 1.0:
-            q = (g + 1) / 2 + 0.5j * y
-            held = 2 * log_gamma(q).real - np.log(np.conj(q) - 1)
-        else:
-            held = _log_kernel(a + 1j * y, np.zeros(1), g)[:, 0]
-        lattice[key] = held
-    mid = held.size // 2
-    col = held[mid - m:mid + m + 1]
-    if rev:
-        col = col[::-1]
-    return np.conj(col) if conj else col
-
-
-def _pair_kernel(lam, c, step, g, lattice):
-    """log_kernel for _level2 at n = 2: the grid gam = c + 1j*(centre + step*k), centred at
-    (Im l1 + Im l2)/2, against lam = (l1, l2).
-
-    gam - l1 = a0 + 1j*(step*k - delta) and gam - l2 = a1 + 1j*(step*k + delta), with
-    a_j = c - Re l_j and delta = (Im l1 - Im l2)/2, so both columns are _pair_column's.
-    At a1 = a0 the second is conj of the first reversed, at a1 = -a0 the first reversed:
-    one lattice entry, and log_gamma runs on one argument per node at a0 in {0, +-1}.
-    """
-    delta = 0.5 * (lam[0].imag - lam[1].imag)
-
-    def log_kernel(gam):
-        m = gam.size // 2
-        lgK = np.stack([_pair_column(c - lam[0].real, delta, step, m, g, lattice),
-                        _pair_column(c - lam[1].real, -delta, step, m, g, lattice)], axis=1)
-        return lgK.real.max(axis=1), lgK
-    return log_kernel
-
-
 def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
     """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
-    e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2), with K from _pair_kernel on one
-    log_gamma argument per node.  lattice keeps its columns under (|c - Re l_j|,
-    |Im(l1 - l2)|/2, step, g), all they depend on: the calls of one check at other x or at
-    real shifts of lambda share them, and each still grows its own grid and tail test."""
+    e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
+    + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
+    (Im l1 - Im l2)/2, so at c - Re l2 = +-(c - Re l1) (every default contour) they are one
+    column read back twice.  The calls of one check at other x or at real shifts of lambda
+    share it through lattice, and each still grows its own grid and tail test."""
     l1, l2 = lam
     x1, x2 = x
+    c = contour[0]
     center = 0.5 * (l1.imag + l2.imag)
+    delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
     T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
     m_max = max(d1 + d2 for d1, d2 in derivs)
-    gam, base, lgK, _ = _level2(_pair_kernel(lam, contour[0], quad.step, g, lattice), x1, x2,
-                                contour[0], center, T, quad.half_width or _MAX_HALF_WIDTH,
-                                quad, m_max)
+
+    def log_kernel(gam):
+        lgK = _grid_kernel([(c - l1.real, delta), (c - l2.real, -delta)], quad.step,
+                           gam.size // 2, g, lattice)
+        return lgK.real.max(axis=1), lgK
+    gam, base, lgK, _ = _level2(log_kernel, x1, x2, c, center, T,
+                                quad.half_width or _MAX_HALF_WIDTH, quad, m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
-
-
-def _outer_kernel(nu, lam, g, key, lattice):
-    """_log_kernel(nu, lam, g) with column k kept in the lattice dict under key + (lam_k,):
-    the shifted evaluations of a dual check share the outer grid, so each builds only the
-    columns of the lam_k it shifts, in one _log_kernel call.  _log_kernel pairs per column
-    and log_gamma's bits do not depend on position, so the array is the same bit for bit."""
-    missing = [lam_k for lam_k in lam if key + (lam_k,) not in lattice]
-    if missing:
-        for lam_k, col in zip(missing, _log_kernel(nu, np.array(missing), g).T):
-            lattice[key + (lam_k,)] = col
-    return np.stack([lattice[key + (lam_k,)] for lam_k in lam], axis=1)
 
 
 def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
@@ -514,10 +496,12 @@ def _outer_values(outer, derivs, tail_tol):
 
 
 def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
-    """lattice keeps f and H_l = mu G_l, which do not depend on lambda, and the outer
-    kernel columns, which depend on one lambda_k each, under every scalar they do depend
-    on: calls at real shifts of lambda share them, and each call still grows its own
-    grids and runs its own tail tests."""
+    """The outer kernel column of lambda_k is _grid_kernel's at (c2 - Re lambda_k,
+    Im lambda_k - centre), and the offset kernel f its column at (c1 - c2, 0).  lattice
+    keeps the columns, f's envelope and H_l = mu G_l under every scalar they depend on:
+    f, its envelope and H_l do not depend on lambda, and a real shift of lambda moves no
+    column's key, or moves it to the one of -a.  So calls at real shifts of lambda share
+    them, and each call still grows its own grids and runs its own tail tests."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
     c1, c2 = contour
@@ -540,10 +524,11 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
                                 c1, center, T_in, _MAX_HALF_WIDTH + T_out, quad, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
-        u = (np.sum(_outer_kernel(nu, lam, g, ("outer", c2, center, quad.step, M, g), lattice),
-                    axis=1) + nu * (x2 - x3) + np.log(w_out) + lam_sum * x3 / 2)
+        lgK = _grid_kernel([(c2 - v.real, v.imag - center) for v in lam], quad.step, M // 2,
+                           g, lattice)
+        u = np.sum(lgK, axis=1) + nu * (x2 - x3) + np.log(w_out) + lam_sum * x3 / 2
         gam = nu + (c1 - c2)
-        key = (c1 - c2, quad.step, g, M, f.size // 2, x1 - x2, m_max)
+        key = ("moments", c1 - c2, quad.step, g, M, f.size // 2, x1 - x2, m_max)
         if key not in lattice:
             log_mu = _log_measure(1j * quad.step * np.arange(M), g)  # even in the offset
             log_mu_off = np.concatenate([log_mu[:0:-1], log_mu])
@@ -570,22 +555,26 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     derivs is a list of per-coordinate derivative-order tuples (total order
     <= 2 each); the value of Phi itself is the all-zero tuple.  All
     quantities share the same grid, so ratios between them carry no
-    discretisation noise beyond the integrand factors themselves.  A lattice
-    dict shared between the calls of one check reuses what they have in common:
-    for n = 3 at real shifts of lambda, the lambda-independent parts and the
-    outer kernel columns; for n = 2, the pair-kernel columns, which depend on
-    the contour and lambda only through c - Re lambda_j and Im(l1 - l2), so
-    calls at other x or at real shifts of lambda share them (None: a fresh one;
-    n = 1 ignores it).  Keep a dict for one check: it holds every array built.
+    discretisation noise beyond the integrand factors themselves.  n must be
+    1, 2 or 3 and derivs must not be empty, or ValueError is raised, the same
+    at every n.  A lattice dict shared between the calls of one check reuses
+    what they have in common: the kernel columns, which depend on the contour
+    and lambda only through c - Re lambda_k and Im lambda_k minus the grid
+    centre, and for n = 3 the lambda-independent envelope and moments.  So
+    calls at real shifts of lambda or at other x share them (None: a fresh
+    one; n = 1 ignores it).  Keep a dict for one check: it holds every array
+    built.
     """
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
+    if not 1 <= n <= 3:
+        raise ValueError(f"wave-function evaluation supports n = 1, 2, 3, got n = {n}")
     if x.n != n:
         raise ValueError(f"lambda has {n} entries but x has {x.n}")
-    if n > 3:
-        raise ValueError("wave-function evaluation supports n <= 3")
     derivs = [tuple(int(o) for o in d) for d in derivs]
+    if not derivs:
+        raise ValueError("derivs is empty: ask for at least one derivative multi-index")
     for d in derivs:
         if len(d) != n or any(o < 0 for o in d) or sum(d) > 2:
             raise ValueError(f"bad derivative multi-index {d}")

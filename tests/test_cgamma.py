@@ -124,7 +124,7 @@ def test_position_independent(n):
 @pytest.mark.parametrize("lo, hi", [(0.5, 4.0), (-7.5, 0.49), (-3.0, 4.0)],
                          ids=["right", "reflected", "mixed"])
 def test_conjugate_symmetry_is_exact(lo, hi):
-    # _log_kernel and _log_measure take the second factor of a conjugate pair
+    # _grid_kernel and _log_measure take the second factor of a conjugate pair
     # as the conjugate of the first, so this must hold bit for bit
     rng = np.random.default_rng(17)
     z = rng.uniform(lo, hi, 3000) + 1j * rng.uniform(-300.0, 300.0, 3000)

@@ -29,6 +29,10 @@ def report_digest(reports):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def reaches_n2(rep):
+    return rep.check_id.startswith("oracle.") or ".n2." in rep.check_id
+
+
 def strip_wall_time(stdout):
     out = []
     for rep in reports_of(stdout):
@@ -148,6 +152,12 @@ class TestExitStatus:
         assert code == 4 and not out
         assert "RuntimeError: broken check" in err
 
+    def test_no_levels_is_two(self, capsys, tmp_path):
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps({"n": 0, "lambda": [], "x": []}))
+        code, _, err = run_main(capsys, ["eval-phi", "--config", str(path)])
+        assert code == 2 and "got n = 0" in err
+
     def test_missing_config_file_is_two(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--config", "/nonexistent.json"])
         assert code == 2
@@ -184,11 +194,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "e20d124356c13e9d2fe46bf71390b49705f41e3f512b7184b52225a6a1429a08"),
+         "1815610a69413e1eaac3f7f2afe3d3c7674c2589f18db77ac201ab572b4d701a"),
         ("all", RunConfig(seed=1),
-         "1a8b55aa0a9d67ac2c5156f72568eb8a1e45e370154ef7676210dde2da0fa87b"),
+         "7d6a556c6c72a6ddcdbb244ad6d9bbb1bc56743a254692b5cfadc1b82ce28d8b"),
         ("all", RunConfig(seed=1009),
-         "f55cc44e956d20e565e9e1c94a42535a52c46afc8807ced7572e35be280eb98f"),
+         "a99d2ba905d5f20150f34e5af24b10146f2fc5fe939b6d1fcd550509fdebbfa6"),
         ("check-identities", RunConfig(n_max=6, seed=7),
          "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
@@ -203,11 +213,19 @@ class TestReports:
         # n = 3, exact, gamma-product, Macdonald and Legendre families): work on
         # the n = 2 kernel leaves these bytes as they are
         _, reports = run("all", RunConfig(seed=7))
-        rest = [rep for rep in reports
-                if not rep.check_id.startswith("oracle.") and ".n2." not in rep.check_id]
+        rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "63856a4ae59200f38cc50f0b9d6cda7d100cc8628f10965f07437135a9863cca")
+            "8956970e114d32b5a630230641aa70690b38964edd9f2d094aaef1024a9072a7")
+
+    def test_n2_digest(self):
+        # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3
+        # kernels leaves these bytes as they are
+        _, reports = run("all", RunConfig(seed=7))
+        n2 = [rep for rep in reports if reaches_n2(rep)]
+        assert len(n2) == 7
+        assert report_digest(n2) == (
+            "55463f51db7068a1d798a82c7e5a1abd4d37bf1f1ccfcf29f3eadd2d8741d623")
 
     def test_oracle_shares_columns_bit_identically(self, monkeypatch):
         # compare-oracle passes one lattice dict to its grid; without it every

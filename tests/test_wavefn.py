@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
-from bispectral.wavefn import (_grid, _lattice_moments, _log_kernel, _log_measure,
-                               _offset_kernel, _pair_column, _pair_kernel,
+from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kernel,
+                               _log_measure, _offset_kernel,
                                CoincidentCoordinatesError,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
@@ -106,27 +106,35 @@ class TestKernelAndMeasure:
         # (nu - lam + g) / 2 = 0
         with pytest.raises(GammaPoleError):
             kernel_K([1.5], [0.0], 1.5)
-        # the pole in a column with Re d == 0, where log_gamma runs once: (0 - 2) / 2 = -1
+        # the pole on the grid kernel's one-argument path at a = 0: (0 - 2) / 2 = -1
         with pytest.raises(GammaPoleError):
-            _log_kernel(1j * np.arange(3.0), np.array([0j, 2.0]), -2.0)
+            _grid_kernel([(0.0, 0.0)], 1.0, 2, -2.0, {})
         # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
         with pytest.raises(GammaPoleError):
             _offset_kernel(-1.5, 0.1, 3, 1.5, {})(np.zeros(5))
 
-    @pytest.mark.parametrize("gam, pts, paired", [
-        (1j * _grid(0.2, 12.0, 0.1)[0], np.array([0.7j, -0.3j]), 2),  # n = 2 unshifted
-        # Re = 1 grid against lambda with real parts 2 and 0: Re d = -1 or 1
-        (1.0 + 1j * _grid(0.2, 12.0, 0.1)[0], np.array([2 + 0.9j, 0.1j, 2 - 0.6j]), 0),
-        (1.0 + 1j * _grid(0.2, 12.0, 0.1)[0], np.array([1 + 0.9j, 2 + 0.1j, -0.6j]), 1),
-        (1j * _grid(0.2, 12.0, 0.1)[0], np.array([], dtype=complex), 0),
+    @pytest.mark.parametrize("pts, c, built", [
+        (np.array([0.75j, -0.25j]), 0.0, 1),  # n = 2 unshifted: a = 0 at +-delta, one column
+        # Re = 1 grid against lambda with real parts 2 and 0: a = -1 or 1
+        (np.array([2 + 0.9j, 0.1j, 2 - 0.6j]), 1.0, 3),
+        (np.array([1 + 0.9j, 2 + 0.1j, -0.6j]), 1.0, 3),
+        (np.array([], dtype=complex), 0.0, 0),
     ], ids=["pair", "shifted", "mixed", "empty"])
-    def test_kernel_pairing_is_exact(self, monkeypatch, gam, pts, paired):
-        # log_gamma once per Re d == 0 column, conjugated, against two calls per entry
-        log_gamma, elems = wavefn.log_gamma, _count_log_gamma(monkeypatch)
-        got = _log_kernel(gam, pts, G)
-        assert np.array_equal(got, log_gamma((gam[:, None] - pts[None, :] + G) / 2)
-                              + log_gamma((pts[None, :] - gam[:, None] + G) / 2))
-        assert sum(elems) == gam.size * (2 * pts.size - paired)
+    def test_kernel_pairing_is_exact(self, monkeypatch, pts, c, built):
+        # the grid kernel of gam = c + 1j*(0.25 + 0.1k) against pts, column by column against
+        # the two-argument form on the same d: bit for bit at a = 0, where it is lg + conj(lg)
+        # of one argument per node, within 1e-13 at a = +-1; one log_gamma call for all
+        m = 120
+        k = np.arange(-m, m + 1)
+        cols = [(c - p.real, p.imag - 0.25) for p in pts]
+        elems = _count_log_gamma(monkeypatch)
+        got = _grid_kernel(cols, 0.1, m, G, {})
+        assert got.shape == (k.size, pts.size)
+        assert elems == ([built * k.size] if built else [])
+        for col, (a, delta) in zip(got.T, cols):
+            want = _log_kernel(a + 1j * (0.1 * k - delta), np.zeros(1), G)[:, 0]
+            assert (np.array_equal(col, want) if a == 0.0
+                    else np.max(np.abs(np.expm1(col - want))) <= 1e-13)
 
     @pytest.mark.parametrize("g", [0.7, 1.5, 2.0])
     @pytest.mark.parametrize("d", [
@@ -185,13 +193,23 @@ class TestKernelAndMeasure:
     @pytest.mark.parametrize("dc", [0.0, 0.5, -0.3, 1.0])
     @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
     def test_offset_kernel_mirror_is_exact(self, dc, g):
-        # f on j < 0 is conj f(-j), against log_gamma on every offset
+        # f on j < 0 is conj f(-j), against log_gamma on both arguments at every offset
         h, M = 0.1, 41
         env, f = _offset_kernel(dc, h, M, g, {})(np.zeros(61))
-        d = dc + 1j * h * np.arange(-(f.size // 2), f.size // 2 + 1)
+        mid = f.size // 2
+        d = dc + 1j * h * np.arange(-mid, mid + 1)
         direct = wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2)
-        assert np.array_equal(f, direct)
-        windows = np.lib.stride_tricks.sliding_window_view(direct.real, M)[M - 1:-(M - 1)]
+        if abs(dc) == 1.0:
+            # the Gamma(z + 1) = z Gamma(z) form: equal mod 2 pi i, to round-off
+            assert np.max(np.abs(np.expm1(f - direct))) <= 1e-13
+        else:
+            assert np.array_equal(f.real, direct.real)
+            # at dc = 0, f(0) = lg + conj(lg) is exactly real; the direct sum keeps the
+            # reflection's round-off in Im (2.2e-16 at g < 1)
+            same = np.arange(f.size) != mid if dc == 0.0 else slice(None)
+            assert np.array_equal(f.imag[same], direct.imag[same])
+            assert dc != 0.0 or f[mid].imag == 0.0
+        windows = np.lib.stride_tricks.sliding_window_view(f.real, M)[M - 1:-(M - 1)]
         assert np.array_equal(env, windows.max(axis=1))
 
     @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
@@ -204,49 +222,70 @@ class TestKernelAndMeasure:
 
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_lattice_holds_the_direct_arrays(self, g):
-        # what a shared lattice returns: f and H_l = mu G_l built on every offset
+        # what a shared lattice returns: f, its envelope and H_l = mu G_l built on every
+        # offset, each found by its tag
         lattice = {}
         eval_phi(LAM3, X3, g, lattice=lattice)
-        (kernel_key, (_, f)), (key, H) = ((k, v) for k, v in lattice.items() if k[0] != "outer")
-        assert kernel_key == key[:5] and f.size // 2 == key[4]
-        h, M = key[1], key[3]
-        d = 1j * h * np.arange(-(f.size // 2), f.size // 2 + 1)
+        (key, H), = ((k, v) for k, v in lattice.items() if k[0] == "moments")
+        _, dc, h, _, M, reach = key[:6]
+        f = lattice[("column", dc, 0.0, h, g)]
+        assert f.size // 2 == reach
+        d = 1j * h * np.arange(-reach, reach + 1)
         assert np.array_equal(f, wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2))
+        env = lattice[("envelope", dc, h, g, M, reach)]
+        windows = np.lib.stride_tricks.sliding_window_view(f.real, M)[M - 1:-(M - 1)]
+        assert np.array_equal(env, windows.max(axis=1))
         log_mu = _log_measure(1j * h * np.arange(-(M - 1), M), g)
         G = _lattice_moments(f, h, X3[0] - X3[1], M, 0)
         assert all(np.array_equal(H_l, np.exp(log_mu + np.log(G_l))) for H_l, G_l in zip(H, G))
 
     def test_lattice_misses_on_other_grids(self):
-        # a wider Im spread gives another outer M: the second call builds its own
+        # a wider Im spread gives another outer M: the second call builds its own envelope
+        # and moments, and adds the new edge nodes to the offset column it shares
         wide = (1.9j, 0.1j, -1.6j)
         lattice = {}
         shared = [eval_phi(lam, X3, G, lattice=lattice) for lam in (LAM3, wide)]
         assert shared == [eval_phi(LAM3, X3, G), eval_phi(wide, X3, G)]
-        offsets = [key for key in lattice if key[0] != "outer"]
-        assert len({key[3] for key in offsets}) == 2 and len(offsets) == 4
-        # the outer columns: one per lambda_k on each outer grid
-        assert len(lattice) - len(offsets) == 6
+        moments = [key for key in lattice if key[0] == "moments"]
+        assert len({key[4] for key in moments}) == 2 and len(moments) == 2
+        assert len([key for key in lattice if key[0] == "envelope"]) == 2
+        # the offset column and one column per lambda_k of each point
+        assert len([key for key in lattice if key[0] == "column"]) == 7
+        assert len(lattice) == 11
 
     @pytest.mark.parametrize("r, distinct", [(1, 9), (2, 9), (3, 6)])
-    def test_dual_check_shares_outer_columns(self, r, distinct):
-        # r = 1, 2 evaluate 12 outer columns, 9 of them distinct: the shifted points
-        # share the Re = 1 outer grid and the columns of the lambda_k they do not
-        # shift.  Every value is the unshared one bit for bit.
+    def test_dual_check_shares_outer_columns(self, monkeypatch, r, distinct):
+        # r = 1, 2 ask for 12 outer columns (a_k, delta_k), 9 of them distinct, and r = 3 for
+        # 6.  The column of lambda_k at a = -1 (shifted) is the one at a = 1 (not shifted)
+        # read back by K(-d) = K(d), so each check holds 3 columns on the Re = 1 grid and 3
+        # on the Re = 0 one, plus the offset column, and makes 6 117 log_gamma arguments.
+        # Every value is the unshared one bit for bit.
         points = [tuple(v + 2.0 if i in s else v for i, v in enumerate(LAM3))
                   for s in combinations(range(3), r)]
         contour = default_contour(3, G, shifted=True)
+        unshared = [eval_phi(lam, X3, G, contour) for lam in points] + [eval_phi(LAM3, X3, G)]
+        asked, grid_kernel = set(), wavefn._grid_kernel
+
+        def spy(cols, *args):
+            if len(cols) == 3:
+                asked.update(cols)
+            return grid_kernel(cols, *args)
+        monkeypatch.setattr(wavefn, "_grid_kernel", spy)
+        elems = _count_log_gamma(monkeypatch)
         lattice = {}
         shared = [eval_phi(lam, X3, G, contour, lattice=lattice) for lam in points]
         shared.append(eval_phi(LAM3, X3, G, lattice=lattice))
-        assert len([key for key in lattice if key[0] == "outer"]) == distinct
-        assert shared == ([eval_phi(lam, X3, G, contour) for lam in points]
-                          + [eval_phi(LAM3, X3, G)])
+        assert len(asked) == distinct
+        assert len([key for key in lattice if key[0] == "column"]) == 7
+        assert sum(elems) == 6_117
+        assert shared == unshared
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
-        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair
+        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair: 4 320
+        # arguments at the `all` n = 3 point, where the full kernel matrix takes about a million
         elems = _count_log_gamma(monkeypatch)
         eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
-        assert 0 < sum(elems) < 20_000
+        assert sum(elems) == 4_320
 
     def test_n3_pass_builds_no_outer_square(self):
         # one default 7-derivative pass at the `all` n = 3 point (M = 599 outer
@@ -261,7 +300,7 @@ class TestKernelAndMeasure:
 
 
 class TestPairKernel:
-    """The n = 2 pair kernel: one log_gamma argument per node, columns mirrored and shared."""
+    """The n = 2 pair kernel: one log_gamma argument per node, columns read back and shared."""
 
     @pytest.mark.parametrize("g", [1.01, 1.25, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("a", [0.0, 1.0, -1.0])
@@ -271,7 +310,7 @@ class TestPairKernel:
         m = int((60.0 - abs(delta)) / 0.1)
         want = _log_kernel(a + 1j * (0.1 * np.arange(-m, m + 1) - delta), np.zeros(1), g)[:, 0]
         elems = _count_log_gamma(monkeypatch)
-        got = _pair_column(a, delta, 0.1, m, g, {})
+        got = _grid_kernel([(a, delta)], 0.1, m, g, {})[:, 0]
         assert elems == [2 * m + 1]
         assert np.max(np.abs(np.expm1(got - want))) <= 1e-13
         assert a != 0.0 or np.array_equal(got, want)
@@ -281,7 +320,7 @@ class TestPairKernel:
     def test_one_argument_column_matches_mpmath(self, g, a):
         mpmath = pytest.importorskip("mpmath")
         m, delta = 600, 0.37
-        col = _pair_column(a, delta, 0.1, m, g, {})
+        col = _grid_kernel([(a, delta)], 0.1, m, g, {})[:, 0]
         with mpmath.workdps(30):
             for k in (-600, -377, -150, -4, 0, 3, 50, 222, 600):
                 d = complex(a, 0.1 * k - delta)
@@ -309,20 +348,23 @@ class TestPairKernel:
         ((0.2 + 0.7j, -0.3j), 0.0, 3),         # Re l1 != Re l2, a1 != -a0: both direct
     ], ids=["unshifted", "r2", "r1", "mirror-two-args", "fallback"])
     def test_pair_kernel_matches_direct(self, monkeypatch, lam, c, per_node):
+        # the two columns _quantities_n2 asks for, at (c - Re l_j, +-delta)
         validate_contour((c,), lam, G)
         gam = c + 1j * _grid(0.5 * (lam[0].imag + lam[1].imag), 15.0, 0.1)[0]
         want = _log_kernel(gam, np.array(lam), G)
+        delta = 0.5 * (lam[0].imag - lam[1].imag)
+        cols = [(c - lam[0].real, delta), (c - lam[1].real, -delta)]
         elems = _count_log_gamma(monkeypatch)
-        env, got = _pair_kernel(lam, c, 0.1, G, {})(gam)
-        assert sum(elems) == per_node * gam.size
+        got = _grid_kernel(cols, 0.1, gam.size // 2, G, {})
+        assert elems == [per_node * gam.size]
         assert np.max(np.abs(np.expm1(got - want))) <= 1e-13
-        assert np.array_equal(env, got.real.max(axis=1))
 
     @pytest.mark.parametrize("lam, contour", [
         (LAM2, None), ((2 + 0.7j, -0.3j), (1.0,)), ((2 + 0.7j, 2 - 0.3j), (1.0,))],
         ids=["unshifted", "r1", "r2"])
     def test_one_argument_per_node(self, monkeypatch, lam, contour):
-        # every grid _level2 builds, growth steps included, costs one argument per node
+        # one argument per node of the widest grid _level2 builds: a growth step adds only
+        # its new edge nodes
         nodes, grid = [], wavefn._grid
 
         def spy(*args):
@@ -332,7 +374,7 @@ class TestPairKernel:
         monkeypatch.setattr(wavefn, "_grid", spy)
         elems = _count_log_gamma(monkeypatch)
         eval_phi(lam, X2, G, contour)
-        assert sum(elems) == sum(nodes) > 0
+        assert sum(elems) == max(nodes) > 0
 
     def test_contours_agree_through_every_path(self):
         # Phi does not depend on the separating line: a1 = -a0 with two arguments, the
@@ -353,10 +395,26 @@ class TestPairKernel:
         eval_phi((0.7j, 2 - 0.3j), X2, G, contour, lattice=lattice)
         assert first > 0 and len(elems) == first and len(lattice) == 1
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, 0.5, -1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.37, -0.37])
+    def test_extended_columns_are_bit_identical(self, monkeypatch, a, delta):
+        # a held column asked for a wider k-range builds its new edge nodes only: narrow
+        # first, then wider, then narrower again, every read is the wide-first column's
+        # slice, and each node is built once (at delta = 0 its k >= 0 half)
+        wide = _grid_kernel([(a, delta)], 0.1, 300, G, {})
+        elems = _count_log_gamma(monkeypatch)
+        lattice = {}
+        for m in (40, 41, 170, 120, 300):
+            got = _grid_kernel([(a, delta)], 0.1, m, G, lattice)
+            assert np.array_equal(got, wide[300 - m:301 + m])
+        assert len(elems) == 4
+        assert sum(elems) == (2 if a == 0.5 else 1) * (301 if delta == 0.0 else 601)
+
     @pytest.mark.parametrize("order", [1, -1], ids=["narrow-first", "wide-first"])
     def test_shared_columns_are_bit_identical(self, order):
-        # the compare-oracle grid: one lambda at several x.  A wider grid rebuilds the
-        # column and a narrower one slices it; either way each value is the unshared one
+        # the compare-oracle grid: one lambda at several x.  A wider grid adds the new edge
+        # nodes to the column and a narrower one slices it; either way each value is the
+        # unshared one
         xs = [(0.1, -0.1), (0.35, -0.35), (0.5, -0.5)][::order]
         lattice = {}
         shared = [eval_phi(LAM2, x, G, lattice=lattice) for x in xs]
@@ -589,6 +647,16 @@ class TestEvalPhi:
     def test_n4_rejected(self):
         with pytest.raises(ValueError):
             eval_phi((1j, 2j, 3j, 4j), (0.3, 0.2, 0.1, 0.0), G)
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="supports n = 1, 2, 3, got n = 0"):
+            eval_phi_many((), (), G, [()])
+
+    @pytest.mark.parametrize("lam, x", [((0.5j,), (0.4,)), (LAM2, X2), (LAM3, X3)],
+                             ids=["n1", "n2", "n3"])
+    def test_empty_derivs_rejected_at_every_n(self, lam, x):
+        with pytest.raises(ValueError, match="derivs is empty"):
+            eval_phi_many(lam, x, G, [])
 
 
 class TestDerivatives:

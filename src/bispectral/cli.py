@@ -312,7 +312,7 @@ def _rand_torus_point(rng: np.random.Generator, n: int) -> TorusPoint:
 def _commutator_residual(params: MacdonaldParams, z: TorusPoint, f: Callable) -> float:
     """Largest relative [M_r, M_s] f at z over 1 <= r < s <= n."""
     def m(r: int, fn: Callable) -> Callable:
-        return lambda zz: apply_macdonald(r, params, "z_space_t", zz, fn)
+        return lambda zz: apply_macdonald(r, params, zz, fn)
 
     worst = 0.0
     for r, s in combinations(range(1, z.n + 1), 2):
@@ -327,11 +327,13 @@ def _macdonald(config: RunConfig) -> list[Check]:
     g, seed = config.g, config.seed
 
     # shift laws of the two-parameter weight (the only kind that reads this
-    # (a, b)), the scalar-product weight and both dual weights, pointwise
-    shifts = [(kind, params, _rand_torus_point(rng, 3), int(rng.integers(0, 3)),
+    # (a, b)) and the scalar-product weights of (q, t) and (q, q/t), pointwise
+    dual = MacdonaldParams(params.q, params.q / params.t)
+    shifts = [(kind, at, _rand_torus_point(rng, 3), int(rng.integers(0, 3)),
                0.4 + 0.1j, 1.7 - 0.2j)
-              for kind in ("phi_ab", "delta_qt", "delta_dual_qt", "delta_dual_qt_inv")
-              for _ in range(5)]
+              for kind, at, count in (("phi_ab", params, 5), ("delta_qt", params, 10),
+                                      ("delta_qt", dual, 5))
+              for _ in range(count)]
 
     # gauge equivalence on random Laurent-polynomial test functions
     gauge = []

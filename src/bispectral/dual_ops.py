@@ -2,23 +2,23 @@
 
 These act by lambda_i -> lambda_i + 2 shifts with rational coefficients, one
 term per r-subset of the indices: a sorted tuple of 0-based members, summed in
-the lexicographic order of ``itertools.combinations(range(n), r)``.  Three
-coefficient variants appear:
+the lexicographic order of ``itertools.combinations(range(n), r)``.  Two
+coefficient products appear:
 
-* ``H_g``    -- (-1)^{r(n-1)} prod (l_i - l_j + 2 - 2g)/(l_i - l_j); the
+* ``H_g``  -- (-1)^{r(n-1)} prod (l_i - l_j + 2 - 2g)/(l_i - l_j); the
   operators whose eigenvalues on the wave function are the elementary
-  symmetric functions e_r(e^{2x}).
-* ``D_g``    -- prod (l_i - l_j + 2g)/(l_i - l_j).
-* ``D_1mg``  -- prod (l_i - l_j + 2 - 2g)/(l_i - l_j); H_g is exactly
-  (-1)^{r(n-1)} times this one.
+  symmetric functions e_r(e^{2x}).  Without the sign this is the D_{1-g}
+  form, so D_{1-g} = (-1)^{r(n-1)} H_g has the same eigenfunctions.
+* ``D_g``  -- prod (l_i - l_j + 2g)/(l_i - l_j), which the gauge function
+  conjugates into H_g.
 
 ``apply_dual_operator`` applies H_g to any function of lambda.  Applying a
 shift to the Mellin-Barnes integral requires moving the integration contours
 so they keep separating the shifted pole lattices; ``apply_dual_hamiltonian``
 applies H_g to Phi, re-running the full integral at shifted lambda on the
 shifted contour (no surrogate continuation).  The gauge function and the
-measure weights tie the D and H variants together and degenerate to the
-Sklyanin measure at g = 1/2.
+measure weights tie D_g and H_g together and degenerate to the Sklyanin
+measure at g = 1/2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Literal
 
 from .cgamma import gamma_log_sum
 from .symfun import elementary_symmetric
-from .sutherland_ops import EigenResidual
+from .sutherland_ops import _EPS_FLOOR, EigenResidual
 from .wavefn import (InfeasibleContourError, QuadratureSpec, as_position,
                      as_spectral, default_contour, eval_phi, measure_mu)
 
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 DualWeightKind = Literal["mu_g", "mu_1mg", "sklyanin"]
-_VARIANTS = ("H_g", "D_g", "D_1mg")
-_EPS_FLOOR = 1e-300
 
 
 def _check_members(members: tuple[int, ...], n: int) -> None:
@@ -62,24 +60,25 @@ def _shifted(lam: tuple[complex, ...], members: tuple[int, ...]) -> tuple[comple
     return tuple(v + 2.0 if i in members else v for i, v in enumerate(lam))
 
 
-def dual_coefficient(members: tuple[int, ...], lam, g: float,
-                     variant: str = "H_g") -> complex:
-    """Rational shift coefficient of the 0-based subset members, sign included for H_g."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+def _coefficient_product(members: tuple[int, ...], lam: tuple[complex, ...],
+                         shift: complex) -> complex:
+    """prod over members i and the other indices j of (l_i - l_j + shift)/(l_i - l_j)."""
+    coef = 1.0 + 0.0j
+    for i in members:
+        for j in range(len(lam)):
+            if j not in members:
+                diff = lam[i] - lam[j]
+                coef *= (diff + shift) / diff
+    return coef
+
+
+def dual_coefficient(members: tuple[int, ...], lam, g: float) -> complex:
+    """H_g's rational shift coefficient of the 0-based subset members, sign included."""
     lam = as_spectral(lam).values
     n = len(lam)
     _check_members(members, n)
-    numer_shift = 2.0 * g if variant == "D_g" else 2.0 - 2.0 * g
-    coef = 1.0 + 0.0j
-    for i in members:
-        for j in range(n):
-            if j not in members:
-                diff = lam[i] - lam[j]
-                coef *= (diff + numer_shift) / diff
-    if variant == "H_g":
-        coef *= (-1.0) ** (len(members) * (n - 1))
-    return coef
+    return (_coefficient_product(members, lam, 2.0 - 2.0 * g)
+            * (-1.0) ** (len(members) * (n - 1)))
 
 
 def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
@@ -105,8 +104,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     contour levels at Re = 1, which separates the shifted pole lattices
     exactly when g > 1.  The sinh prefactor is lambda-independent, so the
     statement on Psi is equivalent to the same relation on Phi; Phi is what
-    is tested.  The operator is the H_g variant; D_1mg would multiply both
-    sides by the same sign (-1)^{r(n-1)} and give the same residual.
+    is tested.  D_{1-g} would multiply both sides by the same sign
+    (-1)^{r(n-1)} and give the same residual.
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -206,6 +205,6 @@ def gauge_relation_residual(r: int, lam, g: float, f: Callable) -> float:
     for members in combinations(range(lam.n), r):
         shifted = _shifted(lam.values, members)
         ratio = cmath.exp(gauge_function(shifted, g) - base_log)
-        lhs += dual_coefficient(members, lam, g, "D_g") * ratio * f(shifted)
+        lhs += _coefficient_product(members, lam.values, 2.0 * g) * ratio * f(shifted)
     rhs = apply_dual_operator(r, lam, g, f)
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs), _EPS_FLOOR)

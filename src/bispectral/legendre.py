@@ -17,6 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .cgamma import gamma_log_sum, log_gamma
+from .dual_ops import apply_dual_operator
+from .sutherland_ops import EigenResidual
+from .symfun import elementary_symmetric
 
 __all__ = [
     "LegendreArgs",
@@ -28,7 +31,6 @@ __all__ = [
     "dual_system_residuals",
 ]
 
-_EPS_FLOOR = 1e-300
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 4000
 # refuse a sum whose round-off u max|term| / |sum| exceeds this (10x below oracle.spread)
@@ -145,27 +147,23 @@ def recurrence_check(lam: complex, x: float, g: float) -> float:
     p_up = legendre_P(LegendreArgs(mu=mu, nu=nu + 1.0, z=z))
     p_dn = legendre_P(LegendreArgs(mu=mu, nu=nu - 1.0, z=z))
     lhs = ((lam + 2.0 * g) * p_up + (lam - 2.0 * g) * p_dn) / lam
-    rhs = 2.0 * z * p0
-    return abs(lhs - rhs) / max(abs(rhs), _EPS_FLOOR)
+    return EigenResidual.build(lhs, 2.0 * z * p0).relative_residual
 
 
 def dual_system_residuals(lam1: complex, lam2: complex, x1: float, x2: float,
                           g: float) -> tuple[float, float]:
     """Residuals of the n = 2 dual difference equations on the closed form.
 
-    First operator: -1/(l1-l2) [ (l1-l2+2-2g) T_{l1} + (l1-l2-2+2g) T_{l2} ]
-    with eigenvalue e^{2x1} + e^{2x2}; second operator: T_{l1} T_{l2} with
-    eigenvalue e^{2(x1+x2)}.
+    ``dual_ops``' H_r applied to the closed form against e_r(e^{2x}) times it,
+    r = 1, 2: H_1 = -1/(l1-l2) [ (l1-l2+2-2g) T_{l1} + (l1-l2-2+2g) T_{l2} ]
+    and H_2 = T_{l1} T_{l2}.
     """
-    lam1, lam2 = complex(lam1), complex(lam2)
-    dl = lam1 - lam2
-    phi = closed_form_phi2(lam1, lam2, x1, x2, g)
-    t1 = closed_form_phi2(lam1 + 2.0, lam2, x1, x2, g)
-    t2 = closed_form_phi2(lam1, lam2 + 2.0, x1, x2, g)
-    t12 = closed_form_phi2(lam1 + 2.0, lam2 + 2.0, x1, x2, g)
-    h1 = -((dl + 2.0 - 2.0 * g) * t1 + (dl - 2.0 + 2.0 * g) * t2) / dl
-    e1 = (math.exp(2.0 * x1) + math.exp(2.0 * x2)) * phi
-    e2 = math.exp(2.0 * (x1 + x2)) * phi
-    res1 = abs(h1 - e1) / max(abs(e1), _EPS_FLOOR)
-    res2 = abs(t12 - e2) / max(abs(e2), _EPS_FLOOR)
-    return res1, res2
+    lam = (complex(lam1), complex(lam2))
+
+    def phi(lam):
+        return closed_form_phi2(*lam, x1, x2, g)
+
+    base, y = phi(lam), [math.exp(2.0 * x1), math.exp(2.0 * x2)]
+    return tuple(EigenResidual.build(apply_dual_operator(r, lam, g, phi),
+                                     elementary_symmetric(r, y) * base).relative_residual
+                 for r in (1, 2))

@@ -2,9 +2,11 @@
 
 The operators act on functions of n nonzero complex coordinates by q^2
 dilations of r-element coordinate subsets with rational coefficients.  The
-weights are ratios of q-Pochhammer products; setting (a, b) in the generic
-two-parameter weight recovers the scalar-product weight (a=1, b=t^2) and the
-gauge function relating the parameter pairs (q, t) and (q, q/t).
+operator and weight of the pair (q, q/t) are those of (q, t) evaluated at
+``MacdonaldParams(q, q / t)``.  The weights are ratios of q-Pochhammer
+products; setting (a, b) in the generic two-parameter weight recovers the
+scalar-product weight (a=1, b=t^2) and the gauge function relating the
+parameter pairs (q, t) and (q, q/t).
 
 With q = e^{pi i tau}, t = q^g and tau -> 0 the first operator degenerates
 into the reduced Sutherland Hamiltonians; ``tau_limit_check`` recovers their
@@ -23,6 +25,8 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from .sutherland_ops import _EPS_FLOOR
+
 __all__ = [
     "MacdonaldParams",
     "TorusPoint",
@@ -37,9 +41,7 @@ __all__ = [
     "weight_limit_check",
 ]
 
-MacdonaldMode = Literal["z_space_t", "dual_t", "dual_qt_inv"]
-WeightKind = Literal["delta_qt", "phi_ab", "phi_gauge", "delta_dual_qt", "delta_dual_qt_inv"]
-_EPS_FLOOR = 1e-300
+WeightKind = Literal["delta_qt", "phi_ab", "phi_gauge"]
 # q-Pochhammer products stop once |z| |qsq|^N drops below this
 _TRUNC_TOL = 1e-16
 # tau = i*sigma samples of the small-tau fit: four powers, four unknowns
@@ -121,26 +123,18 @@ def _subset_shift(z: Sequence[complex], members: Sequence[int], factor: complex)
     return tuple(out)
 
 
-def apply_macdonald(r: int, params: MacdonaldParams, mode: MacdonaldMode,
-                    point, f: Callable) -> complex:
+def apply_macdonald(r: int, params: MacdonaldParams, point, f: Callable) -> complex:
     """Order-r Macdonald operator applied to a black-box function at the point.
 
-    Coefficients: (t z_i - t^{-1} z_j)/(z_i - z_j) in modes z_space_t and
-    dual_t, (q t^{-1} z_i - q^{-1} t z_j)/(z_i - z_j) in mode dual_qt_inv;
-    subsets of r coordinates are scaled by q^2.
+    Coefficients (t z_i - t^{-1} z_j)/(z_i - z_j); subsets of r coordinates
+    are scaled by q^2.  M_r(.|q, q/t) is this at ``MacdonaldParams(q, q / t)``.
     """
     point = _as_point(point)
     z = point.values
     n = point.n
     if not (0 <= r <= n):
         raise ValueError(f"need 0 <= r <= n={n}, got r={r}")
-    q, t = params.q, params.t
-    if mode in ("z_space_t", "dual_t"):
-        ca, cb = t, 1.0 / t
-    elif mode == "dual_qt_inv":
-        ca, cb = q / t, t / q
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ca, cb = params.t, 1.0 / params.t
     total = 0.0 + 0.0j
     for members in combinations(range(n), r):
         inside = set(members)
@@ -172,12 +166,10 @@ def _weight_pair(kind: WeightKind, params: MacdonaldParams,
         if a is None or b is None:
             raise ValueError("phi_ab requires explicit a and b")
         return complex(a), complex(b)
-    if kind in ("delta_qt", "delta_dual_qt"):
+    if kind == "delta_qt":
         return 1.0 + 0.0j, t * t
     if kind == "phi_gauge":
         return q, (q / t) ** 2
-    if kind == "delta_dual_qt_inv":
-        return 1.0 + 0.0j, (q / t) ** 2
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
@@ -185,11 +177,10 @@ def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
                      a: complex | None = None, b: complex | None = None) -> complex:
     """Evaluate one of the q-Pochhammer weight/gauge functions at the point.
 
-    * delta_qt           -- weight with (a, b) = (1, t^2)
-    * phi_ab             -- generic two-parameter function (a, b required)
-    * phi_gauge          -- gauge between (q, t) and (q, q/t): (a, b) = (q, q^2/t^2)
-    * delta_dual_qt      -- same as delta_qt, evaluated in the dual variables
-    * delta_dual_qt_inv  -- weight of the pair (q, q/t): (a, b) = (1, q^2/t^2)
+    * delta_qt   -- weight with (a, b) = (1, t^2); at ``MacdonaldParams(q, q / t)``
+      it is the weight of the pair (q, q/t), (a, b) = (1, q^2/t^2)
+    * phi_ab     -- generic two-parameter function (a, b required)
+    * phi_gauge  -- gauge between (q, t) and (q, q/t): (a, b) = (q, q^2/t^2)
     """
     pa, pb = _weight_pair(kind, params, a, b)
     return _pair_ratio_product(_as_point(point), pa, pb, params.qsq)
@@ -203,6 +194,8 @@ def weight_shift_residual(kind: WeightKind, params: MacdonaldParams, point, i: i
     prod_{j != i} (z_i - a q^{-2} z_j)(b z_i - z_j) / ((a z_i - z_j)(z_i - b q^{-2} z_j)).
     """
     point = _as_point(point)
+    if not 0 <= i < point.n:
+        raise ValueError(f"coordinate index must be in 0..{point.n - 1}, got {i}")
     pa, pb = _weight_pair(kind, params, a, b)
     z, qsq = point.values, params.qsq
     ratio = (weight_and_gauge(kind, params, _subset_shift(z, (i,), qsq), a, b)
@@ -222,9 +215,9 @@ def verify_gauge_equivalence(r: int, params: MacdonaldParams, point, f: Callable
     def gauged(z):
         return weight_and_gauge("phi_gauge", params, z) * f(z)
 
-    lhs = apply_macdonald(r, params, "z_space_t", point, gauged)
+    lhs = apply_macdonald(r, params, point, gauged)
     rhs = (weight_and_gauge("phi_gauge", params, point)
-           * apply_macdonald(r, params, "dual_qt_inv", point, f))
+           * apply_macdonald(r, MacdonaldParams(params.q, params.q / params.t), point, f))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _EPS_FLOOR)
 
 
@@ -314,7 +307,7 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
     for sigma in _TAU_SIGMAS:
         q = math.exp(-math.pi * sigma)
         params = MacdonaldParams.from_coupling(q, g)
-        value = apply_macdonald(1, params, "z_space_t", z, f) - n * f(z)
+        value = apply_macdonald(1, params, z, f) - n * f(z)
         rows.append([-math.pi * sigma, (math.pi * sigma) ** 2 / 2.0, sigma ** 3, sigma ** 4])
         rhs.append(value)
     sol = np.linalg.solve(np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex))

@@ -194,11 +194,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "1815610a69413e1eaac3f7f2afe3d3c7674c2589f18db77ac201ab572b4d701a"),
+         "3663d3e237a7994928d40797d97c19cdcfc43fb7f7b79cd200835033963511ee"),
         ("all", RunConfig(seed=1),
-         "7d6a556c6c72a6ddcdbb244ad6d9bbb1bc56743a254692b5cfadc1b82ce28d8b"),
+         "cd1c8b9141fcfd49119bb96c4af09fa7e801e35c9e2c74879d23d335d35cbb3a"),
         ("all", RunConfig(seed=1009),
-         "a99d2ba905d5f20150f34e5af24b10146f2fc5fe939b6d1fcd550509fdebbfa6"),
+         "d5009096d0ffd86866f9ffb9d70aa35f6c8ecd63d3cd68cb18360feb8a82dd1c"),
         ("check-identities", RunConfig(n_max=6, seed=7),
          "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
@@ -216,7 +216,7 @@ class TestReports:
         rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "8956970e114d32b5a630230641aa70690b38964edd9f2d094aaef1024a9072a7")
+            "b861cb4ac78c7da75f6535a2593085dae2326a1fa6ad4b718fe60daba7d2abeb")
 
     def test_n2_digest(self):
         # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3

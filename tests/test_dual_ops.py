@@ -13,7 +13,6 @@ from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_op
                                  dual_coefficient, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
-from bispectral.sutherland_ops import EigenResidual
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import log_gamma
@@ -38,50 +37,23 @@ class TestCoefficients:
     def test_n1_r1_is_one(self):
         assert dual_coefficient((0,), (0.3j,), 1.5) == pytest.approx(1.0)
 
-    def test_sign_relation_between_variants(self):
-        rng = np.random.default_rng(2)
-        for n in (2, 3, 4):
-            lam = rand_lambda(rng, n)
-            for r in range(1, n + 1):
-                for members in [tuple(range(r))]:
-                    h = dual_coefficient(members, lam, 1.7, "H_g")
-                    d = dual_coefficient(members, lam, 1.7, "D_1mg")
-                    assert h == pytest.approx((-1.0) ** (r * (n - 1)) * d, rel=1e-14)
-
     def test_full_subset_collapses_to_pure_shift(self):
         # n = 2, r = 2: empty complement, sign (+1) only, so the order-2
         # operator is the plain double shift
         assert dual_coefficient((0, 1), LAM2, 1.5) == 1.0
 
-    def test_d_g_differs(self):
-        a = dual_coefficient((0,), LAM2, 1.5, "D_g")
-        b = dual_coefficient((0,), LAM2, 1.5, "D_1mg")
-        assert abs(a - b) > 0.1
-
-    @pytest.mark.parametrize("members, variant", [
-        ((0,), "bogus"),
-        # 0-based members must be sorted, distinct and inside 0..n-1
-        ((1, 0), "H_g"), ((0, 0), "H_g"), ((-1,), "H_g"), ((2,), "H_g")])
-    def test_unknown_variant(self, members, variant):
+    # H_g's 0-based members must be sorted, distinct and inside 0..n-1
+    @pytest.mark.parametrize("members", [
+        pytest.param((1, 0), id="members1-H_g"), pytest.param((0, 0), id="members2-H_g"),
+        pytest.param((-1,), id="members3-H_g"), pytest.param((2,), id="members4-H_g")])
+    def test_unknown_variant(self, members):
         with pytest.raises(ValueError):
-            dual_coefficient(members, LAM2, 1.5, variant)
-        if variant == "H_g":
-            with pytest.raises(ValueError):
-                _shifted(LAM2, members)
+            dual_coefficient(members, LAM2, 1.5)
+        with pytest.raises(ValueError):
+            _shifted(LAM2, members)
 
 
 class TestOperatorAlgebra:
-    def test_whole_operator_sign_coherence(self):
-        rng = np.random.default_rng(3)
-        n = 3
-        lam = rand_lambda(rng, n)
-        f = exp_probe(rng, n)
-        for r in (1, 2, 3):
-            a = apply_dual_operator(r, lam, 1.6, f)
-            b = sum(dual_coefficient(members, lam, 1.6, "D_1mg") * f(_shifted(lam, members))
-                    for members in combinations(range(n), r))
-            assert a == pytest.approx((-1.0) ** (r * (n - 1)) * b, rel=1e-13)
-
     def test_commutativity_probe(self):
         rng = np.random.default_rng(4)
         for n in (2, 3):
@@ -209,21 +181,6 @@ class TestDualHamiltonian:
     def test_n2_eigenrelation(self, r):
         res = apply_dual_hamiltonian(r, LAM2, X2, 1.5)
         assert res.relative_residual <= 1e-5
-
-    def test_d_1mg_variant(self):
-        # D_1mg multiplies both sides of the H_g relation by (-1)^{r(n-1)}, so
-        # its residual is apply_dual_hamiltonian's bit for bit
-        n, g = 2, 1.5
-        contour = default_contour(n, g, shifted=True)
-        for r in (1, 2):
-            value = 0.0 + 0.0j
-            for members in combinations(range(n), r):
-                value += dual_coefficient(members, LAM2, g, "D_1mg") * eval_phi(
-                    _shifted(LAM2, members), X2, g, contour=contour)
-            eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in X2])
-            res = EigenResidual.build(value, (-1) ** (r * (n - 1)) * eig * eval_phi(LAM2, X2, g))
-            assert res.relative_residual <= 1e-5
-            assert res.relative_residual == apply_dual_hamiltonian(r, LAM2, X2, g).relative_residual
 
     def test_infeasible_at_g_one(self):
         with pytest.raises(InfeasibleContourError):

@@ -1,6 +1,8 @@
 """q,t-difference operators: weights, gauge equivalence, commutativity, and
 the degeneration to the reduced Sutherland Hamiltonians."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -58,15 +60,37 @@ class TestOperators:
         params = MacdonaldParams(q=0.4, t=0.8)
         z = rand_point(rng, 2)
         f = LaurentPolynomial.random(2, rng)
-        got = apply_macdonald(2, params, "z_space_t", z, f)
+        got = apply_macdonald(2, params, z, f)
         expected = f(tuple(v * params.qsq for v in z.values))
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_constant_function_at_t_one(self):
         # t = 1 collapses every coefficient to 1, so M_1 1 = n
         params = MacdonaldParams(q=0.3, t=1.0)
-        got = apply_macdonald(1, params, "z_space_t", (1.3, 0.7 + 0.2j), lambda z: 1.0)
+        got = apply_macdonald(1, params, (1.3, 0.7 + 0.2j), lambda z: 1.0)
         assert got == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dual_pair_is_the_parameter_map(self, n):
+        # M_r(.|q, q/t) at MacdonaldParams(q, q / t) against its coefficient
+        # (q t^-1 z_i - q^-1 t z_j)/(z_i - z_j) written out
+        rng = np.random.default_rng(20 + n)
+        params = MacdonaldParams(q=0.3, t=0.7)
+        q, t = params.q, params.t
+        z = rand_point(rng, n).values
+        f = LaurentPolynomial.random(n, rng)
+        for r in range(n + 1):
+            expected = 0.0 + 0.0j
+            for members in combinations(range(n), r):
+                coef = 1.0 + 0.0j
+                for i in members:
+                    for j in range(n):
+                        if j not in members:
+                            coef *= (q / t * z[i] - t / q * z[j]) / (z[i] - z[j])
+                expected += coef * f(tuple(v * q * q if k in members else v
+                                           for k, v in enumerate(z)))
+            got = apply_macdonald(r, MacdonaldParams(q, q / t), z, f)
+            assert abs(got - expected) <= 1e-13 * abs(expected)
 
     def test_coincident_coordinates_rejected(self):
         with pytest.raises(ValueError):
@@ -80,10 +104,10 @@ class TestOperators:
             f = LaurentPolynomial.random(n, rng)
             for r in range(1, n + 1):
                 for s in range(r + 1, n + 1):
-                    ab = apply_macdonald(r, params, "z_space_t", z,
-                                         lambda zz: apply_macdonald(s, params, "z_space_t", zz, f))
-                    ba = apply_macdonald(s, params, "z_space_t", z,
-                                         lambda zz: apply_macdonald(r, params, "z_space_t", zz, f))
+                    ab = apply_macdonald(r, params, z,
+                                         lambda zz: apply_macdonald(s, params, zz, f))
+                    ba = apply_macdonald(s, params, z,
+                                         lambda zz: apply_macdonald(r, params, zz, f))
                     assert abs(ab - ba) / max(abs(ab), abs(ba), 1.0) <= 1e-10
 
     def test_permutation_invariance(self):
@@ -94,8 +118,8 @@ class TestOperators:
         zs = z.values
         perm = (zs[2], zs[0], zs[1])
         f_perm = lambda zz: f((zz[1], zz[2], zz[0]))
-        a = apply_macdonald(1, params, "z_space_t", zs, f)
-        b = apply_macdonald(1, params, "z_space_t", perm, f_perm)
+        a = apply_macdonald(1, params, zs, f)
+        b = apply_macdonald(1, params, perm, f_perm)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -121,9 +145,13 @@ class TestWeights:
     def test_delta_is_phi_one_tsquared(self):
         rng = np.random.default_rng(6)
         params = MacdonaldParams(q=0.35, t=0.6)
+        q, t = params.q, params.t
         z = rand_point(rng, 3)
         assert weight_and_gauge("delta_qt", params, z) == pytest.approx(
-            weight_and_gauge("phi_ab", params, z, a=1.0, b=params.t ** 2), rel=1e-14)
+            weight_and_gauge("phi_ab", params, z, a=1.0, b=t ** 2), rel=1e-14)
+        # the weight of the pair (q, q/t)
+        assert weight_and_gauge("delta_qt", MacdonaldParams(q, q / t), z) == pytest.approx(
+            weight_and_gauge("phi_ab", params, z, a=1.0, b=q * q / (t * t)), rel=1e-14)
 
     def test_delta_shift_law(self):
         # ratio (q z_i - q^{-1} z_j)(t z_i - t^{-1} z_j) /
@@ -146,27 +174,28 @@ class TestWeights:
             assert ratio == pytest.approx(predicted, rel=1e-10)
 
     def test_dual_weight_shift_laws(self):
+        # delta_qt of the pair (q, q/t), against delta_qt's law at (q, t) with
+        # its second factor inverted
         rng = np.random.default_rng(8)
         params = MacdonaldParams(q=0.35, t=0.6)
+        dual = MacdonaldParams(params.q, params.q / params.t)
         q, t = params.q, params.t
-        for kind, swap in (("delta_dual_qt", False), ("delta_dual_qt_inv", True)):
-            for _ in range(5):
-                z = rand_point(rng, 3).values
-                i = int(rng.integers(0, 3))
-                zs = list(z)
-                zs[i] *= params.qsq
-                ratio = (weight_and_gauge(kind, params, tuple(zs))
-                         / weight_and_gauge(kind, params, z))
-                predicted = 1.0 + 0.0j
-                for j in range(3):
-                    if j != i:
-                        first = (q * z[i] - z[j] / q) / (z[i] - z[j])
-                        second = (t * z[i] - z[j] / t) / (q / t * z[i] - t / q * z[j])
-                        predicted *= first * (1.0 / second if swap else second)
-                assert ratio == pytest.approx(predicted, rel=1e-10)
+        for _ in range(5):
+            z = rand_point(rng, 3).values
+            i = int(rng.integers(0, 3))
+            zs = list(z)
+            zs[i] *= params.qsq
+            ratio = (weight_and_gauge("delta_qt", dual, tuple(zs))
+                     / weight_and_gauge("delta_qt", dual, z))
+            predicted = 1.0 + 0.0j
+            for j in range(3):
+                if j != i:
+                    first = (q * z[i] - z[j] / q) / (z[i] - z[j])
+                    second = (t * z[i] - z[j] / t) / (q / t * z[i] - t / q * z[j])
+                    predicted *= first / second
+            assert ratio == pytest.approx(predicted, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["delta_qt", "phi_gauge", "delta_dual_qt",
-                                      "delta_dual_qt_inv", "phi_ab"])
+    @pytest.mark.parametrize("kind", ["delta_qt", "phi_gauge", "phi_ab"])
     def test_shift_residual_predicate(self, kind):
         rng = np.random.default_rng(10)
         params = MacdonaldParams(q=0.35, t=0.6)
@@ -174,6 +203,11 @@ class TestWeights:
             z = rand_point(rng, 3)
             i = int(rng.integers(0, 3))
             assert weight_shift_residual(kind, params, z, i, 0.4 + 0.1j, 1.7 - 0.2j) <= 1e-10
+        # the index is 0-based and must name a coordinate
+        z = (1.1 + 0.2j, 0.8 - 0.1j, 1.5 + 0.3j)
+        for i in (-1, 3):
+            with pytest.raises(ValueError):
+                weight_shift_residual(kind, params, z, i, 0.4 + 0.1j, 1.7 - 0.2j)
 
     def test_shift_residual_sees_a_wrong_weight(self, monkeypatch):
         import bispectral.macdonald as macdonald

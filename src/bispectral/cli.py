@@ -9,6 +9,8 @@ Reports are newline-delimited JSON on stdout, one object per check, and are
 deterministic for a fixed config and seed except for their wall_time fields;
 a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
+Each check's residual gate is its constant in _DEFAULT_TOLS and every grid
+width comes from the adaptive truncation rule: no key or flag sets either.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
 (an unknown key, a non-finite number), 3 an infeasible domain, 4 an internal
 error (traceback on stderr).
@@ -22,7 +24,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
 from typing import Callable, Sequence
@@ -33,8 +35,8 @@ from .cgamma import GammaPoleError
 from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
                        gauge_shift_residual, measure_shift_residual,
                        measure_weight)
-from .identities import (binomial_limit_check, residue_check, substitution_check,
-                         verify_lemma1)
+from .identities import (_BINOMIAL_N_MAX, binomial_limit_check, residue_check,
+                         substitution_check, verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
@@ -53,7 +55,7 @@ _DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError,
                   CoincidentCoordinatesError, ConvergenceWindowError,
                   GammaPoleError, HypergeometricError)
 
-# default residual tolerances per check family (config "tolerances" overrides)
+# the residual gate of each check family; no config or flag changes one
 _DEFAULT_TOLS = {
     "sutherland.h1": 1e-7,
     "sutherland.h2": 1e-5,
@@ -92,7 +94,7 @@ def format_complex(z: complex) -> str:
 
 # numeric RunConfig fields that map one-to-one to flags
 _INTEGER_FIELDS = ("n", "seed", "trials", "n_max", "grid", "r")
-_REAL_FIELDS = ("g", "step", "half_width", "tail_tol")
+_REAL_FIELDS = ("g", "step", "tail_tol")
 
 
 # kinds of number, as concrete types: the numbers ABCs would cost tens of
@@ -102,7 +104,7 @@ _REAL = (int, float, np.integer, np.floating)
 _COMPLEX = _REAL + (complex, np.complexfloating)
 
 
-def _is_finite(value, kind=_REAL) -> bool:
+def _is_finite(value, kind) -> bool:
     """A finite number of the given kind; bools do not count."""
     return (isinstance(value, kind) and not isinstance(value, bool)
             and (isinstance(value, _INTEGER) or cmath.isfinite(value)))
@@ -117,21 +119,19 @@ class RunConfig:
     lam: tuple[complex, ...] = (0.7j, -0.3j)
     x: tuple[float, ...] = (0.4, -0.2)
     step: float = 0.1
-    half_width: float | None = None
     tail_tol: float = 1e-13
     seed: int = 7
     trials: int = 100
     n_max: int = 5
     grid: int = 5
     r: int | None = None
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in _INTEGER_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
             kind, what = ((_INTEGER, "an integer") if name in _INTEGER_FIELDS
                           else (_REAL, "a finite real number"))
-            if not (value is None and name in ("r", "half_width") or _is_finite(value, kind)):
+            if not (value is None and name == "r" or _is_finite(value, kind)):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
         # fewer trials, oracle points or identity sizes would test nothing
         for name, low in (("trials", 1), ("grid", 2), ("n_max", 1)):
@@ -145,20 +145,12 @@ class RunConfig:
             raise ValueError(f"lambda has {len(self.lam)} entries, x has {len(self.x)}")
         if self.n != len(self.lam):
             raise ValueError(f"n = {self.n} does not match {len(self.lam)} lambda entries")
-        unknown = set(self.tolerances) - set(_DEFAULT_TOLS)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys {sorted(unknown)}; "
-                             f"known keys: {sorted(_DEFAULT_TOLS)}")
-        if not all(_is_finite(t) and t > 0 for t in self.tolerances.values()):
-            raise ValueError(f"tolerances must be positive finite numbers, "
-                             f"got {self.tolerances!r}")
 
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(step=self.step, half_width=self.half_width,
-                              tail_tol=self.tail_tol)
+        return QuadratureSpec(step=self.step, tail_tol=self.tail_tol)
 
     def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, _DEFAULT_TOLS[key]))
+        return _DEFAULT_TOLS[key]
 
 
 @dataclass
@@ -375,8 +367,8 @@ def _identities(config: RunConfig) -> list[Check]:
     out += [(f"identities.residue.n{n}r{r}", {"n": n, "r": r, "seed": seed}, EXACT,
              partial(residue_check, n, r, seed=seed))
             for n in range(2, min(config.n_max, 4) + 1) for r in range(1, n + 1)]
-    out.append(("identities.binomial", {"n_max": 10}, EXACT,
-                partial(binomial_limit_check, 10, seed=seed)))
+    out.append(("identities.binomial", {"n_max": _BINOMIAL_N_MAX}, EXACT,
+                partial(binomial_limit_check, seed=seed)))
     out.append(("identities.substitution", {"seed": seed}, EXACT,
                 partial(substitution_check, seed)))
     return out
@@ -483,8 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _INTEGER_FIELDS + _REAL_FIELDS:
         parser.add_argument("--" + name.replace("_", "-"),
                             type=int if name in _INTEGER_FIELDS else float)
-    parser.add_argument("--tolerance", action="append", default=[],
-                        metavar="KEY=VALUE", help="override one tolerance")
     return parser
 
 
@@ -515,13 +505,6 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     if isinstance(n, int) and n in _POINT_DEFAULTS:
         data.setdefault("lam", _POINT_DEFAULTS[n][0])
         data.setdefault("x", _POINT_DEFAULTS[n][1])
-    tols = dict(data.get("tolerances", {}))
-    for item in args.tolerance:
-        key, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"bad --tolerance {item!r}, expected KEY=VALUE")
-        tols[key] = float(value)
-    data["tolerances"] = tols
 
     lam_raw = data.pop("lambda", None)
     unknown = set(data) - {f.name for f in fields(RunConfig)}

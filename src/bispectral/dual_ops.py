@@ -30,8 +30,8 @@ from typing import Callable, Literal
 from .cgamma import gamma_log_sum
 from .symfun import elementary_symmetric
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
-from .wavefn import (InfeasibleContourError, QuadratureSpec, as_position,
-                     as_spectral, default_contour, eval_phi, measure_mu)
+from .wavefn import (QuadratureSpec, as_position, as_spectral, default_contour, eval_phi,
+                     measure_mu)
 
 __all__ = [
     "DualWeightKind",
@@ -102,7 +102,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
 
     Each shifted term re-evaluates the Mellin-Barnes integral with all
     contour levels at Re = 1, which separates the shifted pole lattices
-    exactly when g > 1.  The sinh prefactor is lambda-independent, so the
+    exactly when g > 1; ``default_contour`` refuses any other g before any
+    evaluation.  The sinh prefactor is lambda-independent, so the
     statement on Psi is equivalent to the same relation on Phi; Phi is what
     is tested.  D_{1-g} would multiply both sides by the same sign
     (-1)^{r(n-1)} and give the same residual.
@@ -112,10 +113,6 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     n = lam.n
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n={n}, got r={r}")
-    if g <= 1.0:
-        raise InfeasibleContourError(
-            f"dual Hamiltonians need g > 1: the shifted-contour window "
-            f"(-g+2, g) is empty for g = {g}")
     # every subset shifts at least one variable, so all share the Re = 1 contour; the
     # shifts are real and both contours have c1 = c2, so all share one lattice: the kernel
     # columns (a shifted lambda_k's is its unshifted one's read back by K(-d) = K(d)) and,

@@ -39,6 +39,8 @@ __all__ = [
 
 _FORMS = ("primed_S", "primed_Stilde", "unprimed_S", "unprimed_Stilde")
 _BOX = 10 ** 6
+# sizes n = 1.._BINOMIAL_N_MAX of the alpha = 0 degeneration check
+_BINOMIAL_N_MAX = 10
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +251,10 @@ def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
     return ResidueReport(passed=s_ok and st_ok, n=n, r=r, s_side=s_ok, stilde_side=st_ok)
 
 
-def binomial_limit_check(n_max: int = 10, seed: int = 0) -> bool:
+def binomial_limit_check(seed: int = 0) -> bool:
     """At alpha = 0 the subset sums are binomial coefficients and obey Pascal's rule."""
-    if n_max > 12:
-        raise ValueError("n_max capped at 12")
     rng = random.Random(seed)
-    for n in range(1, n_max + 1):
+    for n in range(1, _BINOMIAL_N_MAX + 1):
         # small operands: the value is integral here, only distinctness matters
         seen: set[int] = set()
         while len(seen) < 2 * n - 1:

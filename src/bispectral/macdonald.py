@@ -50,12 +50,14 @@ _TAU_SIGMAS = (0.004, 0.002, 0.001, 0.0005)
 
 @dataclass(frozen=True)
 class MacdonaldParams:
-    """Parameter pair (q, t) with |q| < 1; ``from_coupling`` links them by t = q^g."""
+    """Finite parameter pair (q, t) with |q| < 1; ``from_coupling`` links them by t = q^g."""
 
     q: complex
     t: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.q) and cmath.isfinite(self.t)):
+            raise ValueError(f"q and t must be finite, got q = {self.q}, t = {self.t}")
         if self.q == 0 or self.t == 0:
             raise ValueError("q and t must be nonzero")
         if abs(self.q) >= 1.0:
@@ -72,13 +74,15 @@ class MacdonaldParams:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """n nonzero coordinates, pairwise distinct (operator coefficients divide by differences)."""
+    """n finite nonzero coordinates, pairwise distinct (coefficients divide by differences)."""
 
     values: tuple[complex, ...]
 
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        if not all(map(cmath.isfinite, vals)):
+            raise ValueError(f"coordinates must be finite, got {vals}")
         if any(v == 0 for v in vals):
             raise ValueError("coordinates must be nonzero")
         for i in range(len(vals)):

@@ -68,7 +68,8 @@ _DISTINCT_TOL = 1e-12
 # the convergence window: the exponential factor grows like e^{|t| max|x_i - x_j|}
 # against the gamma decay, so separations are capped instead of returning garbage
 _MAX_SEPARATION = 1.0
-# hard cap on a truncation half-width, fixed or adaptive
+# hard cap on every truncation half-width, at the start and while growing; the n = 3
+# level-1 line, which must reach past every outer node, is capped this far past the outer one
 _MAX_HALF_WIDTH = 120.0
 
 
@@ -130,14 +131,13 @@ class PositionPoint:
 class QuadratureSpec:
     """Trapezoid discretisation of one vertical line.
 
-    step is the node spacing along the imaginary axis (must be <= 0.25);
-    half_width is a fixed truncation half-width (at most 120), or None to
-    expand adaptively until the boundary magnitude is below tail_tol times
-    the running maximum (hard cap 120).
+    step is the node spacing along the imaginary axis (must be <= 0.25).
+    The truncation half-width is not set: it expands adaptively until the
+    boundary magnitude is below tail_tol times the running maximum, up to
+    the hard cap _MAX_HALF_WIDTH = 120.
     """
 
     step: float = 0.1
-    half_width: float | None = None
     tail_tol: float = 1e-13
 
     def __post_init__(self):
@@ -145,9 +145,6 @@ class QuadratureSpec:
             raise ValueError(f"step must be in (0, 0.25], got {self.step}")
         if not (0.0 < self.tail_tol < 1e-3):
             raise ValueError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
-        if self.half_width is not None and not 0.0 < self.half_width <= _MAX_HALF_WIDTH:
-            raise ValueError(f"half_width must be None or in (0, {_MAX_HALF_WIDTH}], "
-                             f"got {self.half_width}")
 
 
 def as_spectral(lam) -> SpectralPoint:
@@ -347,7 +344,8 @@ def _tail_ok(logmag: np.ndarray, log_tol: float) -> bool:
 
 
 def _initial_half_width(im_spread: float, rate: float, tail_tol: float) -> float:
-    return im_spread + (-math.log(tail_tol) + 5.0) / rate
+    """Where a tail decaying like e^{-rate |t|} past im_spread should pass, capped."""
+    return min(im_spread + (-math.log(tail_tol) + 5.0) / rate, _MAX_HALF_WIDTH)
 
 
 def _quantities_n1(lam, x, derivs):
@@ -438,15 +436,14 @@ def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
     delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
-    T = quad.half_width or _initial_half_width(im_spread, rate, quad.tail_tol)
+    T = _initial_half_width(im_spread, rate, quad.tail_tol)
     m_max = max(d1 + d2 for d1, d2 in derivs)
 
     def log_kernel(gam):
         lgK = _grid_kernel([(c - l1.real, delta), (c - l2.real, -delta)], quad.step,
                            gam.size // 2, g, lattice)
         return lgK.real.max(axis=1), lgK
-    gam, base, lgK, _ = _level2(log_kernel, x1, x2, c, center, T,
-                                quad.half_width or _MAX_HALF_WIDTH, quad, m_max)
+    gam, base, lgK, _ = _level2(log_kernel, x1, x2, c, center, T, _MAX_HALF_WIDTH, quad, m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
@@ -510,7 +507,7 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
     im_spread = max(abs(v.imag - center) for v in lam)
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
     rate_out = 1.2  # net outer decay: kernel beats the inverse-gamma measure growth
-    T_out = quad.half_width or _initial_half_width(im_spread, rate_out, quad.tail_tol)
+    T_out = _initial_half_width(im_spread, rate_out, quad.tail_tol)
     T_in = T_out + _initial_half_width(0.0, rate_in, quad.tail_tol)
     m_max = max(d[0] + d[1] for d in derivs)
 
@@ -539,7 +536,7 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
         values = _outer_values(outer, derivs, quad.tail_tol)
         if values is not None:
             return values
-        if quad.half_width is not None or T_out >= _MAX_HALF_WIDTH:
+        if T_out >= _MAX_HALF_WIDTH:
             raise TailNotConvergedError(
                 f"n=3 outer integrand tail above tail_tol at half-width {T_out:.1f}")
         grow = min(1.4 * T_out, _MAX_HALF_WIDTH) - T_out
@@ -606,7 +603,6 @@ def sinh_prefactor(x, g: float) -> float:
     return out
 
 
-def eval_psi(lam, x, g: float, contour: tuple[float, ...] | None = None,
-             quad: QuadratureSpec | None = None) -> complex:
+def eval_psi(lam, x, g: float, quad: QuadratureSpec | None = None) -> complex:
     """Full wave function Psi = prefactor * Phi."""
-    return sinh_prefactor(x, g) * eval_phi(lam, x, g, contour, quad)
+    return sinh_prefactor(x, g) * eval_phi(lam, x, g, quad=quad)

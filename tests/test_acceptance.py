@@ -78,7 +78,7 @@ def test_criterion_02_residue_relations():
 
 def test_criterion_03_binomial_degeneration():
     started = time.time()
-    passed = binomial_limit_check(10, seed=3)
+    passed = binomial_limit_check(seed=3)
     elapsed = time.time() - started
     report("criterion 03 binomial degeneration",
            passed and elapsed < 1.0, f"exact, n<=10, {elapsed:.2f}s")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -60,14 +61,17 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(n=3, lam=(1j, 2j), x=(0.1, 0.2))
 
-    def test_tolerances_positive(self):
-        with pytest.raises(ValueError):
-            RunConfig(tolerances={"dual": -1.0})
-
     def test_tolerance_lookup(self):
-        config = RunConfig(tolerances={"dual": 2e-4})
-        assert config.tol("dual") == 2e-4
+        # the gates are constants: tol reads _DEFAULT_TOLS whatever the config
+        config = RunConfig(g=2.0, seed=3)
+        assert config.tol("dual") == 1e-5
         assert config.tol("oracle.spread") == 1e-6
+        assert all(config.tol(key) == tol for key, tol in _DEFAULT_TOLS.items())
+
+    def test_every_field_is_one_flag(self):
+        # RunConfig's fields and the parser's flags correspond one to one
+        flags = {action.dest for action in cli._build_parser()._actions}
+        assert flags - {"help", "command", "config"} == {f.name for f in fields(RunConfig)}
 
 
 class TestExitStatus:
@@ -77,9 +81,10 @@ class TestExitStatus:
         assert code == 0
         assert all(rep["status"] == "pass" for rep in reports_of(out))
 
-    def test_failure_is_one(self, capsys):
-        # force a failure with an unreachable tolerance
-        code, out, _ = run_main(capsys, ["check-dual", "--tolerance", "dual=1e-30"])
+    def test_failure_is_one(self, capsys, monkeypatch):
+        # force a failure with an unreachable gate
+        monkeypatch.setitem(cli._DEFAULT_TOLS, "dual", 1e-30)
+        code, out, _ = run_main(capsys, ["check-dual"])
         assert code == 1
         assert any(rep["status"] == "fail" for rep in reports_of(out))
 
@@ -89,15 +94,21 @@ class TestExitStatus:
         assert "config error" in err
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
-        bad = tmp_path / "conf.json"
-        bad.write_text(json.dumps({"coupling": 2.0}))
-        code, _, err = run_main(capsys, ["check-dual", "--config", str(bad)])
-        assert code == 2
+        # a config that sets a fixed half-width or a gate is an old one: it fails
+        # loudly and prints no report
+        for key, value in (("coupling", 2.0), ("half_width", 8.0),
+                           ("tolerances", {"dual": 1.0})):
+            bad = tmp_path / "conf.json"
+            bad.write_text(json.dumps({"g": 1.5, key: value}))
+            code, out, err = run_main(capsys, ["check-dual", "--config", str(bad)])
+            assert code == 2 and not out
+            assert f"unknown config keys: ['{key}']" in err
 
     def test_infeasible_domain_is_three(self, capsys):
-        code, _, err = run_main(capsys, ["check-dual", "--g", "1.0"])
-        assert code == 3
-        assert "infeasible" in err
+        for g in ("1.0", "0.5"):
+            code, _, err = run_main(capsys, ["check-dual", "--g", g])
+            assert code == 3
+            assert "infeasible" in err
 
     def test_coincident_coordinates_is_three(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--x", "0.4,0.4"])
@@ -106,11 +117,6 @@ class TestExitStatus:
     def test_window_violation_is_three(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--x", "1.6,-1.6"])
         assert code == 3
-
-    def test_unknown_tolerance_key_is_two(self, capsys):
-        code, out, err = run_main(capsys, ["check-dual", "--tolerance", "dual.n2=1e-30"])
-        assert code == 2 and not out
-        assert "dual.n2" in err
 
     def test_non_number_in_config_file_is_two(self, capsys, tmp_path):
         bad = tmp_path / "conf.json"
@@ -122,15 +128,15 @@ class TestExitStatus:
     @pytest.mark.parametrize("argv, name", [
         (["check-dual", "--g", "nan"], "g"),
         (["check-dual", "--x", "nan,0.1"], "x"),
-        (["eval-phi", "--tolerance", "dual=inf"], "tolerances"),
-        # values that would make a check vacuous or a grid unbounded
+        (["eval-phi", "--lambda", "0:nan,0:-0.3"], "lambda"),
+        # values that would make a check vacuous
         (["check-identities", "--trials", "0"], "trials"),
         (["check-identities", "--trials", "-3"], "trials"),
         (["compare-oracle", "--grid", "1"], "grid"),
         (["compare-oracle", "--grid", "0"], "grid"),
         (["check-identities", "--n-max", "0"], "n_max"),
-        (["check-sutherland", "--n", "3", "--half-width", "1000"], "half_width"),
-        (["eval-phi", "--half-width", "1e300"], "half_width"),
+        # default_contour refuses it for check-dual as for check-sutherland
+        (["check-dual", "--g", "-1"], "coupling"),
     ])
     def test_invalid_value_is_two(self, capsys, argv, name):
         code, _, err = run_main(capsys, argv)
@@ -163,10 +169,12 @@ class TestExitStatus:
         assert code == 2
 
     def test_bad_flag_is_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check-dual", "--not-a-flag"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        # a fixed half-width and tolerance overrides are not settings
+        for flag in (["--not-a-flag"], ["--half-width", "8"], ["--tolerance", "dual=1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["check-dual", *flag])
+            assert excinfo.value.code == 2
+            assert not capsys.readouterr().out
 
 
 class TestReports:
@@ -186,8 +194,9 @@ class TestReports:
         value = parse_complex(rep["value"])
         assert abs(value) > 0
 
-    def test_failure_carries_witness(self, capsys):
-        _, out, _ = run_main(capsys, ["check-dual", "--tolerance", "dual=1e-30"])
+    def test_failure_carries_witness(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._DEFAULT_TOLS, "dual", 1e-30)
+        _, out, _ = run_main(capsys, ["check-dual"])
         failed = [rep for rep in reports_of(out) if rep["status"] == "fail"]
         assert failed and all("witness" in rep for rep in failed)
         assert failed[0]["witness"]["tolerance"] == 1e-30

@@ -217,11 +217,8 @@ class TestResidues:
 
 class TestBinomialDegeneration:
     def test_up_to_ten(self):
-        assert binomial_limit_check(10)
-
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            binomial_limit_check(13)
+        assert identities._BINOMIAL_N_MAX == 10
+        assert binomial_limit_check()
 
 
 class TestSubstitution:
@@ -267,6 +264,6 @@ class TestWork:
         monkeypatch.setattr(math, "gcd", counting)
         assert verify_lemma1(5, 3, trials=20, seed=7).passed
         lemma1, calls[0] = calls[0], 0
-        assert binomial_limit_check(6, seed=7)
+        assert binomial_limit_check(seed=7)
         assert lemma1 <= 10 and calls[0] <= 10, (lemma1, calls[0])
 

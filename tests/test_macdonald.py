@@ -1,6 +1,7 @@
 """q,t-difference operators: weights, gauge equivalence, commutativity, and
 the degeneration to the reduced Sutherland Hamiltonians."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -46,6 +47,15 @@ class TestParams:
             MacdonaldParams(q=1.2, t=0.5)
         with pytest.raises(ValueError):
             MacdonaldParams(q=0.5, t=0.0)
+
+    @pytest.mark.parametrize("q, t", [
+        (math.nan, 0.5), (0.5, math.inf), (complex(0.3, math.nan), 0.5),
+        (0.5, complex(-math.inf, 0.0))])
+    def test_non_finite_refused(self, q, t):
+        # abs(nan) >= 1 is False: a NaN q would pass the |q| < 1 test and reach
+        # the weights as a finite, wrong value
+        with pytest.raises(ValueError, match="finite"):
+            MacdonaldParams(q=q, t=t)
 
     def test_from_coupling(self):
         params = MacdonaldParams.from_coupling(0.4, 2.0)
@@ -95,6 +105,13 @@ class TestOperators:
     def test_coincident_coordinates_rejected(self):
         with pytest.raises(ValueError):
             TorusPoint((1.0, 1.0))
+
+    @pytest.mark.parametrize("z", [(math.nan, 1.0), (1.0, complex(0.5, math.inf))])
+    def test_non_finite_coordinates_refused(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            TorusPoint(z)
+        with pytest.raises(ValueError, match="finite"):
+            apply_macdonald(1, MacdonaldParams(q=0.3, t=0.7), z, lambda w: 1.0)
 
     def test_commutativity_on_laurent_polynomials(self):
         rng = np.random.default_rng(3)

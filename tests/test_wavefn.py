@@ -455,12 +455,15 @@ def _no_middle_certificate(monkeypatch):
 class TestOuterSum:
     @pytest.mark.parametrize("shift, quad", [
         ((0, 0, 0), None), ((2, 0, 0), None),
-        ((0, 0, 0), QuadratureSpec(step=0.25, half_width=119.0))])
+        # started at outer half-width 119 (M = 953), where mu alone overflows
+        ((0, 0, 0), QuadratureSpec(step=0.25))])
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_factored_sums_match_entrywise(self, monkeypatch, shift, quad, g):
         # the Toeplitz mat-vec sums against the sum of every M x M entry, in row
-        # blocks; half_width 119 reaches offsets where mu alone overflows
+        # blocks
         lam = tuple(v + s for v, s in zip(LAM3, shift))
+        if quad is not None:
+            monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 119.0)
         passes = _spy_outer(monkeypatch)
         eval_phi_many(lam, X3, g, D7, default_contour(3, g, any(shift)), quad)
         (outer, values), = passes
@@ -483,12 +486,14 @@ class TestOuterSum:
         assert len(full) >= len(D7)
 
     def test_full_peak_fallback_still_refuses(self, monkeypatch):
-        quad = QuadratureSpec(half_width=8.0)
-        with pytest.raises(TailNotConvergedError):
-            eval_phi_many(LAM3, X3, G, D7, quad=quad)
+        # a cap of 13 stops the outer line short of its tail (it passes at 14) and
+        # leaves the level-1 line its whole start, 13.0 beyond the outer one
+        monkeypatch.setattr(wavefn, "_MAX_HALF_WIDTH", 13.0)
+        with pytest.raises(TailNotConvergedError, match="outer .* half-width 13.0"):
+            eval_phi_many(LAM3, X3, G, D7)
         full = _no_middle_certificate(monkeypatch)
-        with pytest.raises(TailNotConvergedError):
-            eval_phi_many(LAM3, X3, G, D7, quad=quad)
+        with pytest.raises(TailNotConvergedError, match="outer .* half-width 13.0"):
+            eval_phi_many(LAM3, X3, G, D7)
         assert full
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in exp:RuntimeWarning")
@@ -569,10 +574,23 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(tail_tol=1.0)
 
-    def test_fixed_half_width_within_cap(self):
-        assert QuadratureSpec(half_width=120.0).half_width == 120.0
-        with pytest.raises(ValueError, match="half_width"):
-            QuadratureSpec(half_width=120.5)
+    def test_no_fixed_half_width(self):
+        # the truncation is always adaptive, under the cap _MAX_HALF_WIDTH
+        with pytest.raises(TypeError, match="half_width"):
+            QuadratureSpec(half_width=30.0)
+
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
+    def test_start_within_cap(self, monkeypatch, lam, x):
+        # a tail_tol no grid can reach starts every line at its cap and refuses
+        # there, before exp or log of an out-of-range number can warn
+        widths, grid = [], wavefn._grid
+        monkeypatch.setattr(wavefn, "_grid",
+                            lambda c, T, step: widths.append(T) or grid(c, T, step))
+        # the n = 3 level-1 line reaches the cap past the outer half-width
+        cap = wavefn._MAX_HALF_WIDTH * (len(lam) - 1)
+        with pytest.raises(TailNotConvergedError, match=f"half-width {cap:.1f}"):
+            eval_phi(lam, x, G, quad=QuadratureSpec(tail_tol=1e-300))
+        assert widths[0] == wavefn._MAX_HALF_WIDTH and max(widths) == cap
 
 
 class TestEvalPhi:
@@ -635,14 +653,18 @@ class TestEvalPhi:
         print(f"observed x-swap defect: {defect:.3e}")
         assert math.isfinite(defect)
 
-    def test_quadrature_convergence(self):
-        coarse = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.1, half_width=30.0))
-        fine = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.05, half_width=60.0))
+    def test_quadrature_convergence(self, monkeypatch):
+        # half the step on twice the width moves the value by round-off only
+        monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 30.0)
+        coarse = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.1))
+        monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 60.0)
+        fine = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.05))
         assert abs(fine - coarse) / abs(fine) <= 10 * 1e-13
 
-    def test_tail_not_converged(self):
-        with pytest.raises(TailNotConvergedError):
-            eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.1, half_width=3.0))
+    def test_tail_not_converged(self, monkeypatch):
+        monkeypatch.setattr(wavefn, "_MAX_HALF_WIDTH", 3.0)
+        with pytest.raises(TailNotConvergedError, match="half-width 3.0"):
+            eval_phi(LAM2, X2, G)
 
     def test_n4_rejected(self):
         with pytest.raises(ValueError):

@@ -169,12 +169,22 @@ class TestExitStatus:
         assert code == 2
 
     def test_bad_flag_is_two(self, capsys):
-        # a fixed half-width and tolerance overrides are not settings
-        for flag in (["--not-a-flag"], ["--half-width", "8"], ["--tolerance", "dual=1"]):
+        # a fixed half-width is not a setting
+        for flag in (["--not-a-flag"], ["--half-width", "8"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["check-dual", *flag])
             assert excinfo.value.code == 2
             assert not capsys.readouterr().out
+
+    def test_unknown_tolerance_key_is_two(self, capsys):
+        # every gate is a constant, so no tolerance key can be set from the command
+        # line: the override fails loudly, names what it refused and prints no report
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check-dual", "--tolerance", "dual.n2=1e-30"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "dual.n2" in err
 
 
 class TestReports:

@@ -9,10 +9,11 @@ scalar-product weight (a=1, b=t^2) and the gauge function relating the
 parameter pairs (q, t) and (q, q/t).
 
 With q = e^{pi i tau}, t = q^g and tau -> 0 the first operator degenerates
-into the reduced Sutherland Hamiltonians; ``tau_limit_check`` recovers their
-action on polynomial test functions by Richardson extrapolation, and
+into the reduced Sutherland Hamiltonians; ``tau_limit_check`` reads their
+action on polynomial test functions off exact Taylor coefficients in tau, and
 ``weight_limit_check`` verifies the limiting weight against its defining
-differential equation.
+differential equation.  The operators take any finite nonzero q, and
+``qpochhammer`` refuses |q| >= 1 for the weights.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ __all__ = [
 WeightKind = Literal["delta_qt", "phi_ab", "phi_gauge"]
 # q-Pochhammer products stop once |z| |qsq|^N drops below this
 _TRUNC_TOL = 1e-16
-# tau = i*sigma samples of the small-tau fit: four powers, four unknowns
-_TAU_SIGMAS = (0.004, 0.002, 0.001, 0.0005)
+# tau = i*sigma nodes of the Taylor-coefficient rule: N points on |sigma| = rho
+_TAU_NODES, _TAU_RADIUS = 32, 0.05
 
 
 @dataclass(frozen=True)
 class MacdonaldParams:
-    """Finite parameter pair (q, t) with |q| < 1; ``from_coupling`` links them by t = q^g."""
+    """Finite nonzero (q, t); ``from_coupling`` sets t = q^g.  ``qpochhammer`` refuses |q| >= 1."""
 
     q: complex
     t: complex
@@ -60,8 +61,6 @@ class MacdonaldParams:
             raise ValueError(f"q and t must be finite, got q = {self.q}, t = {self.t}")
         if self.q == 0 or self.t == 0:
             raise ValueError("q and t must be nonzero")
-        if abs(self.q) >= 1.0:
-            raise ValueError(f"|q| must be < 1 for convergent weights, got {abs(self.q)}")
 
     @classmethod
     def from_coupling(cls, q: complex, g: float) -> "MacdonaldParams":
@@ -103,11 +102,11 @@ def qpochhammer(z: complex, qsq: complex) -> complex:
     """(z; qsq)_infinity = prod_{i >= 0} (1 - z qsq^i), truncated.
 
     Truncates once |z| |qsq|^N < 1e-16, which bounds the neglected log
-    tail by ~ 1e-16 / (1 - |qsq|).
+    tail by ~ 1e-16 / (1 - |qsq|).  Refuses non-finite input and |qsq| >= 1.
     """
     aq = abs(qsq)
-    if aq >= 1.0:
-        raise ValueError(f"q-Pochhammer diverges for |qsq| = {aq} >= 1")
+    if not (cmath.isfinite(z) and aq < 1.0):
+        raise ValueError(f"q-Pochhammer needs a finite z and |qsq| < 1, got z = {z}, qsq = {qsq}")
     if z == 0:
         return 1.0 + 0.0j
     n_terms = max(1, int(math.ceil(
@@ -236,6 +235,8 @@ class LaurentPolynomial:
     def __init__(self, n: int, terms: dict[tuple[int, ...], complex]):
         self.n = n
         self.terms = {tuple(k): complex(v) for k, v in terms.items() if v != 0}
+        if any(len(expo) != n for expo in self.terms):
+            raise ValueError(f"every exponent tuple needs length n = {n}, got {list(self.terms)}")
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator, max_degree: int = 4,
@@ -278,7 +279,7 @@ class TauFitResult:
 
     @property
     def error(self) -> float:
-        return max(self.hs1_error, self.hs2_error)
+        return float(np.max([self.hs1_error, self.hs2_error]))
 
 
 def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tuple[complex, complex]:
@@ -295,28 +296,26 @@ def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tup
 
 
 def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) -> TauFitResult:
-    """Fit the small-tau expansion of M_1 against the reduced Hamiltonians.
+    """Taylor coefficients of M_1 in tau against the reduced Hamiltonians.
 
-    tau = i*sigma with real sigma > 0 keeps q = e^{pi i tau} in (0, 1), so all
-    operator coefficients stay real and the Richardson solve is
-    well-conditioned.  M_1 f - n f is modelled as
-    pi*i*tau * HS1 f - (pi*tau)^2/2 * HS2 f + O(tau^3); the four sigma values
-    0.004, 0.002, 0.001, 0.0005 fit the two leading coefficients plus two
-    spillover powers exactly (a square 4 x 4 solve).
+    With tau = i*sigma, q = e^{-pi sigma} and t = q^g, v(sigma) = M_1 f - n f
+    is entire in sigma and equals -pi sigma HS1 f + (pi sigma)^2/2 HS2 f +
+    O(sigma^3).  The trapezoid rule on the circle |sigma| = 0.05 with 32
+    nodes gives its Taylor coefficients c_k = mean(v / sigma^k), exact up to
+    aliasing of c_{k+32} (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Half
+    the nodes have |q| > 1, which the operator accepts.
     """
     z = tuple(cmath.exp(2.0 * xi) for xi in x_point)
     n = len(z)
     hs1, hs2 = _reduced_action(f, z, g)
-    rows, rhs = [], []
-    for sigma in _TAU_SIGMAS:
-        q = math.exp(-math.pi * sigma)
-        params = MacdonaldParams.from_coupling(q, g)
-        value = apply_macdonald(1, params, z, f) - n * f(z)
-        rows.append([-math.pi * sigma, (math.pi * sigma) ** 2 / 2.0, sigma ** 3, sigma ** 4])
-        rhs.append(value)
-    sol = np.linalg.solve(np.asarray(rows, dtype=complex), np.asarray(rhs, dtype=complex))
-    return TauFitResult(hs1_fitted=complex(sol[0]), hs1_analytic=hs1,
-                        hs2_fitted=complex(sol[1]), hs2_analytic=hs2)
+    sigmas = _TAU_RADIUS * np.exp(2j * np.pi * np.arange(_TAU_NODES) / _TAU_NODES)
+    base = n * f(z)
+    values = np.array([
+        apply_macdonald(1, MacdonaldParams.from_coupling(cmath.exp(-math.pi * s), g), z, f) - base
+        for s in sigmas])
+    c1, c2 = np.mean(values / sigmas), np.mean(values / sigmas ** 2)
+    return TauFitResult(hs1_fitted=complex(-c1 / math.pi), hs1_analytic=hs1,
+                        hs2_fitted=complex(2.0 * c2 / math.pi ** 2), hs2_analytic=hs2)
 
 
 def weight_limit_check(x_point: Sequence[float], g: float) -> float:
@@ -328,9 +327,9 @@ def weight_limit_check(x_point: Sequence[float], g: float) -> float:
     x = [float(v) for v in x_point]
     n = len(x)
     z = [math.exp(2.0 * xi) for xi in x]
-    worst = 0.0
+    gaps = []
     for i in range(n):
         lhs = sum(g / math.tanh(x[i] - x[j]) for j in range(n) if j != i)
         rhs = sum(g * (z[i] + z[j]) / (z[i] - z[j]) for j in range(n) if j != i)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    return worst
+        gaps.append(abs(lhs - rhs) / max(abs(rhs), 1.0))
+    return float(np.max(gaps, initial=0.0))

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import math
 from dataclasses import fields
 
 import pytest
 
-from bispectral import cli
+from bispectral import cli, macdonald
 from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,
                             format_complex, main, parse_complex, run)
+from bispectral.macdonald import LaurentPolynomial, MacdonaldParams, TorusPoint
 
 
 def run_main(capsys, argv):
@@ -87,6 +89,32 @@ class TestExitStatus:
         code, out, _ = run_main(capsys, ["check-dual"])
         assert code == 1
         assert any(rep["status"] == "fail" for rep in reports_of(out))
+
+    def test_planted_tau_error_is_one(self, monkeypatch):
+        # a 1e-8 relative error in the reduced action fails macdonald.tau
+        reduced = macdonald._reduced_action
+        monkeypatch.setattr(macdonald, "_reduced_action", lambda f, z, g: tuple(
+            (1.0 + 1e-8) * v for v in reduced(f, z, g)))
+        code, reports = run("check-macdonald", RunConfig())
+        assert code == 1
+        assert [rep.check_id for rep in reports if rep.status == "fail"] == ["macdonald.tau"]
+
+    def test_nan_residual_is_one(self):
+        # a NaN draw makes the worst-of residual NaN, and a NaN fails its gate
+        check = ("probe", {}, "dual", cli._worst(lambda v: v, [(1e-15,), (math.nan,)]))
+        rep = cli._report(RunConfig(), check)
+        assert math.isnan(rep.residual) and rep.status == "fail"
+
+    def test_nan_commutator_is_nan(self):
+        f = LaurentPolynomial(2, {(1, 0): math.nan})
+        assert math.isnan(cli._commutator_residual(
+            MacdonaldParams(0.3, 0.7), TorusPoint((1.1, 0.8)), f))
+
+    def test_nan_dual_system_fails(self, monkeypatch):
+        monkeypatch.setattr(cli, "dual_system_residuals", lambda *args: (1e-15, math.nan))
+        _, reports = run("check-legendre", RunConfig())
+        (rep,) = [rep for rep in reports if rep.check_id == "legendre.dual_system"]
+        assert math.isnan(rep.residual) and rep.status == "fail"
 
     def test_config_error_is_two(self, capsys):
         code, _, err = run_main(capsys, ["check-dual", "--lambda", "whoops"])
@@ -213,11 +241,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "3663d3e237a7994928d40797d97c19cdcfc43fb7f7b79cd200835033963511ee"),
+         "0cf7b0919b489e9565a07ea2922b809aa8bc9dd9a44d6f5676c06797c152ddd3"),
         ("all", RunConfig(seed=1),
-         "cd1c8b9141fcfd49119bb96c4af09fa7e801e35c9e2c74879d23d335d35cbb3a"),
+         "63637a93e3df26473f9f44731bfe7557c14b8d22ca086d1dbb250bec9cf39171"),
         ("all", RunConfig(seed=1009),
-         "d5009096d0ffd86866f9ffb9d70aa35f6c8ecd63d3cd68cb18360feb8a82dd1c"),
+         "5d452ed25b0a33057a8ace3de8d13210a84e2618fffd0187091b1e81cd065e48"),
         ("check-identities", RunConfig(n_max=6, seed=7),
          "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
@@ -235,7 +263,7 @@ class TestReports:
         rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "b861cb4ac78c7da75f6535a2593085dae2326a1fa6ad4b718fe60daba7d2abeb")
+            "f34af553743ee8a62b1a2ed515aae89cf5caf457983d16eb37544688f295f3de")
 
     def test_n2_digest(self):
         # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3

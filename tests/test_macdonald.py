@@ -1,6 +1,7 @@
 """q,t-difference operators: weights, gauge equivalence, commutativity, and
 the degeneration to the reduced Sutherland Hamiltonians."""
 
+import cmath
 import math
 from itertools import combinations
 
@@ -40,11 +41,22 @@ class TestQPochhammer:
         with pytest.raises(ValueError):
             qpochhammer(0.5, 1.01)
 
+    @pytest.mark.parametrize("z, qsq", [
+        (0.5, math.nan), (math.inf, 0.25), (complex(0.5, math.nan), 0.25),
+        (0.5, complex(0.1, -math.inf))])
+    def test_non_finite_refused(self, z, qsq):
+        # abs(nan) >= 1 is False, so a divergence test alone lets a NaN qsq
+        # through to a one-factor product; an infinite z overflows the term count
+        with pytest.raises(ValueError, match="finite"):
+            qpochhammer(z, qsq)
+
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MacdonaldParams(q=1.2, t=0.5)
+        # |q| >= 1 is a valid operator parameter; the weights refuse it
+        params = MacdonaldParams(q=1.2, t=0.5)
+        with pytest.raises(ValueError, match=r"\|qsq\| < 1"):
+            weight_and_gauge("delta_qt", params, (1.1, 0.8))
         with pytest.raises(ValueError):
             MacdonaldParams(q=0.5, t=0.0)
 
@@ -52,8 +64,7 @@ class TestParams:
         (math.nan, 0.5), (0.5, math.inf), (complex(0.3, math.nan), 0.5),
         (0.5, complex(-math.inf, 0.0))])
     def test_non_finite_refused(self, q, t):
-        # abs(nan) >= 1 is False: a NaN q would pass the |q| < 1 test and reach
-        # the weights as a finite, wrong value
+        # a NaN q would reach the operators and weights as NaN arithmetic
         with pytest.raises(ValueError, match="finite"):
             MacdonaldParams(q=q, t=t)
 
@@ -261,6 +272,15 @@ class TestGaugeEquivalence:
             assert verify_gauge_equivalence(r, params, z, f) <= 1e-10
 
 
+class TestLaurentPolynomial:
+    @pytest.mark.parametrize("expo", [(1, 2), (1, 2, 0, 1), ()])
+    def test_exponent_length_must_be_n(self, expo):
+        # evaluation would zip the tuple against z and drop what does not pair,
+        # and euler_derivative would index past the end of a short one
+        with pytest.raises(ValueError, match="length n = 3"):
+            LaurentPolynomial(3, {expo: 1.0})
+
+
 class TestTauLimit:
     def test_constant_function_recovers_coupling_constant(self):
         # f == 1: HS1 f = 0 and HS2 f = g^2 n (n^2 - 1)/3
@@ -268,33 +288,43 @@ class TestTauLimit:
         fit = tau_limit_check((0.4, -0.2), g, LaurentPolynomial(n, {(0, 0): 1.0}))
         assert fit.hs1_analytic == 0.0
         assert fit.hs2_analytic == pytest.approx(g * g * n * (n * n - 1) / 3.0)
-        assert fit.hs1_error <= 1e-6
-        assert fit.hs2_error <= 1e-4
+        assert fit.hs1_error <= 1e-12
+        assert fit.hs2_error <= 1e-12
 
     def test_single_variable_exact_expansion(self):
         # n = 1: M_1 f = f(q^2 z), expansion matches the Euler operator exactly
         fit = tau_limit_check((0.3,), 1.2, LaurentPolynomial(1, {(1,): 1.0}))
-        assert fit.hs1_error <= 1e-8
-        assert fit.hs2_error <= 1e-6
+        assert fit.hs1_error <= 1e-12
+        assert fit.hs2_error <= 1e-12
 
     def test_mixed_monomial(self):
         fit = tau_limit_check((0.4, -0.2), 1.5, LaurentPolynomial(2, {(1, 2): 1.0}))
-        assert fit.hs1_error <= 1e-4
-        assert fit.hs2_error <= 1e-4
+        assert fit.hs1_error <= 1e-12
+        assert fit.hs2_error <= 1e-12
 
-    def test_needs_four_samples(self):
-        # four unknowns (HS1, HS2 and two spillover powers) need four distinct
-        # sigma samples; with its columns scaled the 4 x 4 design is well posed
-        sigma = np.asarray(macdonald._TAU_SIGMAS)
-        assert sigma.shape == (4,) and len(set(sigma)) == 4 and (sigma > 0).all()
-        rows = np.stack([-np.pi * sigma, (np.pi * sigma) ** 2 / 2.0, sigma ** 3, sigma ** 4],
-                        axis=1)
-        assert np.linalg.cond(rows / np.abs(rows).max(axis=0)) < 1e4
+    def test_circle_recovers_sigma_coefficients(self):
+        # n = 1: M_1 f - f = sum_k c_k (e^{-2 pi k sigma} - 1) z^k, whose sigma
+        # and sigma^2 coefficients give HS1 f = sum 2k c_k z^k and
+        # HS2 f = sum 4k^2 c_k z^k, whatever g is
+        terms = {(-3,): 0.7 - 0.2j, (1,): 1.0, (4,): -0.5j}
+        z = cmath.exp(2.0 * 0.3)
+        fit = tau_limit_check((0.3,), 2.0, LaurentPolynomial(1, terms))
+        hs1 = sum(2 * k * c * z ** k for (k,), c in terms.items())
+        hs2 = sum(4 * k * k * c * z ** k for (k,), c in terms.items())
+        assert abs(fit.hs1_fitted - hs1) <= 1e-12 * abs(hs1)
+        assert abs(fit.hs2_fitted - hs2) <= 1e-12 * abs(hs2)
+
+    def test_error_propagates_nan(self):
+        fit = macdonald.TauFitResult(1.0, 1.0, complex(math.nan), 1.0)
+        assert math.isnan(fit.error)
 
 
 class TestWeightLimit:
     def test_single_variable_trivial(self):
         assert weight_limit_check((0.7,), 1.5) == 0.0
+
+    def test_nan_coordinate_is_nan(self):
+        assert math.isnan(weight_limit_check((0.4, math.nan), 1.5))
 
     def test_n2_reference(self):
         assert weight_limit_check((0.4, -0.2), 1.5) <= 1e-10

@@ -9,8 +9,10 @@ Reports are newline-delimited JSON on stdout, one object per check, and are
 deterministic for a fixed config and seed except for their wall_time fields;
 a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
-Each check's residual gate is its constant in _DEFAULT_TOLS and every grid
-width comes from the adaptive truncation rule: no key or flag sets either.
+Each check's residual gate is its constant in _DEFAULT_TOLS, and every grid
+width comes from the adaptive truncation rule at wavefn's constant tail
+tolerance: no key or flag sets either.  A failed check carries a witness: its
+inputs, residual and gate, or for an exact identity the point where it failed.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
 (an unknown key, a non-finite number), 3 an infeasible domain, 4 an internal
 error (traceback on stderr).
@@ -35,8 +37,8 @@ from .cgamma import GammaPoleError
 from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
                        gauge_shift_residual, measure_shift_residual,
                        measure_weight)
-from .identities import (_BINOMIAL_N_MAX, binomial_limit_check, residue_check,
-                         substitution_check, verify_lemma1)
+from .identities import (_BINOMIAL_N_MAX, _LEMMA1_N_MAX, binomial_limit_check,
+                         residue_check, substitution_check, verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
@@ -94,7 +96,7 @@ def format_complex(z: complex) -> str:
 
 # numeric RunConfig fields that map one-to-one to flags
 _INTEGER_FIELDS = ("n", "seed", "trials", "n_max", "grid", "r")
-_REAL_FIELDS = ("g", "step", "tail_tol")
+_REAL_FIELDS = ("g", "step")
 
 
 # kinds of number, as concrete types: the numbers ABCs would cost tens of
@@ -119,7 +121,6 @@ class RunConfig:
     lam: tuple[complex, ...] = (0.7j, -0.3j)
     x: tuple[float, ...] = (0.4, -0.2)
     step: float = 0.1
-    tail_tol: float = 1e-13
     seed: int = 7
     trials: int = 100
     n_max: int = 5
@@ -133,10 +134,13 @@ class RunConfig:
                           else (_REAL, "a finite real number"))
             if not (value is None and name == "r" or _is_finite(value, kind)):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        # fewer trials, oracle points or identity sizes would test nothing
-        for name, low in (("trials", 1), ("grid", 2), ("n_max", 1)):
+        # fewer trials, oracle points or identity sizes would test nothing; numpy
+        # seeds are non-negative
+        for name, low in (("trials", 1), ("grid", 2), ("n_max", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.n_max > _LEMMA1_N_MAX:
+            raise ValueError(f"n_max must be at most {_LEMMA1_N_MAX}, got {self.n_max}")
         for name, values, kind, what in (("lambda", self.lam, _COMPLEX, "complex"),
                                          ("x", self.x, _REAL, "real")):
             if not all(_is_finite(v, kind) for v in values):
@@ -147,7 +151,7 @@ class RunConfig:
             raise ValueError(f"n = {self.n} does not match {len(self.lam)} lambda entries")
 
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(step=self.step, tail_tol=self.tail_tol)
+        return QuadratureSpec(step=self.step)
 
     def tol(self, key: str) -> float:
         return _DEFAULT_TOLS[key]
@@ -176,8 +180,8 @@ class CheckReport:
 # checks
 #
 # A check is (check_id, inputs, kind, thunk).  kind is a key of _DEFAULT_TOLS
-# when the thunk returns a residual, EXACT when it returns a bool or a report
-# with .passed (and maybe .witness), and VALUE when it returns a number.
+# when the thunk returns a residual, EXACT when it returns None or the witness
+# of a failure, and VALUE when it returns a number.
 
 EXACT, VALUE = "exact", "value"
 Check = tuple[str, dict, str, Callable[[], object]]
@@ -194,10 +198,9 @@ def _report(config: RunConfig, check: Check) -> CheckReport:
     if kind == VALUE:
         rep.value = format_complex(result)
     elif kind == EXACT:
-        rep.exact_pass = getattr(result, "passed", result)
-        if not rep.exact_pass:
-            rep.status = "fail"
-            rep.witness = getattr(result, "witness", None) or {"inputs": inputs}
+        rep.exact_pass = result is None
+        if result is not None:
+            rep.status, rep.witness = "fail", result
     else:
         tol = config.tol(kind)
         rep.inputs, rep.residual = dict(inputs, tolerance=tol), result
@@ -318,13 +321,13 @@ def _macdonald(config: RunConfig) -> list[Check]:
     params = MacdonaldParams(q=0.3, t=0.7)
     g, seed = config.g, config.seed
 
-    # shift laws of the two-parameter weight (the only kind that reads this
-    # (a, b)) and the scalar-product weights of (q, t) and (q, q/t), pointwise
+    # shift laws of a generic two-parameter weight and of the scalar-product
+    # weights of (q, t) and (q, q/t), (a, b) = (1, t^2), pointwise
     dual = MacdonaldParams(params.q, params.q / params.t)
-    shifts = [(kind, at, _rand_torus_point(rng, 3), int(rng.integers(0, 3)),
-               0.4 + 0.1j, 1.7 - 0.2j)
-              for kind, at, count in (("phi_ab", params, 5), ("delta_qt", params, 10),
-                                      ("delta_qt", dual, 5))
+    shifts = [(at, _rand_torus_point(rng, 3), int(rng.integers(0, 3)), a, b)
+              for at, a, b, count in ((params, 0.4 + 0.1j, 1.7 - 0.2j, 5),
+                                      (params, 1.0 + 0.0j, params.t * params.t, 10),
+                                      (dual, 1.0 + 0.0j, dual.t * dual.t, 5))
               for _ in range(count)]
 
     # gauge equivalence on random Laurent-polynomial test functions

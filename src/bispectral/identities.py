@@ -13,15 +13,15 @@ sums S'_r / S~'_r whose recurrence
 generalises Pascal's rule for binomial coefficients (which it becomes at
 alpha = 0).  Identity testing is randomised Schwartz-Zippel style: the
 difference of two fixed rational functions that agrees at many random
-integer points is zero with overwhelming probability, and any disagreement
-is returned as a reproducible witness point.
+integer points is zero with overwhelming probability.  Each check returns
+None when it holds, and otherwise its first disagreement as a reproducible,
+JSON-ready witness point.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -30,9 +30,7 @@ __all__ = [
     "sum_S",
     "substitution_map",
     "verify_lemma1",
-    "Lemma1Report",
     "residue_check",
-    "ResidueReport",
     "binomial_limit_check",
     "substitution_check",
 ]
@@ -41,6 +39,8 @@ _FORMS = ("primed_S", "primed_Stilde", "unprimed_S", "unprimed_Stilde")
 _BOX = 10 ** 6
 # sizes n = 1.._BINOMIAL_N_MAX of the alpha = 0 degeneration check
 _BINOMIAL_N_MAX = 10
+# the largest n that verify_lemma1 takes
+_LEMMA1_N_MAX = 6
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +167,17 @@ def _distinct_integers(rng: random.Random, count: int) -> list[int]:
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
-    passed: bool
-    n: int
-    r: int
-    trials: int
-    witness: dict | None = None
+def _strs(values) -> list[str]:
+    return [str(x) for x in values]
 
 
-def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> Lemma1Report:
-    """Exact check of S'_r(u, v) = S~'_{r-1}(v, u) + S~'_r(v, u) at random points."""
-    if not (1 <= r <= n <= 6):
-        raise ValueError(f"need 1 <= r <= n <= 6, got n={n}, r={r}")
+def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> dict | None:
+    """Exact check of S'_r(u, v) = S~'_{r-1}(v, u) + S~'_r(v, u) at random points.
+
+    Returns None, or the first point where the two sides differ, with both.
+    """
+    if not (1 <= r <= n <= _LEMMA1_N_MAX):
+        raise ValueError(f"need 1 <= r <= n <= {_LEMMA1_N_MAX}, got n={n}, r={r}")
     rng = random.Random(seed)
     for _ in range(trials):
         vals = _distinct_integers(rng, 2 * n - 1)
@@ -190,16 +188,9 @@ def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> Lemma1Rep
         rhs = _add(_subset_sum(r - 1, u, v, alpha, "primed_Stilde"),
                    _subset_sum(r, u, v, alpha, "primed_Stilde"))
         if not _equal(lhs, rhs):
-            witness = {
-                "n": n, "r": r,
-                "u": [str(x) for x in u],
-                "v": [str(x) for x in v],
-                "alpha": str(alpha),
-                "lhs": str(Fraction(*lhs)),
-                "rhs": str(Fraction(*rhs)),
-            }
-            return Lemma1Report(passed=False, n=n, r=r, trials=trials, witness=witness)
-    return Lemma1Report(passed=True, n=n, r=r, trials=trials)
+            return {"n": n, "r": r, "u": _strs(u), "v": _strs(v), "alpha": str(alpha),
+                    "lhs": str(Fraction(*lhs)), "rhs": str(Fraction(*rhs))}
+    return None
 
 
 def _E_n(w, u: Sequence, v: Sequence, alpha) -> Fraction:
@@ -211,16 +202,7 @@ def _E_n(w, u: Sequence, v: Sequence, alpha) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class ResidueReport:
-    passed: bool
-    n: int
-    r: int
-    s_side: bool
-    stilde_side: bool
-
-
-def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
+def residue_check(n: int, r: int, seed: int = 0) -> dict | None:
     """Exact residue relations at the collision v_{n-1} = u_n.
 
     Substitutes v_{n-1} = u_n exactly and takes the residue at the collision
@@ -229,6 +211,8 @@ def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
     residue is alpha times its other factors, and a term without that factor
     has none.  Both the S' and the S~' relations are compared with
     alpha * E_n(u_n) * (order r-1 sum on the reduced variable sets).
+    Returns None, or the point with each failed side ("s_side", "stilde_side")
+    and its residue and prediction.
     """
     if n < 2:
         raise ValueError("residue relations need n >= 2")
@@ -243,16 +227,23 @@ def residue_check(n: int, r: int, seed: int = 0) -> ResidueReport:
     v_hit = v_rest + [u[-1]]
     weight = alpha * _E_n(u[-1], u[:-1], v_rest, alpha)
 
-    def side(form: str) -> bool:
+    failed = {}
+    for side, form in (("s_side", "primed_S"), ("stilde_side", "primed_Stilde")):
         res = Fraction(*_subset_sum(r, u, v_hit, alpha, form, residue=True))
-        return res == weight * sum_S(r - 1, u[:-1], v_rest, alpha, form)
+        want = weight * sum_S(r - 1, u[:-1], v_rest, alpha, form)
+        if res != want:
+            failed[side] = {"residue": str(res), "predicted": str(want)}
+    if not failed:
+        return None
+    return {"n": n, "r": r, "u": _strs(u), "v": _strs(v_hit), "alpha": str(alpha), **failed}
 
-    s_ok, st_ok = side("primed_S"), side("primed_Stilde")
-    return ResidueReport(passed=s_ok and st_ok, n=n, r=r, s_side=s_ok, stilde_side=st_ok)
 
+def binomial_limit_check(seed: int = 0) -> dict | None:
+    """At alpha = 0 the subset sums are binomial coefficients and obey Pascal's rule.
 
-def binomial_limit_check(seed: int = 0) -> bool:
-    """At alpha = 0 the subset sums are binomial coefficients and obey Pascal's rule."""
+    Returns None, or the first (n, r, u, v) where one of the three fails, with
+    S'_r and S~'_r there.
+    """
     rng = random.Random(seed)
     for n in range(1, _BINOMIAL_N_MAX + 1):
         # small operands: the value is integral here, only distinctness matters
@@ -264,19 +255,20 @@ def binomial_limit_check(seed: int = 0) -> bool:
         for r in range(0, n + 1):
             s = _subset_sum(r, u, v, 0, "primed_S")
             st = _subset_sum(r, u, v, 0, "primed_Stilde")
-            if not _equal(s, (math.comb(n, r), 1)):
-                return False
-            if not _equal(st, (math.comb(n - 1, r), 1)):
-                return False
-            if r >= 1 and not _equal(_add(_subset_sum(r - 1, u, v, 0, "primed_Stilde"), st), s):
-                return False
-    return True
+            prev = _subset_sum(r - 1, u, v, 0, "primed_Stilde") if r else (0, 1)
+            if not (_equal(s, (math.comb(n, r), 1)) and _equal(st, (math.comb(n - 1, r), 1))
+                    and _equal(_add(prev, st), s)):
+                return {"n": n, "r": r, "u": _strs(u), "v": _strs(v),
+                        "S": str(Fraction(*s)), "Stilde": str(Fraction(*st))}
+    return None
 
 
-def substitution_check(seed: int = 0) -> bool:
+def substitution_check(seed: int = 0) -> dict | None:
     """Both subset-sum forms agree before and after ``substitution_map``.
 
     Ten random rational points (lam, nu, g) with n = 3, orders r = 1..3.
+    Returns None, or the first point, order and form where they differ, with
+    both values.
     """
     rng = random.Random(seed)
     for _ in range(10):
@@ -287,8 +279,12 @@ def substitution_check(seed: int = 0) -> bool:
         g = Fraction(rng.randint(-100, 100), rng.randint(1, 100) * 2 + 1)
         lam, nu = vals[:3], vals[3:]
         u, v, alpha = substitution_map(lam, nu, g)
-        if not all(_equal(_subset_sum(r, lam, nu, alpha, "unprimed" + form),
-                          _subset_sum(r, u, v, alpha, "primed" + form))
-                   for r in range(1, 4) for form in ("_S", "_Stilde")):
-            return False
-    return True
+        for r in range(1, 4):
+            for form in ("_S", "_Stilde"):
+                before = _subset_sum(r, lam, nu, alpha, "unprimed" + form)
+                after = _subset_sum(r, u, v, alpha, "primed" + form)
+                if not _equal(before, after):
+                    return {"lam": _strs(lam), "nu": _strs(nu), "g": str(g), "r": r,
+                            "form": form[1:], "unprimed": str(Fraction(*before)),
+                            "primed": str(Fraction(*after))}
+    return None

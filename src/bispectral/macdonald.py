@@ -3,10 +3,10 @@
 The operators act on functions of n nonzero complex coordinates by q^2
 dilations of r-element coordinate subsets with rational coefficients.  The
 operator and weight of the pair (q, q/t) are those of (q, t) evaluated at
-``MacdonaldParams(q, q / t)``.  The weights are ratios of q-Pochhammer
-products; setting (a, b) in the generic two-parameter weight recovers the
-scalar-product weight (a=1, b=t^2) and the gauge function relating the
-parameter pairs (q, t) and (q, q/t).
+``MacdonaldParams(q, q / t)``.  The weights are one ratio of q-Pochhammer
+products with two parameters (a, b): the scalar-product weight is
+(a, b) = (1, t^2), and the gauge function relating the parameter pairs (q, t)
+and (q, q/t) is (a, b) = (q, q^2/t^2).
 
 With q = e^{pi i tau}, t = q^g and tau -> 0 the first operator degenerates
 into the reduced Sutherland Hamiltonians; ``tau_limit_check`` reads their
@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "weight_limit_check",
 ]
 
-WeightKind = Literal["delta_qt", "phi_ab", "phi_gauge"]
 # q-Pochhammer products stop once |z| |qsq|^N drops below this
 _TRUNC_TOL = 1e-16
 # tau = i*sigma nodes of the Taylor-coefficient rule: N points on |sigma| = rho
@@ -161,36 +160,18 @@ def _pair_ratio_product(point: TorusPoint, a: complex, b: complex, qsq: complex)
     return out
 
 
-def _weight_pair(kind: WeightKind, params: MacdonaldParams,
-                 a: complex | None, b: complex | None) -> tuple[complex, complex]:
-    """The (a, b) pair of the two-parameter weight that the kind names."""
-    q, t = params.q, params.t
-    if kind == "phi_ab":
-        if a is None or b is None:
-            raise ValueError("phi_ab requires explicit a and b")
-        return complex(a), complex(b)
-    if kind == "delta_qt":
-        return 1.0 + 0.0j, t * t
-    if kind == "phi_gauge":
-        return q, (q / t) ** 2
-    raise ValueError(f"unknown weight kind {kind!r}")
+def weight_and_gauge(params: MacdonaldParams, point, a: complex, b: complex) -> complex:
+    """prod_{j != k} (a z_j/z_k; q^2)_inf / (b z_j/z_k; q^2)_inf at the point.
 
-
-def weight_and_gauge(kind: WeightKind, params: MacdonaldParams, point,
-                     a: complex | None = None, b: complex | None = None) -> complex:
-    """Evaluate one of the q-Pochhammer weight/gauge functions at the point.
-
-    * delta_qt   -- weight with (a, b) = (1, t^2); at ``MacdonaldParams(q, q / t)``
-      it is the weight of the pair (q, q/t), (a, b) = (1, q^2/t^2)
-    * phi_ab     -- generic two-parameter function (a, b required)
-    * phi_gauge  -- gauge between (q, t) and (q, q/t): (a, b) = (q, q^2/t^2)
+    (a, b) = (1, t^2) is the scalar-product weight of (q, t), and the same pair
+    at ``MacdonaldParams(q, q / t)`` that of (q, q/t); (a, b) = (q, q^2/t^2) is
+    the gauge function between (q, t) and (q, q/t).
     """
-    pa, pb = _weight_pair(kind, params, a, b)
-    return _pair_ratio_product(_as_point(point), pa, pb, params.qsq)
+    return _pair_ratio_product(_as_point(point), a, b, params.qsq)
 
 
-def weight_shift_residual(kind: WeightKind, params: MacdonaldParams, point, i: int,
-                          a: complex | None = None, b: complex | None = None) -> float:
+def weight_shift_residual(params: MacdonaldParams, point, i: int, a: complex,
+                          b: complex) -> float:
     """Relative residual of the weight's shift law under z_i -> q^2 z_i, i 0-based.
 
     Predicted ratio for the pair (a, b):
@@ -199,27 +180,27 @@ def weight_shift_residual(kind: WeightKind, params: MacdonaldParams, point, i: i
     point = _as_point(point)
     if not 0 <= i < point.n:
         raise ValueError(f"coordinate index must be in 0..{point.n - 1}, got {i}")
-    pa, pb = _weight_pair(kind, params, a, b)
     z, qsq = point.values, params.qsq
-    ratio = (weight_and_gauge(kind, params, _subset_shift(z, (i,), qsq), a, b)
-             / weight_and_gauge(kind, params, point, a, b))
+    ratio = (weight_and_gauge(params, _subset_shift(z, (i,), qsq), a, b)
+             / weight_and_gauge(params, point, a, b))
     predicted = 1.0 + 0.0j
     for j in range(point.n):
         if j != i:
-            predicted *= ((z[i] - pa / qsq * z[j]) * (pb * z[i] - z[j])
-                          / ((pa * z[i] - z[j]) * (z[i] - pb / qsq * z[j])))
+            predicted *= ((z[i] - a / qsq * z[j]) * (b * z[i] - z[j])
+                          / ((a * z[i] - z[j]) * (z[i] - b / qsq * z[j])))
     return abs(ratio - predicted) / abs(predicted)
 
 
 def verify_gauge_equivalence(r: int, params: MacdonaldParams, point, f: Callable) -> float:
     """Residual of M_r(.|q,t)(gauge * f) = gauge * M_r(.|q,q/t)(f) at the point."""
     point = _as_point(point)
+    a, b = params.q, (params.q / params.t) ** 2
 
     def gauged(z):
-        return weight_and_gauge("phi_gauge", params, z) * f(z)
+        return weight_and_gauge(params, z, a, b) * f(z)
 
     lhs = apply_macdonald(r, params, point, gauged)
-    rhs = (weight_and_gauge("phi_gauge", params, point)
+    rhs = (weight_and_gauge(params, point, a, b)
            * apply_macdonald(r, MacdonaldParams(params.q, params.q / params.t), point, f))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _EPS_FLOOR)
 
@@ -248,6 +229,9 @@ class LaurentPolynomial:
         return cls(n, terms)
 
     def __call__(self, z: Sequence[complex]) -> complex:
+        if len(z) != self.n:
+            raise ValueError(f"a polynomial in n = {self.n} variables, "
+                             f"called at {len(z)} coordinates")
         total = 0.0 + 0.0j
         for expo, coef in self.terms.items():
             mono = coef

@@ -9,9 +9,11 @@ coordinates, and the recursion bottoms out at a single exponential e^{l x}.
 Evaluation uses truncated trapezoid quadrature on each vertical line.  The
 gamma factors decay super-polynomially along the contours, so the trapezoid
 rule is spectrally accurate; the truncation width is expanded adaptively
-until the integrand magnitude at the boundary falls below ``tail_tol`` times
-the observed maximum.  Derivatives in the coordinates are exact: they only
-multiply the integrand by linear forms in the integration variables.
+until the integrand magnitude at the boundary falls below the constant
+``_TAIL_TOL`` = 1e-13 times the observed maximum; only the node spacing is a
+setting (``QuadratureSpec.step``).  Derivatives in the coordinates are exact:
+they only multiply the integrand by linear forms in the integration
+variables.
 
 Supported sizes are n = 1, 2, 3 (the nested grid grows like
 grid^(n(n-1)/2)).  No 2*pi normalisation is applied anywhere; every check
@@ -53,7 +55,7 @@ class InfeasibleContourError(ValueError):
 
 
 class TailNotConvergedError(ArithmeticError):
-    """Truncation boundary magnitude stayed above tail_tol * max(integrand)."""
+    """Truncation boundary magnitude stayed above _TAIL_TOL * max(integrand)."""
 
 
 class CoincidentCoordinatesError(ValueError):
@@ -71,6 +73,8 @@ _MAX_SEPARATION = 1.0
 # hard cap on every truncation half-width, at the start and while growing; the n = 3
 # level-1 line, which must reach past every outer node, is capped this far past the outer one
 _MAX_HALF_WIDTH = 120.0
+# the truncation boundary passes once its magnitude is at most this times the peak
+_TAIL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -133,18 +137,15 @@ class QuadratureSpec:
 
     step is the node spacing along the imaginary axis (must be <= 0.25).
     The truncation half-width is not set: it expands adaptively until the
-    boundary magnitude is below tail_tol times the running maximum, up to
+    boundary magnitude is below _TAIL_TOL times the running maximum, up to
     the hard cap _MAX_HALF_WIDTH = 120.
     """
 
     step: float = 0.1
-    tail_tol: float = 1e-13
 
     def __post_init__(self):
         if not (0.0 < self.step <= 0.25):
             raise ValueError(f"step must be in (0, 0.25], got {self.step}")
-        if not (0.0 < self.tail_tol < 1e-3):
-            raise ValueError(f"tail_tol must be in (0, 1e-3), got {self.tail_tol}")
 
 
 def as_spectral(lam) -> SpectralPoint:
@@ -340,12 +341,14 @@ def _tail_ok(logmag: np.ndarray, log_tol: float) -> bool:
     if not np.isfinite(peak):
         return False
     edge = max(float(logmag[0]), float(logmag[-1]))
-    return edge <= peak + log_tol
+    # a difference: past |peak| ~ 1e17 the sum peak + log_tol rounds to peak, so a
+    # profile whose nodes all round to one value would pass
+    return edge - peak <= log_tol
 
 
-def _initial_half_width(im_spread: float, rate: float, tail_tol: float) -> float:
+def _initial_half_width(im_spread: float, rate: float) -> float:
     """Where a tail decaying like e^{-rate |t|} past im_spread should pass, capped."""
-    return min(im_spread + (-math.log(tail_tol) + 5.0) / rate, _MAX_HALF_WIDTH)
+    return min(im_spread + (-math.log(_TAIL_TOL) + 5.0) / rate, _MAX_HALF_WIDTH)
 
 
 def _quantities_n1(lam, x, derivs):
@@ -362,7 +365,7 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
     envelope |w e^{gam (x1-x2)}| |gam|^m_max e^{2 env} bounds every moment and
     pair.  Returns gam, w e^{gam (x1-x2)}, lgK and T of the grid that passed.
     """
-    log_tol = math.log(quad.tail_tol)
+    log_tol = math.log(_TAIL_TOL)
     while True:
         t, w = _grid(center, T, quad.step)
         gam = c + 1j * t
@@ -376,7 +379,8 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
             return gam, base, lgK, T
         if T >= cap:
             raise TailNotConvergedError(
-                f"level-1 integrand tail above tail_tol at half-width {T:.1f}")
+                f"level-1 integrand tail above {_TAIL_TOL:g} of its peak "
+                f"at half-width {T:.1f}")
         T = min(1.5 * T, cap)
 
 
@@ -436,7 +440,7 @@ def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
     delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
-    T = _initial_half_width(im_spread, rate, quad.tail_tol)
+    T = _initial_half_width(im_spread, rate)
     m_max = max(d1 + d2 for d1, d2 in derivs)
 
     def log_kernel(gam):
@@ -462,12 +466,12 @@ def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
     return (lam_sum - nu[p] - nu[q]) ** d[2] * _moment(C, nu[p] + nu[q], d[0], d[1])
 
 
-def _outer_values(outer, derivs, tail_tol):
+def _outer_values(outer, derivs):
     """Each derivative's sum of _outer_entries(*outer) over all (p, q), or None if a tail fails.
 
     Y[i][l] = sum_q H_l(p - q) b_q nu_q^i are direct Toeplitz mat-vecs, and expanding
     S^s = (nu_p + nu_q)^s over them gives Z[s][k] = sum_{p,q} S^s C_k[p, q], with C_k as
-    in _outer_entries.  A tail passes if each edge |O| <= tail_tol
+    in _outer_entries.  A tail passes if each edge |O| <= _TAIL_TOL
     max|O| < inf; rows and columns 0, M // 2, M - 1 bound max|O| from below (not the
     diagonal: mu(0) = 0), and only when that bound fails is the full M x M |O| taken.
     """
@@ -485,9 +489,9 @@ def _outer_values(outer, derivs, tail_tol):
     for d in derivs:
         mag = np.abs([_outer_entries(*outer, ends, idx, d), _outer_entries(*outer, idx, ends, d)])
         edge, peak = mag[:, ::2].max(), mag.max()
-        if np.isfinite(peak) and not edge < peak * tail_tol:
+        if np.isfinite(peak) and not edge < peak * _TAIL_TOL:
             peak = np.abs(_outer_entries(*outer, idx[:, None], idx, d)).max()
-        if not (0.0 < peak < np.inf and edge <= peak * tail_tol):
+        if not (0.0 < peak < np.inf and edge <= peak * _TAIL_TOL):
             return None
     return values if np.isfinite(values).all() else None
 
@@ -507,8 +511,8 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
     im_spread = max(abs(v.imag - center) for v in lam)
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
     rate_out = 1.2  # net outer decay: kernel beats the inverse-gamma measure growth
-    T_out = _initial_half_width(im_spread, rate_out, quad.tail_tol)
-    T_in = T_out + _initial_half_width(0.0, rate_in, quad.tail_tol)
+    T_out = _initial_half_width(im_spread, rate_out)
+    T_in = T_out + _initial_half_width(0.0, rate_in)
     m_max = max(d[0] + d[1] for d in derivs)
 
     while True:
@@ -533,12 +537,13 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
             lattice[key] = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
         H = lattice[key]
         outer = (nu, gam, np.exp(u + gam * (x1 - x2)), np.exp(u), H, lam_sum)
-        values = _outer_values(outer, derivs, quad.tail_tol)
+        values = _outer_values(outer, derivs)
         if values is not None:
             return values
         if T_out >= _MAX_HALF_WIDTH:
             raise TailNotConvergedError(
-                f"n=3 outer integrand tail above tail_tol at half-width {T_out:.1f}")
+                f"n=3 outer integrand tail above {_TAIL_TOL:g} of its peak "
+                f"at half-width {T_out:.1f}")
         grow = min(1.4 * T_out, _MAX_HALF_WIDTH) - T_out
         T_out += grow
         T_in += grow

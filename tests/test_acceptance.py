@@ -23,7 +23,7 @@ from bispectral.sutherland_ops import apply_H1, apply_H2
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import (InfeasibleContourError, QuadratureSpec, eval_phi)
 
-QUAD_N3 = QuadratureSpec(step=0.15, tail_tol=1e-10)
+QUAD_N3 = QuadratureSpec(step=0.15)
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -57,9 +57,9 @@ def test_criterion_01_appendix_identity():
     failures = []
     for n in range(1, 6):
         for r in range(1, n + 1):
-            rep = verify_lemma1(n, r, trials=100, seed=1000 + 10 * n + r)
-            if not rep.passed:
-                failures.append((n, r, rep.witness))
+            witness = verify_lemma1(n, r, trials=100, seed=1000 + 10 * n + r)
+            if witness is not None:
+                failures.append(witness)
     elapsed = time.time() - started
     report("criterion 01 appendix identity",
            not failures and elapsed < 30.0,
@@ -68,8 +68,8 @@ def test_criterion_01_appendix_identity():
 
 def test_criterion_02_residue_relations():
     started = time.time()
-    failures = [(n, r) for n in range(2, 5) for r in range(1, n + 1)
-                if not residue_check(n, r, seed=2000 + 10 * n + r).passed]
+    failures = [witness for n in range(2, 5) for r in range(1, n + 1)
+                if (witness := residue_check(n, r, seed=2000 + 10 * n + r)) is not None]
     elapsed = time.time() - started
     report("criterion 02 residue relations",
            not failures and elapsed < 60.0,
@@ -78,10 +78,10 @@ def test_criterion_02_residue_relations():
 
 def test_criterion_03_binomial_degeneration():
     started = time.time()
-    passed = binomial_limit_check(seed=3)
+    witness = binomial_limit_check(seed=3)
     elapsed = time.time() - started
     report("criterion 03 binomial degeneration",
-           passed and elapsed < 1.0, f"exact, n<=10, {elapsed:.2f}s")
+           witness is None and elapsed < 1.0, f"exact, n<=10, {elapsed:.2f}s, witness {witness}")
 
 
 @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
@@ -213,12 +213,11 @@ def test_criterion_08_macdonald_layer():
         i = int(rng.integers(0, 3))
         zs = list(z)
         zs[i] *= params.qsq
-        for kind, at, pa, pb in (("phi_ab", params, 0.4 + 0.1j, 1.7 - 0.2j),
-                                 ("delta_qt", params, 1.0 + 0.0j, t * t),
-                                 ("delta_qt", dual, 1.0 + 0.0j, (q / t) ** 2)):
-            kwargs = {"a": pa, "b": pb} if kind == "phi_ab" else {}
-            ratio = (weight_and_gauge(kind, at, tuple(zs), **kwargs)
-                     / weight_and_gauge(kind, at, z, **kwargs))
+        for at, pa, pb in ((params, 0.4 + 0.1j, 1.7 - 0.2j),
+                           (params, 1.0 + 0.0j, t * t),
+                           (dual, 1.0 + 0.0j, (q / t) ** 2)):
+            ratio = (weight_and_gauge(at, tuple(zs), pa, pb)
+                     / weight_and_gauge(at, z, pa, pb))
             predicted = 1.0 + 0.0j
             for j in range(3):
                 if j != i:

@@ -1,16 +1,20 @@
 """Command-line front end: report shape, determinism, exit-status contract."""
 
-import hashlib
 import json
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from bispectral import cli, macdonald
-from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from bispectral import cli, identities, macdonald  # noqa: E402
+from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,  # noqa: E402
                             format_complex, main, parse_complex, run)
-from bispectral.macdonald import LaurentPolynomial, MacdonaldParams, TorusPoint
+from bispectral.macdonald import LaurentPolynomial, MacdonaldParams, TorusPoint  # noqa: E402
+from workloads import report_digest  # noqa: E402
 
 
 def run_main(capsys, argv):
@@ -21,15 +25,6 @@ def run_main(capsys, argv):
 
 def reports_of(stdout):
     return [json.loads(line) for line in stdout.strip().splitlines()]
-
-
-def report_digest(reports):
-    lines = []
-    for rep in reports:
-        payload = json.loads(rep.to_json())
-        payload.pop("wall_time")
-        lines.append(json.dumps(payload, sort_keys=True))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def reaches_n2(rep):
@@ -116,15 +111,50 @@ class TestExitStatus:
         (rep,) = [rep for rep in reports if rep.check_id == "legendre.dual_system"]
         assert math.isnan(rep.residual) and rep.status == "fail"
 
+    @pytest.mark.parametrize("family, wrong, point", [
+        ("lemma1", lambda alpha, form, residue: form == "primed_Stilde" and alpha != 0,
+         {"u", "v", "alpha"}),
+        ("residue", lambda alpha, form, residue: residue, {"u", "v", "alpha"}),
+        ("binomial", lambda alpha, form, residue: alpha == 0, {"n", "r", "u", "v"}),
+        ("substitution", lambda alpha, form, residue: form.startswith("unprimed"),
+         {"lam", "nu", "g", "r"})])
+    def test_planted_exact_error_is_one(self, capsys, monkeypatch, family, wrong, point):
+        # every subset sum of the planted kind off by exactly 1: the family's
+        # checks fail, and each witness names the point where its identity failed
+        subset_sum = identities._subset_sum
+
+        def planted(r, u, v, alpha, form, residue=False):
+            num, den = subset_sum(r, u, v, alpha, form, residue)
+            return (num + den, den) if wrong(alpha, form, residue) else (num, den)
+
+        monkeypatch.setattr(identities, "_subset_sum", planted)
+        code, out, _ = run_main(capsys, ["check-identities", "--n-max", "3", "--trials", "3"])
+        assert code == 1
+        failed = [rep for rep in reports_of(out)
+                  if rep["check_id"].startswith(f"identities.{family}")]
+        assert failed and all(rep["status"] == "fail" and not rep["exact_pass"]
+                              and point <= set(rep["witness"]) for rep in failed)
+
+    @pytest.mark.parametrize("command", ["check-sutherland", "check-dual"])
+    @pytest.mark.parametrize("im", ["1e18", pytest.param("1e300", marks=pytest.mark.filterwarnings(
+        # log_gamma squares Im z ~ 5e299, which overflows to the right limit D = 0
+        "ignore:overflow encountered in multiply:RuntimeWarning"))])
+    def test_unresolvable_spectral_parameter_is_three(self, capsys, command, im):
+        # every grid node rounds to the same value there, so the integrand is flat:
+        # its tail cannot pass, and no residual is reported
+        code, out, err = run_main(capsys, [command, "--lambda", f"0:{im},0:-0.3"])
+        assert code == 3 and not out
+        assert "infeasible" in err
+
     def test_config_error_is_two(self, capsys):
         code, _, err = run_main(capsys, ["check-dual", "--lambda", "whoops"])
         assert code == 2
         assert "config error" in err
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
-        # a config that sets a fixed half-width or a gate is an old one: it fails
-        # loudly and prints no report
-        for key, value in (("coupling", 2.0), ("half_width", 8.0),
+        # a config that sets a fixed half-width, a tail tolerance or a gate is an
+        # old one: it fails loudly and prints no report
+        for key, value in (("coupling", 2.0), ("half_width", 8.0), ("tail_tol", 1e-13),
                            ("tolerances", {"dual": 1.0})):
             bad = tmp_path / "conf.json"
             bad.write_text(json.dumps({"g": 1.5, key: value}))
@@ -165,10 +195,14 @@ class TestExitStatus:
         (["check-identities", "--n-max", "0"], "n_max"),
         # default_contour refuses it for check-dual as for check-sutherland
         (["check-dual", "--g", "-1"], "coupling"),
+        # sizes and seeds the checks would refuse only after running others
+        (["check-identities", "--n-max", "7"], "n_max"),
+        (["all", "--seed", "-1"], "seed"),
+        (["check-identities", "--seed", "-1"], "seed"),
     ])
     def test_invalid_value_is_two(self, capsys, argv, name):
-        code, _, err = run_main(capsys, argv)
-        assert code == 2
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and not out
         assert f"config error: {name} " in err
 
     def test_internal_error_is_four(self, capsys, monkeypatch):
@@ -197,8 +231,8 @@ class TestExitStatus:
         assert code == 2
 
     def test_bad_flag_is_two(self, capsys):
-        # a fixed half-width is not a setting
-        for flag in (["--not-a-flag"], ["--half-width", "8"]):
+        # a fixed half-width and a tail tolerance are not settings
+        for flag in (["--not-a-flag"], ["--half-width", "8"], ["--tail-tol", "1e-4"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["check-dual", *flag])
             assert excinfo.value.code == 2

@@ -129,8 +129,7 @@ class TestSumS:
 class TestLemma1:
     def test_degenerate_n1(self):
         # S'_1 = 1 with S~'_0 = 1 and S~'_1 = 0 (empty v set)
-        rep = verify_lemma1(1, 1, trials=3, seed=0)
-        assert rep.passed
+        assert verify_lemma1(1, 1, trials=3, seed=0) is None
         assert sum_S(1, [Fraction(5)], [], Fraction(3), "primed_S") == 1
         assert sum_S(0, [Fraction(5)], [], Fraction(3), "primed_Stilde") == 1
         assert sum_S(1, [Fraction(5)], [], Fraction(3), "primed_Stilde") == 0
@@ -145,8 +144,7 @@ class TestLemma1:
         assert lhs == rhs
 
     def test_n5_r3_hundred_trials(self):
-        rep = verify_lemma1(5, 3, trials=100, seed=9)
-        assert rep.passed and rep.witness is None
+        assert verify_lemma1(5, 3, trials=100, seed=9) is None
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -157,9 +155,8 @@ class TestLemma1:
         # S~'_r off by exactly 1: the check fails, and its witness shows it
         plant(monkeypatch, lambda p, r_, form, residue:
               (p[0] + p[1], p[1]) if form == "primed_Stilde" and r_ == r else p)
-        rep = verify_lemma1(n, r, trials=5, seed=11)
-        assert not rep.passed
-        w = rep.witness
+        w = verify_lemma1(n, r, trials=5, seed=11)
+        assert w["n"] == n and w["r"] == r
         lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
         assert rhs - lhs == 1
         u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]
@@ -170,8 +167,8 @@ class TestResidues:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_orders(self, n):
         for r in range(1, n + 1):
-            rep = residue_check(n, r, seed=31 * n + r)
-            assert rep.passed, (n, r, rep)
+            witness = residue_check(n, r, seed=31 * n + r)
+            assert witness is None, (n, r, witness)
 
     def test_alpha_zero_residue_vanishes(self):
         # at alpha = 0 the sums have no pole at the collision at all
@@ -204,11 +201,15 @@ class TestResidues:
         ("primed_Stilde", "stilde_side", "s_side")])
     def test_planted_residue_error_flips_one_side(self, monkeypatch, n, r,
                                                   form, flipped, kept):
+        # the residue off by exactly 1: the witness names the point and the one
+        # failed side, whose residue is the prediction plus 1
         plant(monkeypatch, lambda p, r_, form_, residue:
               (p[0] + p[1], p[1]) if residue and form_ == form else p)
-        rep = residue_check(n, r, seed=31 * n + r)
-        assert not rep.passed
-        assert not getattr(rep, flipped) and getattr(rep, kept)
+        w = residue_check(n, r, seed=31 * n + r)
+        assert flipped in w and kept not in w
+        assert Fraction(w[flipped]["residue"]) - Fraction(w[flipped]["predicted"]) == 1
+        u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]
+        assert (len(u), len(v), w["r"]) == (n, n - 1, r) and v[-1] == u[-1]
 
     def test_n_range(self):
         with pytest.raises(ValueError):
@@ -218,7 +219,17 @@ class TestResidues:
 class TestBinomialDegeneration:
     def test_up_to_ten(self):
         assert identities._BINOMIAL_N_MAX == 10
-        assert binomial_limit_check()
+        assert binomial_limit_check() is None
+
+    def test_planted_error_gives_witness(self, monkeypatch):
+        # S~'_2 off by exactly 1 at alpha = 0: the first failure is n = 2, r = 2,
+        # where S~'_2 of one v is the empty sum 0, so it reads 1
+        plant(monkeypatch, lambda p, r, form, residue:
+              (p[0] + p[1], p[1]) if form == "primed_Stilde" and r == 2 else p)
+        w = binomial_limit_check(seed=7)
+        assert (w["n"], w["r"], w["S"], w["Stilde"]) == (2, 2, "1", "1")
+        u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]
+        assert len(u) == 2 and sum_S(2, u, v, Fraction(0), "primed_S") == 1
 
 
 class TestSubstitution:
@@ -245,10 +256,16 @@ class TestSubstitution:
                         == sum_S(r, u, v, alpha, "primed_Stilde"))
 
     def test_check_passes_and_catches_a_planted_error(self, monkeypatch):
-        assert all(substitution_check(seed) for seed in (0, 7, 1009))
+        assert all(substitution_check(seed) is None for seed in (0, 7, 1009))
         plant(monkeypatch, lambda p, r, form, residue:
               (p[0] + p[1], p[1]) if form == "unprimed_S" and r == 2 else p)
-        assert not substitution_check(7)
+        w = substitution_check(7)
+        assert (w["r"], w["form"]) == (2, "S")
+        assert Fraction(w["unprimed"]) - Fraction(w["primed"]) == 1
+        # the primed side is the true value at the witness point
+        u, v, alpha = substitution_map([Fraction(x) for x in w["lam"]],
+                                       [Fraction(x) for x in w["nu"]], Fraction(w["g"]))
+        assert sum_S(2, u, v, alpha, "primed_S") == Fraction(w["primed"])
 
 
 class TestWork:
@@ -262,8 +279,8 @@ class TestWork:
             return gcd(*args)
 
         monkeypatch.setattr(math, "gcd", counting)
-        assert verify_lemma1(5, 3, trials=20, seed=7).passed
+        assert verify_lemma1(5, 3, trials=20, seed=7) is None
         lemma1, calls[0] = calls[0], 0
-        assert binomial_limit_check(seed=7)
+        assert binomial_limit_check(seed=7) is None
         assert lemma1 <= 10 and calls[0] <= 10, (lemma1, calls[0])
 

@@ -56,7 +56,7 @@ class TestParams:
         # |q| >= 1 is a valid operator parameter; the weights refuse it
         params = MacdonaldParams(q=1.2, t=0.5)
         with pytest.raises(ValueError, match=r"\|qsq\| < 1"):
-            weight_and_gauge("delta_qt", params, (1.1, 0.8))
+            weight_and_gauge(params, (1.1, 0.8), 1.0, params.t ** 2)
         with pytest.raises(ValueError):
             MacdonaldParams(q=0.5, t=0.0)
 
@@ -161,8 +161,8 @@ class TestWeights:
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
-            ratio = (weight_and_gauge("phi_ab", params, tuple(zs), a=a, b=b)
-                     / weight_and_gauge("phi_ab", params, z, a=a, b=b))
+            ratio = (weight_and_gauge(params, tuple(zs), a, b)
+                     / weight_and_gauge(params, z, a, b))
             predicted = 1.0 + 0.0j
             for j in range(3):
                 if j != i:
@@ -171,15 +171,19 @@ class TestWeights:
             assert ratio == pytest.approx(predicted, rel=1e-10)
 
     def test_delta_is_phi_one_tsquared(self):
+        # the weight is the q-Pochhammer product prod_{j != k} (z_j/z_k; q^2) /
+        # (t^2 z_j/z_k; q^2), and the weight of the pair (q, q/t) the same at
+        # MacdonaldParams(q, q / t), whose q^2 is the same
         rng = np.random.default_rng(6)
         params = MacdonaldParams(q=0.35, t=0.6)
         q, t = params.q, params.t
-        z = rand_point(rng, 3)
-        assert weight_and_gauge("delta_qt", params, z) == pytest.approx(
-            weight_and_gauge("phi_ab", params, z, a=1.0, b=t ** 2), rel=1e-14)
-        # the weight of the pair (q, q/t)
-        assert weight_and_gauge("delta_qt", MacdonaldParams(q, q / t), z) == pytest.approx(
-            weight_and_gauge("phi_ab", params, z, a=1.0, b=q * q / (t * t)), rel=1e-14)
+        z = rand_point(rng, 3).values
+        for at in (params, MacdonaldParams(q, q / t)):
+            direct = 1.0
+            for j, k in ((j, k) for j in range(3) for k in range(3) if j != k):
+                w = z[j] / z[k]
+                direct *= qpochhammer(w, q * q) / qpochhammer(at.t ** 2 * w, q * q)
+            assert weight_and_gauge(at, z, 1.0, at.t ** 2) == pytest.approx(direct, rel=1e-14)
 
     def test_delta_shift_law(self):
         # ratio (q z_i - q^{-1} z_j)(t z_i - t^{-1} z_j) /
@@ -192,8 +196,8 @@ class TestWeights:
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
-            ratio = (weight_and_gauge("delta_qt", params, tuple(zs))
-                     / weight_and_gauge("delta_qt", params, z))
+            ratio = (weight_and_gauge(params, tuple(zs), 1.0, t * t)
+                     / weight_and_gauge(params, z, 1.0, t * t))
             predicted = 1.0 + 0.0j
             for j in range(3):
                 if j != i:
@@ -202,8 +206,8 @@ class TestWeights:
             assert ratio == pytest.approx(predicted, rel=1e-10)
 
     def test_dual_weight_shift_laws(self):
-        # delta_qt of the pair (q, q/t), against delta_qt's law at (q, t) with
-        # its second factor inverted
+        # the weight (a, b) = (1, q^2/t^2) of the pair (q, q/t), against the
+        # weight's law at (q, t) with its second factor inverted
         rng = np.random.default_rng(8)
         params = MacdonaldParams(q=0.35, t=0.6)
         dual = MacdonaldParams(params.q, params.q / params.t)
@@ -213,8 +217,8 @@ class TestWeights:
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
-            ratio = (weight_and_gauge("delta_qt", dual, tuple(zs))
-                     / weight_and_gauge("delta_qt", dual, z))
+            ratio = (weight_and_gauge(dual, tuple(zs), 1.0, dual.t ** 2)
+                     / weight_and_gauge(dual, z, 1.0, dual.t ** 2))
             predicted = 1.0 + 0.0j
             for j in range(3):
                 if j != i:
@@ -225,33 +229,31 @@ class TestWeights:
 
     @pytest.mark.parametrize("kind", ["delta_qt", "phi_gauge", "phi_ab"])
     def test_shift_residual_predicate(self, kind):
+        # the three (a, b) pairs the package uses: the scalar-product weight, the
+        # gauge function, and the generic pair of check-macdonald
         rng = np.random.default_rng(10)
         params = MacdonaldParams(q=0.35, t=0.6)
+        q, t = params.q, params.t
+        a, b = {"delta_qt": (1.0, t * t), "phi_gauge": (q, (q / t) ** 2),
+                "phi_ab": (0.4 + 0.1j, 1.7 - 0.2j)}[kind]
         for _ in range(5):
             z = rand_point(rng, 3)
             i = int(rng.integers(0, 3))
-            assert weight_shift_residual(kind, params, z, i, 0.4 + 0.1j, 1.7 - 0.2j) <= 1e-10
+            assert weight_shift_residual(params, z, i, a, b) <= 1e-10
         # the index is 0-based and must name a coordinate
         z = (1.1 + 0.2j, 0.8 - 0.1j, 1.5 + 0.3j)
         for i in (-1, 3):
             with pytest.raises(ValueError):
-                weight_shift_residual(kind, params, z, i, 0.4 + 0.1j, 1.7 - 0.2j)
+                weight_shift_residual(params, z, i, a, b)
 
     def test_shift_residual_sees_a_wrong_weight(self, monkeypatch):
         import bispectral.macdonald as macdonald
         exact = macdonald.weight_and_gauge
         monkeypatch.setattr(macdonald, "weight_and_gauge",
-                            lambda kind, params, point, a, b: exact(kind, params, point, a, b + 0.01))
+                            lambda params, point, a, b: exact(params, point, a, b + 0.01))
         z = rand_point(np.random.default_rng(11), 3)
         params = MacdonaldParams(q=0.35, t=0.6)
-        assert weight_shift_residual("phi_ab", params, z, 0, 0.4, 1.7) > 1e-4
-
-    def test_phi_ab_requires_parameters(self):
-        params = MacdonaldParams(q=0.35, t=0.6)
-        with pytest.raises(ValueError):
-            weight_and_gauge("phi_ab", params, (1.0, 2.0))
-        with pytest.raises(ValueError):
-            weight_shift_residual("phi_ab", params, (1.0, 2.0), 0)
+        assert weight_shift_residual(params, z, 0, 0.4, 1.7) > 1e-4
 
 
 class TestGaugeEquivalence:
@@ -279,6 +281,17 @@ class TestLaurentPolynomial:
         # and euler_derivative would index past the end of a short one
         with pytest.raises(ValueError, match="length n = 3"):
             LaurentPolynomial(3, {expo: 1.0})
+
+    @pytest.mark.parametrize("z", [(2, 3, 5), (2,)])
+    def test_call_at_wrong_length_refused(self, z):
+        # zip would drop the extra coordinate and read 6 at (2, 3, 5); and the
+        # tau check at a point of that size is refused, not a failed check
+        f = LaurentPolynomial(2, {(1, 1): 1})
+        with pytest.raises(ValueError, match="n = 2 variables"):
+            f(z)
+        with pytest.raises(ValueError, match="n = 2 variables"):
+            tau_limit_check((0.4, -0.2, 0.1)[:len(z)], 1.5, f)
+        assert f((2, 3)) == 6
 
 
 class TestTauLimit:

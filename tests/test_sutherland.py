@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bispectral import wavefn
 from bispectral.sutherland_ops import (apply_H1, apply_H2, apply_reduced_HS,
                                        prefactor_log_derivatives)
 from bispectral.wavefn import QuadratureSpec, eval_phi, eval_psi, sinh_prefactor
@@ -45,9 +46,11 @@ class TestH2:
         res = apply_H2(LAM2, X2, G)
         assert res.relative_residual <= 1e-5
 
-    def test_residual_decreases_with_refinement(self):
-        loose = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.22, tail_tol=1e-7))
-        tight = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.1, tail_tol=1e-13))
+    def test_residual_decreases_with_refinement(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(wavefn, "_TAIL_TOL", 1e-7)
+            loose = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.22))
+        tight = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.1))
         assert tight.relative_residual <= loose.relative_residual + 1e-13
 
     @pytest.mark.parametrize("g", [0.3, 0.8])

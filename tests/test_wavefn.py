@@ -426,8 +426,8 @@ def _spy_outer(monkeypatch):
     """Record the factors and values of every n = 3 outer pass that passes its tail."""
     passes, outer_values = [], wavefn._outer_values
 
-    def spy(outer, derivs, tail_tol):
-        values = outer_values(outer, derivs, tail_tol)
+    def spy(outer, derivs):
+        values = outer_values(outer, derivs)
         if values is not None:
             passes.append((outer, values))
         return values
@@ -477,9 +477,11 @@ class TestOuterSum:
 
     @pytest.mark.parametrize("g, quad", [
         (1.25, None), (1.5, None), (2.0, None),
-        # the first grid fails its tail and grows once: M = 103, then 143
-        (8.0, QuadratureSpec(step=0.25, tail_tol=1e-4))])
+        # at a tail of 1e-4 the first grid fails it and grows once: M = 103, then 143
+        (8.0, QuadratureSpec(step=0.25))])
     def test_full_peak_fallback_agrees(self, monkeypatch, g, quad):
+        if quad is not None:
+            monkeypatch.setattr(wavefn, "_TAIL_TOL", 1e-4)
         want = eval_phi_many(LAM3, X3, g, D7, quad=quad)
         full = _no_middle_certificate(monkeypatch)
         assert eval_phi_many(LAM3, X3, g, D7, quad=quad) == want
@@ -570,9 +572,10 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(step=0.3)
 
-    def test_tail_tol_bound(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(tail_tol=1.0)
+    def test_no_tail_tol(self):
+        # the tail tolerance is the constant _TAIL_TOL, not a setting
+        with pytest.raises(TypeError, match="tail_tol"):
+            QuadratureSpec(tail_tol=1e-13)
 
     def test_no_fixed_half_width(self):
         # the truncation is always adaptive, under the cap _MAX_HALF_WIDTH
@@ -581,15 +584,16 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
     def test_start_within_cap(self, monkeypatch, lam, x):
-        # a tail_tol no grid can reach starts every line at its cap and refuses
-        # there, before exp or log of an out-of-range number can warn
+        # a tail tolerance no grid can reach starts every line at its cap and
+        # refuses there, before exp or log of an out-of-range number can warn
+        monkeypatch.setattr(wavefn, "_TAIL_TOL", 1e-300)
         widths, grid = [], wavefn._grid
         monkeypatch.setattr(wavefn, "_grid",
                             lambda c, T, step: widths.append(T) or grid(c, T, step))
         # the n = 3 level-1 line reaches the cap past the outer half-width
         cap = wavefn._MAX_HALF_WIDTH * (len(lam) - 1)
         with pytest.raises(TailNotConvergedError, match=f"half-width {cap:.1f}"):
-            eval_phi(lam, x, G, quad=QuadratureSpec(tail_tol=1e-300))
+            eval_phi(lam, x, G)
         assert widths[0] == wavefn._MAX_HALF_WIDTH and max(widths) == cap
 
 

@@ -19,8 +19,8 @@ Layers:
 from .cgamma import GammaPoleError, gamma_log_sum, log_gamma
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
-                     InfeasibleContourError, PositionPoint, QuadratureSpec,
-                     SpectralPoint, TailNotConvergedError, default_contour,
+                     GridBudgetError, InfeasibleContourError, PositionPoint,
+                     QuadratureSpec, SpectralPoint, TailNotConvergedError, default_contour,
                      eval_phi, eval_phi_many, eval_psi, kernel_K, measure_mu,
                      sinh_prefactor, validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,

@@ -14,7 +14,9 @@ np.einsum, not BLAS: a gemv's last bits depend on where a row sits, and the
 callers' conjugate pairing needs log_gamma(conj z) == conj(log_gamma(z)) and
 every element independent of its position, bit for bit.  The reflection
 formula, log pi - log sin(pi z) - log Gamma(1 - z), and the pole test run
-only on the arguments with Re z < 0.5 (every pole has Re z <= 1e-14).  Against
+only on the arguments with Re z < 0.5 (every pole has Re z <= 1e-14).  Above
+|z| of about 1e150, where X^2 + (Im z)^2 would overflow, the sums are taken
+scaled by |z|; the other arguments keep their bits.  Against
 mpmath's loggamma the error is within 1e-12 max(1, |log Gamma(z)|) on
 Re z in {-7.3, -2.5, -0.7, 0.125, 0.3, 0.75, 1.5} with |Im z| <= 300, which
 covers the n = 3 offsets (|Im z| up to about 66 at the default quadrature, a
@@ -59,6 +61,9 @@ _LOG_PI = math.log(math.pi)
 _POLE_TOL = 1e-14
 _LANCZOS_K = np.arange(len(_LANCZOS_C) - 1, dtype=float)
 _BLOCK = 2048
+# above |z + 607/128 - 1/2| = 1e150 the squares in the Lanczos sums would overflow, and
+# they are taken scaled by |z|
+_LOG_MAX_SQUARED = math.log(1e150)
 
 
 def _is_pole(z: np.ndarray) -> np.ndarray:
@@ -86,16 +91,35 @@ def _lanczos_sums(x: np.ndarray, y2: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _scaled_lanczos_sums(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # _lanczos_sums where X^2 + y^2 would overflow: with a = |x + iy|, Xs = X / a and
+    # Ds = 1 / (Xs^2 + (y / a)^2) = a^2 D, so X D = Xs Ds / a and D = Ds / a / a
+    a = np.hypot(x, y)[:, None]
+    Xs = (x[:, None] + _LANCZOS_K) / a
+    ys = y[:, None] / a
+    Ds = 1.0 / (Xs * Xs + ys * ys)
+    return np.einsum("aij,j->ai", np.stack([Xs * Ds / a, Ds / a / a]), _LANCZOS_C[1:])
+
+
 def _loggamma_right(z: np.ndarray) -> np.ndarray:
     # Lanczos core on a 1-D array; valid for Re z >= 0.5.  Each term c_k/(z - 1 + k)
     # is c_k (X - iy) D, so s = c0 + sum c_k X D - iy sum c_k D in real arithmetic.
     x, y = z.real, z.imag
-    s_re, s_im = _lanczos_sums(x, y * y)
+    t = x + (_LANCZOS_G - 0.5)
+    log_t = np.log(np.hypot(t, y))
+    # one reduction over log_t clears the whole call; a NaN fails it
+    if log_t.size and not log_t.max() <= _LOG_MAX_SQUARED:
+        # rows are independent, so the others keep the bits of the unscaled sums
+        big = ~(log_t <= _LOG_MAX_SQUARED)
+        sums = np.empty((2, x.size))
+        sums[:, ~big] = _lanczos_sums(x[~big], y[~big] * y[~big])
+        sums[:, big] = _scaled_lanczos_sums(x[big], y[big])
+        s_re, s_im = sums
+    else:
+        s_re, s_im = _lanczos_sums(x, y * y)
     s_re += _LANCZOS_C[0]
     s_im *= -y
     # log w = log|w| + i atan2(Im w, Re w), for t = z + g - 1/2 and for s
-    t = x + (_LANCZOS_G - 0.5)
-    log_t = np.log(np.hypot(t, y))
     arg_t = np.arctan2(y, t)
     out = np.empty(z.shape, dtype=complex)
     out.real = (_HALF_LOG_2PI + ((x - 0.5) * log_t - y * arg_t) - t

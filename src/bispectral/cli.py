@@ -14,8 +14,9 @@ width comes from the adaptive truncation rule at wavefn's constant tail
 tolerance: no key or flag sets either.  A failed check carries a witness: its
 inputs, residual and gate, or for an exact identity the point where it failed.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
-(an unknown key, a non-finite number), 3 an infeasible domain, 4 an internal
-error (traceback on stderr).
+(an unknown key, a non-finite number, a step whose grid would exceed the node
+budget), 3 an infeasible domain (among them a pole margin that asks for a grid
+over the budget), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
 from .sutherland_ops import apply_H1, apply_H2, apply_reduced_HS
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
-                     InfeasibleContourError, QuadratureSpec,
+                     GridBudgetError, InfeasibleContourError, QuadratureSpec,
                      TailNotConvergedError, eval_phi, eval_psi)
 
 __all__ = ["RunConfig", "CheckReport", "REGISTRY", "checks", "run", "main"]
 
-_DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError,
+_DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError, GridBudgetError,
                   CoincidentCoordinatesError, ConvergenceWindowError,
                   GammaPoleError, HypergeometricError)
 

@@ -10,10 +10,17 @@ Evaluation uses truncated trapezoid quadrature on each vertical line.  The
 gamma factors decay super-polynomially along the contours, so the trapezoid
 rule is spectrally accurate; the truncation width is expanded adaptively
 until the integrand magnitude at the boundary falls below the constant
-``_TAIL_TOL`` = 1e-13 times the observed maximum; only the node spacing is a
-setting (``QuadratureSpec.step``).  Derivatives in the coordinates are exact:
-they only multiply the integrand by linear forms in the integration
-variables.
+``_TAIL_TOL`` = 1e-13 times the observed maximum.  The step comes from the
+integrand too: its nearest pole lies ``validate_contour``'s margin a off the
+contour, and the trapezoid error on a strip of half-width a decays like
+exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56 (2014)), so every level
+takes h = min(QuadratureSpec.step, 2 pi a / ln(1/_TAIL_TOL)); the setting is
+an upper bound, reached wherever a >= 0.48.  A node budget of ``_MAX_NODES``
+per level, the line of half-width 120 at step 0.1, bounds the work: a grid
+whose start would exceed it is refused before any work (``GridBudgetError``
+when the margin set the step, ValueError when the configured step did), and
+no grid grows past it.  Derivatives in the coordinates are exact: they only
+multiply the integrand by linear forms in the integration variables.
 
 Supported sizes are n = 1, 2, 3 (the nested grid grows like
 grid^(n(n-1)/2)).  No 2*pi normalisation is applied anywhere; every check
@@ -37,6 +44,7 @@ __all__ = [
     "QuadratureSpec",
     "InfeasibleContourError",
     "TailNotConvergedError",
+    "GridBudgetError",
     "CoincidentCoordinatesError",
     "ConvergenceWindowError",
     "kernel_K",
@@ -58,6 +66,10 @@ class TailNotConvergedError(ArithmeticError):
     """Truncation boundary magnitude stayed above _TAIL_TOL * max(integrand)."""
 
 
+class GridBudgetError(ArithmeticError):
+    """The pole margin asks for a step whose grid would exceed the node budget."""
+
+
 class CoincidentCoordinatesError(ValueError):
     """Two coordinates coincide (the sinh prefactor vanishes there)."""
 
@@ -75,6 +87,22 @@ _MAX_SEPARATION = 1.0
 _MAX_HALF_WIDTH = 120.0
 # the truncation boundary passes once its magnitude is at most this times the peak
 _TAIL_TOL = 1e-13
+# the trapezoid error on a strip of half-width a decays like exp(-2 pi a / h), so the step
+# 2 pi a / ln(1/_TAIL_TOL) per unit of pole margin a brings it to _TAIL_TOL
+_STEP_PER_MARGIN = 2.0 * math.pi / -math.log(_TAIL_TOL)
+# The n = 3 outer line's net decay rate.  By Stirling (DLMF 5.11.9: |G(x + iy)| ~
+# sqrt(2 pi) |y|^(x - 1/2) e^(-pi |y| / 2)) its slowest edge, one nu_j at |t| = T with the
+# other near the centre, decays like e^(-pi T): the three kernel pairs of nu_j give
+# e^(-3 pi T / 2), the inverse-gamma measure e^(pi T) and the level-1 integral
+# e^(-pi T / 2).  The power factors |T|^p (p about 3g with a second derivative) and the
+# constants of each factor lower the effective rate below pi at the widths reached, by an
+# amount the asymptotics do not fix: 2.4 is measured (no regrow over the 140 n = 3
+# evaluations of the n3_default and battery benchmark cores), and the outer line's 1.4x
+# regrow is its guard.
+_OUTER_RATE = 2.4
+# the node budget of one level: the line of half-width _MAX_HALF_WIDTH at step 0.1 (the
+# n = 3 level-1 line may take it once more past the outer one, as it does the cap)
+_MAX_NODES = 2401
 
 
 @dataclass(frozen=True)
@@ -135,10 +163,13 @@ class PositionPoint:
 class QuadratureSpec:
     """Trapezoid discretisation of one vertical line.
 
-    step is the node spacing along the imaginary axis (must be <= 0.25).
+    step is an upper bound on the node spacing along the imaginary axis (it
+    must be <= 0.25): an evaluation takes min(step, 2 pi a / ln(1/_TAIL_TOL))
+    for the contour's pole margin a, so the bound holds wherever a >= 0.48.
     The truncation half-width is not set: it expands adaptively until the
     boundary magnitude is below _TAIL_TOL times the running maximum, up to
-    the hard cap _MAX_HALF_WIDTH = 120.
+    the hard cap _MAX_HALF_WIDTH = 120 and the node budget _MAX_NODES = 2401
+    per level; a start beyond the budget is refused before any work.
     """
 
     step: float = 0.1
@@ -346,9 +377,21 @@ def _tail_ok(logmag: np.ndarray, log_tol: float) -> bool:
     return edge - peak <= log_tol
 
 
-def _initial_half_width(im_spread: float, rate: float) -> float:
-    """Where a tail decaying like e^{-rate |t|} past im_spread should pass, capped."""
-    return min(im_spread + (-math.log(_TAIL_TOL) + 5.0) / rate, _MAX_HALF_WIDTH)
+def _level_cap(step: float) -> float:
+    """The widest half-width of one level at this step: _MAX_HALF_WIDTH, or the node budget."""
+    return min(_MAX_HALF_WIDTH, step * (_MAX_NODES // 2))
+
+
+def _initial_half_width(im_spread: float, rate: float, step: float) -> float:
+    """Where a tail decaying like e^{-rate |t|} past im_spread should pass, capped at
+    _MAX_HALF_WIDTH; a start whose grid exceeds the node budget is refused here, before
+    any work."""
+    T = min(im_spread + (-math.log(_TAIL_TOL) + 5.0) / rate, _MAX_HALF_WIDTH)
+    if T > _level_cap(step):
+        raise GridBudgetError(
+            f"half-width {T:.1f} at step {step:.3g} needs {2 * math.ceil(T / step) + 1} "
+            f"nodes on one level, above the budget of {_MAX_NODES}")
+    return T
 
 
 def _quantities_n1(lam, x, derivs):
@@ -357,7 +400,7 @@ def _quantities_n1(lam, x, derivs):
     return [l1 ** d[0] * base for d in derivs]
 
 
-def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
+def _level2(log_kernel, x1, x2, c, center, T, cap, step, m_max):
     """Grow the level-1 line Re = c by 1.5x up to cap until its tail passes.
 
     log_kernel(gam) returns (env, lgK): env[i] is the largest Re log K(gam_i, p)
@@ -367,7 +410,7 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, quad, m_max):
     """
     log_tol = math.log(_TAIL_TOL)
     while True:
-        t, w = _grid(center, T, quad.step)
+        t, w = _grid(center, T, step)
         gam = c + 1j * t
         env, lgK = log_kernel(gam)
         base = w * np.exp(gam * (x1 - x2))
@@ -426,7 +469,7 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
+def _quantities_n2(lam, x, g, contour, step, derivs, lattice):
     """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
     e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
     + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
@@ -440,14 +483,15 @@ def _quantities_n2(lam, x, g, contour, quad, derivs, lattice):
     delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
-    T = _initial_half_width(im_spread, rate)
+    T = _initial_half_width(im_spread, rate, step)
     m_max = max(d1 + d2 for d1, d2 in derivs)
 
     def log_kernel(gam):
-        lgK = _grid_kernel([(c - l1.real, delta), (c - l2.real, -delta)], quad.step,
+        lgK = _grid_kernel([(c - l1.real, delta), (c - l2.real, -delta)], step,
                            gam.size // 2, g, lattice)
         return lgK.real.max(axis=1), lgK
-    gam, base, lgK, _ = _level2(log_kernel, x1, x2, c, center, T, _MAX_HALF_WIDTH, quad, m_max)
+    gam, base, lgK, _ = _level2(log_kernel, x1, x2, c, center, T, _level_cap(step), step,
+                                m_max)
     A = np.exp(lgK)
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
@@ -496,7 +540,7 @@ def _outer_values(outer, derivs):
     return values if np.isfinite(values).all() else None
 
 
-def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
+def _quantities_n3(lam, x, g, contour, step, derivs, lattice):
     """The outer kernel column of lambda_k is _grid_kernel's at (c2 - Re lambda_k,
     Im lambda_k - centre), and the offset kernel f its column at (c1 - c2, 0).  lattice
     keeps the columns, f's envelope and H_l = mu G_l under every scalar they depend on:
@@ -510,41 +554,41 @@ def _quantities_n3(lam, x, g, contour, quad, derivs, lattice):
     lam_sum = l1 + l2 + l3
     im_spread = max(abs(v.imag - center) for v in lam)
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
-    rate_out = 1.2  # net outer decay: kernel beats the inverse-gamma measure growth
-    T_out = _initial_half_width(im_spread, rate_out)
-    T_in = T_out + _initial_half_width(0.0, rate_in)
+    cap = _level_cap(step)
+    T_out = _initial_half_width(im_spread, _OUTER_RATE, step)
+    T_in = T_out + _initial_half_width(0.0, rate_in, step)
     m_max = max(d[0] + d[1] for d in derivs)
 
     while True:
-        t_out, w_out = _grid(center, T_out, quad.step)
+        t_out, w_out = _grid(center, T_out, step)
         nu = c2 + 1j * t_out
         M = nu.size
 
         # inner contraction: phi at level 2 as 2M - 1 Toeplitz offsets
-        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, quad.step, M, g, lattice), x1, x2,
-                                c1, center, T_in, _MAX_HALF_WIDTH + T_out, quad, m_max)
+        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, step, M, g, lattice), x1, x2,
+                                c1, center, T_in, cap + T_out, step, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
-        lgK = _grid_kernel([(c2 - v.real, v.imag - center) for v in lam], quad.step, M // 2,
+        lgK = _grid_kernel([(c2 - v.real, v.imag - center) for v in lam], step, M // 2,
                            g, lattice)
         u = np.sum(lgK, axis=1) + nu * (x2 - x3) + np.log(w_out) + lam_sum * x3 / 2
         gam = nu + (c1 - c2)
-        key = ("moments", c1 - c2, quad.step, g, M, f.size // 2, x1 - x2, m_max)
+        key = ("moments", c1 - c2, step, g, M, f.size // 2, x1 - x2, m_max)
         if key not in lattice:
-            log_mu = _log_measure(1j * quad.step * np.arange(M), g)  # even in the offset
+            log_mu = _log_measure(1j * step * np.arange(M), g)  # even in the offset
             log_mu_off = np.concatenate([log_mu[:0:-1], log_mu])
-            G = _lattice_moments(f, quad.step, x1 - x2, M, m_max)
+            G = _lattice_moments(f, step, x1 - x2, M, m_max)
             lattice[key] = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
         H = lattice[key]
         outer = (nu, gam, np.exp(u + gam * (x1 - x2)), np.exp(u), H, lam_sum)
         values = _outer_values(outer, derivs)
         if values is not None:
             return values
-        if T_out >= _MAX_HALF_WIDTH:
+        if T_out >= cap:
             raise TailNotConvergedError(
                 f"n=3 outer integrand tail above {_TAIL_TOL:g} of its peak "
                 f"at half-width {T_out:.1f}")
-        grow = min(1.4 * T_out, _MAX_HALF_WIDTH) - T_out
+        grow = min(1.4 * T_out, cap) - T_out
         T_out += grow
         T_in += grow
 
@@ -582,13 +626,18 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
             raise ValueError(f"bad derivative multi-index {d}")
     quad = quad or QuadratureSpec()
     contour = contour or default_contour(n, g)
-    validate_contour(contour, lam, g)
+    margin = validate_contour(contour, lam, g)
     if n == 1:
         return _quantities_n1(lam.values, x.values, derivs)
     lattice = {} if lattice is None else lattice
-    if n == 2:
-        return _quantities_n2(lam.values, x.values, g, contour, quad, derivs, lattice)
-    return _quantities_n3(lam.values, x.values, g, contour, quad, derivs, lattice)
+    step = min(quad.step, _STEP_PER_MARGIN * margin)
+    quantities = _quantities_n2 if n == 2 else _quantities_n3
+    try:
+        return quantities(lam.values, x.values, g, contour, step, derivs, lattice)
+    except GridBudgetError as exc:
+        if step < quad.step:
+            raise
+        raise ValueError(f"the configured step {quad.step:g}: {exc}") from None
 
 
 def eval_phi(lam, x, g: float, contour: tuple[float, ...] | None = None,

@@ -177,6 +177,23 @@ def test_matches_mpmath_on_the_reached_domain():
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), f"z={zz}"
 
 
+def test_huge_argument_is_scaled_not_overflowed():
+    # (Im z)^2 overflows past |Im z| ~ 1.34e154, and (Re z)^2 past Re z ~ 1.34e154;
+    # the suite turns numpy's overflow warning into an error, so this fails if the
+    # square is taken there.  The ordinary arguments beside them keep their bits, and
+    # conjugates pair exactly.
+    mpmath = pytest.importorskip("mpmath")
+    huge = np.array([1 + 2e154j, 1 - 2e154j, 0.75 + 1e200j, 5 + 1e300j, 2 + 1.0000001e150j,
+                     1e200 + 1j, 2e154 - 3e154j])
+    plain = np.array([0.3 + 2j, 1.5 - 0.7j, 6.0 + 0j, 0.75 + 66j])
+    got = log_gamma(np.concatenate([huge, plain]))
+    assert np.array_equal(got[huge.size:], log_gamma(plain))
+    assert np.array_equal(log_gamma(np.conj(huge)), np.conj(got[:huge.size]))
+    for zz, value in zip(huge, got):
+        ref = complex(mpmath.loggamma(mpmath.mpc(zz.real, zz.imag)))
+        assert abs(value - ref) <= 1e-15 * abs(ref), f"z={zz}"
+
+
 class TestGammaLogSum:
     def test_identity_ratio(self):
         assert gamma_log_sum([1.0], [1.0]) == pytest.approx(0.0, abs=1e-14)

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from bispectral import cli, identities, macdonald  # noqa: E402
+from bispectral import cli, identities, macdonald, wavefn  # noqa: E402
 from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,  # noqa: E402
                             format_complex, main, parse_complex, run)
 from bispectral.macdonald import LaurentPolynomial, MacdonaldParams, TorusPoint  # noqa: E402
@@ -136,15 +137,38 @@ class TestExitStatus:
                               and point <= set(rep["witness"]) for rep in failed)
 
     @pytest.mark.parametrize("command", ["check-sutherland", "check-dual"])
-    @pytest.mark.parametrize("im", ["1e18", pytest.param("1e300", marks=pytest.mark.filterwarnings(
-        # log_gamma squares Im z ~ 5e299, which overflows to the right limit D = 0
-        "ignore:overflow encountered in multiply:RuntimeWarning"))])
+    @pytest.mark.parametrize("im", ["1e18", "1e300"])
     def test_unresolvable_spectral_parameter_is_three(self, capsys, command, im):
         # every grid node rounds to the same value there, so the integrand is flat:
         # its tail cannot pass, and no residual is reported
         code, out, err = run_main(capsys, [command, "--lambda", f"0:{im},0:-0.3"])
         assert code == 3 and not out
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("margin", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_small_pole_margin_passes_or_is_three(self, capsys, monkeypatch, n, margin):
+        # g = 1 + margin puts the shifted contour margin off its poles, and the step
+        # follows it down; a grid over the node budget (a level-1 line may take it twice)
+        # is refused before it is built, so no call here builds one
+        grid = wavefn._grid
+
+        def guarded(center, half_width, step):
+            assert 2 * math.ceil(half_width / step) + 1 < 2 * wavefn._MAX_NODES
+            return grid(center, half_width, step)
+        monkeypatch.setattr(wavefn, "_grid", guarded)
+        started = time.perf_counter()
+        code, out, err = run_main(capsys, ["check-dual", "--n", n, "--g", repr(1.0 + margin)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 0 or code == 3 and not out and "above the budget" in err
+
+    @pytest.mark.parametrize("argv", [["check-dual"], ["check-sutherland", "--n", "3"]])
+    def test_step_over_budget_is_two(self, capsys, monkeypatch, argv):
+        # the configured step alone asks for millions of nodes: refused before any grid
+        monkeypatch.setattr(wavefn, "_grid", lambda *args: pytest.fail("a grid was built"))
+        code, out, err = run_main(capsys, [*argv, "--step", "1e-5"])
+        assert code == 2 and not out
+        assert "config error: the configured step 1e-05" in err
 
     def test_config_error_is_two(self, capsys):
         code, _, err = run_main(capsys, ["check-dual", "--lambda", "whoops"])
@@ -275,11 +299,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "0cf7b0919b489e9565a07ea2922b809aa8bc9dd9a44d6f5676c06797c152ddd3"),
+         "24907af15e17716a4fa9a72b0673099080f60c2095998eed7d41c6fb1af83b8f"),
         ("all", RunConfig(seed=1),
-         "63637a93e3df26473f9f44731bfe7557c14b8d22ca086d1dbb250bec9cf39171"),
+         "a040b196dc77f883d1b965a60fe7d4b24a31c7a1656d56bcfbe919d0278db020"),
         ("all", RunConfig(seed=1009),
-         "5d452ed25b0a33057a8ace3de8d13210a84e2618fffd0187091b1e81cd065e48"),
+         "4f6e5c435cdf52f46378dd9cd547a8213c136be6f4005f9943b0d4544bcaa28c"),
         ("check-identities", RunConfig(n_max=6, seed=7),
          "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
@@ -297,7 +321,7 @@ class TestReports:
         rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "f34af553743ee8a62b1a2ed515aae89cf5caf457983d16eb37544688f295f3de")
+            "cb4914e55c7498b72a2092af05729298ad696b6c581fe40534c5767fb46e2473")
 
     def test_n2_digest(self):
         # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3

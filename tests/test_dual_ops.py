@@ -16,6 +16,7 @@ from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_op
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import log_gamma
+from bispectral.cli import RunConfig, run
 
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
@@ -196,6 +197,35 @@ class TestDualHamiltonian:
         else:
             with pytest.raises(ValueError):
                 apply_dual_operator(r, LAM2, 1.5, sum)
+
+
+class TestPoleMarginStep:
+    """At g = 1.25 the shifted contour's pole margin is 0.25, and the step comes from it."""
+
+    @pytest.mark.parametrize("lam, x", [
+        # 2.8e-4 and 4.8e-5 at a fixed step of 0.1
+        ((7.695151646287584j, -0.9764293593214255j), (0.2295715018233246, -0.5737897075334575)),
+        ((-8.58520794721395j, 7.28106965621344j), (0.3486071732764114, -0.4878599637133398))])
+    def test_n2_reproducers(self, lam, x):
+        _, (rep,) = run("check-dual", RunConfig(n=2, g=1.25, lam=lam, x=x, r=1))
+        assert rep.residual <= 1e-9
+
+    def test_n3_benchmark_point(self):
+        # the g = 1.25 point of the n3_default benchmark's seed-7 core: 1.05e-5 at a fixed
+        # step of 0.1
+        lam = (0.7382293670965696j, 0.03836414425964177j, -0.7400723008303022j)
+        x = (0.46521851633961503, -0.006352431620322105, -0.4234048721657246)
+        _, reports = run("check-dual", RunConfig(n=3, g=1.25, lam=lam, x=x))
+        assert len(reports) == 3 and all(rep.residual <= 1e-9 for rep in reports)
+
+    def test_step_is_the_margin_rule(self, monkeypatch):
+        # h = min(step, 2 pi a / ln(1/_TAIL_TOL)): 0.0525 on the shifted contour at
+        # g = 1.25, and the configured 0.1 on the unshifted one, where a = g
+        steps, grid = [], wavefn._grid
+        monkeypatch.setattr(wavefn, "_grid", lambda c, T, h: steps.append(h) or grid(c, T, h))
+        apply_dual_hamiltonian(1, LAM2, X2, 1.25)
+        rule = 2 * math.pi * 0.25 / math.log(1e13)
+        assert sorted(set(steps)) == pytest.approx([rule, 0.1], rel=1e-15)
 
 
 class TestSharedLattice:

@@ -258,7 +258,7 @@ class TestKernelAndMeasure:
         # r = 1, 2 ask for 12 outer columns (a_k, delta_k), 9 of them distinct, and r = 3 for
         # 6.  The column of lambda_k at a = -1 (shifted) is the one at a = 1 (not shifted)
         # read back by K(-d) = K(d), so each check holds 3 columns on the Re = 1 grid and 3
-        # on the Re = 0 one, plus the offset column, and makes 6 117 log_gamma arguments.
+        # on the Re = 0 one, plus the offset column, and makes 3 217 log_gamma arguments.
         # Every value is the unshared one bit for bit.
         points = [tuple(v + 2.0 if i in s else v for i, v in enumerate(LAM3))
                   for s in combinations(range(3), r)]
@@ -277,26 +277,26 @@ class TestKernelAndMeasure:
         shared.append(eval_phi(LAM3, X3, G, lattice=lattice))
         assert len(asked) == distinct
         assert len([key for key in lattice if key[0] == "column"]) == 7
-        assert sum(elems) == 6_117
+        assert sum(elems) == 3_217
         assert shared == unshared
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
-        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair: 4 320
-        # arguments at the `all` n = 3 point, where the full kernel matrix takes about a million
+        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair: 2 290
+        # arguments at the `all` n = 3 point, where the full kernel matrix takes about 350 000
         elems = _count_log_gamma(monkeypatch)
         eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
-        assert sum(elems) == 4_320
+        assert sum(elems) == 2_290
 
     def test_n3_pass_builds_no_outer_square(self):
-        # one default 7-derivative pass at the `all` n = 3 point (M = 599 outer
-        # nodes): a single M x M complex array would be 5.7 MB
+        # one default 7-derivative pass at the `all` n = 3 point (M = 307 outer
+        # nodes): a single M x M complex array would be 1.5 MB
         tracemalloc.start()
         try:
             eval_phi_many(LAM3, X3, G, D7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4_000_000
+        assert peak < 1_000_000
 
 
 class TestPairKernel:
@@ -512,6 +512,85 @@ class TestOuterSum:
         monkeypatch.setattr(wavefn, "_log_measure", planted)
         with pytest.raises(TailNotConvergedError):
             eval_phi(LAM3, X3, G)
+
+
+# the n = 3 point of `all` and the three points of the n3_default benchmark's seed-7 core
+N3_CORE = [
+    (1.5, LAM3, X3),
+    (1.5, (0.6189870563072689j, -0.2413476398049629j, -0.8403714999737861j),
+     (0.6071322975461101, 0.1643371400891377, -0.20434010507265107)),
+    (2.0, (0.8678380320872037j, 0.02937938614193797j, -0.7333464484132654j),
+     (0.5442511777048221, 0.06041684871761521, -0.3053458817014383)),
+    (1.25, (0.7382293670965696j, 0.03836414425964177j, -0.7400723008303022j),
+     (0.46521851633961503, -0.006352431620322105, -0.4234048721657246)),
+]
+
+
+class TestOuterStart:
+    @pytest.mark.parametrize("g, lam, x", N3_CORE)
+    def test_narrow_start_loses_nothing(self, monkeypatch, g, lam, x):
+        # a Sutherland jet and the seven shifted points of a dual check r = 1..3: each
+        # passes its outer tail on the first grid, and its values are those of a start at
+        # rate 1.2, about twice as wide, to round-off.  Where the step stays 0.1 they match
+        # step 0.05 to 1e-12; at g = 1.25 the shifted step is the margin rule's 0.0525,
+        # whose own error against step 0.05 is about 1e-12, so the wide start at the same
+        # step is the reference there
+        contour = default_contour(3, g, shifted=True)
+        evals = [(lam, D7, None)] + [
+            (tuple(v + 2.0 if i in s else v for i, v in enumerate(lam)), D7[:1], contour)
+            for r in (1, 2, 3) for s in combinations(range(3), r)]
+        calls, outer_values = [], wavefn._outer_values
+        monkeypatch.setattr(wavefn, "_outer_values",
+                            lambda *args: calls.append(1) or outer_values(*args))
+        values = [np.array(eval_phi_many(p, x, g, d, c)) for p, d, c in evals]
+        assert len(calls) == len(evals)
+        monkeypatch.setattr(wavefn, "_OUTER_RATE", 1.2)
+        wide = [np.array(eval_phi_many(p, x, g, d, c)) for p, d, c in evals]
+        fine = QuadratureSpec(step=0.05)
+        for (p, d, c), got, want in zip(evals, values, wide):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+            if c is None or g - 1.0 >= 0.48:
+                ref = np.array(eval_phi_many(p, x, g, d, c, fine))
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+class TestNodeBudget:
+    def test_budget_is_the_widest_default_line(self):
+        assert wavefn._MAX_NODES == wavefn._grid(0.0, wavefn._MAX_HALF_WIDTH, 0.1)[0].size
+        assert wavefn._level_cap(0.1) == wavefn._MAX_HALF_WIDTH
+
+    @pytest.mark.parametrize("margin", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
+    def test_small_margin_is_refused_before_any_work(self, monkeypatch, lam, x, margin):
+        elems = _count_log_gamma(monkeypatch)
+        monkeypatch.setattr(wavefn, "_grid", lambda *args: pytest.fail("a grid was built"))
+        shifted = (lam[0] + 2.0,) + lam[1:]
+        contour = default_contour(len(lam), 1.0 + margin, shifted=True)
+        with pytest.raises(wavefn.GridBudgetError, match="above the budget of 2401"):
+            eval_phi(shifted, x, 1.0 + margin, contour)
+        assert not elems
+
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
+    def test_configured_step_is_a_config_error(self, monkeypatch, lam, x):
+        elems = _count_log_gamma(monkeypatch)
+        with pytest.raises(ValueError, match="configured step 1e-05"):
+            eval_phi(lam, x, G, quad=QuadratureSpec(step=1e-5))
+        assert not elems
+
+    @pytest.mark.parametrize("lam, x, cap", [(LAM2, X2, 10.0), (LAM3, X3, 13.0)],
+                             ids=["n2", "n3"])
+    def test_growth_stops_at_the_budget(self, monkeypatch, lam, x, cap):
+        # lines started at half-width 3 fall short of their tails; a budget of 201 nodes
+        # (half-width 10 at step 0.1) stops the level-1 line's growth there, for n = 3 10
+        # past the outer line
+        monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 3.0)
+        monkeypatch.setattr(wavefn, "_MAX_NODES", 201)
+        sizes, grid = [], wavefn._grid
+        monkeypatch.setattr(wavefn, "_grid",
+                            lambda c, T, h: sizes.append(grid(c, T, h)[0].size) or grid(c, T, h))
+        with pytest.raises(TailNotConvergedError, match=f"level-1 .* half-width {cap}"):
+            eval_phi(lam, x, G)
+        assert len(sizes) > 1 and sizes[-1] == 2 * round(cap / 0.1) + 1
 
 
 class TestContours:

@@ -14,9 +14,9 @@ width comes from the adaptive truncation rule at wavefn's constant tail
 tolerance: no key or flag sets either.  A failed check carries a witness: its
 inputs, residual and gate, or for an exact identity the point where it failed.
 Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
-(an unknown key, a non-finite number, a step whose grid would exceed the node
-budget), 3 an infeasible domain (among them a pole margin that asks for a grid
-over the budget), 4 an internal error (traceback on stderr).
+(an unknown key, a non-finite number, a step outside [0.01, 0.25]), 3 an
+infeasible domain (among them a point whose grid would exceed the node
+budget), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations

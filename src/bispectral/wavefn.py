@@ -17,10 +17,11 @@ exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56 (2014)), so every level
 takes h = min(QuadratureSpec.step, 2 pi a / ln(1/_TAIL_TOL)); the setting is
 an upper bound, reached wherever a >= 0.48.  A node budget of ``_MAX_NODES``
 per level, the line of half-width 120 at step 0.1, bounds the work: a grid
-whose start would exceed it is refused before any work (``GridBudgetError``
-when the margin set the step, ValueError when the configured step did), and
-no grid grows past it.  Derivatives in the coordinates are exact: they only
-multiply the integrand by linear forms in the integration variables.
+whose start would exceed it raises ``GridBudgetError`` before any work, and
+no grid grows past it; a configured step below ``_MIN_STEP``, where every
+start would, is refused when the spec is made.  Derivatives in the
+coordinates are exact: they only multiply the integrand by linear forms in
+the integration variables.
 
 Supported sizes are n = 1, 2, 3 (the nested grid grows like
 grid^(n(n-1)/2)).  No 2*pi normalisation is applied anywhere; every check
@@ -90,19 +91,25 @@ _TAIL_TOL = 1e-13
 # the trapezoid error on a strip of half-width a decays like exp(-2 pi a / h), so the step
 # 2 pi a / ln(1/_TAIL_TOL) per unit of pole margin a brings it to _TAIL_TOL
 _STEP_PER_MARGIN = 2.0 * math.pi / -math.log(_TAIL_TOL)
-# The n = 3 outer line's net decay rate.  By Stirling (DLMF 5.11.9: |G(x + iy)| ~
-# sqrt(2 pi) |y|^(x - 1/2) e^(-pi |y| / 2)) its slowest edge, one nu_j at |t| = T with the
-# other near the centre, decays like e^(-pi T): the three kernel pairs of nu_j give
-# e^(-3 pi T / 2), the inverse-gamma measure e^(pi T) and the level-1 integral
-# e^(-pi T / 2).  The power factors |T|^p (p about 3g with a second derivative) and the
-# constants of each factor lower the effective rate below pi at the widths reached, by an
-# amount the asymptotics do not fix: 2.4 is measured (no regrow over the 140 n = 3
-# evaluations of the n3_default and battery benchmark cores), and the outer line's 1.4x
-# regrow is its guard.
-_OUTER_RATE = 2.4
+# The n = 3 outer start.  By Stirling (DLMF 5.11.9: |G(x + iy)| ~ sqrt(2 pi) |y|^(x - 1/2)
+# e^(-pi |y| / 2)) the outer integrand's slowest edge, one nu at distance T from the centre
+# and the other near it, falls like (T/2)^p e^(-pi T) with p = 2g - 2 + m: the three kernel
+# pairs of that nu give (T/2)^(3g - 3) e^(-3 pi T / 2), the inverse-gamma measure
+# (T/2)^(2 - 2g) e^(pi T), the oscillating level-1 integral (T/2)^(g - 1) e^(-pi T / 2) from
+# its end points, and the derivatives' powers of nu and gam T^m, m their largest total
+# order.  The line starts where pi T - p ln(T/2) = ln(1/_TAIL_TOL) + _OUTER_SLACK, past the
+# spread of lambda.  The slack holds the constants the asymptotics leave out and is
+# measured: over 280 evaluations at g from 1.1 to 8, |Im lambda| up to 8 and all x, each
+# outer tail passed on its first grid, the closest by 0.9 in T, and so did 352 more drawn
+# apart from them, up to g = 10 and |Im lambda| = 10 (closest 0.4).  The 1.4x regrow is
+# its guard.
+_OUTER_SLACK = 12.0
 # the node budget of one level: the line of half-width _MAX_HALF_WIDTH at step 0.1 (the
 # n = 3 level-1 line may take it once more past the outer one, as it does the cap)
 _MAX_NODES = 2401
+# the smallest step: below it even the narrowest start, half-width (ln(1/_TAIL_TOL) + 5) / pi
+# = 11.1, has more nodes than the budget, so every evaluation would be refused
+_MIN_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -164,19 +171,21 @@ class QuadratureSpec:
     """Trapezoid discretisation of one vertical line.
 
     step is an upper bound on the node spacing along the imaginary axis (it
-    must be <= 0.25): an evaluation takes min(step, 2 pi a / ln(1/_TAIL_TOL))
-    for the contour's pole margin a, so the bound holds wherever a >= 0.48.
-    The truncation half-width is not set: it expands adaptively until the
-    boundary magnitude is below _TAIL_TOL times the running maximum, up to
-    the hard cap _MAX_HALF_WIDTH = 120 and the node budget _MAX_NODES = 2401
-    per level; a start beyond the budget is refused before any work.
+    must be in [_MIN_STEP, 0.25] = [0.01, 0.25]): an evaluation takes
+    min(step, 2 pi a / ln(1/_TAIL_TOL)) for the contour's pole margin a, so the
+    bound holds wherever a >= 0.48.  The truncation half-width is not set: it
+    expands adaptively until the boundary magnitude is below _TAIL_TOL times
+    the running maximum, up to the hard cap _MAX_HALF_WIDTH = 120 and the node
+    budget _MAX_NODES = 2401 per level; a start beyond the budget raises
+    GridBudgetError before any work.  So a step below 0.1 caps the half-width
+    at step * 1200, and refuses a point whose tail lies past that.
     """
 
     step: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 0.25):
-            raise ValueError(f"step must be in (0, 0.25], got {self.step}")
+        if not (_MIN_STEP <= self.step <= 0.25):
+            raise ValueError(f"step must be in [{_MIN_STEP}, 0.25], got {self.step}")
 
 
 def as_spectral(lam) -> SpectralPoint:
@@ -382,11 +391,25 @@ def _level_cap(step: float) -> float:
     return min(_MAX_HALF_WIDTH, step * (_MAX_NODES // 2))
 
 
-def _initial_half_width(im_spread: float, rate: float, step: float) -> float:
-    """Where a tail decaying like e^{-rate |t|} past im_spread should pass, capped at
-    _MAX_HALF_WIDTH; a start whose grid exceeds the node budget is refused here, before
-    any work."""
-    T = min(im_spread + (-math.log(_TAIL_TOL) + 5.0) / rate, _MAX_HALF_WIDTH)
+def _exp_reach(rate: float) -> float:
+    """How far past its peak a tail decaying like e^{-rate |t|} falls below _TAIL_TOL, with room."""
+    return (-math.log(_TAIL_TOL) + 5.0) / rate
+
+
+def _outer_reach(g: float, m: int) -> float:
+    """The n = 3 outer start past the spread of lambda, from its Stirling tail (_OUTER_SLACK)."""
+    p = 2.0 * g - 2.0 + m
+    rhs = -math.log(_TAIL_TOL) + _OUTER_SLACK
+    T = rhs / math.pi
+    for _ in range(20):  # the map's slope p / (pi T) stays below 1/4: these reach the root
+        T = (rhs + p * math.log(T / 2.0)) / math.pi
+    return T
+
+
+def _initial_half_width(im_spread: float, reach: float, step: float) -> float:
+    """im_spread + reach, where the tail should pass, capped at _MAX_HALF_WIDTH; a start
+    whose grid exceeds the node budget is refused here, before any work."""
+    T = min(im_spread + reach, _MAX_HALF_WIDTH)
     if T > _level_cap(step):
         raise GridBudgetError(
             f"half-width {T:.1f} at step {step:.3g} needs {2 * math.ceil(T / step) + 1} "
@@ -483,7 +506,7 @@ def _quantities_n2(lam, x, g, contour, step, derivs, lattice):
     delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
     im_spread = max(abs(l1.imag - center), abs(l2.imag - center))
-    T = _initial_half_width(im_spread, rate, step)
+    T = _initial_half_width(im_spread, _exp_reach(rate), step)
     m_max = max(d1 + d2 for d1, d2 in derivs)
 
     def log_kernel(gam):
@@ -555,8 +578,8 @@ def _quantities_n3(lam, x, g, contour, step, derivs, lattice):
     im_spread = max(abs(v.imag - center) for v in lam)
     rate_in = max(math.pi - abs(x1 - x2), 0.5)
     cap = _level_cap(step)
-    T_out = _initial_half_width(im_spread, _OUTER_RATE, step)
-    T_in = T_out + _initial_half_width(0.0, rate_in, step)
+    T_out = _initial_half_width(im_spread, _outer_reach(g, max(map(sum, derivs))), step)
+    T_in = T_out + _initial_half_width(0.0, _exp_reach(rate_in), step)
     m_max = max(d[0] + d[1] for d in derivs)
 
     while True:
@@ -632,12 +655,7 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     lattice = {} if lattice is None else lattice
     step = min(quad.step, _STEP_PER_MARGIN * margin)
     quantities = _quantities_n2 if n == 2 else _quantities_n3
-    try:
-        return quantities(lam.values, x.values, g, contour, step, derivs, lattice)
-    except GridBudgetError as exc:
-        if step < quad.step:
-            raise
-        raise ValueError(f"the configured step {quad.step:g}: {exc}") from None
+    return quantities(lam.values, x.values, g, contour, step, derivs, lattice)
 
 
 def eval_phi(lam, x, g: float, contour: tuple[float, ...] | None = None,

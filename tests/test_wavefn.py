@@ -258,7 +258,7 @@ class TestKernelAndMeasure:
         # r = 1, 2 ask for 12 outer columns (a_k, delta_k), 9 of them distinct, and r = 3 for
         # 6.  The column of lambda_k at a = -1 (shifted) is the one at a = 1 (not shifted)
         # read back by K(-d) = K(d), so each check holds 3 columns on the Re = 1 grid and 3
-        # on the Re = 0 one, plus the offset column, and makes 3 217 log_gamma arguments.
+        # on the Re = 0 one, plus the offset column, and makes 3 097 log_gamma arguments.
         # Every value is the unshared one bit for bit.
         points = [tuple(v + 2.0 if i in s else v for i, v in enumerate(LAM3))
                   for s in combinations(range(3), r)]
@@ -277,19 +277,19 @@ class TestKernelAndMeasure:
         shared.append(eval_phi(LAM3, X3, G, lattice=lattice))
         assert len(asked) == distinct
         assert len([key for key in lattice if key[0] == "column"]) == 7
-        assert sum(elems) == 3_217
+        assert sum(elems) == 3_097
         assert shared == unshared
 
     def test_n3_kernel_work_is_linear_in_the_grids(self, monkeypatch):
-        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair: 2 290
-        # arguments at the `all` n = 3 point, where the full kernel matrix takes about 350 000
+        # log_gamma runs on the grid offsets, not on every (level-1, outer) pair: 2 206
+        # arguments at the `all` n = 3 point, where the full kernel matrix takes about 330 000
         elems = _count_log_gamma(monkeypatch)
         eval_phi((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4), 1.5)
-        assert sum(elems) == 2_290
+        assert sum(elems) == 2_206
 
     def test_n3_pass_builds_no_outer_square(self):
-        # one default 7-derivative pass at the `all` n = 3 point (M = 307 outer
-        # nodes): a single M x M complex array would be 1.5 MB
+        # one default 7-derivative pass at the `all` n = 3 point (M = 323 outer
+        # nodes): a single M x M complex array would be 1.7 MB
         tracemalloc.start()
         try:
             eval_phi_many(LAM3, X3, G, D7)
@@ -544,7 +544,7 @@ class TestOuterStart:
                             lambda *args: calls.append(1) or outer_values(*args))
         values = [np.array(eval_phi_many(p, x, g, d, c)) for p, d, c in evals]
         assert len(calls) == len(evals)
-        monkeypatch.setattr(wavefn, "_OUTER_RATE", 1.2)
+        monkeypatch.setattr(wavefn, "_outer_reach", lambda g, m: wavefn._exp_reach(1.2))
         wide = [np.array(eval_phi_many(p, x, g, d, c)) for p, d, c in evals]
         fine = QuadratureSpec(step=0.05)
         for (p, d, c), got, want in zip(evals, values, wide):
@@ -552,6 +552,22 @@ class TestOuterStart:
             if c is None or g - 1.0 >= 0.48:
                 ref = np.array(eval_phi_many(p, x, g, d, c, fine))
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("g, lam, x", [
+        (1.1, (3.1j, -0.4j, -2.2j), (0.5, -0.1, -0.45)),
+        (3.0, (0.2j, 4.5j, -1.3j), (0.3, 0.05, -0.6)),
+        (8.0, (1.2j, -0.9j, 0.1j), (0.45, 0.4, -0.5)),
+        (8.0, (-6.5j, 2.0j, 7.5j), (0.1, -0.2, -0.35))])
+    def test_start_grows_with_g(self, monkeypatch, g, lam, x):
+        # the Stirling power p = 2g - 2 + m moves the start out with g (13.5 to 15 past
+        # the spread at g = 1.1, 24.5 to 26.5 at g = 8): a jet and a shifted point each
+        # pass their outer tail on the first grid
+        calls, outer_values = [], wavefn._outer_values
+        monkeypatch.setattr(wavefn, "_outer_values",
+                            lambda *args: calls.append(1) or outer_values(*args))
+        eval_phi_many(lam, x, g, D7)
+        eval_phi((lam[0] + 2.0,) + lam[1:], x, g, default_contour(3, g, shifted=True))
+        assert len(calls) == 2
 
 
 class TestNodeBudget:
@@ -570,11 +586,19 @@ class TestNodeBudget:
             eval_phi(shifted, x, 1.0 + margin, contour)
         assert not elems
 
+    def test_step_floor(self):
+        # below _MIN_STEP even the narrowest start, (ln(1/_TAIL_TOL) + 5) / pi, is over budget
+        assert wavefn._level_cap(wavefn._MIN_STEP) >= wavefn._exp_reach(math.pi)
+        with pytest.raises(ValueError, match=r"step must be in \[0.01, 0.25\]"):
+            QuadratureSpec(step=1e-5)
+
     @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
-    def test_configured_step_is_a_config_error(self, monkeypatch, lam, x):
+    def test_fine_step_refuses_the_point(self, monkeypatch, lam, x):
+        # step 0.01 caps a level at half-width 12, short of these starts: GridBudgetError,
+        # as for a small margin, before any work
         elems = _count_log_gamma(monkeypatch)
-        with pytest.raises(ValueError, match="configured step 1e-05"):
-            eval_phi(lam, x, G, quad=QuadratureSpec(step=1e-5))
+        with pytest.raises(wavefn.GridBudgetError, match="above the budget of 2401"):
+            eval_phi(lam, x, G, quad=QuadratureSpec(step=0.01))
         assert not elems
 
     @pytest.mark.parametrize("lam, x, cap", [(LAM2, X2, 10.0), (LAM3, X3, 13.0)],

@@ -16,7 +16,7 @@ Layers:
 * ``cli`` -- batch verification runs with NDJSON reports.
 """
 
-from .cgamma import GammaPoleError, gamma_log_sum, log_gamma
+from .cgamma import GammaPoleError, log_gamma
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      GridBudgetError, InfeasibleContourError, PositionPoint,

@@ -1,9 +1,9 @@
 """Complex log-gamma kernel.
 
 Everything in this package that touches a gamma function goes through
-``log_gamma`` / ``gamma_log_sum``.  Products of many gamma factors are
-assembled in log space and exponentiated once by the caller, so magnitudes
-far beyond double-precision range never appear in intermediate arithmetic.
+``log_gamma``.  Products of many gamma factors are summed in log space and
+exponentiated once by the caller, so magnitudes far beyond double-precision
+range never appear in intermediate arithmetic.
 
 The core is a Lanczos rational approximation (g = 607/128, 15 terms) valid
 for Re z >= 0.5, in real arithmetic: with X = Re z + k - 1 and
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GammaPoleError", "log_gamma", "gamma_log_sum"]
+__all__ = ["GammaPoleError", "log_gamma"]
 
 
 class GammaPoleError(ArithmeticError):
@@ -142,26 +142,3 @@ def log_gamma(z):
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
-
-
-def gamma_log_sum(numerator_args, denominator_args=()) -> complex:
-    """Sum of log Gamma over numerator args minus the sum over denominator args.
-
-    A pole in a numerator argument raises GammaPoleError.  A pole in a
-    denominator argument means the whole ratio vanishes: the function
-    returns -inf (as the real part), so that exp() of the result is 0.
-    Callers exponentiate; nothing here can overflow.
-    """
-    num = np.asarray(list(numerator_args), dtype=complex)
-    den = np.asarray(list(denominator_args), dtype=complex)
-    if num.size and np.any(_is_pole(num)):
-        bad = num[_is_pole(num)][0]
-        raise GammaPoleError(f"numerator gamma argument {bad} is at a pole")
-    if den.size and np.any(_is_pole(den)):
-        return complex(float("-inf"), 0.0)
-    total = 0.0 + 0.0j
-    if num.size:
-        total += complex(np.sum(log_gamma(num)))
-    if den.size:
-        total -= complex(np.sum(log_gamma(den)))
-    return total

@@ -9,14 +9,15 @@ Reports are newline-delimited JSON on stdout, one object per check, and are
 deterministic for a fixed config and seed except for their wall_time fields;
 a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
-Each check's residual gate is its constant in _DEFAULT_TOLS, and every grid
-width comes from the adaptive truncation rule at wavefn's constant tail
-tolerance: no key or flag sets either.  A failed check carries a witness: its
-inputs, residual and gate, or for an exact identity the point where it failed.
-Exit status: 0 all checks passed, 1 a check failed, 2 a configuration error
-(an unknown key, a non-finite number, a step outside [0.01, 0.25]), 3 an
-infeasible domain (among them a point whose grid would exceed the node
-budget), 4 an internal error (traceback on stderr).
+Each check's gate is its constant in _DEFAULT_TOLS, every evaluation runs at
+wavefn's default quadrature, and the identity family's sizes are constants of
+``identities``: no key or flag sets any of them.  A failed check carries a
+witness: its inputs, residual and gate, or for an exact identity the point
+where it failed; a non-finite float is written as "nan", "inf" or "-inf", so
+every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
+failed, 2 a configuration error (an unknown key or flag, a non-finite number,
+an oracle grid below 2), 3 an infeasible domain (among them a point whose
+grid would exceed the node budget), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 import time
 import traceback
@@ -34,12 +36,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import identities
 from .cgamma import GammaPoleError
 from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
                        gauge_shift_residual, measure_shift_residual,
                        measure_weight)
-from .identities import (_BINOMIAL_N_MAX, _LEMMA1_N_MAX, binomial_limit_check,
-                         residue_check, substitution_check, verify_lemma1)
+from .identities import (binomial_limit_check, residue_check, substitution_check,
+                         verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
@@ -96,8 +99,8 @@ def format_complex(z: complex) -> str:
 
 
 # numeric RunConfig fields that map one-to-one to flags
-_INTEGER_FIELDS = ("n", "seed", "trials", "n_max", "grid", "r")
-_REAL_FIELDS = ("g", "step")
+_INTEGER_FIELDS = ("n", "seed", "grid", "r")
+_REAL_FIELDS = ("g",)
 
 
 # kinds of number, as concrete types: the numbers ABCs would cost tens of
@@ -121,10 +124,7 @@ class RunConfig:
     g: float = 1.5
     lam: tuple[complex, ...] = (0.7j, -0.3j)
     x: tuple[float, ...] = (0.4, -0.2)
-    step: float = 0.1
     seed: int = 7
-    trials: int = 100
-    n_max: int = 5
     grid: int = 5
     r: int | None = None
 
@@ -135,13 +135,10 @@ class RunConfig:
                           else (_REAL, "a finite real number"))
             if not (value is None and name == "r" or _is_finite(value, kind)):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        # fewer trials, oracle points or identity sizes would test nothing; numpy
-        # seeds are non-negative
-        for name, low in (("trials", 1), ("grid", 2), ("n_max", 1), ("seed", 0)):
+        # fewer oracle points would test nothing; numpy seeds are non-negative
+        for name, low in (("grid", 2), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if self.n_max > _LEMMA1_N_MAX:
-            raise ValueError(f"n_max must be at most {_LEMMA1_N_MAX}, got {self.n_max}")
         for name, values, kind, what in (("lambda", self.lam, _COMPLEX, "complex"),
                                          ("x", self.x, _REAL, "real")):
             if not all(_is_finite(v, kind) for v in values):
@@ -152,7 +149,8 @@ class RunConfig:
             raise ValueError(f"n = {self.n} does not match {len(self.lam)} lambda entries")
 
     def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(step=self.step)
+        """The default quadrature of every check, for callers of the operators."""
+        return QuadratureSpec()
 
     def tol(self, key: str) -> float:
         return _DEFAULT_TOLS[key]
@@ -174,7 +172,16 @@ class CheckReport:
         for key in ("witness", "value"):
             if payload[key] is None:
                 del payload[key]
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(_strict(payload), sort_keys=True, allow_nan=False)
+
+
+def _strict(value):
+    """value with each non-finite float as "nan", "inf" or "-inf": strict JSON has none."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return str(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +239,18 @@ def _ratio_spread(ratios: Sequence[complex]) -> float:
 
 
 def _sutherland(config: RunConfig) -> list[Check]:
-    n, lam, x, g, quad = config.n, config.lam, config.x, config.g, config.quad()
+    n, lam, x, g = config.n, config.lam, config.x, config.g
     operators = (("h1", apply_H1, {}), ("h2", apply_H2, {}),
                  ("hs1", apply_reduced_HS, {"order": 1}), ("hs2", apply_reduced_HS, {"order": 2}))
     return [(f"sutherland.n{n}.{name}", _echo_point(config),
              "sutherland.n3" if n >= 3 else f"sutherland.{name}",
-             lambda op=op, kw=kw: op(lam, x, g, quad, **kw).relative_residual)
+             lambda op=op, kw=kw: op(lam, x, g, **kw).relative_residual)
             for name, op, kw in operators]
 
 
 def _dual_metric(r: int, config: RunConfig) -> float:
     """|H_r Phi / Phi - e_r(e^{2x})|, the eigenvalue-space residual."""
-    res = apply_dual_hamiltonian(r, config.lam, config.x, config.g, config.quad())
+    res = apply_dual_hamiltonian(r, config.lam, config.x, config.g)
     e_r = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in config.x])
     return res.relative_residual * abs(e_r)
 
@@ -364,14 +371,15 @@ def _macdonald(config: RunConfig) -> list[Check]:
 
 
 def _identities(config: RunConfig) -> list[Check]:
-    trials, seed = config.trials, config.seed
+    # the family's sizes are identities' constants, read when the checks are built
+    seed, trials = config.seed, identities._LEMMA1_TRIALS
     out = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": trials, "seed": seed},
-            EXACT, partial(verify_lemma1, n, r, trials=trials, seed=seed))
-           for n in range(1, config.n_max + 1) for r in range(1, n + 1)]
+            EXACT, partial(verify_lemma1, n, r, seed=seed))
+           for n in range(1, identities._LEMMA1_FAMILY_N_MAX + 1) for r in range(1, n + 1)]
     out += [(f"identities.residue.n{n}r{r}", {"n": n, "r": r, "seed": seed}, EXACT,
              partial(residue_check, n, r, seed=seed))
-            for n in range(2, min(config.n_max, 4) + 1) for r in range(1, n + 1)]
-    out.append(("identities.binomial", {"n_max": _BINOMIAL_N_MAX}, EXACT,
+            for n in range(2, identities._RESIDUE_FAMILY_N_MAX + 1) for r in range(1, n + 1)]
+    out.append(("identities.binomial", {"n_max": identities._BINOMIAL_N_MAX}, EXACT,
                 partial(binomial_limit_check, seed=seed)))
     out.append(("identities.substitution", {"seed": seed}, EXACT,
                 partial(substitution_check, seed)))
@@ -381,14 +389,14 @@ def _identities(config: RunConfig) -> list[Check]:
 def _oracle(config: RunConfig) -> list[Check]:
     if len(config.lam) != 2:
         raise ValueError("compare-oracle is the n = 2 closed-form check")
-    (l1, l2), g, quad = config.lam, config.g, config.quad()
+    (l1, l2), g = config.lam, config.g
     seps, shifts = np.linspace(0.2, 1.0, config.grid), np.linspace(-0.3, 0.3, config.grid)
     grid = [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
 
     def spread():
         # one lambda at every x: the grid points share the pair-kernel columns
         lattice = {}
-        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, quad=quad, lattice=lattice)
+        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, lattice=lattice)
                               / closed_form_phi2(l1, l2, x1, x2, g) for x1, x2 in grid])
 
     return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
@@ -413,8 +421,8 @@ def _legendre(config: RunConfig) -> list[Check]:
     ]
 
 
-# the n = 3 point of the full run, at the config's quadrature: well-separated
-# imaginary spectral parameters, coordinates inside the convergence window
+# the n = 3 point of the full run: well-separated imaginary spectral parameters,
+# coordinates inside the convergence window
 _N3_DEFAULTS = dict(n=3, lam=(0.9j, 0.1j, -0.6j), x=(0.45, 0.0, -0.4))
 
 
@@ -445,7 +453,7 @@ def checks(command: str, config: RunConfig) -> list[Check]:
     if command in _EVALS:
         fn = eval_phi if command == "eval-phi" else eval_psi
         return [(command, _echo_point(config), VALUE,
-                 lambda: fn(config.lam, config.x, config.g, quad=config.quad()))]
+                 lambda: fn(config.lam, config.x, config.g))]
     families = [family for name, family in REGISTRY if command in (name, "all")]
     if not families:
         raise ValueError(f"unknown command {command!r}")
@@ -504,19 +512,19 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
     for key in _INTEGER_FIELDS + _REAL_FIELDS:
         if getattr(args, key) is not None:
             data[key] = getattr(args, key)
+    # RunConfig.lam's one key is "lambda", so every spectral value goes through the
+    # re:im parser
+    unknown = set(data) - ({f.name for f in fields(RunConfig)} - {"lam"} | {"lambda"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     # the n that file and flags settle on picks the default point
     n = data.get("n")
+    if "lambda" in data:
+        data["lam"] = tuple(parse_complex(str(v)) for v in data.pop("lambda"))
+        data.setdefault("n", len(data["lam"]))
     if isinstance(n, int) and n in _POINT_DEFAULTS:
         data.setdefault("lam", _POINT_DEFAULTS[n][0])
         data.setdefault("x", _POINT_DEFAULTS[n][1])
-
-    lam_raw = data.pop("lambda", None)
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if lam_raw is not None:
-        data["lam"] = tuple(parse_complex(str(v)) for v in lam_raw)
-        data.setdefault("n", len(data["lam"]))
     if "x" in data:
         data["x"] = tuple(float(v) for v in data["x"])
     return RunConfig(**data)

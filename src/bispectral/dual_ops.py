@@ -27,7 +27,9 @@ import cmath
 from itertools import combinations, permutations
 from typing import Callable, Literal
 
-from .cgamma import gamma_log_sum
+import numpy as np
+
+from .cgamma import GammaPoleError, log_gamma
 from .symfun import elementary_symmetric
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
 from .wavefn import (QuadratureSpec, as_position, as_spectral, default_contour, eval_phi,
@@ -133,7 +135,7 @@ def gauge_function(lam, g: float) -> complex:
         for q in range(len(lam)):
             if p != q:
                 args.append((lam[p] - lam[q] + 2.0 - 2.0 * g) / 2.0)
-    return gamma_log_sum(args, ())
+    return complex(np.sum(log_gamma(args)))
 
 
 def gauge_shift_residual(lam, i: int, g: float) -> float:
@@ -165,7 +167,10 @@ def measure_weight(lam, g: float, kind: DualWeightKind) -> complex:
         return measure_mu(lam, 1.0 - g)
     if kind != "sklyanin":
         raise ValueError(f"unknown weight kind {kind!r}")
-    return gamma_log_sum((), [a - b for a, b in permutations(lam, 2)])
+    try:
+        return -complex(np.sum(log_gamma([a - b for a, b in permutations(lam, 2)])))
+    except GammaPoleError:  # a factor 1/G on its pole: the weight is zero, as in measure_mu
+        return complex(-cmath.inf)
 
 
 def measure_shift_residual(lam, i: int, g: float, kind: DualWeightKind) -> float:

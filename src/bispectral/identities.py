@@ -39,6 +39,12 @@ _FORMS = ("primed_S", "primed_Stilde", "unprimed_S", "unprimed_Stilde")
 _BOX = 10 ** 6
 # sizes n = 1.._BINOMIAL_N_MAX of the alpha = 0 degeneration check
 _BINOMIAL_N_MAX = 10
+# the sizes of the family `cli` runs: Lemma 1 at n = 1.._LEMMA1_FAMILY_N_MAX, the residue
+# relations at n = 2.._RESIDUE_FAMILY_N_MAX
+_LEMMA1_FAMILY_N_MAX = 5
+_RESIDUE_FAMILY_N_MAX = 4
+# the seeded random points of every verify_lemma1 call
+_LEMMA1_TRIALS = 100
 # the largest n that verify_lemma1 takes
 _LEMMA1_N_MAX = 6
 
@@ -171,7 +177,7 @@ def _strs(values) -> list[str]:
     return [str(x) for x in values]
 
 
-def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> dict | None:
+def verify_lemma1(n: int, r: int, seed: int = 0) -> dict | None:
     """Exact check of S'_r(u, v) = S~'_{r-1}(v, u) + S~'_r(v, u) at random points.
 
     Returns None, or the first point where the two sides differ, with both.
@@ -179,7 +185,7 @@ def verify_lemma1(n: int, r: int, trials: int = 100, seed: int = 0) -> dict | No
     if not (1 <= r <= n <= _LEMMA1_N_MAX):
         raise ValueError(f"need 1 <= r <= n <= {_LEMMA1_N_MAX}, got n={n}, r={r}")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(_LEMMA1_TRIALS):
         vals = _distinct_integers(rng, 2 * n - 1)
         rng.shuffle(vals)
         u, v = vals[:n], vals[n:]

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cgamma import gamma_log_sum, log_gamma
+from .cgamma import log_gamma
 from .dual_ops import apply_dual_operator
 from .sutherland_ops import EigenResidual
 from .symfun import elementary_symmetric
@@ -125,7 +125,7 @@ def closed_form_phi2(lam1: complex, lam2: complex, x1: float, x2: float,
     sep = x1 - x2
     mu = 0.5 - g
     p_val = legendre_P(LegendreArgs(mu=mu, nu=d - 0.5, z=math.cosh(sep)))
-    gammas = cmath.exp(gamma_log_sum([g - d, g + d], ()))
+    gammas = cmath.exp(sum(log_gamma([g - d, g + d])))
     return (math.sinh(sep) ** mu
             * cmath.exp((lam1 + lam2) * (x1 + x2) / 2.0)
             * gammas * p_val)

@@ -89,7 +89,9 @@ _MAX_HALF_WIDTH = 120.0
 # the truncation boundary passes once its magnitude is at most this times the peak
 _TAIL_TOL = 1e-13
 # the trapezoid error on a strip of half-width a decays like exp(-2 pi a / h), so the step
-# 2 pi a / ln(1/_TAIL_TOL) per unit of pole margin a brings it to _TAIL_TOL
+# 2 pi a / ln(1/_TAIL_TOL) per unit of pole margin a brings it to _TAIL_TOL times the
+# integrand's size on the strip, which exceeds |Phi|: at margin 0.25 (g = 1.25, shifted
+# contour) n = 3 values differ from finer steps by up to 1.07e-12 relative
 _STEP_PER_MARGIN = 2.0 * math.pi / -math.log(_TAIL_TOL)
 # The n = 3 outer start.  By Stirling (DLMF 5.11.9: |G(x + iy)| ~ sqrt(2 pi) |y|^(x - 1/2)
 # e^(-pi |y| / 2)) the outer integrand's slowest edge, one nu at distance T from the centre

@@ -1,9 +1,12 @@
-"""The benchmark's tracer still sees every layer of the package.
+"""The benchmark still runs against the package, and its tracer sees every layer.
 
-``perfbench/spans.py`` wraps each layer entry point where another module of
-the package calls it.  A refactor that keeps such a name but stops calling it
-from outside its own module would drop that layer from the benchmark's
-per-layer metrics without any error; this traced `all` run catches it.
+``perfbench/workloads.py`` builds a ``RunConfig`` and calls the operators
+directly; a change to either would break its operations, so one seeded point
+runs each kind of operation here.  ``perfbench/spans.py`` wraps each layer
+entry point where another module of the package calls it.  A refactor that
+keeps such a name but stops calling it from outside its own module would drop
+that layer from the benchmark's per-layer metrics without any error; the
+traced `all` run catches it.
 """
 
 import sys
@@ -29,3 +32,15 @@ def test_traced_all_records_every_layer():
     # the dual checks n = 2, r = 1, 2 and n = 3, r = 1, 2, 3
     out = metrics.layer_metrics(tracer.spans, checks)
     assert out["dual_ops.evals_per_check"] == 3.0
+
+
+def test_every_op_kind_runs_at_a_seeded_point():
+    # the first n2_sweep block: the oracle at grid 2, the four Sutherland operators
+    # (hs1 and hs2 through the order keyword) and check-dual at r = 1, 2
+    ids = []
+    for op in next(workloads.blocks("n2_sweep", 7)):
+        checks, digest = workloads.execute(bispectral, op)
+        assert digest is None and all(workloads.check_ok(c) for c in checks), op
+        ids += [c.check_id for c in checks]
+    assert ids == ["oracle.ratio_spread", "sutherland.n2.h1", "sutherland.n2.h2",
+                   "sutherland.n2.hs1", "sutherland.n2.hs2", "dual.n2.r1", "dual.n2.r2"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bispectral.cgamma import (_LOG_PI, GammaPoleError, _log_sin_pi, _loggamma_right,
-                               gamma_log_sum, log_gamma)
+                               log_gamma)
 
 # arbitrary-precision references (40-digit offline run), frozen
 LOGGAMMA_REFS = {
@@ -193,33 +193,3 @@ def test_huge_argument_is_scaled_not_overflowed():
         ref = complex(mpmath.loggamma(mpmath.mpc(zz.real, zz.imag)))
         assert abs(value - ref) <= 1e-15 * abs(ref), f"z={zz}"
 
-
-class TestGammaLogSum:
-    def test_identity_ratio(self):
-        assert gamma_log_sum([1.0], [1.0]) == pytest.approx(0.0, abs=1e-14)
-
-    def test_functional_equation(self):
-        # G(z+1)/G(z) = z at z = 2.5
-        assert gamma_log_sum([3.5], [2.5]) == pytest.approx(math.log(2.5), abs=1e-13)
-
-    def test_frozen_pair(self):
-        # G(1+5i) G(1-5i): g/2 +- i t at g = 2, t = 5
-        got = gamma_log_sum([1 + 5j, 1 - 5j], [])
-        assert got == pytest.approx(complex(-12.260648289105497623, 0.0), rel=1e-12)
-
-    def test_numerator_pole_raises(self):
-        with pytest.raises(GammaPoleError):
-            gamma_log_sum([0.0], [])
-
-    def test_denominator_pole_is_zero_marker(self):
-        value = gamma_log_sum([1.0], [-2.0])
-        assert value.real == float("-inf")
-        assert cmath.exp(value) == 0.0
-
-    def test_magnitude_stays_in_log_space(self):
-        # sums representing e^(+-700)-scale ratios must not overflow
-        big = gamma_log_sum([200.0, 150.0], [2.0])
-        assert math.isfinite(big.real) and big.real > 700.0
-
-    def test_empty_lists(self):
-        assert gamma_log_sum([], []) == 0.0

@@ -31,6 +31,20 @@ def reaches_n2(rep):
     return rep.check_id.startswith("oracle.") or ".n2." in rep.check_id
 
 
+def shrink_identities(monkeypatch, n_max, trials):
+    # the identity family at n <= n_max (residues at n <= min(n_max, 4)) on `trials`
+    # points per Lemma 1 check: the same checks at a smaller size, for speed
+    monkeypatch.setattr(identities, "_LEMMA1_FAMILY_N_MAX", n_max)
+    monkeypatch.setattr(identities, "_RESIDUE_FAMILY_N_MAX", min(n_max, 4))
+    monkeypatch.setattr(identities, "_LEMMA1_TRIALS", trials)
+
+
+def strict_json(line):
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
 def strip_wall_time(stdout):
     out = []
     for rep in reports_of(stdout):
@@ -72,9 +86,9 @@ class TestRunConfig:
 
 
 class TestExitStatus:
-    def test_pass_is_zero(self, capsys):
-        code, out, _ = run_main(capsys, ["check-identities", "--n-max", "3",
-                                         "--trials", "5", "--seed", "3"])
+    def test_pass_is_zero(self, capsys, monkeypatch):
+        shrink_identities(monkeypatch, 3, 5)
+        code, out, _ = run_main(capsys, ["check-identities", "--seed", "3"])
         assert code == 0
         assert all(rep["status"] == "pass" for rep in reports_of(out))
 
@@ -95,10 +109,18 @@ class TestExitStatus:
         assert [rep.check_id for rep in reports if rep.status == "fail"] == ["macdonald.tau"]
 
     def test_nan_residual_is_one(self):
-        # a NaN draw makes the worst-of residual NaN, and a NaN fails its gate
+        # a NaN draw makes the worst-of residual NaN, and a NaN fails its gate; the
+        # report and its witness write it as the string "nan", so the line is strict JSON
         check = ("probe", {}, "dual", cli._worst(lambda v: v, [(1e-15,), (math.nan,)]))
         rep = cli._report(RunConfig(), check)
         assert math.isnan(rep.residual) and rep.status == "fail"
+        payload = strict_json(rep.to_json())
+        assert payload["residual"] == payload["witness"]["residual"] == "nan"
+
+    def test_non_finite_floats_are_strings(self):
+        rep = cli.CheckReport("probe", {"x": [math.inf, 0.5]}, "fail", residual=-math.inf)
+        payload = strict_json(rep.to_json())
+        assert payload["residual"] == "-inf" and payload["inputs"]["x"] == ["inf", 0.5]
 
     def test_nan_commutator_is_nan(self):
         f = LaurentPolynomial(2, {(1, 0): math.nan})
@@ -128,7 +150,8 @@ class TestExitStatus:
             return (num + den, den) if wrong(alpha, form, residue) else (num, den)
 
         monkeypatch.setattr(identities, "_subset_sum", planted)
-        code, out, _ = run_main(capsys, ["check-identities", "--n-max", "3", "--trials", "3"])
+        shrink_identities(monkeypatch, 3, 3)
+        code, out, _ = run_main(capsys, ["check-identities"])
         assert code == 1
         failed = [rep for rep in reports_of(out)
                   if rep["check_id"].startswith(f"identities.{family}")]
@@ -160,32 +183,19 @@ class TestExitStatus:
         code, out, err = run_main(capsys, ["check-dual", "--n", n, "--g", repr(1.0 + margin)])
         assert code == 0 or code == 3 and not out and "above the budget" in err
 
-    @pytest.mark.parametrize("argv", [["check-dual"], ["check-sutherland", "--n", "3"]])
-    def test_step_below_floor_is_two(self, capsys, monkeypatch, argv):
-        # at this step every start asks for millions of nodes: refused before any grid
-        monkeypatch.setattr(wavefn, "_grid", lambda *args: pytest.fail("a grid was built"))
-        code, out, err = run_main(capsys, [*argv, "--step", "1e-5"])
-        assert code == 2 and not out
-        assert "config error: step must be in [0.01, 0.25], got 1e-05" in err
-
-    def test_fine_step_over_budget_is_three(self, capsys, monkeypatch):
-        # step 0.01 caps a level at half-width 12, short of this point's n = 3 outer start:
-        # the point, not the setting, is refused, before any grid
-        monkeypatch.setattr(wavefn, "_grid", lambda *args: pytest.fail("a grid was built"))
-        code, out, err = run_main(capsys, ["check-sutherland", "--n", "3", "--step", "0.01"])
-        assert code == 3 and not out
-        assert "above the budget of 2401" in err
-
     def test_config_error_is_two(self, capsys):
         code, _, err = run_main(capsys, ["check-dual", "--lambda", "whoops"])
         assert code == 2
         assert "config error" in err
 
     def test_unknown_config_key_is_two(self, capsys, tmp_path):
-        # a config that sets a fixed half-width, a tail tolerance or a gate is an
-        # old one: it fails loudly and prints no report
+        # a config that sets a fixed half-width, a tail tolerance, a gate, the step, the
+        # Lemma 1 trials or the identity sizes is an old one, and "lam" is no second
+        # spelling of "lambda" (it would skip the re:im parser): each fails loudly and
+        # prints no report
         for key, value in (("coupling", 2.0), ("half_width", 8.0), ("tail_tol", 1e-13),
-                           ("tolerances", {"dual": 1.0})):
+                           ("tolerances", {"dual": 1.0}), ("step", 0.1), ("trials", 100),
+                           ("n_max", 5), ("lam", [0.7, -0.3])):
             bad = tmp_path / "conf.json"
             bad.write_text(json.dumps({"g": 1.5, key: value}))
             code, out, err = run_main(capsys, ["check-dual", "--config", str(bad)])
@@ -217,16 +227,17 @@ class TestExitStatus:
         (["check-dual", "--g", "nan"], "g"),
         (["check-dual", "--x", "nan,0.1"], "x"),
         (["eval-phi", "--lambda", "0:nan,0:-0.3"], "lambda"),
+        (["check-dual", "--g", "inf"], "g"),
+        (["check-dual", "--x", "0.4,-inf"], "x"),
         # values that would make a check vacuous
-        (["check-identities", "--trials", "0"], "trials"),
-        (["check-identities", "--trials", "-3"], "trials"),
         (["compare-oracle", "--grid", "1"], "grid"),
         (["compare-oracle", "--grid", "0"], "grid"),
-        (["check-identities", "--n-max", "0"], "n_max"),
+        # a non-finite real part, as well as an imaginary one
+        (["eval-phi", "--lambda", "inf:0.7,0:-0.3"], "lambda"),
         # default_contour refuses it for check-dual as for check-sutherland
         (["check-dual", "--g", "-1"], "coupling"),
         # sizes and seeds the checks would refuse only after running others
-        (["check-identities", "--n-max", "7"], "n_max"),
+        (["all", "--n", "0"], "n"),
         (["all", "--seed", "-1"], "seed"),
         (["check-identities", "--seed", "-1"], "seed"),
     ])
@@ -261,8 +272,10 @@ class TestExitStatus:
         assert code == 2
 
     def test_bad_flag_is_two(self, capsys):
-        # a fixed half-width and a tail tolerance are not settings
-        for flag in (["--not-a-flag"], ["--half-width", "8"], ["--tail-tol", "1e-4"]):
+        # a fixed half-width, a tail tolerance, the step, the Lemma 1 trials and the
+        # identity sizes are not settings
+        for flag in (["--not-a-flag"], ["--half-width", "8"], ["--tail-tol", "1e-4"],
+                     ["--step", "0.1"], ["--trials", "100"], ["--n-max", "5"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["check-dual", *flag])
             assert excinfo.value.code == 2
@@ -309,10 +322,8 @@ class TestReports:
         ("all", RunConfig(seed=1),
          "5498ef74a08d37ab48362c41d8ec8e3bbc4e001747c2a60f622823329eb87d1f"),
         ("all", RunConfig(seed=1009),
-         "ebf3683eb2212df19e3dce54aaf914c4baa7eb8a573f04b02ba3d4ee305e98b2"),
-        ("check-identities", RunConfig(n_max=6, seed=7),
-         "c9ce130a9ab1e645f2066929ce978a7e921de2957b3a9e077396a37b7cd9a9f7")],
-        ids=["all-seed-7", "all-seed-1", "all-seed-1009", "identities-n-max-6"])
+         "ebf3683eb2212df19e3dce54aaf914c4baa7eb8a573f04b02ba3d4ee305e98b2")],
+        ids=["all-seed-7", "all-seed-1", "all-seed-1009"])
     def test_report_digest(self, command, config, want):
         # sha256 of the NDJSON reports without wall_time, one per line: the
         # byte-determinism contract of each run
@@ -381,8 +392,9 @@ class TestCommandCoverage:
         assert code == 0
         assert all(rep["status"] == "pass" for rep in reports_of(out))
 
-    def test_all_runs_everything(self, capsys):
-        code, out, _ = run_main(capsys, ["all", "--trials", "20", "--n-max", "4"])
+    def test_all_runs_everything(self, capsys, monkeypatch):
+        shrink_identities(monkeypatch, 4, 20)
+        code, out, _ = run_main(capsys, ["all"])
         assert code == 0
         ids = {rep["check_id"] for rep in reports_of(out)}
         # one representative per family, including the n = 3 leg
@@ -408,7 +420,7 @@ class TestRegistry:
         assert kinds - {EXACT, VALUE} == set(_DEFAULT_TOLS)
 
     def test_each_command_runs_a_part_of_all(self):
-        config = RunConfig(n_max=3, trials=2)
+        config = RunConfig()
         ids = [check[0] for check in checks("all", config)]
         for command in ("check-identities", "compare-oracle", "check-sutherland",
                         "check-dual", "check-gauge", "check-measures",
@@ -453,9 +465,9 @@ class TestConfigSources:
         assert all(rep["inputs"]["lambda"] == [format_complex(v) for v in lam]
                    and rep["inputs"]["x"] == list(x) for rep in reps)
 
-    def test_run_api(self):
-        status, reports = run("check-identities",
-                              RunConfig(n_max=2, trials=5, seed=1))
+    def test_run_api(self, monkeypatch):
+        shrink_identities(monkeypatch, 2, 5)
+        status, reports = run("check-identities", RunConfig(seed=1))
         assert status == 0
         assert all(rep.status == "pass" for rep in reports)
 

@@ -15,7 +15,7 @@ from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_op
                                  measure_shift_residual, measure_weight)
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
-from bispectral.cgamma import log_gamma
+from bispectral.cgamma import GammaPoleError, log_gamma
 from bispectral.cli import RunConfig, run
 
 LAM2 = (0.7j, -0.3j)
@@ -72,6 +72,22 @@ class TestOperatorAlgebra:
 class TestGauge:
     def test_n1_empty_product(self):
         assert gauge_function((0.5j,), 1.5) == 0.0
+
+    def test_closed_form_at_half(self):
+        # the factors G(1/2 +- 5i) at g = 1/2, d = 10i: |G(1/2 + iy)|^2 = pi / cosh(pi y)
+        got = gauge_function((10j, 0.0), 0.5)
+        assert got == pytest.approx(math.log(math.pi / math.cosh(5 * math.pi)), rel=1e-13)
+
+    def test_functional_equation_through_a_reflection(self):
+        # at g = 1/4 the factors are G(5/4) G(1/4); lambda_1 + 2 makes them G(9/4) G(-3/4),
+        # a ratio of (5/4) / (-3/4) by G(z + 1) = z G(z), one side reflected
+        ratio = cmath.exp(gauge_function((3.0, 0.0), 0.25) - gauge_function((1.0, 0.0), 0.25))
+        assert ratio == pytest.approx(-5.0 / 3.0, rel=1e-13)
+
+    def test_pole_raises(self):
+        # (l_1 - l_2 + 2 - 2g)/2 = 0: a gamma factor of the gauge sits on its pole
+        with pytest.raises(GammaPoleError):
+            gauge_function((1.0, 0.0), 1.5)
 
     def test_shift_law(self):
         rng = np.random.default_rng(5)
@@ -167,6 +183,19 @@ class TestMeasures:
     def test_single_entry_empty_products(self):
         for kind in ("mu_g", "mu_1mg", "sklyanin"):
             assert measure_weight((0.4j,), 1.5, kind) == 0.0
+
+    def test_sklyanin_pole_is_a_zero(self):
+        # lambda that differ by 2: the factor 1/G(-2) vanishes, and so does the weight
+        value = measure_weight((2.0 + 1.3j, 1.3j), 1.5, "sklyanin")
+        assert value.real == -math.inf and cmath.exp(value) == 0.0
+
+    def test_sklyanin_stays_in_log_space(self):
+        # 1/|G(iy)|^2 = y sinh(pi y) / pi is about e^946 at y = 300, past double range
+        y = 300.0
+        value = measure_weight((1j * y, 0.0), 1.5, "sklyanin")
+        want = math.log(y / (2 * math.pi)) + math.pi * y + math.log1p(-math.exp(-2 * math.pi * y))
+        assert value.real == pytest.approx(want, rel=1e-13) and want > 700
+        assert abs(value.imag) <= 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -129,7 +129,7 @@ class TestSumS:
 class TestLemma1:
     def test_degenerate_n1(self):
         # S'_1 = 1 with S~'_0 = 1 and S~'_1 = 0 (empty v set)
-        assert verify_lemma1(1, 1, trials=3, seed=0) is None
+        assert verify_lemma1(1, 1, seed=0) is None
         assert sum_S(1, [Fraction(5)], [], Fraction(3), "primed_S") == 1
         assert sum_S(0, [Fraction(5)], [], Fraction(3), "primed_Stilde") == 1
         assert sum_S(1, [Fraction(5)], [], Fraction(3), "primed_Stilde") == 0
@@ -144,7 +144,14 @@ class TestLemma1:
         assert lhs == rhs
 
     def test_n5_r3_hundred_trials(self):
-        assert verify_lemma1(5, 3, trials=100, seed=9) is None
+        assert identities._LEMMA1_TRIALS == 100
+        assert verify_lemma1(5, 3, seed=9) is None
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_n6_every_order(self, r):
+        # the largest n verify_lemma1 takes, one past the check family's sizes
+        assert identities._LEMMA1_N_MAX == 6
+        assert verify_lemma1(6, r, seed=7) is None
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -155,7 +162,7 @@ class TestLemma1:
         # S~'_r off by exactly 1: the check fails, and its witness shows it
         plant(monkeypatch, lambda p, r_, form, residue:
               (p[0] + p[1], p[1]) if form == "primed_Stilde" and r_ == r else p)
-        w = verify_lemma1(n, r, trials=5, seed=11)
+        w = verify_lemma1(n, r, seed=11)
         assert w["n"] == n and w["r"] == r
         lhs, rhs = Fraction(w["lhs"]), Fraction(w["rhs"])
         assert rhs - lhs == 1
@@ -279,7 +286,8 @@ class TestWork:
             return gcd(*args)
 
         monkeypatch.setattr(math, "gcd", counting)
-        assert verify_lemma1(5, 3, trials=20, seed=7) is None
+        monkeypatch.setattr(identities, "_LEMMA1_TRIALS", 20)
+        assert verify_lemma1(5, 3, seed=7) is None
         lemma1, calls[0] = calls[0], 0
         assert binomial_limit_check(seed=7) is None
         assert lemma1 <= 10 and calls[0] <= 10, (lemma1, calls[0])

@@ -11,13 +11,16 @@ a human summary goes to stderr.  Configuration is an optional JSON file with
 flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
 Each check's gate is its constant in _DEFAULT_TOLS, every evaluation runs at
 wavefn's default quadrature, and the identity family's sizes are constants of
-``identities``: no key or flag sets any of them.  A failed check carries a
-witness: its inputs, residual and gate, or for an exact identity the point
-where it failed; a non-finite float is written as "nan", "inf" or "-inf", so
-every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
-failed, 2 a configuration error (an unknown key or flag, a non-finite number,
-an oracle grid below 2), 3 an infeasible domain (among them a point whose
-grid would exceed the node budget), 4 an internal error (traceback on stderr).
+``identities``: no key or flag sets any of them.  The Lemma 1 checks of one n
+share one pass over their points, made by the first of them, so the wall_time
+of identities.lemma1.n{n}r1 carries the whole pass and its r > 1 reports only
+read the result.  A failed check carries a witness: its inputs, residual and
+gate, or for an exact identity the point where it failed; a non-finite float
+is written as "nan", "inf" or "-inf", so every line is strict JSON.  Exit
+status: 0 all checks passed, 1 a check failed, 2 a configuration error (an
+unknown key or flag, a non-finite number, an oracle grid below 2, an order r
+outside 1..n), 3 an infeasible domain (among them a point whose grid would
+exceed the node budget), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -147,6 +150,9 @@ class RunConfig:
             raise ValueError(f"lambda has {len(self.lam)} entries, x has {len(self.x)}")
         if self.n != len(self.lam):
             raise ValueError(f"n = {self.n} does not match {len(self.lam)} lambda entries")
+        # a dual order outside 1..n would be refused only after other families ran
+        if self.r is not None and not 1 <= self.r <= self.n:
+            raise ValueError(f"r must be in 1..{self.n}, got {self.r}")
 
     def quad(self) -> QuadratureSpec:
         """The default quadrature of every check, for callers of the operators."""
@@ -373,8 +379,17 @@ def _macdonald(config: RunConfig) -> list[Check]:
 def _identities(config: RunConfig) -> list[Check]:
     # the family's sizes are identities' constants, read when the checks are built
     seed, trials = config.seed, identities._LEMMA1_TRIALS
+    # one verify_lemma1 pass per n answers its r = 1..n checks; the memo belongs to
+    # this list of checks, so no run reads another's
+    lemma1: dict[int, dict] = {}
+
+    def lemma1_order(n: int, r: int) -> dict | None:
+        if n not in lemma1:
+            lemma1[n] = verify_lemma1(n, seed=seed)
+        return lemma1[n][r]
+
     out = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": trials, "seed": seed},
-            EXACT, partial(verify_lemma1, n, r, seed=seed))
+            EXACT, partial(lemma1_order, n, r))
            for n in range(1, identities._LEMMA1_FAMILY_N_MAX + 1) for r in range(1, n + 1)]
     out += [(f"identities.residue.n{n}r{r}", {"n": n, "r": r, "seed": seed}, EXACT,
              partial(residue_check, n, r, seed=seed))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 __all__ = [
@@ -66,45 +65,40 @@ def _clear_denominators(u: Sequence, v: Sequence, alpha):
     return ints[:len(u)], ints[len(u):-1], ints[-1], scale
 
 
-def _subset_sum(r: int, u: Sequence, v: Sequence, alpha, form: str,
-                residue: bool = False) -> tuple[int, int]:
-    """``sum_S`` as an unreduced integer pair (numerator, denominator).
+def _subset_orders(u: Sequence, v: Sequence, alpha, form: str,
+                   residue: bool = False) -> tuple[list[int], int]:
+    """Every order of ``sum_S`` at once, over one common denominator.
+
+    Returns (totals, common): totals[r] / common is the order-r sum for
+    r = 0..len(u), an order with no subsets holding 0.  common is the product
+    of every factor-table denominator, and a term enters totals as its
+    numerator times the complement of its denominator within common, so no
+    term is divided.  The subsets are enumerated once for all orders, deciding
+    element 0, 1, ... in or out in turn: a term extends its prefix's product by
+    one factor, the product of what the new element and the decided ones
+    contribute to it.
 
     With ``residue`` set, at most one cross factor may have a vanishing
-    denominator (a collision u_i = v_a), and the pair is the residue there in
+    denominator (a collision u_i = v_a), and the sums are the residue there in
     the u_i variable: that factor contributes its numerator divided by the
-    scale, and a term without it contributes 0.
+    scale, and a term without it contributes 0 (its element is never out).
     """
     if form not in _FORMS:
         raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
     n = len(u)
     if len(v) != n - 1:
         raise ValueError(f"need len(v) = len(u) - 1, got {len(u)} and {len(v)}")
-    if r < 0:
-        raise ValueError(f"negative subset order r={r}")
     primed = form.startswith("primed")
     tilde = form.endswith("Stilde")
     u, v, alpha, scale = _clear_denominators(u, v, alpha)
     base = v if tilde else u
     other = u if tilde else v
-    if r > len(base):
-        # subsets of that cardinality do not exist; the empty sum is 0
-        return 0, 1
 
-    # factor tables as (num, den) pairs, each entry computed once; for the
-    # unprimed forms the coupling enters through D*g = D*alpha/2 + D
+    # the cross factors, one (numerator, denominator) per element of base; for
+    # the unprimed forms the coupling enters through D*g = D*alpha/2 + D
     m = len(base)
-    pair_shift = alpha if tilde else -alpha
-    pair = [[(1, 1)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if a != b:
-                diff = base[a] - base[b]
-                if diff == 0:
-                    raise ZeroDivisionError(f"factor (base_{a}-base_{b}) vanishes")
-                pair[a][b] = (diff + pair_shift, diff)
     g = alpha // 2 + scale
-    cross = [[1, 1] for _ in range(m)]
+    cross_num, cross_den = [1] * m, [1] * m
     pole = None
     for a in range(m):
         for c in range(len(other)):
@@ -114,25 +108,42 @@ def _subset_sum(r: int, u: Sequence, v: Sequence, alpha, form: str,
                 if not residue or pole is not None:
                     raise ZeroDivisionError(f"factor (u-v)[{a},{c}] vanishes")
                 pole, den = a, scale
-            cross[a][0] *= num
-            cross[a][1] *= den
+            cross_num[a] *= num
+            cross_den[a] *= den
 
-    # one common denominator, the product of every table denominator
-    common = math.prod(den for row in pair for _, den in row)
-    common *= math.prod(den for _, den in cross)
-    total = 0
-    for members in combinations(range(m), r):
-        if residue and pole not in members:
-            continue
-        num, den = 1, 1
-        for a in members:
-            num, den = num * cross[a][0], den * cross[a][1]
-            row = pair[a]
-            for b in range(m):
-                if b not in members:
-                    num, den = num * row[b][0], den * row[b][1]
-        total += num * (common // den)
-    return total, common
+    # terms[k] is the product of a decided prefix, element b in where bit b of k
+    # is set; in residue mode the pole element is always in and takes no bit
+    shift = alpha if tilde else -alpha
+    common = math.prod(cross_den)
+    terms = [1]
+    for a in range(m):
+        # the factor that deciding a adds, for each membership k of elements < a
+        ins, outs = [cross_num[a]], [cross_den[a]]
+        for b in range(a):
+            d = base[a] - base[b]
+            if d == 0:
+                raise ZeroDivisionError(f"factor (base_{a}-base_{b}) vanishes")
+            # the pair's factors are (d + shift)/d, used with a in and b out, and
+            # (shift - d)/(-d), used with b in and a out; each unused one puts its
+            # denominator into the complement
+            a_only, b_only, unused = -(d + shift) * d, (shift - d) * d, -d * d
+            common *= unused
+            if b == pole:
+                ins, outs = [f * unused for f in ins], [f * b_only for f in outs]
+            else:
+                ins = [f * a_only for f in ins] + [f * unused for f in ins]
+                outs = [f * unused for f in outs] + [f * b_only for f in outs]
+        grown = [t * f for t, f in zip(terms, ins)]
+        terms = grown if a == pole else [t * f for t, f in zip(terms, outs)] + grown
+
+    totals = [0] * (n + 1)
+    if residue and pole is None:
+        # no factor has a pole there, so no term has a residue
+        return totals, common
+    first = int(pole is not None)
+    for k, t in enumerate(terms):
+        totals[first + k.bit_count()] += t
+    return totals, common
 
 
 def sum_S(r: int, u: Sequence, v: Sequence, alpha, form: str = "primed_S") -> Fraction:
@@ -143,11 +154,10 @@ def sum_S(r: int, u: Sequence, v: Sequence, alpha, form: str = "primed_S") -> Fr
     coupling enters through alpha = 2g - 2, i.e. g = alpha/2 + 1, matching
     ``substitution_map``.
     """
-    return Fraction(*_subset_sum(r, u, v, alpha, form))
-
-
-def _add(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+    if r < 0:
+        raise ValueError(f"negative subset order r={r}")
+    totals, common = _subset_orders(u, v, alpha, form)
+    return Fraction(totals[r], common) if r < len(totals) else Fraction(0)
 
 
 def _equal(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -177,26 +187,31 @@ def _strs(values) -> list[str]:
     return [str(x) for x in values]
 
 
-def verify_lemma1(n: int, r: int, seed: int = 0) -> dict | None:
+def verify_lemma1(n: int, seed: int = 0) -> dict[int, dict | None]:
     """Exact check of S'_r(u, v) = S~'_{r-1}(v, u) + S~'_r(v, u) at random points.
 
-    Returns None, or the first point where the two sides differ, with both.
+    One pass over the seeded points serves every order r = 1..n: each point
+    enumerates its subsets once per side.  Returns {r: None or the first point
+    where the two sides of order r differ, with both}.
     """
-    if not (1 <= r <= n <= _LEMMA1_N_MAX):
-        raise ValueError(f"need 1 <= r <= n <= {_LEMMA1_N_MAX}, got n={n}, r={r}")
+    if not (1 <= n <= _LEMMA1_N_MAX):
+        raise ValueError(f"need 1 <= n <= {_LEMMA1_N_MAX}, got n={n}")
     rng = random.Random(seed)
+    witnesses: dict[int, dict | None] = dict.fromkeys(range(1, n + 1))
     for _ in range(_LEMMA1_TRIALS):
         vals = _distinct_integers(rng, 2 * n - 1)
         rng.shuffle(vals)
         u, v = vals[:n], vals[n:]
         alpha = rng.randint(-_BOX, _BOX)
-        lhs = _subset_sum(r, u, v, alpha, "primed_S")
-        rhs = _add(_subset_sum(r - 1, u, v, alpha, "primed_Stilde"),
-                   _subset_sum(r, u, v, alpha, "primed_Stilde"))
-        if not _equal(lhs, rhs):
-            return {"n": n, "r": r, "u": _strs(u), "v": _strs(v), "alpha": str(alpha),
-                    "lhs": str(Fraction(*lhs)), "rhs": str(Fraction(*rhs))}
-    return None
+        s, s_common = _subset_orders(u, v, alpha, "primed_S")
+        st, st_common = _subset_orders(u, v, alpha, "primed_Stilde")
+        for r in range(1, n + 1):
+            lhs, rhs = (s[r], s_common), (st[r - 1] + st[r], st_common)
+            if witnesses[r] is None and not _equal(lhs, rhs):
+                witnesses[r] = {"n": n, "r": r, "u": _strs(u), "v": _strs(v),
+                                "alpha": str(alpha), "lhs": str(Fraction(*lhs)),
+                                "rhs": str(Fraction(*rhs))}
+    return witnesses
 
 
 def _E_n(w, u: Sequence, v: Sequence, alpha) -> Fraction:
@@ -235,8 +250,10 @@ def residue_check(n: int, r: int, seed: int = 0) -> dict | None:
 
     failed = {}
     for side, form in (("s_side", "primed_S"), ("stilde_side", "primed_Stilde")):
-        res = Fraction(*_subset_sum(r, u, v_hit, alpha, form, residue=True))
-        want = weight * sum_S(r - 1, u[:-1], v_rest, alpha, form)
+        residues, common = _subset_orders(u, v_hit, alpha, form, residue=True)
+        res = Fraction(residues[r], common)
+        reduced, reduced_common = _subset_orders(u[:-1], v_rest, alpha, form)
+        want = weight * Fraction(reduced[r - 1], reduced_common)
         if res != want:
             failed[side] = {"residue": str(res), "predicted": str(want)}
     if not failed:
@@ -258,12 +275,13 @@ def binomial_limit_check(seed: int = 0) -> dict | None:
             seen.add(rng.randint(-500, 500))
         vals = list(seen)
         u, v = vals[:n], vals[n:]
+        s_orders, s_common = _subset_orders(u, v, 0, "primed_S")
+        st_orders, st_common = _subset_orders(u, v, 0, "primed_Stilde")
         for r in range(0, n + 1):
-            s = _subset_sum(r, u, v, 0, "primed_S")
-            st = _subset_sum(r, u, v, 0, "primed_Stilde")
-            prev = _subset_sum(r - 1, u, v, 0, "primed_Stilde") if r else (0, 1)
+            s, st = (s_orders[r], s_common), (st_orders[r], st_common)
+            pascal = ((st_orders[r - 1] if r else 0) + st_orders[r], st_common)
             if not (_equal(s, (math.comb(n, r), 1)) and _equal(st, (math.comb(n - 1, r), 1))
-                    and _equal(_add(prev, st), s)):
+                    and _equal(pascal, s)):
                 return {"n": n, "r": r, "u": _strs(u), "v": _strs(v),
                         "S": str(Fraction(*s)), "Stilde": str(Fraction(*st))}
     return None
@@ -285,10 +303,12 @@ def substitution_check(seed: int = 0) -> dict | None:
         g = Fraction(rng.randint(-100, 100), rng.randint(1, 100) * 2 + 1)
         lam, nu = vals[:3], vals[3:]
         u, v, alpha = substitution_map(lam, nu, g)
+        sums = {form: (_subset_orders(lam, nu, alpha, "unprimed" + form),
+                       _subset_orders(u, v, alpha, "primed" + form))
+                for form in ("_S", "_Stilde")}
         for r in range(1, 4):
-            for form in ("_S", "_Stilde"):
-                before = _subset_sum(r, lam, nu, alpha, "unprimed" + form)
-                after = _subset_sum(r, u, v, alpha, "primed" + form)
+            for form, ((unprimed, unprimed_common), (primed, primed_common)) in sums.items():
+                before, after = (unprimed[r], unprimed_common), (primed[r], primed_common)
                 if not _equal(before, after):
                     return {"lam": _strs(lam), "nu": _strs(nu), "g": str(g), "r": r,
                             "form": form[1:], "unprimed": str(Fraction(*before)),

@@ -57,7 +57,7 @@ def test_criterion_01_appendix_identity():
     failures = []
     for n in range(1, 6):
         for r in range(1, n + 1):
-            witness = verify_lemma1(n, r, seed=1000 + 10 * n + r)
+            witness = verify_lemma1(n, seed=1000 + 10 * n + r)[r]
             if witness is not None:
                 failures.append(witness)
     elapsed = time.time() - started

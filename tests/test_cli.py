@@ -141,15 +141,18 @@ class TestExitStatus:
         ("substitution", lambda alpha, form, residue: form.startswith("unprimed"),
          {"lam", "nu", "g", "r"})])
     def test_planted_exact_error_is_one(self, capsys, monkeypatch, family, wrong, point):
-        # every subset sum of the planted kind off by exactly 1: the family's
-        # checks fail, and each witness names the point where its identity failed
-        subset_sum = identities._subset_sum
+        # every order of every subset sum of the planted kind off by exactly 1 (its
+        # numerator gains the common denominator): the family's checks fail, and
+        # each witness names the point where its identity failed
+        subset_orders = identities._subset_orders
 
-        def planted(r, u, v, alpha, form, residue=False):
-            num, den = subset_sum(r, u, v, alpha, form, residue)
-            return (num + den, den) if wrong(alpha, form, residue) else (num, den)
+        def planted(u, v, alpha, form, residue=False):
+            totals, common = subset_orders(u, v, alpha, form, residue)
+            if wrong(alpha, form, residue):
+                totals = [t + common for t in totals]
+            return totals, common
 
-        monkeypatch.setattr(identities, "_subset_sum", planted)
+        monkeypatch.setattr(identities, "_subset_orders", planted)
         shrink_identities(monkeypatch, 3, 3)
         code, out, _ = run_main(capsys, ["check-identities"])
         assert code == 1
@@ -240,11 +243,32 @@ class TestExitStatus:
         (["all", "--n", "0"], "n"),
         (["all", "--seed", "-1"], "seed"),
         (["check-identities", "--seed", "-1"], "seed"),
+        # a dual order outside 1..n, whatever the command
+        (["all", "--r", "0"], "r"),
+        (["all", "--r", "3"], "r"),
+        (["check-sutherland", "--r", "5"], "r"),
+        (["check-identities", "--r", "9"], "r"),
+        (["check-dual", "--n", "3", "--r", "4"], "r"),
     ])
     def test_invalid_value_is_two(self, capsys, argv, name):
         code, out, err = run_main(capsys, argv)
         assert code == 2 and not out
         assert f"config error: {name} " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["all", "--r", "0"], ["all", "--r", "3"], ["check-sutherland", "--r", "5"],
+        ["check-identities", "--r", "9"]])
+    def test_order_out_of_range_runs_no_check(self, capsys, monkeypatch, argv):
+        # RunConfig refuses the order before any family runs: a check that ran,
+        # the Lemma 1 pass included, would exit 4 here
+        def ran(*args, **kw):
+            raise RuntimeError("a check ran")
+
+        monkeypatch.setattr(cli, "_report", ran)
+        monkeypatch.setattr(cli, "verify_lemma1", ran)
+        code, out, err = run_main(capsys, argv)
+        assert code == 2 and not out
+        assert "config error: r must be in 1..2, got " in err
 
     def test_internal_error_is_four(self, capsys, monkeypatch):
         # an exception that is neither a domain nor a config error, inside a check
@@ -470,6 +494,30 @@ class TestConfigSources:
         status, reports = run("check-identities", RunConfig(seed=1))
         assert status == 0
         assert all(rep.status == "pass" for rep in reports)
+
+    def test_lemma1_pass_is_shared_within_one_run_only(self, monkeypatch):
+        # the Lemma 1 checks of one n share one pass, and the next run makes its
+        # own: two runs enumerate subsets equally often, and report the same
+        # checks with the same inputs in the same order
+        calls, subset_orders = [0], identities._subset_orders
+
+        def counting(*args, **kw):
+            calls[0] += 1
+            return subset_orders(*args, **kw)
+
+        monkeypatch.setattr(identities, "_subset_orders", counting)
+        counts, lemma1 = [], []
+        for _ in range(2):
+            calls[0] = 0
+            status, reports = run("check-identities", RunConfig())
+            assert status == 0
+            counts.append(calls[0])
+            lemma1.append([(rep.check_id, rep.inputs) for rep in reports
+                           if rep.check_id.startswith("identities.lemma1.")])
+        assert counts[0] == counts[1] > 0
+        want = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": 100, "seed": 7})
+                for n in range(1, 6) for r in range(1, n + 1)]
+        assert lemma1[0] == lemma1[1] == want
 
     def test_run_rejects_unknown_command(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,7 @@ __all__ = [
     "dual_coefficient",
     "apply_dual_operator",
     "apply_dual_hamiltonian",
+    "dual_eigen_residual",
     "gauge_function",
     "measure_weight",
     "gauge_relation_residual",
@@ -120,11 +121,20 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     # columns (a shifted lambda_k's is its unshifted one's read back by K(-d) = K(d)) and,
     # for n = 3, the offset envelope and moments
     contour, lattice = default_contour(n, g, shifted=True), {}
-    total = apply_dual_operator(r, lam, g, lambda s: eval_phi(s, x, g, contour=contour,
-                                                             quad=quad, lattice=lattice))
     phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
-    eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x.values])
-    return EigenResidual.build(total, eig * phi)
+    return dual_eigen_residual(r, lam, x.values, g, lambda s: eval_phi(
+        s, x, g, contour=contour, quad=quad, lattice=lattice), phi)
+
+
+def dual_eigen_residual(r: int, lam, x, g: float, f: Callable, base: complex) -> EigenResidual:
+    """The dual eigen-relation H_r f = e_r(e^{2x}) f, with base = f(lambda) evaluated as the
+    caller likes; its relative residual is the same at x + c for every c.  An e_r(e^{2x})
+    outside the normal double range raises OverflowError."""
+    total = apply_dual_operator(r, lam, g, f)
+    eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
+    if not _EPS_FLOOR < abs(eig) < cmath.inf:
+        raise OverflowError(f"e_{r}(e^(2x)) = {abs(eig):.3g} is out of range at x = {tuple(x)}")
+    return EigenResidual.build(total, eig * base)
 
 
 def gauge_function(lam, g: float) -> complex:

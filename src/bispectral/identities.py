@@ -214,31 +214,22 @@ def verify_lemma1(n: int, seed: int = 0) -> dict[int, dict | None]:
     return witnesses
 
 
-def _E_n(w, u: Sequence, v: Sequence, alpha) -> Fraction:
-    out = Fraction(1)
-    for ui in u:
-        out *= Fraction(w - ui - alpha, w - ui)
-    for va in v:
-        out *= Fraction(w - va + alpha, w - va)
-    return out
-
-
-def residue_check(n: int, r: int, seed: int = 0) -> dict | None:
-    """Exact residue relations at the collision v_{n-1} = u_n.
+def residue_check(n: int, seed: int = 0) -> dict[int, dict | None]:
+    """Exact residue relations at the collision v_{n-1} = u_n, every order r = 1..n.
 
     Substitutes v_{n-1} = u_n exactly and takes the residue at the collision
     in the u_n variable term by term: only the cross factor
     (u_n - v_{n-1} + alpha)/(u_n - v_{n-1}) has a pole there, so a term's
     residue is alpha times its other factors, and a term without that factor
     has none.  Both the S' and the S~' relations are compared with
-    alpha * E_n(u_n) * (order r-1 sum on the reduced variable sets).
-    Returns None, or the point with each failed side ("s_side", "stilde_side")
-    and its residue and prediction.
+    alpha * E_n(u_n) * (order r-1 sum on the reduced variable sets), where
+    E_n(w) = prod_{i<n} (w - u_i - alpha)/(w - u_i) prod_{a<n-1} (w - v_a + alpha)/(w - v_a).
+    One seeded point and one enumeration per sum serve every order.  Returns
+    {r: None, or the point with each failed side ("s_side", "stilde_side") and
+    its residue and prediction}.
     """
     if n < 2:
         raise ValueError("residue relations need n >= 2")
-    if not (1 <= r <= n):
-        raise ValueError(f"need 1 <= r <= n, got r={r}")
     rng = random.Random(seed)
     vals = _distinct_integers(rng, 2 * n - 2)
     rng.shuffle(vals)
@@ -246,19 +237,20 @@ def residue_check(n: int, r: int, seed: int = 0) -> dict | None:
     v_rest = vals[n:]
     alpha = rng.randint(-_BOX, _BOX)
     v_hit = v_rest + [u[-1]]
-    weight = alpha * _E_n(u[-1], u[:-1], v_rest, alpha)
+    weight = alpha * math.prod(Fraction(u[-1] - c - s, u[-1] - c)
+                               for s, cs in ((alpha, u[:-1]), (-alpha, v_rest)) for c in cs)
 
-    failed = {}
+    failed: dict[int, dict] = {r: {} for r in range(1, n + 1)}
     for side, form in (("s_side", "primed_S"), ("stilde_side", "primed_Stilde")):
         residues, common = _subset_orders(u, v_hit, alpha, form, residue=True)
-        res = Fraction(residues[r], common)
         reduced, reduced_common = _subset_orders(u[:-1], v_rest, alpha, form)
-        want = weight * Fraction(reduced[r - 1], reduced_common)
-        if res != want:
-            failed[side] = {"residue": str(res), "predicted": str(want)}
-    if not failed:
-        return None
-    return {"n": n, "r": r, "u": _strs(u), "v": _strs(v_hit), "alpha": str(alpha), **failed}
+        for r in failed:
+            res = Fraction(residues[r], common)
+            want = weight * Fraction(reduced[r - 1], reduced_common)
+            if res != want:
+                failed[r][side] = {"residue": str(res), "predicted": str(want)}
+    return {r: {"n": n, "r": r, "u": _strs(u), "v": _strs(v_hit), "alpha": str(alpha),
+                **sides} if sides else None for r, sides in failed.items()}
 
 
 def binomial_limit_check(seed: int = 0) -> dict | None:

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .cgamma import log_gamma
-from .dual_ops import apply_dual_operator
+from .dual_ops import dual_eigen_residual
 from .sutherland_ops import EigenResidual
-from .symfun import elementary_symmetric
 
 __all__ = [
     "LegendreArgs",
@@ -163,7 +162,5 @@ def dual_system_residuals(lam1: complex, lam2: complex, x1: float, x2: float,
     def phi(lam):
         return closed_form_phi2(*lam, x1, x2, g)
 
-    base, y = phi(lam), [math.exp(2.0 * x1), math.exp(2.0 * x2)]
-    return tuple(EigenResidual.build(apply_dual_operator(r, lam, g, phi),
-                                     elementary_symmetric(r, y) * base).relative_residual
+    return tuple(dual_eigen_residual(r, lam, (x1, x2), g, phi, phi(lam)).relative_residual
                  for r in (1, 2))

@@ -112,6 +112,9 @@ _MAX_NODES = 2401
 # the smallest step: below it even the narrowest start, half-width (ln(1/_TAIL_TOL) + 5) / pi
 # = 11.1, has more nodes than the budget, so every evaluation would be refused
 _MIN_STEP = 0.01
+# the bound on |Re sum lambda| max|x_i|, Phi's log scale: past +710 values overflow, past -650
+# they turn subnormal; residuals held to 640 (n = 2, 3, g 1.25..3, |Im lambda| <= 30, 8)
+_MAX_SCALE = 600.0
 
 
 @dataclass(frozen=True)
@@ -628,7 +631,8 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     quantities share the same grid, so ratios between them carry no
     discretisation noise beyond the integrand factors themselves.  n must be
     1, 2 or 3 and derivs must not be empty, or ValueError is raised, the same
-    at every n.  A lattice dict shared between the calls of one check reuses
+    at every n; |Re sum lambda| max|x_i| above _MAX_SCALE raises OverflowError
+    before any quadrature.  A lattice dict shared between the calls of one check reuses
     what they have in common: the kernel columns, which depend on the contour
     and lambda only through c - Re lambda_k and Im lambda_k minus the grid
     centre, and for n = 3 the lambda-independent envelope and moments.  So
@@ -649,6 +653,9 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     for d in derivs:
         if len(d) != n or any(o < 0 for o in d) or sum(d) > 2:
             raise ValueError(f"bad derivative multi-index {d}")
+    if (scale := abs(sum(v.real for v in lam.values)) * max(map(abs, x.values))) > _MAX_SCALE:
+        raise OverflowError(f"Phi's scale e^(Re(sum lambda) x) is out of range: "
+                            f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
     quad = quad or QuadratureSpec()
     contour = contour or default_contour(n, g)
     margin = validate_contour(contour, lam, g)

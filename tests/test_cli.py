@@ -75,7 +75,7 @@ class TestRunConfig:
     def test_tolerance_lookup(self):
         # the gates are constants: tol reads _DEFAULT_TOLS whatever the config
         config = RunConfig(g=2.0, seed=3)
-        assert config.tol("dual") == 1e-5
+        assert config.tol("dual") == 1e-7
         assert config.tol("oracle.spread") == 1e-6
         assert all(config.tol(key) == tol for key, tol in _DEFAULT_TOLS.items())
 
@@ -185,6 +185,37 @@ class TestExitStatus:
         monkeypatch.setattr(wavefn, "_grid", guarded)
         code, out, err = run_main(capsys, ["check-dual", "--n", n, "--g", repr(1.0 + margin)])
         assert code == 0 or code == 3 and not out and "above the budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        # Phi's scale e^(Re(sum lambda) x) past the double range, refused before any
+        # quadrature: unrefused, these overflow in cmath.exp, give a NaN residual, pass on
+        # underflowed values, fail an n = 3 tail test amid numpy overflow warnings, and
+        # print -inf:nan as a value
+        ["check-dual", "--x", "400,399.6"],
+        ["check-dual", "--x", "300,299.6"],
+        ["check-dual", "--x=-400,-400.6"],
+        ["check-dual", "--n", "3", "--x=150,149.8,149.6"],
+        ["eval-phi", "--lambda", "0.5:0.7,0:-0.3", "--x", "1500,1499.6"],
+        # every Phi in range, but e_r(e^{2x}) not: cmath.exp's own range error, an e_r
+        # below the normal range and an e_3 product that overflows to inf
+        ["check-dual", "--lambda=-0.5:0.7,-0.5:-0.3", "--x", "355.5,355.1", "--g", "3",
+         "--r", "1"],
+        ["check-dual", "--lambda=-0.5:0.7,-0.5:-0.3", "--x=-355,-355.4", "--g", "3",
+         "--r", "1"],
+        ["check-dual", "--lambda=-1:0.9,-1:0.1,-1:-0.6", "--x", "120.45,120,119.6",
+         "--g", "3", "--r", "3"],
+    ])
+    def test_scale_out_of_range_is_three(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == 3 and not out
+        assert err.startswith("infeasible: ") and "range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-dual", "--n", "3", "--x=20,19.8,19.6"],
+        ["check-sutherland", "--lambda", "0.5:0.7,0:-0.3", "--x", "800,799.6"]])
+    def test_large_coordinates_in_range_pass(self, capsys, argv):
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
 
     def test_config_error_is_two(self, capsys):
         code, _, err = run_main(capsys, ["check-dual", "--lambda", "whoops"])
@@ -342,11 +373,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "19163eaa289a6568b5572e8e451adfdddf8f464444358d054ba4fb422cd5a03f"),
+         "8d48c13c76990e39faff91c8d0d9ba1f0e9c922d169dbc5672aa92b4253817af"),
         ("all", RunConfig(seed=1),
-         "5498ef74a08d37ab48362c41d8ec8e3bbc4e001747c2a60f622823329eb87d1f"),
+         "f1784d71ef6fa5f001593a3722135c73d71c3c01996808721e309f1679502653"),
         ("all", RunConfig(seed=1009),
-         "ebf3683eb2212df19e3dce54aaf914c4baa7eb8a573f04b02ba3d4ee305e98b2")],
+         "2141a33550ba8deaea66f8bcd9d437c0f6ea52eae3ff0be0d3b63b57cff8a2e5")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009"])
     def test_report_digest(self, command, config, want):
         # sha256 of the NDJSON reports without wall_time, one per line: the
@@ -362,7 +393,7 @@ class TestReports:
         rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "aa11bc1461c711230bd2badaf9921fbf5ed328e48545414b60bd3e9e3e302fc6")
+            "c49fe54aa6b8a60671d7e1bcf9c2635ba5b4113d1dd5b876e8429ddb56daae8b")
 
     def test_n2_digest(self):
         # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3
@@ -371,7 +402,15 @@ class TestReports:
         n2 = [rep for rep in reports if reaches_n2(rep)]
         assert len(n2) == 7
         assert report_digest(n2) == (
-            "55463f51db7068a1d798a82c7e5a1abd4d37bf1f1ccfcf29f3eadd2d8741d623")
+            "d0576bae0c59cb5c4099b939a3a3dc5e71d0ed61db97a10d71a16eedca8048d1")
+
+    def test_legendre_dual_system_digest(self):
+        # the closed-form dual check, pinned on its own: it forms its relation through
+        # dual_ops.dual_eigen_residual, as the dual.* checks do
+        _, reports = run("all", RunConfig(seed=7))
+        (rep,) = [rep for rep in reports if rep.check_id == "legendre.dual_system"]
+        assert report_digest([rep]) == (
+            "1ec34586b164f37cee8b64d88ba1fb02cccf3f86df1ec3e42bf8acd42133bea8")
 
     def test_oracle_shares_columns_bit_identically(self, monkeypatch):
         # compare-oracle passes one lattice dict to its grid; without it every
@@ -518,6 +557,24 @@ class TestConfigSources:
         want = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": 100, "seed": 7})
                 for n in range(1, 6) for r in range(1, n + 1)]
         assert lemma1[0] == lemma1[1] == want
+
+    def test_residue_pass_is_shared_per_n(self, monkeypatch):
+        # one residue_check pass per n answers its r = 1..n checks: the residue and the
+        # reduced sum of both forms, 4 enumerations for each of n = 2, 3, 4 (36 when
+        # each of the 9 checks made its own)
+        calls, subset_orders = [0], identities._subset_orders
+
+        def counting(*args, **kw):
+            calls[0] += 1
+            return subset_orders(*args, **kw)
+
+        monkeypatch.setattr(identities, "_subset_orders", counting)
+        config = RunConfig()
+        residue = [check for check in checks("check-identities", config)
+                   if check[0].startswith("identities.residue.")]
+        reports = [cli._report(config, check) for check in residue]
+        assert len(reports) == 9 and all(rep.status == "pass" for rep in reports)
+        assert calls[0] == 12
 
     def test_run_rejects_unknown_command(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bispectral import wavefn
+from bispectral import dual_ops, wavefn
 from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_operator,
                                  dual_coefficient, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
@@ -226,6 +226,40 @@ class TestDualHamiltonian:
         else:
             with pytest.raises(ValueError):
                 apply_dual_operator(r, LAM2, 1.5, sum)
+
+
+class TestTranslationCovariance:
+    """Under x -> x + c both sides of H_r Phi = e_r(e^{2x}) Phi scale by e^{c (sum lambda
+    + 2r)}, so check-dual's relative residual, and what it can catch, must not move."""
+
+    @staticmethod
+    def residuals(lam, x, c):
+        status, reports = run("check-dual", RunConfig(n=len(lam), lam=lam,
+                                                      x=tuple(v + c for v in x)))
+        return status, [rep.residual for rep in reports]
+
+    @pytest.mark.parametrize("lam, x, shifts", [(LAM2, X2, (-20.0, -10.0, 10.0, 20.0)),
+                                                (LAM3, X3, (-50.0, 20.0, 50.0))])
+    def test_passes_at_every_translate(self, lam, x, shifts):
+        _, at_zero = self.residuals(lam, x, 0.0)
+        for c in shifts:
+            status, got = self.residuals(lam, x, c)
+            assert status == 0
+            assert all(want / 10 <= res <= 10 * want for res, want in zip(got, at_zero)), c
+
+    @pytest.mark.parametrize("c", [0.0, -10.0])
+    def test_planted_error_fails_at_every_translate(self, monkeypatch, c):
+        # a relative error of 1e-6 in every shifted Phi: |e_r| times the relative
+        # residual would read 6e-15 at c = -10, and pass
+        original = dual_ops.eval_phi
+
+        def planted(lam, x, g, contour=None, **kw):
+            value = original(lam, x, g, contour=contour, **kw)
+            return value * (1.0 + 1e-6) if contour is not None else value
+
+        monkeypatch.setattr(dual_ops, "eval_phi", planted)
+        status, got = self.residuals(LAM2, X2, c)
+        assert status == 1 and all(res == pytest.approx(1e-6, rel=0.01) for res in got)
 
 
 class TestPoleMarginStep:

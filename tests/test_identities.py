@@ -273,7 +273,7 @@ class TestResidues:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_orders(self, n):
         for r in range(1, n + 1):
-            witness = residue_check(n, r, seed=31 * n + r)
+            witness = residue_check(n, seed=31 * n + r)[r]
             assert witness is None, (n, r, witness)
 
     def test_alpha_zero_residue_vanishes(self):
@@ -312,7 +312,9 @@ class TestResidues:
         # the residue off by exactly 1: the witness names the point and the one
         # failed side, whose residue is the prediction plus 1
         plant(monkeypatch, lambda r_, form_, residue: residue and form_ == form and r_ == r)
-        w = residue_check(n, r, seed=31 * n + r)
+        witnesses = residue_check(n, seed=31 * n + r)
+        w = witnesses[r]
+        assert [order for order, wit in witnesses.items() if wit is not None] == [r]
         assert flipped in w and kept not in w
         assert Fraction(w[flipped]["residue"]) - Fraction(w[flipped]["predicted"]) == 1
         u, v = [Fraction(x) for x in w["u"]], [Fraction(x) for x in w["v"]]
@@ -320,7 +322,7 @@ class TestResidues:
 
     def test_n_range(self):
         with pytest.raises(ValueError):
-            residue_check(1, 1)
+            residue_check(1)
 
 
 class TestBinomialDegeneration:

@@ -17,7 +17,13 @@ quadrature, and the identity family's sizes are constants of ``identities``:
 no key or flag sets any of them.  The Lemma 1 checks of one n share one pass
 over their points, as do its residue checks, made by the first of them: the
 wall_time of identities.lemma1.n{n}r1 and .residue.n{n}r1 carries the pass,
-and the r > 1 reports only read the result.  A failed check carries a
+and the r > 1 reports only read the result.  Likewise the checks of one point
+(lambda, x, g) -- compare-oracle, the four Sutherland checks and the dual
+orders -- share one wavefn lattice dict, made anew by each call of checks(),
+so no run reads another's: the first check there carries the build of the
+gamma tables they share in its wall_time, and the later ones read them.  Each
+gauge.* and measures.* check passes its draws to dual_ops as one stack, so its
+gamma factors take one log_gamma call per weight.  A failed check carries a
 witness: its inputs, residual and gate, or for an exact identity the point
 where it failed; a non-finite float is written as "nan", "inf" or "-inf", so
 every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
@@ -203,7 +209,9 @@ def _strict(value):
 
 EXACT, VALUE = "exact", "value"
 Check = tuple[str, dict, str, Callable[[], object]]
-Family = Callable[[RunConfig], list[Check]]
+# the lattice dict of a config's point (lambda, x, g) within one checks() call
+Lattice = Callable[[RunConfig], dict]
+Family = Callable[[RunConfig, Lattice], list[Check]]
 
 
 def _report(config: RunConfig, check: Check) -> CheckReport:
@@ -229,7 +237,8 @@ def _report(config: RunConfig, check: Check) -> CheckReport:
 
 
 def _worst(fn: Callable, draws: Sequence[tuple]) -> Callable[[], float]:
-    """Thunk for the largest fn(*draw) over the drawn inputs; NaN if any is NaN."""
+    """Thunk for the largest fn(*draw) over the drawn inputs; NaN if any is NaN.  A draw may
+    be a stack of them, for which fn returns one residual per point."""
     return lambda: float(np.max([fn(*draw) for draw in draws]))
 
 
@@ -248,21 +257,21 @@ def _ratio_spread(ratios: Sequence[complex]) -> float:
     return float(np.max(np.abs(arr - arr.mean())) / abs(arr.mean()))
 
 
-def _sutherland(config: RunConfig) -> list[Check]:
-    n, lam, x, g = config.n, config.lam, config.x, config.g
+def _sutherland(config: RunConfig, lattice: Lattice) -> list[Check]:
+    n, lam, x, g, shared = config.n, config.lam, config.x, config.g, lattice(config)
     operators = (("h1", apply_H1, {}), ("h2", apply_H2, {}),
                  ("hs1", apply_reduced_HS, {"order": 1}), ("hs2", apply_reduced_HS, {"order": 2}))
     return [(f"sutherland.n{n}.{name}", _echo_point(config),
              "sutherland.n3" if n >= 3 else f"sutherland.{name}",
-             lambda op=op, kw=kw: op(lam, x, g, **kw).relative_residual)
+             lambda op=op, kw=kw: op(lam, x, g, **kw, lattice=shared).relative_residual)
             for name, op, kw in operators]
 
 
-def _dual(config: RunConfig) -> list[Check]:
-    n, lam, x, g = config.n, config.lam, config.x, config.g
+def _dual(config: RunConfig, lattice: Lattice) -> list[Check]:
+    n, lam, x, g, shared = config.n, config.lam, config.x, config.g, lattice(config)
     orders = [config.r] if config.r is not None else range(1, n + 1)
     return [(f"dual.n{n}.r{r}", dict(_echo_point(config), r=r), "dual.n3" if n >= 3 else "dual",
-             lambda r=r: apply_dual_hamiltonian(r, lam, x, g).relative_residual)
+             lambda r=r: apply_dual_hamiltonian(r, lam, x, g, lattice=shared).relative_residual)
             for r in orders]
 
 
@@ -276,38 +285,45 @@ def _rand_exp_probe(rng: np.random.Generator, n: int) -> Callable:
     return lambda lam: cmath.exp(sum(c * v for c, v in zip(coeffs, lam)))
 
 
-def _gauge(config: RunConfig) -> list[Check]:
+def _gauge(config: RunConfig, _lattice: Lattice) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     n, g, seed = 3, config.g, config.seed
-    shifts = [(_rand_generic_lambda(rng, n), int(rng.integers(0, n)), g) for _ in range(10)]
+    lams, shifts = zip(*[(_rand_generic_lambda(rng, n), int(rng.integers(0, n)))
+                         for _ in range(10)])
     out = [("gauge.shift", {"n": n, "g": g, "seed": seed}, "gauge.shift",
-            _worst(gauge_shift_residual, shifts))]
+            _worst(gauge_shift_residual, [(lams, shifts, g)]))]
     for r in range(1, n + 1):
-        draws = [(r, _rand_generic_lambda(rng, n), g, _rand_exp_probe(rng, n)) for _ in range(10)]
+        lams, probes = zip(*[(_rand_generic_lambda(rng, n), _rand_exp_probe(rng, n))
+                             for _ in range(10)])
         out.append((f"gauge.relation.r{r}", {"n": n, "g": g, "r": r, "seed": seed},
-                    "gauge.relation", _worst(gauge_relation_residual, draws)))
+                    "gauge.relation",
+                    _worst(gauge_relation_residual, [(r, lams, g, probes)])))
     return out
 
 
-def _measures(config: RunConfig) -> list[Check]:
+def _sklyanin_spread(lams: Sequence[tuple], kind: str) -> float:
+    """The spread of the ratios of the kind's weight to the Sklyanin measure at g = 1/2."""
+    ratios = zip(measure_weight(lams, 0.5, kind).tolist(),
+                 measure_weight(lams, 0.5, "sklyanin").tolist())
+    return _ratio_spread([cmath.exp(a - b) for a, b in ratios])
+
+
+def _measures(config: RunConfig, _lattice: Lattice) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     n, g, seed = 3, config.g, config.seed
     out = []
     for kind in ("mu_g", "mu_1mg"):
-        draws = [(_rand_generic_lambda(rng, n), int(rng.integers(0, n)), g, kind)
-                 for _ in range(10)]
+        lams, shifts = zip(*[(_rand_generic_lambda(rng, n), int(rng.integers(0, n)))
+                             for _ in range(10)])
         out.append((f"measures.diffeq.{kind}", {"n": n, "g": g, "seed": seed},
-                    "measures.diffeq", _worst(measure_shift_residual, draws)))
+                    "measures.diffeq", _worst(measure_shift_residual, [(lams, shifts, g, kind)])))
 
     # g = 1/2: both weights proportional to the Sklyanin measure
     for kind in ("mu_g", "mu_1mg"):
         lams = [tuple(complex(0.0, v) for v in np.sort(rng.uniform(-2.0, 2.0, size=n))[::-1])
                 for _ in range(20)]
         out.append((f"measures.sklyanin.{kind}", {"n": n, "g": 0.5, "seed": seed},
-                    "measures.sklyanin",
-                    lambda kind=kind, lams=lams: _ratio_spread(
-                        [cmath.exp(measure_weight(lam, 0.5, kind)
-                                   - measure_weight(lam, 0.5, "sklyanin")) for lam in lams])))
+                    "measures.sklyanin", partial(_sklyanin_spread, lams, kind)))
     return out
 
 
@@ -328,7 +344,7 @@ def _commutator_residual(params: MacdonaldParams, z: TorusPoint, f: Callable) ->
     return float(np.max(gaps, initial=0.0))
 
 
-def _macdonald(config: RunConfig) -> list[Check]:
+def _macdonald(config: RunConfig, _lattice: Lattice) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     params = MacdonaldParams(q=0.3, t=0.7)
     g, seed = config.g, config.seed
@@ -374,7 +390,7 @@ def _macdonald(config: RunConfig) -> list[Check]:
     ]
 
 
-def _identities(config: RunConfig) -> list[Check]:
+def _identities(config: RunConfig, _lattice: Lattice) -> list[Check]:
     # the family's sizes are identities' constants, read when the checks are built
     seed, trials = config.seed, identities._LEMMA1_TRIALS
     # one verify_lemma1 pass and one residue_check pass per n answer their r = 1..n
@@ -394,24 +410,24 @@ def _identities(config: RunConfig) -> list[Check]:
     return out
 
 
-def _oracle(config: RunConfig) -> list[Check]:
+def _oracle(config: RunConfig, lattice: Lattice) -> list[Check]:
     if len(config.lam) != 2:
         raise ValueError("compare-oracle is the n = 2 closed-form check")
-    (l1, l2), g = config.lam, config.g
+    (l1, l2), g, shared = config.lam, config.g, lattice(config)
     seps, shifts = np.linspace(0.2, 1.0, config.grid), np.linspace(-0.3, 0.3, config.grid)
     grid = [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
 
     def spread():
-        # one lambda at every x: the grid points share the pair-kernel columns
-        lattice = {}
-        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, lattice=lattice)
+        # one lambda at every x: the grid points share the pair-kernel columns with the
+        # point's other checks
+        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, lattice=shared)
                               / closed_form_phi2(l1, l2, x1, x2, g) for x1, x2 in grid])
 
     return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
              "oracle.spread", spread)]
 
 
-def _legendre(config: RunConfig) -> list[Check]:
+def _legendre(config: RunConfig, _lattice: Lattice) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     points = []
     for g in (0.5, 1.5, 2.0):
@@ -435,7 +451,7 @@ _N3_DEFAULTS = dict(n=3, lam=(0.9j, 0.1j, -0.6j), x=(0.45, 0.0, -0.4))
 
 
 def _at_n3(family: Family) -> Family:
-    return lambda config: family(replace(config, **_N3_DEFAULTS))
+    return lambda config, lattice: family(replace(config, **_N3_DEFAULTS), lattice)
 
 
 # (command, family) in the order `all` runs them; a check-* command runs the
@@ -465,7 +481,13 @@ def checks(command: str, config: RunConfig) -> list[Check]:
     families = [family for name, family in REGISTRY if command in (name, "all")]
     if not families:
         raise ValueError(f"unknown command {command!r}")
-    return [check for family in families for check in family(config)]
+    # one lattice dict per point, made for this list of checks, so no run reads another's
+    lattices: dict = {}
+
+    def lattice(point: RunConfig) -> dict:
+        return lattices.setdefault((point.lam, point.x, point.g), {})
+
+    return [check for family in families for check in family(config, lattice)]
 
 
 def run(command: str, config: RunConfig) -> tuple[int, list[CheckReport]]:

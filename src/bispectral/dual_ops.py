@@ -24,16 +24,16 @@ measure at g = 1/2.
 from __future__ import annotations
 
 import cmath
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Callable, Literal
 
 import numpy as np
 
-from .cgamma import GammaPoleError, log_gamma
+from .cgamma import _is_pole, log_gamma
 from .symfun import elementary_symmetric
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
-from .wavefn import (QuadratureSpec, as_position, as_spectral, default_contour, eval_phi,
-                     measure_mu)
+from .wavefn import (_DISTINCT_TOL, QuadratureSpec, SpectralPoint, as_position, as_spectral,
+                     default_contour, eval_phi, measure_mu)
 
 __all__ = [
     "DualWeightKind",
@@ -99,8 +99,8 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
     return total
 
 
-def apply_dual_hamiltonian(r: int, lam, x, g: float,
-                           quad: QuadratureSpec | None = None) -> EigenResidual:
+def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None = None, *,
+                           lattice: dict | None = None) -> EigenResidual:
     """Order-r dual Hamiltonian on Phi versus its e_r(e^{2x}) eigenvalue.
 
     Each shifted term re-evaluates the Mellin-Barnes integral with all
@@ -109,7 +109,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     evaluation.  The sinh prefactor is lambda-independent, so the
     statement on Psi is equivalent to the same relation on Phi; Phi is what
     is tested.  D_{1-g} would multiply both sides by the same sign
-    (-1)^{r(n-1)} and give the same residual.
+    (-1)^{r(n-1)} and give the same residual.  lattice is ``eval_phi_many``'s:
+    the base and every shifted evaluation use it (None: a fresh one for this call).
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -120,7 +121,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
     # shifts are real and both contours have c1 = c2, so all share one lattice: the kernel
     # columns (a shifted lambda_k's is its unshifted one's read back by K(-d) = K(d)) and,
     # for n = 3, the offset envelope and moments
-    contour, lattice = default_contour(n, g, shifted=True), {}
+    contour = default_contour(n, g, shifted=True)
+    lattice = {} if lattice is None else lattice
     phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
     return dual_eigen_residual(r, lam, x.values, g, lambda s: eval_phi(
         s, x, g, contour=contour, quad=quad, lattice=lattice), phi)
@@ -129,94 +131,164 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float,
 def dual_eigen_residual(r: int, lam, x, g: float, f: Callable, base: complex) -> EigenResidual:
     """The dual eigen-relation H_r f = e_r(e^{2x}) f, with base = f(lambda) evaluated as the
     caller likes; its relative residual is the same at x + c for every c.  An e_r(e^{2x})
-    outside the normal double range raises OverflowError."""
-    total = apply_dual_operator(r, lam, g, f)
-    eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
+    outside the normal double range raises OverflowError before f is called."""
+    try:
+        eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
+    except OverflowError:  # an e^{2 x_i} past the double range
+        eig = cmath.inf
     if not _EPS_FLOOR < abs(eig) < cmath.inf:
         raise OverflowError(f"e_{r}(e^(2x)) = {abs(eig):.3g} is out of range at x = {tuple(x)}")
-    return EigenResidual.build(total, eig * base)
+    return EigenResidual.build(apply_dual_operator(r, lam, g, f), eig * base)
 
 
-def gauge_function(lam, g: float) -> complex:
-    """Log of prod_{p != q} Gamma((l_p - l_q + 2 - 2g)/2)."""
-    lam = as_spectral(lam).values
-    args = []
-    for p in range(len(lam)):
-        for q in range(len(lam)):
-            if p != q:
-                args.append((lam[p] - lam[q] + 2.0 - 2.0 * g) / 2.0)
-    return complex(np.sum(log_gamma(args)))
+def _points(lam) -> np.ndarray:
+    """lam as a complex array of points along its last axis, shape (..., n): one point (a
+    SpectralPoint or its values) or a stack of them.  Each point is refused as SpectralPoint
+    refuses one: a value that is not finite, or two that coincide."""
+    arr = np.asarray(lam.values if isinstance(lam, SpectralPoint) else lam, dtype=complex)
+    if arr.ndim == 0:
+        raise ValueError(f"a spectral point is an axis of n values, got {lam!r}")
+    p, q = np.triu_indices(arr.shape[-1], 1)
+    for bad, what in ((~np.isfinite(arr).all(axis=-1), "has a value that is not finite"),
+                      (np.any(np.abs(arr[..., p] - arr[..., q]) <= _DISTINCT_TOL, axis=-1),
+                       "has two values that coincide")):
+        if bad.any():
+            raise ValueError(f"spectral point {arr[bad][0].tolist()} {what}")
+    return arr
 
 
-def gauge_shift_residual(lam, i: int, g: float) -> float:
+def _off_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs p != q, p outer and q inner: the order of permutations(range(n), 2)."""
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _shift_each(lam: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Each point of lam with its lambda_i + 2, i 0-based, one index per point."""
+    n = lam.shape[-1]
+    if i.dtype.kind not in "iu" or np.any((i < 0) | (i >= n)):
+        raise ValueError(f"shift indices must be integers in 0..{n - 1}, got {i.tolist()}")
+    return np.where(np.arange(n) == i[..., None], lam + 2.0, lam)
+
+
+def _shift_law_residual(lam, i, log_weight: Callable, predicted: Callable):
+    """|ratio - predicted| / |predicted| for a weight's shift law under lambda_i -> lambda_i + 2.
+
+    lam is one point or a stack, shape (..., n), and i one 0-based index per point or one
+    for all.  log_weight maps a stack of points to their log weights in one call, made
+    once on every point and its shift; predicted(point, i) is the law's ratio at one point,
+    in Python arithmetic, as is the rest: one residual per point.
+    """
+    lam = _points(lam)
+    i = np.broadcast_to(i, lam.shape[:-1])
+    shifted, base = log_weight(np.stack([_shift_each(lam, i), lam]))
+    out = []
+    for point, k, up, down in zip(lam.reshape(-1, lam.shape[-1]).tolist(), i.ravel().tolist(),
+                                  np.ravel(shifted).tolist(), np.ravel(base).tolist()):
+        want = predicted(point, k)
+        out.append(abs(cmath.exp(up - down) - want) / abs(want))
+    return np.reshape(out, i.shape)[()]
+
+
+def gauge_function(lam, g: float):
+    """Log of prod_{p != q} Gamma((l_p - l_q + 2 - 2g)/2) at each point of lam, shape (..., n).
+
+    A complex for one point, an array over the leading axes for a stack; one log_gamma
+    call either way, and a gamma pole raises GammaPoleError.
+    """
+    lam = _points(lam)
+    p, q = _off_diagonal(lam.shape[-1])
+    return np.sum(log_gamma((lam[..., p] - lam[..., q] + 2.0 - 2.0 * g) / 2.0), axis=-1)[()]
+
+
+def gauge_shift_residual(lam, i, g: float):
     """Relative residual of the gauge shift law under lambda_i -> lambda_i + 2, i 0-based.
 
-    Predicted ratio: (-1)^{n-1} prod_{j != i} (l_i - l_j + 2 - 2g) / (l_i - l_j + 2g).
+    Predicted ratio: (-1)^{n-1} prod_{j != i} (l_i - l_j + 2 - 2g) / (l_i - l_j + 2g).  lam
+    is one point or a stack of them, shape (..., n), and i one index per point or one for
+    all: one residual per point, from one gauge_function call on the points and their shifts.
     """
-    lam = as_spectral(lam).values
-    n = len(lam)
-    ratio = cmath.exp(gauge_function(_shifted(lam, (i,)), g)
-                      - gauge_function(lam, g))
-    predicted = (-1.0) ** (n - 1)
-    for j in range(n):
-        if j != i:
-            predicted *= (lam[i] - lam[j] - 2.0 * g + 2.0) / (lam[i] - lam[j] + 2.0 * g)
-    return abs(ratio - predicted) / abs(predicted)
+    def predicted(point, i):
+        ratio = (-1.0) ** (len(point) - 1)
+        for j, other in enumerate(point):
+            if j != i:
+                ratio *= (point[i] - other - 2.0 * g + 2.0) / (point[i] - other + 2.0 * g)
+        return ratio
+
+    return _shift_law_residual(lam, i, lambda stack: gauge_function(stack, g), predicted)
 
 
-def measure_weight(lam, g: float, kind: DualWeightKind) -> complex:
-    """Log of the requested dual measure weight (inverse-gamma products).
+def measure_weight(lam, g: float, kind: DualWeightKind):
+    """Log of the requested dual measure weight (inverse-gamma products) at each point of lam.
 
     mu_1mg is the wave function's within-level measure ``measure_mu`` at g,
-    mu_g the same measure at 1 - g; sklyanin is prod_{j != k} 1/G(l_j - l_k).
+    mu_g the same measure at 1 - g; sklyanin is prod_{j != k} 1/G(l_j - l_k).  lam is one
+    point or a stack, shape (..., n), as for gauge_function; a point where a factor 1/G sits
+    on its pole has weight zero, -inf in its own entry, as in measure_mu.
     """
-    lam = as_spectral(lam).values
+    lam = _points(lam)
     if kind == "mu_1mg":
         return measure_mu(lam, g)
     if kind == "mu_g":
         return measure_mu(lam, 1.0 - g)
     if kind != "sklyanin":
         raise ValueError(f"unknown weight kind {kind!r}")
-    try:
-        return -complex(np.sum(log_gamma([a - b for a, b in permutations(lam, 2)])))
-    except GammaPoleError:  # a factor 1/G on its pole: the weight is zero, as in measure_mu
-        return complex(-cmath.inf)
+    p, q = _off_diagonal(lam.shape[-1])
+    d = lam[..., p] - lam[..., q]
+    ok = ~np.any(_is_pole(d), axis=-1)
+    out = np.full(ok.shape, -np.inf, dtype=complex)
+    out[ok] = -np.sum(log_gamma(d[ok]), axis=-1)
+    return out[()]
 
 
-def measure_shift_residual(lam, i: int, g: float, kind: DualWeightKind) -> float:
+def measure_shift_residual(lam, i, g: float, kind: DualWeightKind):
     """Relative residual of the mu_g / mu_1mg shift law under lambda_i -> lambda_i + 2.
 
     Predicted ratio for mu_g, i 0-based and d = l_i - l_j:
-    prod_{j != i} (d + 2)/d * (d + 2g)/(d + 2 - 2g); mu_1mg inverts the last quotient.
+    prod_{j != i} (d + 2)/d * (d + 2g)/(d + 2 - 2g); mu_1mg inverts the last quotient.  lam
+    and i are stacked as for gauge_shift_residual, with one measure_weight call.
     """
     if kind not in ("mu_g", "mu_1mg"):
         raise ValueError(f"shift law is stated for mu_g and mu_1mg, got {kind!r}")
-    lam = as_spectral(lam).values
-    n = len(lam)
-    ratio = cmath.exp(measure_weight(_shifted(lam, (i,)), g, kind)
-                      - measure_weight(lam, g, kind))
-    predicted = 1.0 + 0.0j
-    for j in range(n):
-        if j != i:
-            d = lam[i] - lam[j]
-            up, down = d + 2.0 * g, d + 2.0 - 2.0 * g
-            predicted *= (d + 2.0) / d
-            predicted *= up / down if kind == "mu_g" else down / up
-    return abs(ratio - predicted) / abs(predicted)
+
+    def predicted(point, i):
+        ratio = 1.0 + 0.0j
+        for j, other in enumerate(point):
+            if j != i:
+                d = point[i] - other
+                up, down = d + 2.0 * g, d + 2.0 - 2.0 * g
+                ratio *= (d + 2.0) / d
+                ratio *= up / down if kind == "mu_g" else down / up
+        return ratio
+
+    return _shift_law_residual(lam, i, lambda stack: measure_weight(stack, g, kind), predicted)
 
 
-def gauge_relation_residual(r: int, lam, g: float, f: Callable) -> float:
-    """Residual of D_r^{(g)} (gauge * f) = gauge * (H_r^{(g)} f) at lambda.
+def gauge_relation_residual(r: int, lam, g: float, f):
+    """Residual of D_r^{(g)} (gauge * f) = gauge * (H_r^{(g)} f) at each point of lam.
 
     Both sides are divided by gauge(lambda), so only gauge ratios are
-    exponentiated and the probe stays well-scaled for any coupling.
+    exponentiated and the probe stays well-scaled for any coupling.  lam is one
+    point or a stack, shape (..., n), and f a function of one point or an array of
+    them over the leading axes, one per point: one residual per point, from one
+    gauge_function call on the points and all their shifts.
     """
-    lam = as_spectral(lam)
-    base_log = gauge_function(lam, g)
-    lhs = 0.0 + 0.0j
-    for members in combinations(range(lam.n), r):
-        shifted = _shifted(lam.values, members)
-        ratio = cmath.exp(gauge_function(shifted, g) - base_log)
-        lhs += _coefficient_product(members, lam.values, 2.0 * g) * ratio * f(shifted)
-    rhs = apply_dual_operator(r, lam, g, f)
-    return abs(lhs - rhs) / max(abs(rhs), abs(lhs), _EPS_FLOOR)
+    lam = _points(lam)
+    n = lam.shape[-1]
+    subsets = list(combinations(range(n), r))
+    members = np.array([[j in s for j in range(n)] for s in subsets], dtype=bool).reshape(-1, n)
+    point_axis = lam[..., None, :]
+    logs = gauge_function(np.concatenate(
+        [point_axis, np.where(members, point_axis + 2.0, point_axis)], axis=-2), g)
+    probes = np.broadcast_to(np.asarray(f, dtype=object), lam.shape[:-1])
+    out = []
+    for point, (base_log, *shifted_logs), probe in zip(
+            lam.reshape(-1, n).tolist(), logs.reshape(-1, len(subsets) + 1).tolist(),
+            probes.ravel()):
+        lhs = 0.0 + 0.0j
+        for subset, log in zip(subsets, shifted_logs):
+            shifted = _shifted(point, subset)
+            lhs += (_coefficient_product(subset, point, 2.0 * g) * cmath.exp(log - base_log)
+                    * probe(shifted))
+        rhs = apply_dual_operator(r, point, g, probe)
+        out.append(abs(lhs - rhs) / max(abs(rhs), abs(lhs), _EPS_FLOOR))
+    return np.reshape(out, probes.shape)[()]

@@ -5,7 +5,9 @@ the full wave function Psi = prefactor * Phi; the reduced operators HS1, HS2
 act on Phi directly.  All coordinate derivatives of Phi are exact
 (differentiation under the integral sign, see wavefn); the prefactor
 derivatives are closed-form coth/sinh expressions.  Each application returns
-an EigenResidual comparing against the known eigenvalue.
+an EigenResidual comparing against the known eigenvalue.  Every operator takes
+``eval_phi_many``'s keyword-only lattice dict, so the checks of one point can
+share the gamma tables their evaluations build.
 
 Eigenvalues: H1 -> sum(lam), H2 -> -sum(lam^2) on Psi; HS1 -> sum(lam) and
 HS2 -> sum(lam^2) on Phi.  The HS2 eigenvalue follows from the exact
@@ -66,22 +68,23 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
     return first, second
 
 
-def _jet(lam, x, g: float, quad: QuadratureSpec | None,
-         order: int) -> tuple[complex, list, list]:
+def _jet(lam, x, g: float, quad: QuadratureSpec | None, order: int,
+         lattice: dict | None) -> tuple[complex, list, list]:
     """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass; the second
     derivatives only for order 2, else an empty list."""
     n = lam.n
     derivs = [(0,) * n] + [tuple(o if j == i else 0 for j in range(n))
                            for o in range(1, order + 1) for i in range(n)]
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad)
+    vals = eval_phi_many(lam, x, g, derivs, quad=quad, lattice=lattice)
     return vals[0], vals[1:n + 1], vals[n + 1:]
 
 
-def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResidual:
+def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None, *,
+             lattice: dict | None = None) -> EigenResidual:
     """(sum_i d/dx_i) Psi compared with (sum_p lam_p) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
-    phi, grad, _ = _jet(lam, x, g, quad, 1)
+    phi, grad, _ = _jet(lam, x, g, quad, 1, lattice)
     w = sinh_prefactor(x, g)
     dlogw = sum(prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n))
     value = w * (dlogw * phi + sum(grad))
@@ -89,12 +92,13 @@ def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResid
     return EigenResidual.build(value, expected)
 
 
-def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResidual:
+def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
+             lattice: dict | None = None) -> EigenResidual:
     """Pair-interaction Hamiltonian on Psi compared with -(sum lam^2) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    phi, grad, grad2 = _jet(lam, x, g, quad, 2)
+    phi, grad, grad2 = _jet(lam, x, g, quad, 2, lattice)
     w = sinh_prefactor(x, g)
 
     lap_psi = 0.0 + 0.0j
@@ -112,14 +116,14 @@ def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None) -> EigenResid
 
 
 def apply_reduced_HS(lam, x, g: float, quad: QuadratureSpec | None = None,
-                     order: int = 1) -> EigenResidual:
+                     order: int = 1, *, lattice: dict | None = None) -> EigenResidual:
     """Reduced Hamiltonian HS1 or HS2 on Phi (no prefactor)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    phi, grad, grad2 = _jet(lam, x, g, quad, order)
+    phi, grad, grad2 = _jet(lam, x, g, quad, order, lattice)
     if order == 1:
         return EigenResidual.build(sum(grad), sum(lam.values) * phi)
     value = sum(grad2) + g * g * n * (n * n - 1) / 3.0 * phi

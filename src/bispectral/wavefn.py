@@ -317,11 +317,13 @@ def measure_mu(nu, g: float) -> complex:
     """Log of the within-level measure: prod_{r != s} 1/[G((nu_r-nu_s)/2) G((nu_r-nu_s)/2 + g)].
 
     Coincident nu entries make an inverse gamma of a pole, i.e. a zero
-    factor: the returned log has real part -inf and exp() of it is 0.
+    factor: the returned log has real part -inf and exp() of it is 0.  nu may
+    stack points along its leading axes, shape (..., n): then the result is an
+    array over them, from one log_gamma call.
     """
     nu = np.asarray(nu, dtype=complex)
-    r, s = np.triu_indices(nu.size, 1)
-    return complex(np.sum(_log_measure(nu[r] - nu[s], g)))
+    r, s = np.triu_indices(nu.shape[-1], 1)
+    return np.sum(_log_measure(nu[..., r] - nu[..., s], g), axis=-1)[()]
 
 
 def validate_contour(contour: tuple[float, ...], lam, g: float) -> float:
@@ -502,8 +504,8 @@ def _quantities_n2(lam, x, g, contour, step, derivs, lattice):
     e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
     + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
     (Im l1 - Im l2)/2, so at c - Re l2 = +-(c - Re l1) (every default contour) they are one
-    column read back twice.  The calls of one check at other x or at real shifts of lambda
-    share it through lattice, and each still grows its own grid and tail test."""
+    column read back twice.  The calls at one point, and at other x or real shifts of
+    lambda, share it through lattice, and each still grows its own grid and tail test."""
     l1, l2 = lam
     x1, x2 = x
     c = contour[0]
@@ -632,13 +634,14 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     discretisation noise beyond the integrand factors themselves.  n must be
     1, 2 or 3 and derivs must not be empty, or ValueError is raised, the same
     at every n; |Re sum lambda| max|x_i| above _MAX_SCALE raises OverflowError
-    before any quadrature.  A lattice dict shared between the calls of one check reuses
+    before any quadrature.  A lattice dict shared between calls reuses
     what they have in common: the kernel columns, which depend on the contour
     and lambda only through c - Re lambda_k and Im lambda_k minus the grid
     centre, and for n = 3 the lambda-independent envelope and moments.  So
     calls at real shifts of lambda or at other x share them (None: a fresh
-    one; n = 1 ignores it).  Keep a dict for one check: it holds every array
-    built.
+    one; n = 1 ignores it).  Every entry is a pure function of its key, so
+    sharing moves no value.  Keep a dict for one point (lambda, x, g) and the
+    checks made there: it holds every array built.
     """
     lam = as_spectral(lam)
     x = as_position(x)

@@ -20,7 +20,6 @@ from bispectral.macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint
                                   verify_gauge_equivalence, weight_and_gauge,
                                   weight_limit_check)
 from bispectral.sutherland_ops import apply_H1, apply_H2
-from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import (InfeasibleContourError, QuadratureSpec, eval_phi)
 
 QUAD_N3 = QuadratureSpec(step=0.15)
@@ -132,24 +131,23 @@ def test_criterion_05_differential_side_n3():
 
 
 def dual_metric(r, lam, x, g, quad=None):
-    res = apply_dual_hamiltonian(r, lam, x, g, quad)
-    e_r = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
-    return res.relative_residual * abs(e_r)
+    # the quantity the dual.* reports state: |H_r Phi - e_r Phi| / |e_r Phi|, the same at
+    # every translate x + c
+    return apply_dual_hamiltonian(r, lam, x, g, quad).relative_residual
 
 
 def test_criterion_06_dual_side_n1():
-    res = apply_dual_hamiltonian(1, (0.5j,), (0.4,), 1.5)
-    metric = res.relative_residual * abs(cmath.exp(0.8))
+    metric = dual_metric(1, (0.5j,), (0.4,), 1.5)
     report("criterion 06 dual side n=1", metric <= 1e-14,
-           f"exact exponential case, residual {metric:.1e}")
+           f"exact exponential case, relative residual {metric:.1e} (<=1e-14)")
 
 
 @pytest.mark.parametrize("g", [1.25, 2.0, 2.5])
 def test_criterion_06_dual_side_n2(g):
     lam, x = (0.7j, -0.3j), (0.4, -0.2)
     worst = max(dual_metric(r, lam, x, g) for r in (1, 2))
-    report(f"criterion 06 dual side n=2 g={g}", worst <= 1e-5,
-           f"worst |H_r phi/phi - e_r| = {worst:.2e} (<=1e-5)")
+    report(f"criterion 06 dual side n=2 g={g}", worst <= 1e-7,
+           f"worst relative residual {worst:.2e} (<=1e-7, the dual gate)")
 
 
 def test_criterion_06_dual_side_n3():
@@ -159,8 +157,8 @@ def test_criterion_06_dual_side_n3():
     worst = max(dual_metric(r, lam, x, 1.5, QUAD_N3) for r in (1, 2, 3))
     elapsed = time.time() - started
     report("criterion 06 dual side n=3",
-           worst <= 1e-3 and elapsed < 1200.0,
-           f"worst residual {worst:.2e} (<=1e-3), {elapsed:.0f}s")
+           worst <= 1e-5 and elapsed < 1200.0,
+           f"worst relative residual {worst:.2e} (<=1e-5, the dual.n3 gate), {elapsed:.0f}s")
 
 
 def test_criterion_07_infeasibility_guard():

@@ -13,7 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from bispectral import cli, identities, macdonald, wavefn  # noqa: E402
 from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,  # noqa: E402
                             format_complex, main, parse_complex, run)
+from bispectral.dual_ops import apply_dual_hamiltonian  # noqa: E402
 from bispectral.macdonald import LaurentPolynomial, MacdonaldParams, TorusPoint  # noqa: E402
+from bispectral.sutherland_ops import apply_H1, apply_H2, apply_reduced_HS  # noqa: E402
 from workloads import report_digest  # noqa: E402
 
 
@@ -122,6 +124,15 @@ class TestExitStatus:
         payload = strict_json(rep.to_json())
         assert payload["residual"] == "-inf" and payload["inputs"]["x"] == ["inf", 0.5]
 
+    def test_nan_draw_of_a_stack_is_nan(self):
+        # _worst reduces a stacked draw's residuals too: the second point sits on a
+        # measure pole on both sides of its shift, and its NaN is the worst
+        lams = [(0.3j, -0.4j, 1.1j), (2.0 + 1.3j, 1.3j, -0.5j)]
+        check = ("probe", {}, "measures.diffeq",
+                 cli._worst(cli.measure_shift_residual, [(lams, [0, 2], 1.35, "mu_g")]))
+        rep = cli._report(RunConfig(), check)
+        assert math.isnan(rep.residual) and rep.status == "fail"
+
     def test_nan_commutator_is_nan(self):
         f = LaurentPolynomial(2, {(1, 0): math.nan})
         assert math.isnan(cli._commutator_residual(
@@ -196,8 +207,8 @@ class TestExitStatus:
         ["check-dual", "--x=-400,-400.6"],
         ["check-dual", "--n", "3", "--x=150,149.8,149.6"],
         ["eval-phi", "--lambda", "0.5:0.7,0:-0.3", "--x", "1500,1499.6"],
-        # every Phi in range, but e_r(e^{2x}) not: cmath.exp's own range error, an e_r
-        # below the normal range and an e_3 product that overflows to inf
+        # every Phi in range, but e_r(e^{2x}) not: an e^{2x_i} past cmath.exp's range, an
+        # e_r below the normal range and an e_3 product that overflows to inf
         ["check-dual", "--lambda=-0.5:0.7,-0.5:-0.3", "--x", "355.5,355.1", "--g", "3",
          "--r", "1"],
         ["check-dual", "--lambda=-0.5:0.7,-0.5:-0.3", "--x=-355,-355.4", "--g", "3",
@@ -209,6 +220,14 @@ class TestExitStatus:
         code, out, err = run_main(capsys, argv)
         assert code == 3 and not out
         assert err.startswith("infeasible: ") and "range" in err
+
+    def test_eigenvalue_overflow_names_e_r_and_x(self, capsys):
+        # e^{2 x_1} = e^711 overflows in cmath.exp; the refusal names e_r and x, as the
+        # refusal of an e_r below the normal range does
+        code, out, err = run_main(capsys, ["check-dual", "--lambda=-0.5:0.7,-0.5:-0.3",
+                                           "--x", "355.5,355.1", "--g", "3", "--r", "1"])
+        assert code == 3 and not out
+        assert err == "infeasible: e_1(e^(2x)) = inf is out of range at x = (355.5, 355.1)\n"
 
     @pytest.mark.parametrize("argv", [
         ["check-dual", "--n", "3", "--x=20,19.8,19.6"],
@@ -306,7 +325,7 @@ class TestExitStatus:
         def fault():
             raise RuntimeError("broken check")
 
-        def broken(config):
+        def broken(config, lattice):
             return [("gauge.broken", {}, EXACT, fault)]
 
         registry = tuple((name, broken if name == "check-gauge" else family)
@@ -557,6 +576,39 @@ class TestConfigSources:
         want = [(f"identities.lemma1.n{n}r{r}", {"n": n, "r": r, "trials": 100, "seed": 7})
                 for n in range(1, 6) for r in range(1, n + 1)]
         assert lemma1[0] == lemma1[1] == want
+
+    def test_point_tables_are_shared_within_one_run_only(self, monkeypatch):
+        # the checks of one point share one lattice dict, made by the run: one `all`
+        # builds each distinct n = 3 moments key once (the four Sutherland checks ask
+        # for two, the three dual checks for one), and the next run builds them again
+        built, moments = [], wavefn._lattice_moments
+
+        def counting(f, step, dx, M, m_max):
+            built.append((f.size, step, dx, M, m_max))
+            return moments(f, step, dx, M, m_max)
+
+        monkeypatch.setattr(wavefn, "_lattice_moments", counting)
+        shrink_identities(monkeypatch, 2, 5)
+        run("all", RunConfig())
+        first = list(built)
+        assert len(first) == len(set(first)) == 3
+        run("all", RunConfig())
+        assert built == first + first
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shared_lattice_moves_no_residual(self, n):
+        # check-sutherland and check-dual share one lattice per point; each residual is
+        # the one its operator gives called alone, with no lattice
+        lam, x = cli._POINT_DEFAULTS[n] if n == 3 else (RunConfig().lam, RunConfig().x)
+        config = RunConfig(n=n, lam=lam, x=x)
+        _, sutherland = run("check-sutherland", config)
+        _, dual = run("check-dual", config)
+        alone = [apply_H1(lam, x, config.g), apply_H2(lam, x, config.g),
+                 apply_reduced_HS(lam, x, config.g, order=1),
+                 apply_reduced_HS(lam, x, config.g, order=2)]
+        alone += [apply_dual_hamiltonian(r, lam, x, config.g) for r in range(1, n + 1)]
+        assert [rep.residual for rep in sutherland + dual] == [
+            res.relative_residual for res in alone]
 
     def test_residue_pass_is_shared_per_n(self, monkeypatch):
         # one residue_check pass per n answers its r = 1..n checks: the residue and the

@@ -10,7 +10,7 @@ import pytest
 
 from bispectral import dual_ops, wavefn
 from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_operator,
-                                 dual_coefficient, gauge_function,
+                                 dual_coefficient, dual_eigen_residual, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
 from bispectral.symfun import elementary_symmetric
@@ -115,11 +115,16 @@ class TestGauge:
                 gauge_shift_residual(LAM3, i, g)
 
     def test_shift_residual_sees_a_wrong_gauge(self, monkeypatch):
+        # the planted error is per point, as gauge_function is: lam stacks points (..., n)
         import bispectral.dual_ops as dual_ops
         exact = dual_ops.gauge_function
         monkeypatch.setattr(dual_ops, "gauge_function",
-                            lambda lam, g: exact(lam, g) + 1e-6 * lam[0])
-        assert gauge_shift_residual(rand_lambda(np.random.default_rng(16), 3), 0, 1.5) > 1e-7
+                            lambda lam, g: exact(lam, g) + 1e-6 * np.asarray(lam)[..., 0])
+        rng = np.random.default_rng(16)
+        assert gauge_shift_residual(rand_lambda(rng, 3), 0, 1.5) > 1e-7
+        # shifting lambda_0 moves the planted term, so every row of a stack sees it
+        stack = [rand_lambda(rng, 3) for _ in range(4)]
+        assert np.all(gauge_shift_residual(stack, 0, 1.5) > 1e-7)
 
     def test_gauge_relation_on_probes(self):
         rng = np.random.default_rng(6)
@@ -202,6 +207,86 @@ class TestMeasures:
             measure_weight(LAM2, 1.5, "nope")
 
 
+class TestStacks:
+    """Each gauge and measure function takes one point or a stack of them, shape (..., n),
+    and gives every point of a stack its single-point value, bit for bit."""
+
+    G = 1.35
+    # lambda_1 - lambda_2 = 2: the Sklyanin factor 1/G(-2) and the measure's 1/G(-1) sit on
+    # their poles, and a shift of lambda_3 keeps them there
+    POLE = (2.0 + 1.3j, 1.3j, -0.5j)
+
+    @staticmethod
+    def points(count=6, seed=21):
+        rng = np.random.default_rng(seed)
+        return [rand_lambda(rng, 3) for _ in range(count)]
+
+    @staticmethod
+    def bits(values):
+        return np.asarray(values).ravel().tobytes()
+
+    def test_gauge_function(self):
+        points = self.points() + [self.POLE]
+        stacked = gauge_function(np.reshape(points[:6], (2, 3, 3)), self.G)
+        assert stacked.shape == (2, 3)
+        assert self.bits(stacked) == self.bits([gauge_function(p, self.G) for p in points[:6]])
+        assert gauge_function(points, self.G).shape == (7,)
+        assert np.ndim(gauge_function(points[0], self.G)) == 0
+
+    @pytest.mark.parametrize("kind", ["mu_g", "mu_1mg", "sklyanin"])
+    def test_measure_weight(self, kind):
+        points = self.points()[:5] + [self.POLE]
+        stacked = measure_weight(np.reshape(points, (2, 3, 3)), self.G, kind)
+        single = [measure_weight(p, self.G, kind) for p in points]
+        assert stacked.shape == (2, 3) and self.bits(stacked) == self.bits(single)
+        # the pole is a zero of the weight in its own row only
+        assert stacked[1, 2].real == -math.inf and np.isfinite(stacked.ravel()[:5]).all()
+
+    def test_gauge_shift_residual(self):
+        points = self.points()
+        shifts = [0, 2, 1, 1, 0, 2]
+        stacked = gauge_shift_residual(np.reshape(points, (2, 3, 3)), np.reshape(shifts, (2, 3)),
+                                       self.G)
+        single = [gauge_shift_residual(p, i, self.G) for p, i in zip(points, shifts)]
+        assert stacked.shape == (2, 3) and self.bits(stacked) == self.bits(single)
+        # one index for every point
+        assert self.bits(gauge_shift_residual(points, 1, self.G)) == self.bits(
+            [gauge_shift_residual(p, 1, self.G) for p in points])
+
+    @pytest.mark.parametrize("kind", ["mu_g", "mu_1mg"])
+    def test_measure_shift_residual(self, kind):
+        # the pole row is -inf on both sides of its shift: a NaN draw, in its own row only
+        points, shifts = self.points()[:5] + [self.POLE], [0, 2, 1, 1, 0, 2]
+        stacked = measure_shift_residual(points, shifts, self.G, kind)
+        single = [measure_shift_residual(p, i, self.G, kind) for p, i in zip(points, shifts)]
+        assert self.bits(stacked) == self.bits(single)
+        assert math.isnan(stacked[5]) and (stacked[:5] <= 1e-11).all()
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_gauge_relation_residual(self, r):
+        # one probe per point; the last returns NaN, a NaN draw in its own row only
+        rng = np.random.default_rng(22)
+        points = self.points()
+        probes = [exp_probe(rng, 3) for _ in points[:5]] + [lambda lam: math.nan]
+        stacked = gauge_relation_residual(r, np.reshape(points, (3, 2, 3)),
+                                          self.G, np.reshape(probes, (3, 2)))
+        single = [gauge_relation_residual(r, p, self.G, f) for p, f in zip(points, probes)]
+        assert stacked.shape == (3, 2) and self.bits(stacked) == self.bits(single)
+        assert math.isnan(stacked[2, 1]) and (stacked.ravel()[:5] <= 1e-10).all()
+        # one probe for every point
+        f = probes[0]
+        assert self.bits(gauge_relation_residual(r, points, self.G, f)) == self.bits(
+            [gauge_relation_residual(r, p, self.G, f) for p in points])
+
+    def test_a_bad_point_refuses_the_stack(self):
+        points = self.points(3)
+        for bad in ((0.1j, 0.1j, 0.5j), (0.1j, math.nan, 0.5j)):
+            with pytest.raises(ValueError, match="spectral point"):
+                gauge_function(points + [bad], self.G)
+        with pytest.raises(GammaPoleError):  # a gauge pole, as for one point
+            gauge_function(points + [(1.0, 0.0, 0.4j)], 1.5)
+
+
 class TestDualHamiltonian:
     def test_n1_exact(self):
         res = apply_dual_hamiltonian(1, (0.5j,), (0.4,), 1.5)
@@ -211,6 +296,16 @@ class TestDualHamiltonian:
     def test_n2_eigenrelation(self, r):
         res = apply_dual_hamiltonian(r, LAM2, X2, 1.5)
         assert res.relative_residual <= 1e-5
+
+    def test_eigenvalue_out_of_range_is_refused_first(self):
+        # e^{2 x_1} = e^711 is past the double range: OverflowError names e_r and x, and f
+        # is never called
+        def f(lam):
+            raise AssertionError("f was called")
+
+        message = r"e_1\(e\^\(2x\)\) = inf is out of range at x = \(355.5, 355.1\)"
+        with pytest.raises(OverflowError, match=message):
+            dual_eigen_residual(1, LAM2, (355.5, 355.1), 3.0, f, 1.0)
 
     def test_infeasible_at_g_one(self):
         with pytest.raises(InfeasibleContourError):

@@ -29,9 +29,9 @@ where it failed; a non-finite float is written as "nan", "inf" or "-inf", so
 every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
 failed, 2 a configuration error (an unknown key or flag, a non-finite number,
 an oracle grid below 2, an order r outside 1..n), 3 an infeasible domain
-(among them a point whose grid would exceed the node budget, or where Phi or
-e_r(e^{2x}) leaves the double range), 4 an internal error (traceback on
-stderr).
+(among them a point whose grid would exceed the node budget, where Phi or
+e_r(e^{2x}) leaves the double range, or a tau fit whose round-off floor is
+too high), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .identities import (binomial_limit_check, residue_check, substitution_check
                          verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
-from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
+from .macdonald import (LaurentPolynomial, MacdonaldParams, TauResolutionError, TorusPoint,
                         apply_macdonald, tau_limit_check,
                         verify_gauge_equivalence, weight_limit_check,
                         weight_shift_residual)
@@ -72,7 +72,7 @@ __all__ = ["RunConfig", "CheckReport", "REGISTRY", "checks", "run", "main"]
 
 _DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError, GridBudgetError,
                   CoincidentCoordinatesError, ConvergenceWindowError,
-                  GammaPoleError, HypergeometricError, OverflowError)
+                  GammaPoleError, HypergeometricError, TauResolutionError, OverflowError)
 
 # the residual gate of each check family; no config or flag changes one
 _DEFAULT_TOLS = {

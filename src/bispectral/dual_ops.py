@@ -1,16 +1,15 @@
 """Dual difference operators in the spectral variables.
 
 These act by lambda_i -> lambda_i + 2 shifts with rational coefficients, one
-term per r-subset of the indices: a sorted tuple of 0-based members, summed in
-the lexicographic order of ``itertools.combinations(range(n), r)``.  Two
-coefficient products appear:
+term per r-subset of the indices, as ``symfun.subset_terms`` yields them.  Two
+pair coefficients appear, each (l_i - l_j + s)/(l_i - l_j) for its own shift s:
 
-* ``H_g``  -- (-1)^{r(n-1)} prod (l_i - l_j + 2 - 2g)/(l_i - l_j); the
+* ``H_g``  -- s = 2 - 2g, with the sign (-1)^{r(n-1)} on every term; the
   operators whose eigenvalues on the wave function are the elementary
   symmetric functions e_r(e^{2x}).  Without the sign this is the D_{1-g}
   form, so D_{1-g} = (-1)^{r(n-1)} H_g has the same eigenfunctions.
-* ``D_g``  -- prod (l_i - l_j + 2g)/(l_i - l_j), which the gauge function
-  conjugates into H_g.
+* ``D_g``  -- s = 2g, which the gauge function conjugates into H_g.  It is
+  not written as H at 1 - g: 2 - 2(1 - g) is not 2g bit for bit.
 
 ``apply_dual_operator`` applies H_g to any function of lambda.  Applying a
 shift to the Mellin-Barnes integral requires moving the integration contours
@@ -24,20 +23,18 @@ measure at g = 1/2.
 from __future__ import annotations
 
 import cmath
-from itertools import combinations
 from typing import Callable, Literal
 
 import numpy as np
 
 from .cgamma import _is_pole, log_gamma
-from .symfun import elementary_symmetric
+from .symfun import elementary_symmetric, subset_terms
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
 from .wavefn import (_DISTINCT_TOL, QuadratureSpec, SpectralPoint, as_position, as_spectral,
                      default_contour, eval_phi, measure_mu)
 
 __all__ = [
     "DualWeightKind",
-    "dual_coefficient",
     "apply_dual_operator",
     "apply_dual_hamiltonian",
     "dual_eigen_residual",
@@ -51,37 +48,9 @@ __all__ = [
 DualWeightKind = Literal["mu_g", "mu_1mg", "sklyanin"]
 
 
-def _check_members(members: tuple[int, ...], n: int) -> None:
-    if list(members) != sorted(set(members)) or any(not 0 <= i < n for i in members):
-        raise ValueError(f"subset members must be sorted, distinct and in 0..{n - 1}, "
-                         f"got {members}")
-
-
-def _shifted(lam: tuple[complex, ...], members: tuple[int, ...]) -> tuple[complex, ...]:
-    """lambda + 2 * (indicator of the 0-based members)."""
-    _check_members(members, len(lam))
-    return tuple(v + 2.0 if i in members else v for i, v in enumerate(lam))
-
-
-def _coefficient_product(members: tuple[int, ...], lam: tuple[complex, ...],
-                         shift: complex) -> complex:
-    """prod over members i and the other indices j of (l_i - l_j + shift)/(l_i - l_j)."""
-    coef = 1.0 + 0.0j
-    for i in members:
-        for j in range(len(lam)):
-            if j not in members:
-                diff = lam[i] - lam[j]
-                coef *= (diff + shift) / diff
-    return coef
-
-
-def dual_coefficient(members: tuple[int, ...], lam, g: float) -> complex:
-    """H_g's rational shift coefficient of the 0-based subset members, sign included."""
-    lam = as_spectral(lam).values
-    n = len(lam)
-    _check_members(members, n)
-    return (_coefficient_product(members, lam, 2.0 - 2.0 * g)
-            * (-1.0) ** (len(members) * (n - 1)))
+def _terms(r: int, z, shift: float):
+    """The subset terms of H_g (shift 2 - 2g, unsigned) or D_g (2g) at the point z."""
+    return subset_terms(r, z, lambda a, b: (a - b + shift) / (a - b), lambda v: v + 2.0)
 
 
 def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
@@ -91,11 +60,10 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
     is involved; ``apply_dual_hamiltonian`` passes Phi on the shifted contour.
     """
     lam = as_spectral(lam)
-    if not (0 <= r <= lam.n):
-        raise ValueError(f"need 0 <= r <= n={lam.n}, got r={r}")
+    sign = (-1.0) ** (r * (lam.n - 1))
     total = 0.0 + 0.0j
-    for members in combinations(range(lam.n), r):
-        total += dual_coefficient(members, lam, g) * f(_shifted(lam.values, members))
+    for coef, shifted in _terms(r, lam.values, 2.0 - 2.0 * g):
+        total += coef * sign * f(shifted)
     return total
 
 
@@ -103,14 +71,13 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None
                            lattice: dict | None = None) -> EigenResidual:
     """Order-r dual Hamiltonian on Phi versus its e_r(e^{2x}) eigenvalue.
 
-    Each shifted term re-evaluates the Mellin-Barnes integral with all
-    contour levels at Re = 1, which separates the shifted pole lattices
-    exactly when g > 1; ``default_contour`` refuses any other g before any
-    evaluation.  The sinh prefactor is lambda-independent, so the
-    statement on Psi is equivalent to the same relation on Phi; Phi is what
-    is tested.  D_{1-g} would multiply both sides by the same sign
-    (-1)^{r(n-1)} and give the same residual.  lattice is ``eval_phi_many``'s:
-    the base and every shifted evaluation use it (None: a fresh one for this call).
+    Each shifted term re-evaluates the Mellin-Barnes integral with all contour levels at
+    Re = 1, which separates the shifted pole lattices exactly when g > 1; ``default_contour``
+    refuses any other g before any evaluation, except at n = 1, which has no level.  The
+    sinh prefactor is lambda-independent, so the statement on Psi is equivalent to the same
+    relation on Phi; Phi is what is tested.  D_{1-g} would multiply both sides by the same
+    sign (-1)^{r(n-1)} and give the same residual.  lattice is ``eval_phi_many``'s: the
+    base and every shifted evaluation use it (None: a fresh one for this call).
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -273,22 +240,17 @@ def gauge_relation_residual(r: int, lam, g: float, f):
     gauge_function call on the points and all their shifts.
     """
     lam = _points(lam)
-    n = lam.shape[-1]
-    subsets = list(combinations(range(n), r))
-    members = np.array([[j in s for j in range(n)] for s in subsets], dtype=bool).reshape(-1, n)
-    point_axis = lam[..., None, :]
-    logs = gauge_function(np.concatenate(
-        [point_axis, np.where(members, point_axis + 2.0, point_axis)], axis=-2), g)
+    points = lam.reshape(-1, lam.shape[-1]).tolist()
+    terms = [list(_terms(r, point, 2.0 * g)) for point in points]
+    logs = gauge_function([[point] + [shifted for _, shifted in point_terms]
+                           for point, point_terms in zip(points, terms)], g)
     probes = np.broadcast_to(np.asarray(f, dtype=object), lam.shape[:-1])
     out = []
-    for point, (base_log, *shifted_logs), probe in zip(
-            lam.reshape(-1, n).tolist(), logs.reshape(-1, len(subsets) + 1).tolist(),
-            probes.ravel()):
+    for point, point_terms, (base_log, *shifted_logs), probe in zip(
+            points, terms, logs.tolist(), probes.ravel()):
         lhs = 0.0 + 0.0j
-        for subset, log in zip(subsets, shifted_logs):
-            shifted = _shifted(point, subset)
-            lhs += (_coefficient_product(subset, point, 2.0 * g) * cmath.exp(log - base_log)
-                    * probe(shifted))
+        for (coef, shifted), log in zip(point_terms, shifted_logs):
+            lhs += coef * cmath.exp(log - base_log) * probe(shifted)
         rhs = apply_dual_operator(r, point, g, probe)
         out.append(abs(lhs - rhs) / max(abs(rhs), abs(lhs), _EPS_FLOOR))
     return np.reshape(out, probes.shape)[()]

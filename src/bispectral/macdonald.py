@@ -1,12 +1,12 @@
 """q,t-Macdonald difference operators, their weights, and the tau -> 0 limit.
 
-The operators act on functions of n nonzero complex coordinates by q^2
-dilations of r-element coordinate subsets with rational coefficients.  The
-operator and weight of the pair (q, q/t) are those of (q, t) evaluated at
-``MacdonaldParams(q, q / t)``.  The weights are one ratio of q-Pochhammer
-products with two parameters (a, b): the scalar-product weight is
-(a, b) = (1, t^2), and the gauge function relating the parameter pairs (q, t)
-and (q, q/t) is (a, b) = (q, q^2/t^2).
+The operators act on functions of n nonzero complex coordinates by q^2 dilations of
+r-element coordinate subsets with rational coefficients, the terms of
+``symfun.subset_terms`` that the dual operators share.  The operator and weight of the
+pair (q, q/t) are those of (q, t) evaluated at ``MacdonaldParams(q, q / t)``.  The
+weights are one ratio of q-Pochhammer products with two parameters (a, b): the
+scalar-product weight is (a, b) = (1, t^2), and the gauge function relating the
+parameter pairs (q, t) and (q, q/t) is (a, b) = (q, q^2/t^2).
 
 With q = e^{pi i tau}, t = q^g and tau -> 0 the first operator degenerates
 into the reduced Sutherland Hamiltonians; ``tau_limit_check`` reads their
@@ -21,12 +21,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .sutherland_ops import _EPS_FLOOR
+from .symfun import subset_terms
 
 __all__ = [
     "MacdonaldParams",
@@ -39,13 +39,19 @@ __all__ = [
     "verify_gauge_equivalence",
     "tau_limit_check",
     "TauFitResult",
+    "TauResolutionError",
     "weight_limit_check",
 ]
 
 # q-Pochhammer products stop once |z| |qsq|^N drops below this
 _TRUNC_TOL = 1e-16
-# tau = i*sigma nodes of the Taylor-coefficient rule: N points on |sigma| = rho
-_TAU_NODES, _TAU_RADIUS = 32, 0.05
+# the tau fit (tau_limit_check): N nodes on |sigma| = min(radius, kappa / type of v), and a
+# refusal where its round-off floor, 2 eps per value (measured), passes a tenth of the gate
+_TAU_NODES, _TAU_RADIUS, _TAU_KAPPA, _TAU_FLOOR, _TAU_FLOOR_TOL = 32, 0.05, 3.0, 2.0 ** -51, 1e-11
+
+
+class TauResolutionError(ArithmeticError):
+    """The tau fit's round-off floor is above what the macdonald.tau gate can resolve."""
 
 
 @dataclass(frozen=True)
@@ -118,46 +124,18 @@ def qpochhammer(z: complex, qsq: complex) -> complex:
     return out
 
 
-def _subset_shift(z: Sequence[complex], members: Sequence[int], factor: complex) -> tuple:
-    out = list(z)
-    for i in members:
-        out[i] *= factor
-    return tuple(out)
-
-
 def apply_macdonald(r: int, params: MacdonaldParams, point, f: Callable) -> complex:
     """Order-r Macdonald operator applied to a black-box function at the point.
 
     Coefficients (t z_i - t^{-1} z_j)/(z_i - z_j); subsets of r coordinates
     are scaled by q^2.  M_r(.|q, q/t) is this at ``MacdonaldParams(q, q / t)``.
     """
-    point = _as_point(point)
-    z = point.values
-    n = point.n
-    if not (0 <= r <= n):
-        raise ValueError(f"need 0 <= r <= n={n}, got r={r}")
-    ca, cb = params.t, 1.0 / params.t
+    ca, cb, qsq = params.t, 1.0 / params.t, params.qsq
     total = 0.0 + 0.0j
-    for members in combinations(range(n), r):
-        inside = set(members)
-        coef = 1.0 + 0.0j
-        for i in members:
-            for j in range(n):
-                if j not in inside:
-                    coef *= (ca * z[i] - cb * z[j]) / (z[i] - z[j])
-        total += coef * f(_subset_shift(z, members, params.qsq))
+    for coef, shifted in subset_terms(r, _as_point(point).values,
+                                      lambda a, b: (ca * a - cb * b) / (a - b), lambda v: v * qsq):
+        total += coef * f(shifted)
     return total
-
-
-def _pair_ratio_product(point: TorusPoint, a: complex, b: complex, qsq: complex) -> complex:
-    z = point.values
-    out = 1.0 + 0.0j
-    for j in range(point.n):
-        for k in range(point.n):
-            if j != k:
-                w = z[j] / z[k]
-                out *= qpochhammer(a * w, qsq) / qpochhammer(b * w, qsq)
-    return out
 
 
 def weight_and_gauge(params: MacdonaldParams, point, a: complex, b: complex) -> complex:
@@ -167,7 +145,11 @@ def weight_and_gauge(params: MacdonaldParams, point, a: complex, b: complex) -> 
     at ``MacdonaldParams(q, q / t)`` that of (q, q/t); (a, b) = (q, q^2/t^2) is
     the gauge function between (q, t) and (q, q/t).
     """
-    return _pair_ratio_product(_as_point(point), a, b, params.qsq)
+    z, qsq = _as_point(point).values, params.qsq
+    out = 1.0 + 0.0j
+    for w in [zj / zk for j, zj in enumerate(z) for k, zk in enumerate(z) if j != k]:
+        out *= qpochhammer(a * w, qsq) / qpochhammer(b * w, qsq)
+    return out
 
 
 def weight_shift_residual(params: MacdonaldParams, point, i: int, a: complex,
@@ -181,8 +163,8 @@ def weight_shift_residual(params: MacdonaldParams, point, i: int, a: complex,
     if not 0 <= i < point.n:
         raise ValueError(f"coordinate index must be in 0..{point.n - 1}, got {i}")
     z, qsq = point.values, params.qsq
-    ratio = (weight_and_gauge(params, _subset_shift(z, (i,), qsq), a, b)
-             / weight_and_gauge(params, point, a, b))
+    shifted = tuple(v * qsq if k == i else v for k, v in enumerate(z))
+    ratio = weight_and_gauge(params, shifted, a, b) / weight_and_gauge(params, point, a, b)
     predicted = 1.0 + 0.0j
     for j in range(point.n):
         if j != i:
@@ -282,22 +264,35 @@ def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tup
 def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) -> TauFitResult:
     """Taylor coefficients of M_1 in tau against the reduced Hamiltonians.
 
-    With tau = i*sigma, q = e^{-pi sigma} and t = q^g, v(sigma) = M_1 f - n f
-    is entire in sigma and equals -pi sigma HS1 f + (pi sigma)^2/2 HS2 f +
-    O(sigma^3).  The trapezoid rule on the circle |sigma| = 0.05 with 32
-    nodes gives its Taylor coefficients c_k = mean(v / sigma^k), exact up to
-    aliasing of c_{k+32} (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Half
-    the nodes have |q| > 1, which the operator accepts.
+    With tau = i*sigma, q = e^{-pi sigma} and t = q^g, v(sigma) = M_1 f - n f is
+    entire in sigma, of exponential type T = pi ((n - 1) g + 2 max|exponent of f|),
+    and equals -pi sigma HS1 f + (pi sigma)^2/2 HS2 f + O(sigma^3).  The trapezoid
+    rule on |sigma| = rho = min(0.05, 3 / T) with 32 nodes gives its Taylor
+    coefficients c_k = mean(v / sigma^k) up to aliasing of c_{k+32}, below
+    (T rho)^32 / 32! ~ 1e-20 (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Each v
+    carries round-off of about 2 eps max|M_1 f|, which c_k divides by rho^k: a fit whose
+    floor k 2 eps max|M_1 f| / ((pi rho)^k max(|HS_k f|, 1)) exceeds 1e-11 raises
+    TauResolutionError.  Half the nodes have |q| > 1, which the operator accepts.
     """
     z = tuple(cmath.exp(2.0 * xi) for xi in x_point)
     n = len(z)
     hs1, hs2 = _reduced_action(f, z, g)
-    sigmas = _TAU_RADIUS * np.exp(2j * np.pi * np.arange(_TAU_NODES) / _TAU_NODES)
+    degree = max((abs(e) for expo in f.terms for e in expo), default=0)
+    exp_type = math.pi * ((n - 1) * g + 2 * degree)
+    rho = _TAU_KAPPA / exp_type if exp_type * _TAU_RADIUS > _TAU_KAPPA else _TAU_RADIUS
+    sigmas = rho * np.exp(2j * np.pi * np.arange(_TAU_NODES) / _TAU_NODES)
     base = n * f(z)
-    values = np.array([
-        apply_macdonald(1, MacdonaldParams.from_coupling(cmath.exp(-math.pi * s), g), z, f) - base
-        for s in sigmas])
+    totals = []
+    for s in sigmas:  # below the default radius t = e^{-pi g sigma}: q^g has g times q's rounding
+        q = cmath.exp(-math.pi * s)
+        totals.append(apply_macdonald(1, MacdonaldParams(
+            q, cmath.exp(-math.pi * g * s) if rho < _TAU_RADIUS else q ** g), z, f))
+    values = np.array(totals) - base
     c1, c2 = np.mean(values / sigmas), np.mean(values / sigmas ** 2)
+    noise = _TAU_FLOOR * float(np.max(np.abs(totals))) / (math.pi * rho)
+    floor = max(noise / max(abs(hs1), 1.0), 2.0 * noise / (math.pi * rho) / max(abs(hs2), 1.0))
+    if floor > _TAU_FLOOR_TOL:
+        raise TauResolutionError(f"tau fit floor {floor:.3g} > 1e-11 at g = {g}, radius {rho:.3g}")
     return TauFitResult(hs1_fitted=complex(-c1 / math.pi), hs1_analytic=hs1,
                         hs2_fitted=complex(2.0 * c2 / math.pi ** 2), hs2_analytic=hs2)
 

@@ -358,11 +358,12 @@ def default_contour(n: int, g: float, shifted: bool = False) -> tuple[float, ...
     common real part of the i + 1 variables at level i + 1.  Unshifted
     evaluation integrates along the imaginary axes.  When some top-level
     variables carry a +2 shift (shifted=True), all levels move to Re = 1,
-    which lies in the admissible window (-g+2, g) exactly when g > 1.
+    which lies in the admissible window (-g+2, g) exactly when g > 1; n = 1
+    has no level, so its empty contour serves every g.
     """
     if g <= 0:
         raise ValueError("coupling g must be positive")
-    if not shifted:
+    if not shifted or n == 1:
         return (0.0,) * (n - 1)
     if g <= 1.0:
         raise InfeasibleContourError(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -260,6 +261,25 @@ class TestExitStatus:
             code, _, err = run_main(capsys, ["check-dual", "--g", g])
             assert code == 3
             assert "infeasible" in err
+
+    @pytest.mark.parametrize("g", ["0.5", "1.0"])
+    def test_n1_dual_runs_at_every_g(self, capsys, g):
+        # n = 1 has no contour level: H_1 e^{lambda x} = e^{2x} e^{lambda x} at every g,
+        # while n = 2 at g = 1 still has no separating line
+        code, out, _ = run_main(capsys, ["check-dual", "--n", "1", "--g", g])
+        assert code == 0 and all(rep["residual"] <= 1e-14 for rep in reports_of(out))
+        assert run_main(capsys, ["check-dual", "--n", "2", "--g", "1.0"])[0] == 3
+
+    @pytest.mark.parametrize("g", ["15", "20", "30"])
+    def test_tau_resolves_large_coupling(self, capsys, g):
+        # the radius shrinks with the exponential type of the fitted function, so these
+        # correct operators pass; at the fixed radius 0.05 they read 2.9e-10 ... 0.13
+        code, out, _ = run_main(capsys, ["check-macdonald", "--g", g])
+        assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
+
+    def test_tau_floor_past_the_gate_is_three(self, capsys):
+        code, out, err = run_main(capsys, ["check-macdonald", "--g", "100"])
+        assert code == 3 and not out and "floor" in err
 
     def test_coincident_coordinates_is_three(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--x", "0.4,0.4"])
@@ -631,3 +651,28 @@ class TestConfigSources:
     def test_run_rejects_unknown_command(self):
         with pytest.raises(ValueError):
             run("explode", RunConfig())
+
+
+class TestGapOneRatchet:
+    """A relative error of +-eps planted in every value the n = 2 and n = 3 quadratures
+    return (one seeded sign per value, in call order) fails exactly these checks of
+    `all --seed 7`.  A later change may grow a set; shrinking one loosens a check."""
+
+    N2 = ["dual.n2.r1", "dual.n2.r2", "oracle.ratio_spread",
+          "sutherland.n2.h1", "sutherland.n2.h2", "sutherland.n2.hs1"]
+
+    @pytest.mark.parametrize("eps, want", [
+        (1e-8, []),
+        (1e-6, N2),
+        (1e-5, N2 + ["sutherland.n2.hs2", "dual.n3.r2", "dual.n3.r3"])])
+    def test_failing_set(self, monkeypatch, eps, want):
+        signs = random.Random(0)
+
+        def planted(quantities):
+            return lambda *args: [v * (1.0 + signs.choice((-1, 1)) * eps)
+                                  for v in quantities(*args)]
+
+        for name in ("_quantities_n2", "_quantities_n3"):
+            monkeypatch.setattr(wavefn, name, planted(getattr(wavefn, name)))
+        _, reports = run("all", RunConfig(seed=7))
+        assert sorted(rep.check_id for rep in reports if rep.status == "fail") == sorted(want)

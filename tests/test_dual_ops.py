@@ -3,16 +3,14 @@ difference-operator eigenrelations on the wave function."""
 
 import cmath
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bispectral import dual_ops, wavefn
-from bispectral.dual_ops import (_shifted, apply_dual_hamiltonian, apply_dual_operator,
-                                 dual_coefficient, dual_eigen_residual, gauge_function,
-                                 gauge_relation_residual, gauge_shift_residual,
-                                 measure_shift_residual, measure_weight)
+from bispectral.dual_ops import (_terms, apply_dual_hamiltonian, apply_dual_operator,
+                                 dual_eigen_residual, gauge_function, gauge_relation_residual,
+                                 gauge_shift_residual, measure_shift_residual, measure_weight)
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
 from bispectral.cgamma import GammaPoleError, log_gamma
@@ -34,24 +32,21 @@ def exp_probe(rng, n):
     return lambda lam: cmath.exp(sum(c * v for c, v in zip(coeffs, lam)))
 
 
+def h_terms(r, lam, g):
+    """H_g's (coefficient, shifted point) per subset, its sign (-1)^{r(n-1)} included."""
+    sign = (-1.0) ** (r * (len(lam) - 1))
+    return [(coef * sign, point) for coef, point in _terms(r, lam, 2.0 - 2.0 * g)]
+
+
 class TestCoefficients:
     def test_n1_r1_is_one(self):
-        assert dual_coefficient((0,), (0.3j,), 1.5) == pytest.approx(1.0)
+        # no pair outside the subset: the empty product, and the sign (-1)^0
+        assert h_terms(1, (0.3j,), 1.5) == [(1.0, (2.0 + 0.3j,))]
 
     def test_full_subset_collapses_to_pure_shift(self):
         # n = 2, r = 2: empty complement, sign (+1) only, so the order-2
         # operator is the plain double shift
-        assert dual_coefficient((0, 1), LAM2, 1.5) == 1.0
-
-    # H_g's 0-based members must be sorted, distinct and inside 0..n-1
-    @pytest.mark.parametrize("members", [
-        pytest.param((1, 0), id="members1-H_g"), pytest.param((0, 0), id="members2-H_g"),
-        pytest.param((-1,), id="members3-H_g"), pytest.param((2,), id="members4-H_g")])
-    def test_unknown_variant(self, members):
-        with pytest.raises(ValueError):
-            dual_coefficient(members, LAM2, 1.5)
-        with pytest.raises(ValueError):
-            _shifted(LAM2, members)
+        assert h_terms(2, LAM2, 1.5) == [(1.0, (2.0 + 0.7j, 2.0 - 0.3j))]
 
 
 class TestOperatorAlgebra:
@@ -394,12 +389,10 @@ class TestSharedLattice:
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_equals_separate_evaluations(self, lam, x, r, g):
         # the operator written out with one fresh eval_phi per point
-        n = len(lam)
-        contour = default_contour(n, g, shifted=True)
+        contour = default_contour(len(lam), g, shifted=True)
         total = 0.0 + 0.0j
-        for members in combinations(range(n), r):
-            total += dual_coefficient(members, lam, g) * eval_phi(_shifted(lam, members), x,
-                                                                   g, contour=contour)
+        for coef, shifted in h_terms(r, lam, g):
+            total += coef * eval_phi(shifted, x, g, contour=contour)
         eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
         res = apply_dual_hamiltonian(r, lam, x, g)
         assert res.value == total

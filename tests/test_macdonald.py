@@ -327,6 +327,25 @@ class TestTauLimit:
         assert abs(fit.hs1_fitted - hs1) <= 1e-12 * abs(hs1)
         assert abs(fit.hs2_fitted - hs2) <= 1e-12 * abs(hs2)
 
+    @pytest.mark.parametrize("g, rho", [(1.5, 0.05), (30.0, 3.0 / (60.0 * math.pi))])
+    def test_radius_follows_the_exponential_type(self, monkeypatch, g, rho):
+        # |sigma| = min(0.05, 3 / T), T = pi ((n - 1) g + 2 max|exponent|) = 60 pi at g = 30
+        radii, apply = [], macdonald.apply_macdonald
+
+        def spy(r, params, z, f):
+            radii.append(abs(cmath.log(params.q)) / math.pi)
+            return apply(r, params, z, f)
+
+        monkeypatch.setattr(macdonald, "apply_macdonald", spy)
+        fit = tau_limit_check((0.5, 0.1, -0.4), g, LaurentPolynomial(3, {(0, 0, 0): 1.0}))
+        assert radii == pytest.approx([rho] * 32, rel=1e-12) and fit.error <= 1e-11
+
+    def test_unresolvable_floor_is_refused(self):
+        # at g = 1e4 the radius 3 / T leaves a round-off floor of 1e-10, ten times a tenth of
+        # the gate: HS1 f = 0 here, so c_1's round-off over rho is all of the hs1 error
+        with pytest.raises(macdonald.TauResolutionError, match="floor"):
+            tau_limit_check((0.4, -0.2), 1e4, LaurentPolynomial(2, {(1, -1): 1.0}))
+
     def test_error_propagates_nan(self):
         fit = macdonald.TauFitResult(1.0, 1.0, complex(math.nan), 1.0)
         assert math.isnan(fit.error)

@@ -631,6 +631,10 @@ class TestContours:
         with pytest.raises(InfeasibleContourError):
             default_contour(2, 1.0, shifted=True)
 
+    @pytest.mark.parametrize("g", [0.5, 1.0])
+    def test_n1_has_no_level_to_refuse(self, g):
+        assert default_contour(1, g, shifted=True) == ()
+
     def test_validate_rejects_wrong_level_count(self):
         with pytest.raises(ValueError):
             validate_contour((0.0,), (0.1j, 0.9j, -0.8j), 1.5)

@@ -20,15 +20,14 @@ from .cgamma import GammaPoleError, log_gamma
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      GridBudgetError, InfeasibleContourError, PositionPoint,
-                     QuadratureSpec, SpectralPoint, TailNotConvergedError, default_contour,
-                     eval_phi, eval_phi_many, eval_psi, kernel_K, measure_mu,
-                     sinh_prefactor, validate_contour)
+                     QuadratureSpec, SpectralPoint, TailNotConvergedError, eval_phi,
+                     eval_phi_many, eval_psi, kernel_K, measure_mu, sinh_prefactor,
+                     validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,
                              apply_reduced_HS, prefactor_log_derivatives)
-from .dual_ops import (apply_dual_hamiltonian, apply_dual_operator,
-                       gauge_function, gauge_relation_residual,
-                       gauge_shift_residual, measure_shift_residual,
-                       measure_weight)
+from .dual_ops import (ShiftLawResolutionError, apply_dual_hamiltonian,
+                       apply_dual_operator, gauge_function, gauge_relation_residual,
+                       gauge_shift_residual, measure_shift_residual, measure_weight)
 from .macdonald import (LaurentPolynomial, MacdonaldParams, TauResolutionError, TorusPoint,
                         apply_macdonald, qpochhammer, tau_limit_check,
                         verify_gauge_equivalence, weight_and_gauge,

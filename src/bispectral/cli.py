@@ -30,8 +30,8 @@ every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
 failed, 2 a configuration error (an unknown key or flag, a non-finite number,
 an oracle grid below 2, an order r outside 1..n), 3 an infeasible domain
 (among them a point whose grid would exceed the node budget, where Phi or
-e_r(e^{2x}) leaves the double range, or a tau fit whose round-off floor is
-too high), 4 an internal error (traceback on stderr).
+e_r(e^{2x}) leaves the double range, or a tau fit or shift law whose round-off
+floor is too high), 4 an internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ import numpy as np
 
 from . import identities
 from .cgamma import GammaPoleError
-from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual,
-                       gauge_shift_residual, measure_shift_residual,
-                       measure_weight)
+from .dual_ops import (ShiftLawResolutionError, apply_dual_hamiltonian,
+                       gauge_relation_residual, gauge_shift_residual,
+                       measure_shift_residual, measure_weight)
 from .identities import (binomial_limit_check, residue_check, substitution_check,
                          verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
@@ -71,8 +71,8 @@ from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
 __all__ = ["RunConfig", "CheckReport", "REGISTRY", "checks", "run", "main"]
 
 _DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError, GridBudgetError,
-                  CoincidentCoordinatesError, ConvergenceWindowError,
-                  GammaPoleError, HypergeometricError, TauResolutionError, OverflowError)
+                  CoincidentCoordinatesError, ConvergenceWindowError, GammaPoleError,
+                  HypergeometricError, TauResolutionError, ShiftLawResolutionError, OverflowError)
 
 # the residual gate of each check family; no config or flag changes one
 _DEFAULT_TOLS = {

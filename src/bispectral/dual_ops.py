@@ -15,7 +15,7 @@ pair coefficients appear, each (l_i - l_j + s)/(l_i - l_j) for its own shift s:
 shift to the Mellin-Barnes integral requires moving the integration contours
 so they keep separating the shifted pole lattices; ``apply_dual_hamiltonian``
 applies H_g to Phi, re-running the full integral at shifted lambda on the
-shifted contour (no surrogate continuation).  The gauge function and the
+line Re = 1 (no surrogate continuation).  The gauge function and the
 measure weights tie D_g and H_g together and degenerate to the Sklyanin
 measure at g = 1/2.
 """
@@ -31,7 +31,7 @@ from .cgamma import _is_pole, log_gamma
 from .symfun import elementary_symmetric, subset_terms
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
 from .wavefn import (_DISTINCT_TOL, QuadratureSpec, SpectralPoint, as_position, as_spectral,
-                     default_contour, eval_phi, measure_mu)
+                     eval_phi, measure_mu)
 
 __all__ = [
     "DualWeightKind",
@@ -43,9 +43,20 @@ __all__ = [
     "gauge_relation_residual",
     "gauge_shift_residual",
     "measure_shift_residual",
+    "ShiftLawResolutionError",
 ]
 
 DualWeightKind = Literal["mu_g", "mu_1mg", "sklyanin"]
+
+# a shift law's residual carries round-off of c eps max|log W| over its weights W and their
+# shifts: c read 0.7-8.3 over 1 440 checks of 10 draws (n = 3, g = 1.5 ... 1e4), median 2,
+# 99th percentile about 4.  A floor past a tenth of the gate (gauge.shift 1e-10,
+# measures.diffeq 1e-11) is refused
+_SHIFT_FLOOR, _GAUGE_FLOOR_TOL, _MEASURE_FLOOR_TOL = 4.0 * 2.0 ** -53, 1e-11, 1e-12
+
+
+class ShiftLawResolutionError(ArithmeticError):
+    """A shift law's round-off floor is above what its check's gate can resolve."""
 
 
 def _terms(r: int, z, shift: float):
@@ -57,7 +68,7 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
     """Apply the order-r dual Hamiltonian H_g to a black-box function of lambda.
 
     For f entire (gauge relations, commutativity probes) no contour bookkeeping
-    is involved; ``apply_dual_hamiltonian`` passes Phi on the shifted contour.
+    is involved; ``apply_dual_hamiltonian`` passes Phi on the line Re = 1.
     """
     lam = as_spectral(lam)
     sign = (-1.0) ** (r * (lam.n - 1))
@@ -71,28 +82,28 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None
                            lattice: dict | None = None) -> EigenResidual:
     """Order-r dual Hamiltonian on Phi versus its e_r(e^{2x}) eigenvalue.
 
-    Each shifted term re-evaluates the Mellin-Barnes integral with all contour levels at
-    Re = 1, which separates the shifted pole lattices exactly when g > 1; ``default_contour``
-    refuses any other g before any evaluation, except at n = 1, which has no level.  The
-    sinh prefactor is lambda-independent, so the statement on Psi is equivalent to the same
-    relation on Phi; Phi is what is tested.  D_{1-g} would multiply both sides by the same
-    sign (-1)^{r(n-1)} and give the same residual.  lattice is ``eval_phi_many``'s: the
-    base and every shifted evaluation use it (None: a fresh one for this call).
+    Each shifted term re-evaluates the Mellin-Barnes integral with every level on the line
+    Re = 1, which at Re lambda = 0 separates the shifted pole lattices exactly when g > 1;
+    ``validate_contour`` refuses it otherwise at the first shifted term, except at n = 1,
+    which has no level.  The sinh prefactor is lambda-independent, so the statement on Psi
+    is equivalent to the same relation on Phi; Phi is what is tested.  D_{1-g} would
+    multiply both sides by the same sign (-1)^{r(n-1)} and give the same residual.  lattice
+    is ``eval_phi_many``'s: the base and every shifted evaluation use it (None: a fresh one
+    for this call).
     """
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n={n}, got r={r}")
-    # every subset shifts at least one variable, so all share the Re = 1 contour; the
-    # shifts are real and both contours have c1 = c2, so all share one lattice: the kernel
-    # columns (a shifted lambda_k's is its unshifted one's read back by K(-d) = K(d)) and,
-    # for n = 3, the offset envelope and moments
-    contour = default_contour(n, g, shifted=True)
+    # every subset shifts at least one variable, so all share the line Re = 1; the shifts
+    # are real, so all share one lattice with the base point: the kernel columns (a shifted
+    # lambda_k's is its unshifted one's read back by K(-d) = K(d)) and, for n = 3, the
+    # offset envelope and moments, which no line moves
     lattice = {} if lattice is None else lattice
     phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
     return dual_eigen_residual(r, lam, x.values, g, lambda s: eval_phi(
-        s, x, g, contour=contour, quad=quad, lattice=lattice), phi)
+        s, x, g, contour=1.0, quad=quad, lattice=lattice), phi)
 
 
 def dual_eigen_residual(r: int, lam, x, g: float, f: Callable, base: complex) -> EigenResidual:
@@ -137,17 +148,22 @@ def _shift_each(lam: np.ndarray, i: np.ndarray) -> np.ndarray:
     return np.where(np.arange(n) == i[..., None], lam + 2.0, lam)
 
 
-def _shift_law_residual(lam, i, log_weight: Callable, predicted: Callable):
+def _shift_law_residual(lam, i, log_weight: Callable, predicted: Callable, floor_tol: float):
     """|ratio - predicted| / |predicted| for a weight's shift law under lambda_i -> lambda_i + 2.
 
     lam is one point or a stack, shape (..., n), and i one 0-based index per point or one
     for all.  log_weight maps a stack of points to their log weights in one call, made
     once on every point and its shift; predicted(point, i) is the law's ratio at one point,
-    in Python arithmetic, as is the rest: one residual per point.
+    in Python arithmetic, as is the rest: one residual per point.  A floor _SHIFT_FLOOR
+    max|log W| over the finite log weights above floor_tol raises ShiftLawResolutionError.
     """
     lam = _points(lam)
     i = np.broadcast_to(i, lam.shape[:-1])
-    shifted, base = log_weight(np.stack([_shift_each(lam, i), lam]))
+    logs = log_weight(np.stack([_shift_each(lam, i), lam]))
+    floor = _SHIFT_FLOOR * float(np.max(np.abs(logs), where=np.isfinite(logs), initial=0.0))
+    if floor > floor_tol:
+        raise ShiftLawResolutionError(f"shift-law round-off floor {floor:.3g} > {floor_tol:g}")
+    shifted, base = logs
     out = []
     for point, k, up, down in zip(lam.reshape(-1, lam.shape[-1]).tolist(), i.ravel().tolist(),
                                   np.ravel(shifted).tolist(), np.ravel(base).tolist()):
@@ -181,7 +197,8 @@ def gauge_shift_residual(lam, i, g: float):
                 ratio *= (point[i] - other - 2.0 * g + 2.0) / (point[i] - other + 2.0 * g)
         return ratio
 
-    return _shift_law_residual(lam, i, lambda stack: gauge_function(stack, g), predicted)
+    return _shift_law_residual(lam, i, lambda stack: gauge_function(stack, g), predicted,
+                               _GAUGE_FLOOR_TOL)
 
 
 def measure_weight(lam, g: float, kind: DualWeightKind):
@@ -227,7 +244,8 @@ def measure_shift_residual(lam, i, g: float, kind: DualWeightKind):
                 ratio *= up / down if kind == "mu_g" else down / up
         return ratio
 
-    return _shift_law_residual(lam, i, lambda stack: measure_weight(stack, g, kind), predicted)
+    return _shift_law_residual(lam, i, lambda stack: measure_weight(stack, g, kind), predicted,
+                               _MEASURE_FLOOR_TOL)
 
 
 def gauge_relation_residual(r: int, lam, g: float, f):

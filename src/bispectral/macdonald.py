@@ -56,7 +56,7 @@ class TauResolutionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MacdonaldParams:
-    """Finite nonzero (q, t); ``from_coupling`` sets t = q^g.  ``qpochhammer`` refuses |q| >= 1."""
+    """Finite nonzero (q, t).  ``qpochhammer`` refuses |q| >= 1."""
 
     q: complex
     t: complex
@@ -66,10 +66,6 @@ class MacdonaldParams:
             raise ValueError(f"q and t must be finite, got q = {self.q}, t = {self.t}")
         if self.q == 0 or self.t == 0:
             raise ValueError("q and t must be nonzero")
-
-    @classmethod
-    def from_coupling(cls, q: complex, g: float) -> "MacdonaldParams":
-        return cls(q=complex(q), t=complex(q) ** g)
 
     @property
     def qsq(self) -> complex:
@@ -264,9 +260,9 @@ def _reduced_action(f: LaurentPolynomial, z: Sequence[complex], g: float) -> tup
 def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) -> TauFitResult:
     """Taylor coefficients of M_1 in tau against the reduced Hamiltonians.
 
-    With tau = i*sigma, q = e^{-pi sigma} and t = q^g, v(sigma) = M_1 f - n f is
-    entire in sigma, of exponential type T = pi ((n - 1) g + 2 max|exponent of f|),
-    and equals -pi sigma HS1 f + (pi sigma)^2/2 HS2 f + O(sigma^3).  The trapezoid
+    With tau = i*sigma, q = e^{-pi sigma} and t = e^{-pi g sigma} = q^g, v(sigma) =
+    M_1 f - n f is entire in sigma, of exponential type T = pi ((n - 1) g + 2 max|exponent
+    of f|), and equals -pi sigma HS1 f + (pi sigma)^2/2 HS2 f + O(sigma^3).  The trapezoid
     rule on |sigma| = rho = min(0.05, 3 / T) with 32 nodes gives its Taylor
     coefficients c_k = mean(v / sigma^k) up to aliasing of c_{k+32}, below
     (T rho)^32 / 32! ~ 1e-20 (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Each v
@@ -282,11 +278,10 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
     rho = _TAU_KAPPA / exp_type if exp_type * _TAU_RADIUS > _TAU_KAPPA else _TAU_RADIUS
     sigmas = rho * np.exp(2j * np.pi * np.arange(_TAU_NODES) / _TAU_NODES)
     base = n * f(z)
-    totals = []
-    for s in sigmas:  # below the default radius t = e^{-pi g sigma}: q^g has g times q's rounding
-        q = cmath.exp(-math.pi * s)
-        totals.append(apply_macdonald(1, MacdonaldParams(
-            q, cmath.exp(-math.pi * g * s) if rho < _TAU_RADIUS else q ** g), z, f))
+    # t = e^{-pi g sigma}, not q^g, which carries g times q's rounding
+    totals = [apply_macdonald(1, MacdonaldParams(cmath.exp(-math.pi * s),
+                                                 cmath.exp(-math.pi * g * s)), z, f)
+              for s in sigmas]
     values = np.array(totals) - base
     c1, c2 = np.mean(values / sigmas), np.mean(values / sigmas ** 2)
     noise = _TAU_FLOOR * float(np.max(np.abs(totals))) / (math.pi * rho)

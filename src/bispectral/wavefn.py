@@ -1,7 +1,7 @@
 """Nested Mellin-Barnes evaluation of the hyperbolic Sutherland wave function.
 
-The wave function Phi is an iterated contour integral over vertical lines in
-the complex plane: level m carries m integration variables, the integrand is
+The wave function Phi is an iterated contour integral, every level on one vertical
+line Re = c (the contour): level m carries m integration variables, the integrand is
 a ratio of gamma-function products (a kernel coupling adjacent levels over an
 inverse-gamma measure within a level) times an exponential in the
 coordinates, and the recursion bottoms out at a single exponential e^{l x}.
@@ -50,7 +50,6 @@ __all__ = [
     "ConvergenceWindowError",
     "kernel_K",
     "measure_mu",
-    "default_contour",
     "validate_contour",
     "eval_phi",
     "eval_phi_many",
@@ -122,8 +121,8 @@ class SpectralPoint:
     """Tuple of n finite spectral parameters, pairwise distinct.
 
     Nominally purely imaginary; a small real part (or the +2 shifts produced
-    by the dual difference operators) is admitted as long as a separating
-    contour exists, which ``validate_contour`` checks.
+    by the dual difference operators) is admitted as long as the evaluation's
+    line Re = c separates the pole lattices, which ``validate_contour`` checks.
     """
 
     values: tuple[complex, ...]
@@ -326,50 +325,24 @@ def measure_mu(nu, g: float) -> complex:
     return np.sum(_log_measure(nu[..., r] - nu[..., s], g), axis=-1)[()]
 
 
-def validate_contour(contour: tuple[float, ...], lam, g: float) -> float:
-    """Check pole separation for every adjacent pair of levels.
+def validate_contour(c: float, lam, g: float) -> float:
+    """The pole margin of the line Re = c on which every level lies.
 
     The lattices attached to an upper variable with real part d are
     d + g + 2k (ascending) and d - g - 2k (descending), k >= 0; the line
-    Re = c separates them iff its margin g - |c - d| is positive for every d.
-    Returns the smallest margin over all levels (g when there are none);
-    raises InfeasibleContourError unless it is > 0, so a NaN is refused too.
+    Re = c separates them iff its margin g - |c - d| is positive.  A lower
+    level sits on the line itself (margin g), so the margin is g - max_k
+    |c - Re lambda_k|, or g at n = 1, which has no level.  Raises
+    InfeasibleContourError unless it is > 0, so a NaN is refused too.
     """
     lam = as_spectral(lam)
-    n = lam.n
-    if len(contour) != n - 1:
-        raise ValueError(f"contour has {len(contour)} levels, need {n - 1}")
     top_re = [v.real for v in lam.values]
-    # each level's line against the real parts of the level above it
-    uppers = [[c] for c in contour[1:]] + [top_re]
-    margin = min((g - abs(c - d) for c, upper in zip(contour, uppers) for d in upper),
-                 default=g)
+    margin = g - max(abs(c - d) for d in top_re) if lam.n > 1 else g
     if not margin > 0.0:
         raise InfeasibleContourError(
-            f"contour {contour} does not separate the pole lattices "
+            f"the line Re = {c} does not separate the pole lattices "
             f"for Re(lambda) = {top_re}, g = {g} (margin {margin:.3g})")
     return margin
-
-
-def default_contour(n: int, g: float, shifted: bool = False) -> tuple[float, ...]:
-    """Pole-separating contour for a base point with Re(lambda) ~ 0.
-
-    A contour is the tuple of the n - 1 level real parts: entry i is the
-    common real part of the i + 1 variables at level i + 1.  Unshifted
-    evaluation integrates along the imaginary axes.  When some top-level
-    variables carry a +2 shift (shifted=True), all levels move to Re = 1,
-    which lies in the admissible window (-g+2, g) exactly when g > 1; n = 1
-    has no level, so its empty contour serves every g.
-    """
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
-    if not shifted or n == 1:
-        return (0.0,) * (n - 1)
-    if g <= 1.0:
-        raise InfeasibleContourError(
-            f"shifted pole lattices admit no separating line for g = {g}: "
-            f"the window (-g+2, g) = ({2 - g:.3g}, {g:.3g}) is empty")
-    return (1.0,) * (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +431,20 @@ def _level2(log_kernel, x1, x2, c, center, T, cap, step, m_max):
         T = min(1.5 * T, cap)
 
 
-def _offset_kernel(dc, step, M, g, lattice):
-    """log_kernel for _level2 against an M-node outer grid of the same step and centre.
+def _offset_kernel(step, M, g, lattice):
+    """log_kernel for _level2 against an M-node outer grid of the same line, step and centre.
 
-    Level-1 node i and outer node p differ by dc + 1j*step*(k_i - k_p), with k the integer
+    Level-1 node i and outer node p differ by 1j*step*(k_i - k_p), with k the integer
     grid index counted from the centre, so log K(gam_i, nu_p) is f(k_i - k_p): the
-    _grid_kernel column at (dc, 0) on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2) that
+    _grid_kernel column at (0, 0) on the N + 3M - 3 offsets |j| <= N//2 + 3(M//2) that
     _lattice_moments reaches.  Node i's envelope is the largest Re f over its M offsets
     k_i - k_p, a sliding-window maximum, kept in the lattice dict under every scalar it
     depends on.
     """
     def log_kernel(gam):
         reach = gam.size // 2 + 3 * (M // 2)
-        f = _grid_kernel([(dc, 0.0)], step, reach, g, lattice)[:, 0]
-        key = ("envelope", dc, step, g, M, reach)
+        f = _grid_kernel([(0.0, 0.0)], step, reach, g, lattice)[:, 0]
+        key = ("envelope", step, g, M, reach)
         if key not in lattice:
             lattice[key] = sliding_window_view(f.real[M - 1:f.size - M + 1], M).max(axis=1)
         return lattice[key], f
@@ -483,7 +456,7 @@ def _lattice_moments(f, step, dx, M, m_max):
 
     F = e^f on the offsets of _offset_kernel; |j| <= N//2 + M//2 is the union
     of the level-1 grid's per-p windows.  The level-2 moments are C_m[p, q] =
-    e^{gam_p dx} _moment(G(p - q), gam_p, 0, m).  No FFT: G_l's entries near
+    e^{nu_p dx} _moment(G(p - q), nu_p, 0, m).  No FFT: G_l's entries near
     |d| = M - 1 are some 40 orders below its peak, and the measure grows there.
     """
     F = np.exp(f)
@@ -500,16 +473,15 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _quantities_n2(lam, x, g, contour, step, derivs, lattice):
+def _quantities_n2(lam, x, g, c, step, derivs, lattice):
     """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
     e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
     + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
-    (Im l1 - Im l2)/2, so at c - Re l2 = +-(c - Re l1) (every default contour) they are one
-    column read back twice.  The calls at one point, and at other x or real shifts of
-    lambda, share it through lattice, and each still grows its own grid and tail test."""
+    (Im l1 - Im l2)/2, so at c - Re l2 = +-(c - Re l1) (c = 0 and 1 at Re lambda = 0 and its
+    +2 shifts) they are one column read back twice.  The calls at one point, and at other x
+    or real shifts of lambda, share it through lattice, and each grows its own grid."""
     l1, l2 = lam
     x1, x2 = x
-    c = contour[0]
     center = 0.5 * (l1.imag + l2.imag)
     delta = 0.5 * (l1.imag - l2.imag)
     rate = max(math.pi - abs(x1 - x2), 0.5)
@@ -530,14 +502,14 @@ def _quantities_n2(lam, x, g, contour, step, derivs, lattice):
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
 
 
-def _outer_entries(nu, gam, a, b, H, lam_sum, p, q, d):
+def _outer_entries(nu, a, b, H, lam_sum, p, q, d):
     """O[p, q] = (lam_sum - S)^d3 _moment(C, S, d1, d2) at index arrays p, q.
 
-    S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), gam_p, 0, k): the per-node
+    S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), nu_p, 0, k): the per-node
     factors a, b times the level-2 moments, read off the Toeplitz offsets H_l.
     """
     H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
-    C = [a[p] * b[q] * _moment(H_pq, gam[p], 0, k) for k in range(d[0] + d[1] + 1)]
+    C = [a[p] * b[q] * _moment(H_pq, nu[p], 0, k) for k in range(d[0] + d[1] + 1)]
     return (lam_sum - nu[p] - nu[q]) ** d[2] * _moment(C, nu[p] + nu[q], d[0], d[1])
 
 
@@ -550,10 +522,10 @@ def _outer_values(outer, derivs):
     max|O| < inf; rows and columns 0, M // 2, M - 1 bound max|O| from below (not the
     diagonal: mu(0) = 0), and only when that bound fails is the full M x M |O| taken.
     """
-    nu, gam, a, b, H, lam_sum = outer
+    nu, a, b, H, lam_sum = outer
     top = max(map(sum, derivs))
     Y = [[np.convolve(H_l, b * nu ** i, "valid") for H_l in H] for i in range(top + 1)]
-    Z = [[sum(math.comb(s, i) * np.dot(a * nu ** (s - i), _moment(Y[i], gam, 0, k))
+    Z = [[sum(math.comb(s, i) * np.dot(a * nu ** (s - i), _moment(Y[i], nu, 0, k))
               for i in range(s + 1)) for k in range(len(H))] for s in range(top + 1)]
     values = [complex(sum(math.comb(d3, e) * (-1) ** e * lam_sum ** (d3 - e)
                           * math.comb(d2, j) * (-1) ** (d2 - j) * Z[e + j][d1 + d2 - j]
@@ -571,16 +543,15 @@ def _outer_values(outer, derivs):
     return values if np.isfinite(values).all() else None
 
 
-def _quantities_n3(lam, x, g, contour, step, derivs, lattice):
-    """The outer kernel column of lambda_k is _grid_kernel's at (c2 - Re lambda_k,
-    Im lambda_k - centre), and the offset kernel f its column at (c1 - c2, 0).  lattice
-    keeps the columns, f's envelope and H_l = mu G_l under every scalar they depend on:
-    f, its envelope and H_l do not depend on lambda, and a real shift of lambda moves no
-    column's key, or moves it to the one of -a.  So calls at real shifts of lambda share
-    them, and each call still grows its own grids and runs its own tail tests."""
+def _quantities_n3(lam, x, g, c, step, derivs, lattice):
+    """Both levels lie on Re = c.  The outer kernel column of lambda_k is _grid_kernel's at
+    (c - Re lambda_k, Im lambda_k - centre), and the offset kernel f between the levels its
+    column at (0, 0).  lattice keeps the columns, f's envelope and H_l = mu G_l under every
+    scalar they depend on: f, its envelope and H_l depend on neither lambda nor c, and a
+    real shift of lambda moves no column's key, or moves it to the one of -a.  So calls at
+    real shifts of lambda share them, and each call still grows its own grids."""
     l1, l2, l3 = lam
     x1, x2, x3 = x
-    c1, c2 = contour
     center = (l1.imag + l2.imag + l3.imag) / 3.0
     lam_sum = l1 + l2 + l3
     im_spread = max(abs(v.imag - center) for v in lam)
@@ -592,26 +563,25 @@ def _quantities_n3(lam, x, g, contour, step, derivs, lattice):
 
     while True:
         t_out, w_out = _grid(center, T_out, step)
-        nu = c2 + 1j * t_out
+        nu = c + 1j * t_out
         M = nu.size
 
         # inner contraction: phi at level 2 as 2M - 1 Toeplitz offsets
-        _, _, f, T_in = _level2(_offset_kernel(c1 - c2, step, M, g, lattice), x1, x2,
-                                c1, center, T_in, cap + T_out, step, m_max)
+        _, _, f, T_in = _level2(_offset_kernel(step, M, g, lattice), x1, x2,
+                                c, center, T_in, cap + T_out, step, m_max)
 
         # outer weight: a, b per node; the measure, which overflows alone, meets G_l in logs
-        lgK = _grid_kernel([(c2 - v.real, v.imag - center) for v in lam], step, M // 2,
+        lgK = _grid_kernel([(c - v.real, v.imag - center) for v in lam], step, M // 2,
                            g, lattice)
         u = np.sum(lgK, axis=1) + nu * (x2 - x3) + np.log(w_out) + lam_sum * x3 / 2
-        gam = nu + (c1 - c2)
-        key = ("moments", c1 - c2, step, g, M, f.size // 2, x1 - x2, m_max)
+        key = ("moments", step, g, M, f.size // 2, x1 - x2, m_max)
         if key not in lattice:
             log_mu = _log_measure(1j * step * np.arange(M), g)  # even in the offset
             log_mu_off = np.concatenate([log_mu[:0:-1], log_mu])
             G = _lattice_moments(f, step, x1 - x2, M, m_max)
             lattice[key] = [np.exp(log_mu_off + np.log(G_l)) for G_l in G]
         H = lattice[key]
-        outer = (nu, gam, np.exp(u + gam * (x1 - x2)), np.exp(u), H, lam_sum)
+        outer = (nu, np.exp(u + nu * (x1 - x2)), np.exp(u), H, lam_sum)
         values = _outer_values(outer, derivs)
         if values is not None:
             return values
@@ -624,7 +594,7 @@ def _quantities_n3(lam, x, g, contour, step, derivs, lattice):
         T_in += grow
 
 
-def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = None,
+def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
                   quad: QuadratureSpec | None = None, *,
                   lattice: dict | None = None) -> list[complex]:
     """Evaluate several coordinate derivatives of Phi in one quadrature pass.
@@ -632,13 +602,15 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     derivs is a list of per-coordinate derivative-order tuples (total order
     <= 2 each); the value of Phi itself is the all-zero tuple.  All
     quantities share the same grid, so ratios between them carry no
-    discretisation noise beyond the integrand factors themselves.  n must be
-    1, 2 or 3 and derivs must not be empty, or ValueError is raised, the same
-    at every n; |Re sum lambda| max|x_i| above _MAX_SCALE raises OverflowError
-    before any quadrature.  A lattice dict shared between calls reuses
-    what they have in common: the kernel columns, which depend on the contour
-    and lambda only through c - Re lambda_k and Im lambda_k minus the grid
-    centre, and for n = 3 the lambda-independent envelope and moments.  So
+    discretisation noise beyond the integrand factors themselves.  contour is
+    the real part c of the line on which every level lies; validate_contour
+    refuses a line that does not separate the pole lattices.  n must be
+    1, 2 or 3, derivs must not be empty and g must be positive, or ValueError
+    is raised, the same at every n; |Re sum lambda| max|x_i| above _MAX_SCALE
+    raises OverflowError before any quadrature.  A lattice dict shared between
+    calls reuses what they have in common: the kernel columns, which depend on
+    c and lambda only through c - Re lambda_k and Im lambda_k minus the grid
+    centre, and for n = 3 the lambda- and c-independent envelope and moments.  So
     calls at real shifts of lambda or at other x share them (None: a fresh
     one; n = 1 ignores it).  Every entry is a pure function of its key, so
     sharing moves no value.  Keep a dict for one point (lambda, x, g) and the
@@ -660,8 +632,9 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     if (scale := abs(sum(v.real for v in lam.values)) * max(map(abs, x.values))) > _MAX_SCALE:
         raise OverflowError(f"Phi's scale e^(Re(sum lambda) x) is out of range: "
                             f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
+    if g <= 0:
+        raise ValueError("coupling g must be positive")
     quad = quad or QuadratureSpec()
-    contour = contour or default_contour(n, g)
     margin = validate_contour(contour, lam, g)
     if n == 1:
         return _quantities_n1(lam.values, x.values, derivs)
@@ -671,7 +644,7 @@ def eval_phi_many(lam, x, g: float, derivs, contour: tuple[float, ...] | None = 
     return quantities(lam.values, x.values, g, contour, step, derivs, lattice)
 
 
-def eval_phi(lam, x, g: float, contour: tuple[float, ...] | None = None,
+def eval_phi(lam, x, g: float, contour: float = 0.0,
              quad: QuadratureSpec | None = None, *, lattice: dict | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
     n = as_spectral(lam).n

@@ -257,10 +257,12 @@ class TestExitStatus:
             assert f"unknown config keys: ['{key}']" in err
 
     def test_infeasible_domain_is_three(self, capsys):
-        for g in ("1.0", "0.5"):
-            code, _, err = run_main(capsys, ["check-dual", "--g", g])
-            assert code == 3
-            assert "infeasible" in err
+        # the shifted terms' line Re = 1 has margin g - 1 <= 0: refused, naming the line
+        # and its margin, with no report
+        for g, margin in (("1.0", "0"), ("0.5", "-0.5")):
+            code, out, err = run_main(capsys, ["check-dual", "--g", g])
+            assert code == 3 and not out
+            assert "infeasible: the line Re = 1.0 " in err and f"(margin {margin})" in err
 
     @pytest.mark.parametrize("g", ["0.5", "1.0"])
     def test_n1_dual_runs_at_every_g(self, capsys, g):
@@ -275,6 +277,15 @@ class TestExitStatus:
         # the radius shrinks with the exponential type of the fitted function, so these
         # correct operators pass; at the fixed radius 0.05 they read 2.9e-10 ... 0.13
         code, out, _ = run_main(capsys, ["check-macdonald", "--g", g])
+        assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
+
+    @pytest.mark.parametrize("command", ["check-measures", "check-gauge"])
+    def test_shift_law_floor_past_the_gate_is_three(self, capsys, command):
+        # at g = 1000 the log weights reach 3.5e4, whose round-off alone nears the gates;
+        # at g = 10 the same draws pass
+        code, out, err = run_main(capsys, [command, "--g", "1000"])
+        assert code == 3 and not out and "round-off floor" in err
+        code, out, _ = run_main(capsys, [command, "--g", "10"])
         assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
 
     def test_tau_floor_past_the_gate_is_three(self, capsys):
@@ -307,7 +318,7 @@ class TestExitStatus:
         (["compare-oracle", "--grid", "0"], "grid"),
         # a non-finite real part, as well as an imaginary one
         (["eval-phi", "--lambda", "inf:0.7,0:-0.3"], "lambda"),
-        # default_contour refuses it for check-dual as for check-sutherland
+        # eval_phi refuses it for check-dual as for check-sutherland
         (["check-dual", "--g", "-1"], "coupling"),
         # sizes and seeds the checks would refuse only after running others
         (["all", "--n", "0"], "n"),
@@ -412,11 +423,11 @@ class TestReports:
 
     @pytest.mark.parametrize("command, config, want", [
         ("all", RunConfig(seed=7),
-         "8d48c13c76990e39faff91c8d0d9ba1f0e9c922d169dbc5672aa92b4253817af"),
+         "fad49cb78b7c49b21235fe16b86c6e3285ffe0667d6f291012fadb0a7bc87980"),
         ("all", RunConfig(seed=1),
-         "f1784d71ef6fa5f001593a3722135c73d71c3c01996808721e309f1679502653"),
+         "592d6ace2fe9054ca2fc786d2003e7d79e5d692542a76668188561312dedd531"),
         ("all", RunConfig(seed=1009),
-         "2141a33550ba8deaea66f8bcd9d437c0f6ea52eae3ff0be0d3b63b57cff8a2e5")],
+         "715ce7f993adb09e4d1fc02e523ee17cfcbd40615ecc932531eb0b0cc9e489eb")],
         ids=["all-seed-7", "all-seed-1", "all-seed-1009"])
     def test_report_digest(self, command, config, want):
         # sha256 of the NDJSON reports without wall_time, one per line: the
@@ -432,7 +443,7 @@ class TestReports:
         rest = [rep for rep in reports if not reaches_n2(rep)]
         assert len(rest) == 48
         assert report_digest(rest) == (
-            "c49fe54aa6b8a60671d7e1bcf9c2635ba5b4113d1dd5b876e8429ddb56daae8b")
+            "07c3ed1454591c0023194efc27c46b0492c34a9ea855d840dc6c5051f03f1949")
 
     def test_n2_digest(self):
         # the seven oracle and n = 2 reports of `all --seed 7`: work on the n = 3

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from bispectral import dual_ops, wavefn
-from bispectral.dual_ops import (_terms, apply_dual_hamiltonian, apply_dual_operator,
-                                 dual_eigen_residual, gauge_function, gauge_relation_residual,
-                                 gauge_shift_residual, measure_shift_residual, measure_weight)
+from bispectral.dual_ops import (ShiftLawResolutionError, _terms, apply_dual_hamiltonian,
+                                 apply_dual_operator, dual_eigen_residual, gauge_function,
+                                 gauge_relation_residual, gauge_shift_residual,
+                                 measure_shift_residual, measure_weight)
 from bispectral.symfun import elementary_symmetric
-from bispectral.wavefn import InfeasibleContourError, default_contour, eval_phi
+from bispectral.wavefn import InfeasibleContourError, eval_phi
 from bispectral.cgamma import GammaPoleError, log_gamma
 from bispectral.cli import RunConfig, run
 
@@ -161,6 +162,21 @@ class TestMeasures:
         for i in (-1, 3):
             with pytest.raises(ValueError):
                 measure_shift_residual(LAM3, i, 1.35, kind)
+
+    @pytest.mark.parametrize("law", [
+        lambda lam, g: measure_shift_residual(lam, 0, g, "mu_g"),
+        lambda lam, g: measure_shift_residual(lam, 0, g, "mu_1mg"),
+        lambda lam, g: gauge_shift_residual(lam, 0, g)], ids=["mu_g", "mu_1mg", "gauge"])
+    def test_round_off_floor_is_refused(self, law):
+        # 4 eps max|log W|: 1.6e-11 at g = 1000, past a tenth of either gate, and 3.4e-14
+        # at g = 10
+        with pytest.raises(ShiftLawResolutionError, match="round-off floor"):
+            law(LAM3, 1000.0)
+        assert law(LAM3, 10.0) <= 1e-12
+
+    def test_zero_weight_adds_no_floor(self):
+        # a weight zero (log -inf) at a gamma pole is no round-off: the NaN ratio is reported
+        assert np.isnan(measure_shift_residual((0.0, 2.0, 5j), 2, 1.5, "mu_1mg"))
 
     def test_shift_residual_needs_a_stated_law(self):
         with pytest.raises(ValueError):
@@ -343,9 +359,9 @@ class TestTranslationCovariance:
         # residual would read 6e-15 at c = -10, and pass
         original = dual_ops.eval_phi
 
-        def planted(lam, x, g, contour=None, **kw):
+        def planted(lam, x, g, contour=0.0, **kw):
             value = original(lam, x, g, contour=contour, **kw)
-            return value * (1.0 + 1e-6) if contour is not None else value
+            return value * (1.0 + 1e-6) if contour == 1.0 else value
 
         monkeypatch.setattr(dual_ops, "eval_phi", planted)
         status, got = self.residuals(LAM2, X2, c)
@@ -389,10 +405,9 @@ class TestSharedLattice:
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_equals_separate_evaluations(self, lam, x, r, g):
         # the operator written out with one fresh eval_phi per point
-        contour = default_contour(len(lam), g, shifted=True)
         total = 0.0 + 0.0j
         for coef, shifted in h_terms(r, lam, g):
-            total += coef * eval_phi(shifted, x, g, contour=contour)
+            total += coef * eval_phi(shifted, x, g, contour=1.0)
         eig = elementary_symmetric(r, [cmath.exp(2.0 * xi) for xi in x])
         res = apply_dual_hamiltonian(r, lam, x, g)
         assert res.value == total

@@ -68,11 +68,6 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             MacdonaldParams(q=q, t=t)
 
-    def test_from_coupling(self):
-        params = MacdonaldParams.from_coupling(0.4, 2.0)
-        assert params.t == pytest.approx(0.16)
-        assert params.qsq == pytest.approx(0.16)
-
 
 class TestOperators:
     def test_full_subset_is_pure_shift(self):

@@ -18,8 +18,7 @@ from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kerne
                                CoincidentCoordinatesError,
                                ConvergenceWindowError, InfeasibleContourError,
                                PositionPoint, QuadratureSpec, SpectralPoint,
-                               TailNotConvergedError, default_contour,
-                               eval_phi, eval_phi_many, eval_psi, kernel_K,
+                               TailNotConvergedError, eval_phi, eval_phi_many, eval_psi, kernel_K,
                                measure_mu, sinh_prefactor, validate_contour)
 
 LAM2 = (0.7j, -0.3j)
@@ -109,9 +108,9 @@ class TestKernelAndMeasure:
         # the pole on the grid kernel's one-argument path at a = 0: (0 - 2) / 2 = -1
         with pytest.raises(GammaPoleError):
             _grid_kernel([(0.0, 0.0)], 1.0, 2, -2.0, {})
-        # the same pole on the offset lattice: level-1 line g = 1.5 left of the outer one
+        # the same pole on the offset lattice, at offset 0
         with pytest.raises(GammaPoleError):
-            _offset_kernel(-1.5, 0.1, 3, 1.5, {})(np.zeros(5))
+            _offset_kernel(0.1, 3, -2.0, {})(np.zeros(5))
 
     @pytest.mark.parametrize("pts, c, built", [
         (np.array([0.75j, -0.25j]), 0.0, 1),  # n = 2 unshifted: a = 0 at +-delta, one column
@@ -155,26 +154,27 @@ class TestKernelAndMeasure:
         assert np.array_equal(np.isneginf(got.real), ~ok)
         assert elems == [(4 if np.any(d.real) else 2) * ok.sum()]
 
-    @pytest.mark.parametrize("c1, c2", [(0.0, 0.0), (1.0, 1.0), (0.3, -0.2)])
+    # both levels on the line Re = c; the ids name the level-1 and outer lines
+    @pytest.mark.parametrize("c", [0.0, 1.0], ids=["0.0-0.0", "1.0-1.0"])
     @pytest.mark.parametrize("t_in, t_out", [(3.0, 2.0), (1.2, 2.5)])
-    def test_lattice_kernel_matches_direct(self, c1, c2, t_in, t_out):
+    def test_lattice_kernel_matches_direct(self, c, t_in, t_out):
         # the n = 3 moments C_0..C_2 by lattice correlation, against the sum over
-        # level-1 nodes gam = gam_p + 1j*h*j, |j| <= N//2 + M//2, of
+        # level-1 nodes gam = nu_p + 1j*h*j, |j| <= N//2 + M//2, of
         # h e^{gam dx} gam^m K(gam, nu_p) K(gam, nu_q), each K from _log_kernel
-        validate_contour((c1, c2), (0.9j, 0.1j, -0.6j), G)
+        validate_contour(c, (0.9j, 0.1j, -0.6j), G)
         h, dx = 0.1, 0.45
-        gam = c1 + 1j * _grid(0.13, t_in, h)[0]
+        gam = c + 1j * _grid(0.13, t_in, h)[0]
         t = _grid(0.13, t_out, h)[0]
         N, M = gam.size, t.size
         assert N != M
-        env, f = _offset_kernel(c1 - c2, h, M, G, {})(gam)
-        direct_env = _log_kernel(gam, c2 + 1j * t, G).real.max(axis=1)
+        env, f = _offset_kernel(h, M, G, {})(gam)
+        direct_env = _log_kernel(gam, c + 1j * t, G).real.max(axis=1)
         assert np.max(np.abs(env - direct_env)) <= 1e-12
         # C_m[p, q] = e^{gam_p dx} sum_l binom(m, l) gam_p^(m-l) G_l(p - q), from
         # the 2M - 1 offsets G_l(d) = sum_j ... (-u_j)^l ... at index d + M - 1
         G_off = _lattice_moments(f, h, dx, M, 2)
         assert [g_l.size for g_l in G_off] == [2 * M - 1] * 3
-        gam_p = (c1 + 1j * t)[:, None]
+        gam_p = (c + 1j * t)[:, None]
         offset = np.arange(M)[:, None] - np.arange(M)[None, :] + M - 1
         got = [np.exp(gam_p * dx) * sum(math.comb(m, l) * gam_p ** (m - l) * (-1) ** l
                                         * G_off[l][offset] for l in range(m + 1))
@@ -183,8 +183,8 @@ class TestKernelAndMeasure:
         # every level-1 node any p reaches: k in [-(N//2 + 2(M//2)), N//2 + 2(M//2)]
         reach = N // 2 + 2 * (M // 2)
         k = np.arange(-reach, reach + 1)
-        node = c1 + 1j * (0.13 + h * k)
-        K = np.exp(_log_kernel(node, c2 + 1j * t, G))
+        node = c + 1j * (0.13 + h * k)
+        K = np.exp(_log_kernel(node, c + 1j * t, G))
         window = np.abs(k[:, None] - (np.arange(M) - M // 2)[None, :]) <= N // 2 + M // 2
         for m in range(3):
             want = (K * window * (h * np.exp(node * dx) * node ** m)[:, None]).T @ K
@@ -193,10 +193,13 @@ class TestKernelAndMeasure:
     @pytest.mark.parametrize("dc", [0.0, 0.5, -0.3, 1.0])
     @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
     def test_offset_kernel_mirror_is_exact(self, dc, g):
-        # f on j < 0 is conj f(-j), against log_gamma on both arguments at every offset
+        # the kernel column at real offset dc (the offset kernel's at dc = 0): f on j < 0
+        # is conj f(-j), against log_gamma on both arguments at every offset
         h, M = 0.1, 41
-        env, f = _offset_kernel(dc, h, M, g, {})(np.zeros(61))
-        mid = f.size // 2
+        env, f_off = _offset_kernel(h, M, g, {})(np.zeros(61))
+        mid = f_off.size // 2
+        f = _grid_kernel([(dc, 0.0)], h, mid, g, {})[:, 0]
+        assert dc != 0.0 or np.array_equal(f, f_off)
         d = dc + 1j * h * np.arange(-mid, mid + 1)
         direct = wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2)
         if abs(dc) == 1.0:
@@ -209,7 +212,7 @@ class TestKernelAndMeasure:
             same = np.arange(f.size) != mid if dc == 0.0 else slice(None)
             assert np.array_equal(f.imag[same], direct.imag[same])
             assert dc != 0.0 or f[mid].imag == 0.0
-        windows = np.lib.stride_tricks.sliding_window_view(f.real, M)[M - 1:-(M - 1)]
+        windows = np.lib.stride_tricks.sliding_window_view(f_off.real, M)[M - 1:-(M - 1)]
         assert np.array_equal(env, windows.max(axis=1))
 
     @pytest.mark.parametrize("g", [0.7, 1.25, 1.5, 2.0])
@@ -227,12 +230,12 @@ class TestKernelAndMeasure:
         lattice = {}
         eval_phi(LAM3, X3, g, lattice=lattice)
         (key, H), = ((k, v) for k, v in lattice.items() if k[0] == "moments")
-        _, dc, h, _, M, reach = key[:6]
-        f = lattice[("column", dc, 0.0, h, g)]
+        _, h, _, M, reach = key[:5]
+        f = lattice[("column", 0.0, 0.0, h, g)]
         assert f.size // 2 == reach
         d = 1j * h * np.arange(-reach, reach + 1)
         assert np.array_equal(f, wavefn.log_gamma((d + g) / 2) + wavefn.log_gamma((g - d) / 2))
-        env = lattice[("envelope", dc, h, g, M, reach)]
+        env = lattice[("envelope", h, g, M, reach)]
         windows = np.lib.stride_tricks.sliding_window_view(f.real, M)[M - 1:-(M - 1)]
         assert np.array_equal(env, windows.max(axis=1))
         log_mu = _log_measure(1j * h * np.arange(-(M - 1), M), g)
@@ -247,7 +250,7 @@ class TestKernelAndMeasure:
         shared = [eval_phi(lam, X3, G, lattice=lattice) for lam in (LAM3, wide)]
         assert shared == [eval_phi(LAM3, X3, G), eval_phi(wide, X3, G)]
         moments = [key for key in lattice if key[0] == "moments"]
-        assert len({key[4] for key in moments}) == 2 and len(moments) == 2
+        assert len({key[3] for key in moments}) == 2 and len(moments) == 2
         assert len([key for key in lattice if key[0] == "envelope"]) == 2
         # the offset column and one column per lambda_k of each point
         assert len([key for key in lattice if key[0] == "column"]) == 7
@@ -262,8 +265,7 @@ class TestKernelAndMeasure:
         # Every value is the unshared one bit for bit.
         points = [tuple(v + 2.0 if i in s else v for i, v in enumerate(LAM3))
                   for s in combinations(range(3), r)]
-        contour = default_contour(3, G, shifted=True)
-        unshared = [eval_phi(lam, X3, G, contour) for lam in points] + [eval_phi(LAM3, X3, G)]
+        unshared = [eval_phi(lam, X3, G, 1.0) for lam in points] + [eval_phi(LAM3, X3, G)]
         asked, grid_kernel = set(), wavefn._grid_kernel
 
         def spy(cols, *args):
@@ -273,7 +275,7 @@ class TestKernelAndMeasure:
         monkeypatch.setattr(wavefn, "_grid_kernel", spy)
         elems = _count_log_gamma(monkeypatch)
         lattice = {}
-        shared = [eval_phi(lam, X3, G, contour, lattice=lattice) for lam in points]
+        shared = [eval_phi(lam, X3, G, 1.0, lattice=lattice) for lam in points]
         shared.append(eval_phi(LAM3, X3, G, lattice=lattice))
         assert len(asked) == distinct
         assert len([key for key in lattice if key[0] == "column"]) == 7
@@ -349,7 +351,7 @@ class TestPairKernel:
     ], ids=["unshifted", "r2", "r1", "mirror-two-args", "fallback"])
     def test_pair_kernel_matches_direct(self, monkeypatch, lam, c, per_node):
         # the two columns _quantities_n2 asks for, at (c - Re l_j, +-delta)
-        validate_contour((c,), lam, G)
+        validate_contour(c, lam, G)
         gam = c + 1j * _grid(0.5 * (lam[0].imag + lam[1].imag), 15.0, 0.1)[0]
         want = _log_kernel(gam, np.array(lam), G)
         delta = 0.5 * (lam[0].imag - lam[1].imag)
@@ -360,7 +362,7 @@ class TestPairKernel:
         assert np.max(np.abs(np.expm1(got - want))) <= 1e-13
 
     @pytest.mark.parametrize("lam, contour", [
-        (LAM2, None), ((2 + 0.7j, -0.3j), (1.0,)), ((2 + 0.7j, 2 - 0.3j), (1.0,))],
+        (LAM2, 0.0), ((2 + 0.7j, -0.3j), 1.0), ((2 + 0.7j, 2 - 0.3j), 1.0)],
         ids=["unshifted", "r1", "r2"])
     def test_one_argument_per_node(self, monkeypatch, lam, contour):
         # one argument per node of the widest grid _level2 builds: a growth step adds only
@@ -380,19 +382,19 @@ class TestPairKernel:
         # Phi does not depend on the separating line: a1 = -a0 with two arguments, the
         # Re lambda_1 != Re lambda_2 fallback and a1 = a0 away from 0 and +-1
         lam = (0.2 + 0.7j, -0.3j)
-        base = eval_phi(lam, X2, G, (0.1,))
+        base = eval_phi(lam, X2, G, 0.1)
         for c in (0.0, 0.05, 0.3):
-            assert eval_phi(lam, X2, G, (c,)) == pytest.approx(base, rel=1e-12)
-        assert eval_phi(LAM2, X2, G, (0.3,)) == pytest.approx(eval_phi(LAM2, X2, G), rel=1e-12)
+            assert eval_phi(lam, X2, G, c) == pytest.approx(base, rel=1e-12)
+        assert eval_phi(LAM2, X2, G, 0.3) == pytest.approx(eval_phi(LAM2, X2, G), rel=1e-12)
 
     def test_shifted_pair_shares_one_column(self, monkeypatch):
         # r = 1's two shifted evaluations: K(-d) = K(d) and K(conj d) = conj K(d) put all
         # four of their columns on one lattice entry, so the second calls no log_gamma
-        lattice, contour = {}, default_contour(2, G, shifted=True)
+        lattice = {}
         elems = _count_log_gamma(monkeypatch)
-        eval_phi((2 + 0.7j, -0.3j), X2, G, contour, lattice=lattice)
+        eval_phi((2 + 0.7j, -0.3j), X2, G, 1.0, lattice=lattice)
         first = len(elems)
-        eval_phi((0.7j, 2 - 0.3j), X2, G, contour, lattice=lattice)
+        eval_phi((0.7j, 2 - 0.3j), X2, G, 1.0, lattice=lattice)
         assert first > 0 and len(elems) == first and len(lattice) == 1
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 0.5, -1.0])
@@ -465,7 +467,7 @@ class TestOuterSum:
         if quad is not None:
             monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 119.0)
         passes = _spy_outer(monkeypatch)
-        eval_phi_many(lam, X3, g, D7, default_contour(3, g, any(shift)), quad)
+        eval_phi_many(lam, X3, g, D7, float(any(shift)), quad)
         (outer, values), = passes
         idx = np.arange(outer[0].size)
         for d, value in zip(D7, values):
@@ -535,9 +537,8 @@ class TestOuterStart:
         # step 0.05 to 1e-12; at g = 1.25 the shifted step is the margin rule's 0.0525,
         # whose own error against step 0.05 is about 1e-12, so the wide start at the same
         # step is the reference there
-        contour = default_contour(3, g, shifted=True)
-        evals = [(lam, D7, None)] + [
-            (tuple(v + 2.0 if i in s else v for i, v in enumerate(lam)), D7[:1], contour)
+        evals = [(lam, D7, 0.0)] + [
+            (tuple(v + 2.0 if i in s else v for i, v in enumerate(lam)), D7[:1], 1.0)
             for r in (1, 2, 3) for s in combinations(range(3), r)]
         calls, outer_values = [], wavefn._outer_values
         monkeypatch.setattr(wavefn, "_outer_values",
@@ -549,7 +550,7 @@ class TestOuterStart:
         fine = QuadratureSpec(step=0.05)
         for (p, d, c), got, want in zip(evals, values, wide):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-            if c is None or g - 1.0 >= 0.48:
+            if c == 0.0 or g - 1.0 >= 0.48:
                 ref = np.array(eval_phi_many(p, x, g, d, c, fine))
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -566,7 +567,7 @@ class TestOuterStart:
         monkeypatch.setattr(wavefn, "_outer_values",
                             lambda *args: calls.append(1) or outer_values(*args))
         eval_phi_many(lam, x, g, D7)
-        eval_phi((lam[0] + 2.0,) + lam[1:], x, g, default_contour(3, g, shifted=True))
+        eval_phi((lam[0] + 2.0,) + lam[1:], x, g, 1.0)
         assert len(calls) == 2
 
 
@@ -581,9 +582,8 @@ class TestNodeBudget:
         elems = _count_log_gamma(monkeypatch)
         monkeypatch.setattr(wavefn, "_grid", lambda *args: pytest.fail("a grid was built"))
         shifted = (lam[0] + 2.0,) + lam[1:]
-        contour = default_contour(len(lam), 1.0 + margin, shifted=True)
         with pytest.raises(wavefn.GridBudgetError, match="above the budget of 2401"):
-            eval_phi(shifted, x, 1.0 + margin, contour)
+            eval_phi(shifted, x, 1.0 + margin, 1.0)
         assert not elems
 
     def test_step_floor(self):
@@ -619,35 +619,47 @@ class TestNodeBudget:
 
 class TestContours:
     def test_unshifted_at_zero_any_g(self):
-        assert default_contour(3, 0.8) == (0.0, 0.0)
+        # the line Re = 0 has margin g at Re lambda = 0, whatever g
+        assert validate_contour(0.0, LAM3, 0.8) == 0.8
+        assert eval_phi(LAM3, X3, 0.8) == eval_phi(LAM3, X3, 0.8, 0.0)
 
     def test_shifted_moves_to_one(self):
-        contour = default_contour(2, 1.5, shifted=True)
-        assert contour == (1.0,)
         # 1 sits inside both windows: (-g+2, g) = (0.5, 1.5) and (-g, g)
-        assert validate_contour(contour, (0.7j + 2.0, -0.3j), 1.5) > 0
+        assert validate_contour(1.0, (0.7j + 2.0, -0.3j), 1.5) == 0.5
 
     def test_shift_infeasible_at_g_one(self):
-        with pytest.raises(InfeasibleContourError):
-            default_contour(2, 1.0, shifted=True)
+        with pytest.raises(InfeasibleContourError, match=r"Re = 1.0 .* \(margin 0\)"):
+            validate_contour(1.0, (0.7j + 2.0, -0.3j), 1.0)
 
     @pytest.mark.parametrize("g", [0.5, 1.0])
     def test_n1_has_no_level_to_refuse(self, g):
-        assert default_contour(1, g, shifted=True) == ()
+        assert validate_contour(1.0, (2.0 + 0.5j,), g) == g
+        assert eval_phi((2.0 + 0.5j,), (0.4,), g, 1.0) == cmath.exp((2.0 + 0.5j) * 0.4)
 
-    def test_validate_rejects_wrong_level_count(self):
-        with pytest.raises(ValueError):
-            validate_contour((0.0,), (0.1j, 0.9j, -0.8j), 1.5)
+    def test_coupling_must_be_positive(self):
+        # refused as a bad input (ValueError), before any line is tried, at every n
+        for lam, x in (((0.5j,), (0.4,)), (LAM2, X2), (LAM3, X3)):
+            with pytest.raises(ValueError, match="coupling"):
+                eval_phi(lam, x, -1.0)
 
     @pytest.mark.parametrize("contour, lam, g", [
-        # contour at 0 cannot separate lattices once lambda is shifted by +2 at g=1.5
-        ((0.0,), (2.0 + 0.7j, -0.3j), 1.5),
+        # the line Re = 0 cannot separate lattices once lambda is shifted by +2 at g=1.5
+        (0.0, (2.0 + 0.7j, -0.3j), 1.5),
         # a NaN margin is not a positive one, with or without levels
-        ((math.nan,), (2.0 + 0.7j, -0.3j), 1.5), ((1.0,), (2.0 + 0.7j, -0.3j), math.nan),
-        ((), (0.5j,), math.nan)])
+        (math.nan, (2.0 + 0.7j, -0.3j), 1.5), (1.0, (2.0 + 0.7j, -0.3j), math.nan),
+        (0.0, (0.5j,), math.nan)],
+        ids=["contour0-lam0-1.5", "contour1-lam1-1.5", "contour2-lam2-nan", "contour3-lam3-nan"])
     def test_validate_rejects_pole_crossing(self, contour, lam, g):
         with pytest.raises(InfeasibleContourError):
             validate_contour(contour, lam, g)
+
+    @pytest.mark.parametrize("c", [-0.3, 0.4])
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
+    def test_off_integer_lines_agree(self, lam, x, c):
+        # Phi does not depend on the separating line: off 0 and 1 every kernel column takes
+        # _kernel_terms' two-argument form
+        want = eval_phi(lam, x, G)
+        assert abs(eval_phi(lam, x, G, c) - want) <= 1e-12 * abs(want)
 
 
 class TestPoints:

@@ -25,10 +25,10 @@ from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,
                              apply_reduced_HS, prefactor_log_derivatives)
-from .dual_ops import (ShiftLawResolutionError, apply_dual_hamiltonian,
-                       apply_dual_operator, gauge_function, gauge_relation_residual,
-                       gauge_shift_residual, measure_shift_residual, measure_weight)
-from .macdonald import (LaurentPolynomial, MacdonaldParams, TauResolutionError, TorusPoint,
+from .dual_ops import (apply_dual_hamiltonian, apply_dual_operator, gauge_function,
+                       gauge_relation_residual, gauge_shift_residual, measure_shift_residual,
+                       measure_weight)
+from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, qpochhammer, tau_limit_check,
                         verify_gauge_equivalence, weight_and_gauge,
                         weight_limit_check, weight_shift_residual)

@@ -30,8 +30,9 @@ every line is strict JSON.  Exit status: 0 all checks passed, 1 a check
 failed, 2 a configuration error (an unknown key or flag, a non-finite number,
 an oracle grid below 2, an order r outside 1..n), 3 an infeasible domain
 (among them a point whose grid would exceed the node budget, where Phi or
-e_r(e^{2x}) leaves the double range, or a tau fit or shift law whose round-off
-floor is too high), 4 an internal error (traceback on stderr).
+e_r(e^{2x}) leaves the double range, or a check whose round-off floor passes a
+tenth of its gate: the library returns the floor, and ``_report`` alone holds
+it against the gate, with ResolutionError), 4 an internal error (traceback).
 """
 
 from __future__ import annotations
@@ -52,14 +53,13 @@ import numpy as np
 
 from . import identities
 from .cgamma import GammaPoleError
-from .dual_ops import (ShiftLawResolutionError, apply_dual_hamiltonian,
-                       gauge_relation_residual, gauge_shift_residual,
+from .dual_ops import (apply_dual_hamiltonian, gauge_relation_residual, gauge_shift_residual,
                        measure_shift_residual, measure_weight)
 from .identities import (binomial_limit_check, residue_check, substitution_check,
                          verify_lemma1)
 from .legendre import (HypergeometricError, closed_form_phi2,
                        dual_system_residuals, recurrence_check)
-from .macdonald import (LaurentPolynomial, MacdonaldParams, TauResolutionError, TorusPoint,
+from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, tau_limit_check,
                         verify_gauge_equivalence, weight_limit_check,
                         weight_shift_residual)
@@ -68,11 +68,16 @@ from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      GridBudgetError, InfeasibleContourError, QuadratureSpec,
                      TailNotConvergedError, eval_phi, eval_psi)
 
-__all__ = ["RunConfig", "CheckReport", "REGISTRY", "checks", "run", "main"]
+__all__ = ["RunConfig", "CheckReport", "REGISTRY", "ResolutionError", "checks", "run", "main"]
+
+
+class ResolutionError(ArithmeticError):
+    """A round-off floor past a tenth of the gate (Higham, Accuracy and Stability, sec. 4.2)."""
+
 
 _DOMAIN_ERRORS = (InfeasibleContourError, TailNotConvergedError, GridBudgetError,
                   CoincidentCoordinatesError, ConvergenceWindowError, GammaPoleError,
-                  HypergeometricError, TauResolutionError, ShiftLawResolutionError, OverflowError)
+                  HypergeometricError, ResolutionError, OverflowError)
 
 # the residual gate of each check family; no config or flag changes one
 _DEFAULT_TOLS = {
@@ -203,9 +208,9 @@ def _strict(value):
 # ---------------------------------------------------------------------------
 # checks
 #
-# A check is (check_id, inputs, kind, thunk).  kind is a key of _DEFAULT_TOLS
-# when the thunk returns a residual, EXACT when it returns None or the witness
-# of a failure, and VALUE when it returns a number.
+# A check is (check_id, inputs, kind, thunk).  kind is a key of _DEFAULT_TOLS when the
+# thunk returns a residual or (residual, round-off floor), EXACT when it returns None or
+# the witness of a failure, and VALUE when it returns a number.
 
 EXACT, VALUE = "exact", "value"
 Check = tuple[str, dict, str, Callable[[], object]]
@@ -215,7 +220,7 @@ Family = Callable[[RunConfig, Lattice], list[Check]]
 
 
 def _report(config: RunConfig, check: Check) -> CheckReport:
-    """Run one check and report it."""
+    """Run one check and report it; ResolutionError where its floor passes a tenth of its gate."""
     check_id, inputs, kind, thunk = check
     started = time.perf_counter()
     result = thunk()
@@ -229,6 +234,9 @@ def _report(config: RunConfig, check: Check) -> CheckReport:
             rep.status, rep.witness = "fail", result
     else:
         tol = config.tol(kind)
+        result, floor = result if isinstance(result, tuple) else (result, 0.0)
+        if floor > tol / 10.0:
+            raise ResolutionError(f"{check_id}: round-off floor {floor:.3g} > {tol / 10.0:.3g}")
         rep.inputs, rep.residual = dict(inputs, tolerance=tol), result
         if not result <= tol:
             rep.status = "fail"
@@ -236,10 +244,13 @@ def _report(config: RunConfig, check: Check) -> CheckReport:
     return rep
 
 
-def _worst(fn: Callable, draws: Sequence[tuple]) -> Callable[[], float]:
-    """Thunk for the largest fn(*draw) over the drawn inputs; NaN if any is NaN.  A draw may
-    be a stack of them, for which fn returns one residual per point."""
-    return lambda: float(np.max([fn(*draw) for draw in draws]))
+def _worst(fn: Callable, draws: Sequence[tuple]) -> Callable[[], tuple[float, float]]:
+    """Thunk for the largest fn(*draw) over the draws, NaN if any is, and the largest floor:
+    fn returns one residual per point of a draw (a stack of them), or (residuals, floor)."""
+    def worst():
+        pairs = [r if isinstance(r := fn(*draw), tuple) else (r, 0.0) for draw in draws]
+        return float(np.max([r for r, _ in pairs])), max(f for _, f in pairs)
+    return worst
 
 
 def _echo_point(config: RunConfig) -> dict:
@@ -263,7 +274,8 @@ def _sutherland(config: RunConfig, lattice: Lattice) -> list[Check]:
                  ("hs1", apply_reduced_HS, {"order": 1}), ("hs2", apply_reduced_HS, {"order": 2}))
     return [(f"sutherland.n{n}.{name}", _echo_point(config),
              "sutherland.n3" if n >= 3 else f"sutherland.{name}",
-             lambda op=op, kw=kw: op(lam, x, g, **kw, lattice=shared).relative_residual)
+             lambda op=op, kw=kw: ((res := op(lam, x, g, **kw, lattice=shared)).relative_residual,
+                                   res.floor))
             for name, op, kw in operators]
 
 
@@ -271,7 +283,8 @@ def _dual(config: RunConfig, lattice: Lattice) -> list[Check]:
     n, lam, x, g, shared = config.n, config.lam, config.x, config.g, lattice(config)
     orders = [config.r] if config.r is not None else range(1, n + 1)
     return [(f"dual.n{n}.r{r}", dict(_echo_point(config), r=r), "dual.n3" if n >= 3 else "dual",
-             lambda r=r: apply_dual_hamiltonian(r, lam, x, g, lattice=shared).relative_residual)
+             lambda r=r: ((res := apply_dual_hamiltonian(r, lam, x, g, lattice=shared))
+                          .relative_residual, res.floor))
             for r in orders]
 
 
@@ -383,7 +396,8 @@ def _macdonald(config: RunConfig, _lattice: Lattice) -> list[Check]:
         ("macdonald.commutator", {"seed": seed}, "macdonald.commutator",
          _worst(_commutator_residual, commuting)),
         ("macdonald.tau", {"g": g, "seed": seed}, "macdonald.tau",
-         _worst(lambda x_pt, g, f: tau_limit_check(x_pt, g, f).error, tau)),
+         _worst(lambda x_pt, g, f: ((fit := tau_limit_check(x_pt, g, f)).error, fit.floor),
+                tau)),
         # limiting weight differential equation
         ("macdonald.weight_ode", {"g": g}, "macdonald.weight_ode",
          _worst(weight_limit_check, [((0.4, -0.2), g), ((0.7, 0.1, -0.5), g)])),

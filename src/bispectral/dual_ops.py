@@ -31,7 +31,7 @@ from .cgamma import _is_pole, log_gamma
 from .symfun import elementary_symmetric, subset_terms
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
 from .wavefn import (_DISTINCT_TOL, QuadratureSpec, SpectralPoint, as_position, as_spectral,
-                     eval_phi, measure_mu)
+                     eval_phi, measure_mu, validate_contour)
 
 __all__ = [
     "DualWeightKind",
@@ -43,20 +43,14 @@ __all__ = [
     "gauge_relation_residual",
     "gauge_shift_residual",
     "measure_shift_residual",
-    "ShiftLawResolutionError",
 ]
 
 DualWeightKind = Literal["mu_g", "mu_1mg", "sklyanin"]
 
 # a shift law's residual carries round-off of c eps max|log W| over its weights W and their
 # shifts: c read 0.7-8.3 over 1 440 checks of 10 draws (n = 3, g = 1.5 ... 1e4), median 2,
-# 99th percentile about 4.  A floor past a tenth of the gate (gauge.shift 1e-10,
-# measures.diffeq 1e-11) is refused
-_SHIFT_FLOOR, _GAUGE_FLOOR_TOL, _MEASURE_FLOOR_TOL = 4.0 * 2.0 ** -53, 1e-11, 1e-12
-
-
-class ShiftLawResolutionError(ArithmeticError):
-    """A shift law's round-off floor is above what its check's gate can resolve."""
+# 99th percentile about 4
+_SHIFT_FLOOR = 4.0 * 2.0 ** -53
 
 
 def _terms(r: int, z, shift: float):
@@ -84,12 +78,12 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None
 
     Each shifted term re-evaluates the Mellin-Barnes integral with every level on the line
     Re = 1, which at Re lambda = 0 separates the shifted pole lattices exactly when g > 1;
-    ``validate_contour`` refuses it otherwise at the first shifted term, except at n = 1,
+    ``validate_contour`` refuses it otherwise, before any evaluation, except at n = 1,
     which has no level.  The sinh prefactor is lambda-independent, so the statement on Psi
     is equivalent to the same relation on Phi; Phi is what is tested.  D_{1-g} would
     multiply both sides by the same sign (-1)^{r(n-1)} and give the same residual.  lattice
     is ``eval_phi_many``'s: the base and every shifted evaluation use it (None: a fresh one
-    for this call).
+    for this call).  The floor counts every evaluation's terms (``eval_phi_many``'s sizes).
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -99,11 +93,21 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None
     # every subset shifts at least one variable, so all share the line Re = 1; the shifts
     # are real, so all share one lattice with the base point: the kernel columns (a shifted
     # lambda_k's is its unshifted one's read back by K(-d) = K(d)) and, for n = 3, the
-    # offset envelope and moments, which no line moves
-    lattice = {} if lattice is None else lattice
-    phi = eval_phi(lam, x, g, quad=quad, lattice=lattice)
-    return dual_eigen_residual(r, lam, x.values, g, lambda s: eval_phi(
-        s, x, g, contour=1.0, quad=quad, lattice=lattice), phi)
+    # offset envelope and moments, which no line moves; a refused line is named up front
+    weights = []
+    for coef, shifted in _terms(r, lam.values, 2.0 - 2.0 * g):
+        validate_contour(1.0, shifted, g)
+        weights.append(abs(coef))
+    lattice, sizes = {} if lattice is None else lattice, []
+
+    def phi(point, contour=0.0):
+        return eval_phi(point, x, g, contour=contour, quad=quad, lattice=lattice, sizes=sizes)
+
+    base = phi(lam)
+    res = dual_eigen_residual(r, lam, x.values, g, lambda s: phi(s, 1.0), base)
+    # each side's terms: the shifted values' nodes times |coef|, and e_r times the base's
+    size = np.dot(weights, sizes[1:]) + abs(res.expected) / max(abs(base), _EPS_FLOOR) * sizes[0]
+    return EigenResidual.build(res.value, res.expected, size)
 
 
 def dual_eigen_residual(r: int, lam, x, g: float, f: Callable, base: complex) -> EigenResidual:
@@ -148,28 +152,26 @@ def _shift_each(lam: np.ndarray, i: np.ndarray) -> np.ndarray:
     return np.where(np.arange(n) == i[..., None], lam + 2.0, lam)
 
 
-def _shift_law_residual(lam, i, log_weight: Callable, predicted: Callable, floor_tol: float):
-    """|ratio - predicted| / |predicted| for a weight's shift law under lambda_i -> lambda_i + 2.
+def _shift_law_residual(lam, i, log_weight: Callable, predicted: Callable):
+    """(|ratio - predicted| / |predicted|, floor) of a shift law under lambda_i -> lambda_i + 2.
 
     lam is one point or a stack, shape (..., n), and i one 0-based index per point or one
     for all.  log_weight maps a stack of points to their log weights in one call, made
     once on every point and its shift; predicted(point, i) is the law's ratio at one point,
-    in Python arithmetic, as is the rest: one residual per point.  A floor _SHIFT_FLOOR
-    max|log W| over the finite log weights above floor_tol raises ShiftLawResolutionError.
+    in Python arithmetic, as is the rest: one residual per point.  The floor is
+    _SHIFT_FLOOR max|log W| over the finite log weights, one for the stack.
     """
     lam = _points(lam)
     i = np.broadcast_to(i, lam.shape[:-1])
     logs = log_weight(np.stack([_shift_each(lam, i), lam]))
     floor = _SHIFT_FLOOR * float(np.max(np.abs(logs), where=np.isfinite(logs), initial=0.0))
-    if floor > floor_tol:
-        raise ShiftLawResolutionError(f"shift-law round-off floor {floor:.3g} > {floor_tol:g}")
     shifted, base = logs
     out = []
     for point, k, up, down in zip(lam.reshape(-1, lam.shape[-1]).tolist(), i.ravel().tolist(),
                                   np.ravel(shifted).tolist(), np.ravel(base).tolist()):
         want = predicted(point, k)
         out.append(abs(cmath.exp(up - down) - want) / abs(want))
-    return np.reshape(out, i.shape)[()]
+    return np.reshape(out, i.shape)[()], floor
 
 
 def gauge_function(lam, g: float):
@@ -184,11 +186,12 @@ def gauge_function(lam, g: float):
 
 
 def gauge_shift_residual(lam, i, g: float):
-    """Relative residual of the gauge shift law under lambda_i -> lambda_i + 2, i 0-based.
+    """(residual, floor) of the gauge shift law under lambda_i -> lambda_i + 2, i 0-based.
 
     Predicted ratio: (-1)^{n-1} prod_{j != i} (l_i - l_j + 2 - 2g) / (l_i - l_j + 2g).  lam
     is one point or a stack of them, shape (..., n), and i one index per point or one for
-    all: one residual per point, from one gauge_function call on the points and their shifts.
+    all: one relative residual per point and one round-off floor, from one gauge_function
+    call on the points and their shifts.
     """
     def predicted(point, i):
         ratio = (-1.0) ** (len(point) - 1)
@@ -197,8 +200,7 @@ def gauge_shift_residual(lam, i, g: float):
                 ratio *= (point[i] - other - 2.0 * g + 2.0) / (point[i] - other + 2.0 * g)
         return ratio
 
-    return _shift_law_residual(lam, i, lambda stack: gauge_function(stack, g), predicted,
-                               _GAUGE_FLOOR_TOL)
+    return _shift_law_residual(lam, i, lambda stack: gauge_function(stack, g), predicted)
 
 
 def measure_weight(lam, g: float, kind: DualWeightKind):
@@ -225,7 +227,7 @@ def measure_weight(lam, g: float, kind: DualWeightKind):
 
 
 def measure_shift_residual(lam, i, g: float, kind: DualWeightKind):
-    """Relative residual of the mu_g / mu_1mg shift law under lambda_i -> lambda_i + 2.
+    """(residual, floor) of the mu_g / mu_1mg shift law under lambda_i -> lambda_i + 2.
 
     Predicted ratio for mu_g, i 0-based and d = l_i - l_j:
     prod_{j != i} (d + 2)/d * (d + 2g)/(d + 2 - 2g); mu_1mg inverts the last quotient.  lam
@@ -244,8 +246,7 @@ def measure_shift_residual(lam, i, g: float, kind: DualWeightKind):
                 ratio *= up / down if kind == "mu_g" else down / up
         return ratio
 
-    return _shift_law_residual(lam, i, lambda stack: measure_weight(stack, g, kind), predicted,
-                               _MEASURE_FLOOR_TOL)
+    return _shift_law_residual(lam, i, lambda stack: measure_weight(stack, g, kind), predicted)
 
 
 def gauge_relation_residual(r: int, lam, g: float, f):

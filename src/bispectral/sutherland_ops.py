@@ -5,9 +5,10 @@ the full wave function Psi = prefactor * Phi; the reduced operators HS1, HS2
 act on Phi directly.  All coordinate derivatives of Phi are exact
 (differentiation under the integral sign, see wavefn); the prefactor
 derivatives are closed-form coth/sinh expressions.  Each application returns
-an EigenResidual comparing against the known eigenvalue.  Every operator takes
-``eval_phi_many``'s keyword-only lattice dict, so the checks of one point can
-share the gamma tables their evaluations build.
+an EigenResidual comparing against the known eigenvalue, with the round-off
+floor of that comparison.  Every operator takes ``eval_phi_many``'s
+keyword-only lattice dict, so the checks of one point can share the gamma
+tables their evaluations build.
 
 Eigenvalues: H1 -> sum(lam), H2 -> -sum(lam^2) on Psi; HS1 -> sum(lam) and
 HS2 -> sum(lam^2) on Phi.  The HS2 eigenvalue follows from the exact
@@ -33,20 +34,30 @@ __all__ = [
 ]
 
 _EPS_FLOOR = 1e-300
+# a sum's round-off is at most about eps sum|term| (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., 2002, sec. 4.2); the terms reach down to Phi's quadrature
+# nodes at n = 2 (eval_phi_many's sizes).  Over 32 points (n = 2, 3; g = 1.5, 20; two
+# coordinates 1e-1 ... 1e-8 apart) residual / (eps sum|term| / |expected|) read at most 3.7,
+# and 13 for n = 3 HS2, whose nodes are not counted: c = 16 bounds them all
+_SUM_FLOOR = 16.0 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class EigenResidual:
-    """Operator application vs eigenvalue * eigenfunction."""
+    """Operator application vs eigenvalue * eigenfunction.  floor is the relative residual's
+    round-off, _SUM_FLOOR sum|term| / |expected| over the terms of value, down to the
+    quadrature nodes eval_phi_many's sizes count (0: not formed)."""
 
     value: complex
     expected: complex
     relative_residual: float
+    floor: float = 0.0
 
     @classmethod
-    def build(cls, value: complex, expected: complex) -> "EigenResidual":
-        rel = abs(value - expected) / max(abs(expected), _EPS_FLOOR)
-        return cls(value=value, expected=expected, relative_residual=rel)
+    def build(cls, value: complex, expected: complex, size: float = 0.0) -> "EigenResidual":
+        scale = max(abs(expected), _EPS_FLOOR)
+        return cls(value=value, expected=expected, relative_residual=abs(value - expected) / scale,
+                   floor=_SUM_FLOOR * size / scale)
 
 
 def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
@@ -69,14 +80,15 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
 
 
 def _jet(lam, x, g: float, quad: QuadratureSpec | None, order: int,
-         lattice: dict | None) -> tuple[complex, list, list]:
-    """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass; the second
-    derivatives only for order 2, else an empty list."""
+         lattice: dict | None) -> tuple[tuple, tuple]:
+    """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass, and the same of the sizes
+    eval_phi_many reports for them; the second derivatives only for order 2, else []."""
     n = lam.n
     derivs = [(0,) * n] + [tuple(o if j == i else 0 for j in range(n))
                            for o in range(1, order + 1) for i in range(n)]
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad, lattice=lattice)
-    return vals[0], vals[1:n + 1], vals[n + 1:]
+    sizes: list = []
+    vals = eval_phi_many(lam, x, g, derivs, quad=quad, lattice=lattice, sizes=sizes)
+    return (vals[0], vals[1:n + 1], vals[n + 1:]), (sizes[0], sizes[1:n + 1], sizes[n + 1:])
 
 
 def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None, *,
@@ -84,12 +96,13 @@ def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None, *,
     """(sum_i d/dx_i) Psi compared with (sum_p lam_p) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
-    phi, grad, _ = _jet(lam, x, g, quad, 1, lattice)
+    (phi, grad, _), (s_phi, s_grad, _) = _jet(lam, x, g, quad, 1, lattice)
     w = sinh_prefactor(x, g)
-    dlogw = sum(prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n))
-    value = w * (dlogw * phi + sum(grad))
+    firsts = [prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n)]
+    value = w * (sum(firsts) * phi + sum(grad))
     expected = sum(lam.values) * w * phi
-    return EigenResidual.build(value, expected)
+    size = abs(w) * (sum(map(abs, firsts)) * s_phi + sum(s_grad))
+    return EigenResidual.build(value, expected, size)
 
 
 def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
@@ -98,13 +111,14 @@ def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    phi, grad, grad2 = _jet(lam, x, g, quad, 2, lattice)
+    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, quad, 2, lattice)
     w = sinh_prefactor(x, g)
 
-    lap_psi = 0.0 + 0.0j
+    lap_psi, size = 0.0 + 0.0j, 0.0
     for i in range(n):
         a, a_prime = prefactor_log_derivatives(x, g, i)
         lap_psi += w * ((a * a + a_prime) * phi + 2.0 * a * grad[i] + grad2[i])
+        size += (a * a - a_prime) * s_phi + 2.0 * abs(a) * s_grad[i] + s_grad2[i]
     potential = 0.0
     for i in range(n):
         for j in range(n):
@@ -112,7 +126,7 @@ def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
                 potential += g * (g - 1.0) / math.sinh(x.values[i] - x.values[j]) ** 2
     value = -lap_psi + potential * w * phi
     expected = -sum(v * v for v in lam.values) * w * phi
-    return EigenResidual.build(value, expected)
+    return EigenResidual.build(value, expected, abs(w) * (size + abs(potential) * s_phi))
 
 
 def apply_reduced_HS(lam, x, g: float, quad: QuadratureSpec | None = None,
@@ -123,13 +137,15 @@ def apply_reduced_HS(lam, x, g: float, quad: QuadratureSpec | None = None,
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    phi, grad, grad2 = _jet(lam, x, g, quad, order, lattice)
+    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, quad, order, lattice)
     if order == 1:
-        return EigenResidual.build(sum(grad), sum(lam.values) * phi)
-    value = sum(grad2) + g * g * n * (n * n - 1) / 3.0 * phi
+        return EigenResidual.build(sum(grad), sum(lam.values) * phi, sum(s_grad))
+    k = g * g * n * (n * n - 1) / 3.0
+    value, size = sum(grad2) + k * phi, sum(s_grad2) + abs(k) * s_phi
     for i in range(n):
         for j in range(i + 1, n):
             cth = 1.0 / math.tanh(x.values[i] - x.values[j])
             value += 2.0 * g * cth * (grad[i] - grad[j])
+            size += 2.0 * g * abs(cth) * (s_grad[i] + s_grad[j])
     expected = sum(v * v for v in lam.values) * phi
-    return EigenResidual.build(value, expected)
+    return EigenResidual.build(value, expected, size)

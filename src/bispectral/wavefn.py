@@ -328,13 +328,15 @@ def measure_mu(nu, g: float) -> complex:
 def validate_contour(c: float, lam, g: float) -> float:
     """The pole margin of the line Re = c on which every level lies.
 
-    The lattices attached to an upper variable with real part d are
-    d + g + 2k (ascending) and d - g - 2k (descending), k >= 0; the line
-    Re = c separates them iff its margin g - |c - d| is positive.  A lower
-    level sits on the line itself (margin g), so the margin is g - max_k
-    |c - Re lambda_k|, or g at n = 1, which has no level.  Raises
-    InfeasibleContourError unless it is > 0, so a NaN is refused too.
+    The lattices attached to an upper variable with real part d are d + g + 2k (ascending)
+    and d - g - 2k (descending), k >= 0; the line Re = c separates them iff its margin
+    g - |c - d| is positive.  A lower level sits on the line itself (margin g), so the
+    margin is g - max_k |c - Re lambda_k|, or g at n = 1, which has no level.  Raises
+    InfeasibleContourError unless it is > 0, so a NaN is refused too; a coupling g <= 0
+    is a bad input at every n, ValueError.
     """
+    if g <= 0:
+        raise ValueError("coupling g must be positive")
     lam = as_spectral(lam)
     top_re = [v.real for v in lam.values]
     margin = g - max(abs(c - d) for d in top_re) if lam.n > 1 else g
@@ -473,7 +475,7 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _quantities_n2(lam, x, g, c, step, derivs, lattice):
+def _quantities_n2(lam, x, g, c, step, derivs, lattice, sizes):
     """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
     e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
     + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
@@ -499,6 +501,11 @@ def _quantities_n2(lam, x, g, c, step, derivs, lattice):
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
+    if sizes is not None:  # |each term| of the node sums and of _moment's expansion
+        node = np.abs(A[:, 0] * base * A[:, 1])
+        M = [float(node @ np.abs(gam) ** m) for m in range(m_max + 1)]
+        sizes.extend(abs(scale) * sum(math.comb(d2, j) * abs(lam_sum) ** j * M[d1 + d2 - j]
+                                      for j in range(d2 + 1)) for d1, d2 in derivs)
     return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
 
 
@@ -506,10 +513,12 @@ def _outer_entries(nu, a, b, H, lam_sum, p, q, d):
     """O[p, q] = (lam_sum - S)^d3 _moment(C, S, d1, d2) at index arrays p, q.
 
     S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), nu_p, 0, k): the per-node
-    factors a, b times the level-2 moments, read off the Toeplitz offsets H_l.
+    factors a, b times the level-2 moments, read off the Toeplitz offsets H_l.  b_q meets
+    H first, as in the sums: a_p b_q alone underflows where Phi nears the double range's
+    foot, and a tail of zeros would pass any test.
     """
     H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
-    C = [a[p] * b[q] * _moment(H_pq, nu[p], 0, k) for k in range(d[0] + d[1] + 1)]
+    C = [a[p] * (b[q] * _moment(H_pq, nu[p], 0, k)) for k in range(d[0] + d[1] + 1)]
     return (lam_sum - nu[p] - nu[q]) ** d[2] * _moment(C, nu[p] + nu[q], d[0], d[1])
 
 
@@ -595,8 +604,8 @@ def _quantities_n3(lam, x, g, c, step, derivs, lattice):
 
 
 def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
-                  quad: QuadratureSpec | None = None, *,
-                  lattice: dict | None = None) -> list[complex]:
+                  quad: QuadratureSpec | None = None, *, lattice: dict | None = None,
+                  sizes: list | None = None) -> list[complex]:
     """Evaluate several coordinate derivatives of Phi in one quadrature pass.
 
     derivs is a list of per-coordinate derivative-order tuples (total order
@@ -614,7 +623,10 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     calls at real shifts of lambda or at other x share them (None: a fresh
     one; n = 1 ignores it).  Every entry is a pure function of its key, so
     sharing moves no value.  Keep a dict for one point (lambda, x, g) and the
-    checks made there: it holds every array built.
+    checks made there: it holds every array built.  A sizes list receives, per value, the
+    sum of |term| over the terms that value sums, whose round-off is at most a few eps
+    times it: at n = 2 the quadrature nodes, which cancel where Im(lambda_1 - lambda_2)
+    is wide; at n = 1 and n = 3 (not formed there) |value|.
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -632,23 +644,26 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     if (scale := abs(sum(v.real for v in lam.values)) * max(map(abs, x.values))) > _MAX_SCALE:
         raise OverflowError(f"Phi's scale e^(Re(sum lambda) x) is out of range: "
                             f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
-    if g <= 0:
-        raise ValueError("coupling g must be positive")
     quad = quad or QuadratureSpec()
     margin = validate_contour(contour, lam, g)
     if n == 1:
-        return _quantities_n1(lam.values, x.values, derivs)
-    lattice = {} if lattice is None else lattice
-    step = min(quad.step, _STEP_PER_MARGIN * margin)
-    quantities = _quantities_n2 if n == 2 else _quantities_n3
-    return quantities(lam.values, x.values, g, contour, step, derivs, lattice)
+        values = _quantities_n1(lam.values, x.values, derivs)
+    else:
+        lattice = {} if lattice is None else lattice
+        step = min(quad.step, _STEP_PER_MARGIN * margin)
+        if n == 2:
+            return _quantities_n2(lam.values, x.values, g, contour, step, derivs, lattice, sizes)
+        values = _quantities_n3(lam.values, x.values, g, contour, step, derivs, lattice)
+    if sizes is not None:
+        sizes.extend(map(abs, values))
+    return values
 
 
-def eval_phi(lam, x, g: float, contour: float = 0.0,
-             quad: QuadratureSpec | None = None, *, lattice: dict | None = None) -> complex:
+def eval_phi(lam, x, g: float, contour: float = 0.0, quad: QuadratureSpec | None = None, *,
+             lattice: dict | None = None, sizes: list | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
     n = as_spectral(lam).n
-    return eval_phi_many(lam, x, g, [(0,) * n], contour, quad, lattice=lattice)[0]
+    return eval_phi_many(lam, x, g, [(0,) * n], contour, quad, lattice=lattice, sizes=sizes)[0]
 
 
 def sinh_prefactor(x, g: float) -> float:

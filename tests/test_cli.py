@@ -96,9 +96,10 @@ class TestExitStatus:
         assert all(rep["status"] == "pass" for rep in reports_of(out))
 
     def test_failure_is_one(self, capsys, monkeypatch):
-        # force a failure with an unreachable gate
-        monkeypatch.setitem(cli._DEFAULT_TOLS, "dual", 1e-30)
-        code, out, _ = run_main(capsys, ["check-dual"])
+        # force a failure with an unreachable gate, on a check that reports no round-off
+        # floor: one that does is refused there instead (test_a_tighter_gate_moves_its_refusal)
+        monkeypatch.setitem(cli._DEFAULT_TOLS, "gauge.relation", 1e-30)
+        code, out, _ = run_main(capsys, ["check-gauge"])
         assert code == 1
         assert any(rep["status"] == "fail" for rep in reports_of(out))
 
@@ -292,6 +293,54 @@ class TestExitStatus:
         code, out, err = run_main(capsys, ["check-macdonald", "--g", "100"])
         assert code == 3 and not out and "floor" in err
 
+    @pytest.mark.parametrize("argv, check_id", [
+        (["check-sutherland", "--x", "0.3000005,0.2999995"], "sutherland.n2.h1"),
+        (["check-sutherland", "--g", "20", "--x", "0.30005,0.29995"], "sutherland.n2.h2")])
+    def test_sutherland_floor_past_the_gate_is_three(self, capsys, argv, check_id):
+        # two coordinates 1e-6 and 1e-4 apart: H2's terms cancel by factors of 1.5e13 and
+        # 2.8e11, and it read 1.06e-3 and 8.05e-5 on correct values.  At 1e-6 H1, which
+        # runs first, is refused already (its factor 7.5e6 gives a floor of 1.3e-8 past
+        # 1e-8); at 1e-3 apart every check runs
+        code, out, err = run_main(capsys, argv)
+        assert code == 3 and not out
+        assert f"infeasible: {check_id}" in err and "round-off floor" in err
+        code, out, _ = run_main(capsys, ["check-sutherland", "--x", "0.3005,0.2995"])
+        assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
+
+    @pytest.mark.parametrize("argv, key, tighter", [
+        # floors 2.8e-8, 3.7e-14 and 8.9e-12 against residuals 7.3e-10, 2.5e-14 and 1.1e-12
+        (["check-sutherland", "--x", "0.3005,0.2995"], "sutherland.h2", 1e-7),
+        (["check-gauge", "--g", "10"], "gauge.shift", 1e-13),
+        (["check-macdonald", "--g", "30"], "macdonald.tau", 1e-11)])
+    def test_a_tighter_gate_moves_its_refusal(self, capsys, monkeypatch, argv, key, tighter):
+        # the library returns each floor and _report alone holds it against the gate, so
+        # one tighter gate refuses where its floor passes a tenth of it, with no other edit,
+        # though each residual would pass it; the other gates are untouched
+        assert run_main(capsys, argv)[0] == 0
+        monkeypatch.setitem(cli._DEFAULT_TOLS, key, tighter)
+        code, out, err = run_main(capsys, argv)
+        assert code == 3 and not out and "round-off floor" in err
+        assert f"> {tighter / 10.0:.3g}" in err
+        assert run_main(capsys, ["check-measures", "--g", "10"])[0] == 0
+
+    def test_dual_floor_past_the_gate_is_three(self, capsys):
+        # Im(lambda_1 - lambda_2) = 81 at g = 10: Phi's quadrature nodes cancel by 2e8, and
+        # r = 2 read 1.6e-7 on correct values; at 40 apart both orders run
+        code, out, err = run_main(capsys, ["check-dual", "--g", "10", "--lambda", "0:0,0:81",
+                                           "--x", "0,1"])
+        assert code == 3 and not out and "infeasible: dual.n2.r1: round-off floor" in err
+        code, out, _ = run_main(capsys, ["check-dual", "--g", "10", "--lambda", "0:0,0:40",
+                                         "--x", "0.5,-0.5"])
+        assert code == 0 and all(rep["status"] == "pass" for rep in reports_of(out))
+
+    @pytest.mark.parametrize("argv", [["check-dual", "--g", "0.01"],
+                                      ["check-dual", "--n", "3", "--g", "0.05"]])
+    def test_dual_refusal_names_the_shifted_line(self, capsys, argv):
+        # the shifted points' line is checked before the base point's grid, whose node
+        # budget these couplings also exceed
+        code, out, err = run_main(capsys, argv)
+        assert code == 3 and not out and "infeasible: the line Re = 1.0 " in err
+
     def test_coincident_coordinates_is_three(self, capsys):
         code, _, err = run_main(capsys, ["eval-phi", "--x", "0.4,0.4"])
         assert code == 3
@@ -415,8 +464,8 @@ class TestReports:
         assert abs(value) > 0
 
     def test_failure_carries_witness(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli._DEFAULT_TOLS, "dual", 1e-30)
-        _, out, _ = run_main(capsys, ["check-dual"])
+        monkeypatch.setitem(cli._DEFAULT_TOLS, "gauge.relation", 1e-30)
+        _, out, _ = run_main(capsys, ["check-gauge"])
         failed = [rep for rep in reports_of(out) if rep["status"] == "fail"]
         assert failed and all("witness" in rep for rep in failed)
         assert failed[0]["witness"]["tolerance"] == 1e-30

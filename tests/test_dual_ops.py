@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from bispectral import dual_ops, wavefn
-from bispectral.dual_ops import (ShiftLawResolutionError, _terms, apply_dual_hamiltonian,
+from bispectral.dual_ops import (_terms, apply_dual_hamiltonian,
                                  apply_dual_operator, dual_eigen_residual, gauge_function,
                                  gauge_relation_residual, gauge_shift_residual,
                                  measure_shift_residual, measure_weight)
 from bispectral.symfun import elementary_symmetric
 from bispectral.wavefn import InfeasibleContourError, eval_phi
 from bispectral.cgamma import GammaPoleError, log_gamma
-from bispectral.cli import RunConfig, run
+from bispectral.cli import _DEFAULT_TOLS, RunConfig, run
 
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
@@ -104,7 +104,7 @@ class TestGauge:
         rng = np.random.default_rng(15)
         for _ in range(10):
             lam = rand_lambda(rng, 3)
-            assert gauge_shift_residual(lam, int(rng.integers(0, 3)), g) <= 1e-12
+            assert gauge_shift_residual(lam, int(rng.integers(0, 3)), g)[0] <= 1e-12
         # i is 0-based: -1 is refused, not wrapped round to the last entry
         for i in (-1, 3):
             with pytest.raises(ValueError):
@@ -117,10 +117,10 @@ class TestGauge:
         monkeypatch.setattr(dual_ops, "gauge_function",
                             lambda lam, g: exact(lam, g) + 1e-6 * np.asarray(lam)[..., 0])
         rng = np.random.default_rng(16)
-        assert gauge_shift_residual(rand_lambda(rng, 3), 0, 1.5) > 1e-7
+        assert gauge_shift_residual(rand_lambda(rng, 3), 0, 1.5)[0] > 1e-7
         # shifting lambda_0 moves the planted term, so every row of a stack sees it
         stack = [rand_lambda(rng, 3) for _ in range(4)]
-        assert np.all(gauge_shift_residual(stack, 0, 1.5) > 1e-7)
+        assert np.all(gauge_shift_residual(stack, 0, 1.5)[0] > 1e-7)
 
     def test_gauge_relation_on_probes(self):
         rng = np.random.default_rng(6)
@@ -158,25 +158,28 @@ class TestMeasures:
         rng = np.random.default_rng(17)
         for _ in range(10):
             lam = rand_lambda(rng, 3)
-            assert measure_shift_residual(lam, int(rng.integers(0, 3)), 1.35, kind) <= 1e-11
+            assert measure_shift_residual(lam, int(rng.integers(0, 3)), 1.35, kind)[0] <= 1e-11
         for i in (-1, 3):
             with pytest.raises(ValueError):
                 measure_shift_residual(LAM3, i, 1.35, kind)
 
-    @pytest.mark.parametrize("law", [
-        lambda lam, g: measure_shift_residual(lam, 0, g, "mu_g"),
-        lambda lam, g: measure_shift_residual(lam, 0, g, "mu_1mg"),
-        lambda lam, g: gauge_shift_residual(lam, 0, g)], ids=["mu_g", "mu_1mg", "gauge"])
-    def test_round_off_floor_is_refused(self, law):
-        # 4 eps max|log W|: 1.6e-11 at g = 1000, past a tenth of either gate, and 3.4e-14
-        # at g = 10
-        with pytest.raises(ShiftLawResolutionError, match="round-off floor"):
-            law(LAM3, 1000.0)
-        assert law(LAM3, 10.0) <= 1e-12
+    @pytest.mark.parametrize("law, gate", [
+        (lambda lam, g: measure_shift_residual(lam, 0, g, "mu_g"), "measures.diffeq"),
+        (lambda lam, g: measure_shift_residual(lam, 0, g, "mu_1mg"), "measures.diffeq"),
+        (lambda lam, g: gauge_shift_residual(lam, 0, g), "gauge.shift")],
+        ids=["mu_g", "mu_1mg", "gauge"])
+    def test_round_off_floor_is_refused(self, law, gate):
+        # 4 eps max|log W|: 1.6e-11 at g = 1000, past the tenth of either gate that cli
+        # refuses, and 3.4e-14 at g = 10, where the residual passes
+        tenth = _DEFAULT_TOLS[gate] / 10.0
+        assert law(LAM3, 1000.0)[1] > tenth
+        residual, floor = law(LAM3, 10.0)
+        assert floor <= tenth and residual <= 1e-12
 
     def test_zero_weight_adds_no_floor(self):
         # a weight zero (log -inf) at a gamma pole is no round-off: the NaN ratio is reported
-        assert np.isnan(measure_shift_residual((0.0, 2.0, 5j), 2, 1.5, "mu_1mg"))
+        residual, floor = measure_shift_residual((0.0, 2.0, 5j), 2, 1.5, "mu_1mg")
+        assert np.isnan(residual) and floor == 0.0
 
     def test_shift_residual_needs_a_stated_law(self):
         with pytest.raises(ValueError):
@@ -256,21 +259,25 @@ class TestStacks:
     def test_gauge_shift_residual(self):
         points = self.points()
         shifts = [0, 2, 1, 1, 0, 2]
-        stacked = gauge_shift_residual(np.reshape(points, (2, 3, 3)), np.reshape(shifts, (2, 3)),
-                                       self.G)
+        stacked, floor = gauge_shift_residual(np.reshape(points, (2, 3, 3)),
+                                              np.reshape(shifts, (2, 3)), self.G)
         single = [gauge_shift_residual(p, i, self.G) for p, i in zip(points, shifts)]
-        assert stacked.shape == (2, 3) and self.bits(stacked) == self.bits(single)
+        assert stacked.shape == (2, 3) and self.bits(stacked) == self.bits(
+            [residual for residual, _ in single])
+        # a stack's floor is the largest of its points'
+        assert floor == max(point_floor for _, point_floor in single)
         # one index for every point
-        assert self.bits(gauge_shift_residual(points, 1, self.G)) == self.bits(
-            [gauge_shift_residual(p, 1, self.G) for p in points])
+        assert self.bits(gauge_shift_residual(points, 1, self.G)[0]) == self.bits(
+            [gauge_shift_residual(p, 1, self.G)[0] for p in points])
 
     @pytest.mark.parametrize("kind", ["mu_g", "mu_1mg"])
     def test_measure_shift_residual(self, kind):
         # the pole row is -inf on both sides of its shift: a NaN draw, in its own row only
         points, shifts = self.points()[:5] + [self.POLE], [0, 2, 1, 1, 0, 2]
-        stacked = measure_shift_residual(points, shifts, self.G, kind)
+        stacked, floor = measure_shift_residual(points, shifts, self.G, kind)
         single = [measure_shift_residual(p, i, self.G, kind) for p, i in zip(points, shifts)]
-        assert self.bits(stacked) == self.bits(single)
+        assert self.bits(stacked) == self.bits([residual for residual, _ in single])
+        assert floor == max(point_floor for _, point_floor in single)
         assert math.isnan(stacked[5]) and (stacked[:5] <= 1e-11).all()
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -321,6 +328,19 @@ class TestDualHamiltonian:
     def test_infeasible_at_g_one(self):
         with pytest.raises(InfeasibleContourError):
             apply_dual_hamiltonian(1, LAM2, X2, 1.0)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_shifted_lines_are_refused_before_any_evaluation(self, monkeypatch, r):
+        # every shifted point's line Re = 1 is checked first: at g = 0.05 the base grid
+        # alone would exceed the node budget, and a coupling g <= 0 is a bad input
+        def evaluated(*args, **kwargs):
+            raise AssertionError("Phi was evaluated")
+
+        monkeypatch.setattr(dual_ops, "eval_phi", evaluated)
+        with pytest.raises(InfeasibleContourError, match="Re = 1.0"):
+            apply_dual_hamiltonian(r, LAM3, X3, 0.05)
+        with pytest.raises(ValueError, match="coupling"):
+            apply_dual_hamiltonian(r, LAM3, X3, -1.0)
 
     @pytest.mark.parametrize("r", [-1, 0, 3])
     def test_r_range(self, r):

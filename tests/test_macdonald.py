@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bispectral import macdonald
+from bispectral.cli import _DEFAULT_TOLS
 from bispectral.macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                                   apply_macdonald, qpochhammer, tau_limit_check,
                                   verify_gauge_equivalence, weight_and_gauge,
@@ -336,10 +337,14 @@ class TestTauLimit:
         assert radii == pytest.approx([rho] * 32, rel=1e-12) and fit.error <= 1e-11
 
     def test_unresolvable_floor_is_refused(self):
-        # at g = 1e4 the radius 3 / T leaves a round-off floor of 1e-10, ten times a tenth of
-        # the gate: HS1 f = 0 here, so c_1's round-off over rho is all of the hs1 error
-        with pytest.raises(macdonald.TauResolutionError, match="floor"):
-            tau_limit_check((0.4, -0.2), 1e4, LaurentPolynomial(2, {(1, -1): 1.0}))
+        # at g = 1e4 the radius 3 / T leaves a round-off floor of 1e-10, ten times the tenth
+        # of the gate that cli refuses: HS1 f = 0 here, so c_1's round-off over rho is all
+        # of the hs1 error; at g = 1.5 the same fit resolves its gate
+        tenth = _DEFAULT_TOLS["macdonald.tau"] / 10.0
+        f = LaurentPolynomial(2, {(1, -1): 1.0})
+        assert tau_limit_check((0.4, -0.2), 1e4, f).floor > tenth
+        fit = tau_limit_check((0.4, -0.2), 1.5, f)
+        assert fit.floor <= tenth and fit.error <= 1e-11
 
     def test_error_propagates_nan(self):
         fit = macdonald.TauFitResult(1.0, 1.0, complex(math.nan), 1.0)

@@ -136,3 +136,35 @@ class TestPrefactorDerivatives:
         x = (0.45, 0.05, -0.35)
         total = sum(prefactor_log_derivatives(x, 1.3, i)[0] for i in range(3))
         assert total == pytest.approx(0.0, abs=1e-12)
+
+
+OPERATORS = {"h1": apply_H1, "h2": apply_H2,
+             "hs1": lambda lam, x, g: apply_reduced_HS(lam, x, g, order=1),
+             "hs2": lambda lam, x, g: apply_reduced_HS(lam, x, g, order=2)}
+
+
+class TestRoundOffFloor:
+    @pytest.mark.parametrize("g", [1.5, 20.0])
+    @pytest.mark.parametrize("sep", [1e-1, 1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("lam, far", [(LAM2, ()), ((0.9j, 0.1j, -0.6j), (-0.4,))],
+                             ids=["n2", "n3"])
+    def test_floor_bounds_the_residual(self, lam, far, sep, g):
+        # half of the 32 points that set _SUM_FLOOR = 16 eps: there residual / (eps
+        # sum|term| / |expected|) read at most 13 (n = 3 HS2) and 3.7 (the others)
+        x = (0.3 + sep / 2, 0.3 - sep / 2) + far
+        for name, op in OPERATORS.items():
+            res = op(lam, x, g)
+            assert res.relative_residual <= res.floor, name
+
+    def test_floor_follows_the_cancellation(self):
+        # 1e-6 apart H2's terms cancel by 1.5e13, HS2's by 2e6: H2's floor passes a tenth
+        # of its 1e-5 gate, HS2's (residual 1.1e-9) stays below it
+        x = (0.3000005, 0.2999995)
+        assert apply_H2(LAM2, x, G).floor > 1e-6
+        assert apply_reduced_HS(LAM2, x, G, order=2).floor < 1e-7
+
+    def test_well_separated_floors_are_small(self):
+        # the points of `all`: factors below 100
+        for lam, x in ((LAM2, X2), ((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4))):
+            for name, op in OPERATORS.items():
+                assert op(lam, x, G).floor <= 1e-12, name

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bispectral import wavefn
 from bispectral.cgamma import GammaPoleError
+from bispectral.sutherland_ops import apply_reduced_HS
 from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kernel,
                                _log_measure, _offset_kernel,
                                CoincidentCoordinatesError,
@@ -515,6 +516,21 @@ class TestOuterSum:
         with pytest.raises(TailNotConvergedError):
             eval_phi(LAM3, X3, G)
 
+    @pytest.mark.parametrize("lam, refused", [
+        ((0.1 + 100.0j, -0.2 - 20.0j, 0.3 - 80.0j), False),
+        ((0.1 + 123.0j, -0.2 - 40.0j, 0.3 - 100.0j), True)], ids=["spread-100", "spread-129"])
+    def test_tail_is_not_read_off_underflow(self, lam, refused):
+        # Phi near 1e-250: the per-node factors a_p, b_q reach e^-577 each, so a_p b_q
+        # underflows to 0 at the edges while b_q H(p - q) does not.  Taken as a_p b_q
+        # first, the edges read 0 and passed; at spread 129, a lambda past the capped outer
+        # line, the value was then 10 % off (HS2 read 0.10), and now the tail refuses
+        x = (0.3, 0.0, -0.4)
+        if refused:
+            with pytest.raises(TailNotConvergedError, match="outer"):
+                eval_phi(lam, x, 2.2)
+        else:
+            assert apply_reduced_HS(lam, x, 2.2, order=2).relative_residual <= 1e-10
+
 
 # the n = 3 point of `all` and the three points of the n3_default benchmark's seed-7 core
 N3_CORE = [
@@ -641,6 +657,9 @@ class TestContours:
         for lam, x in (((0.5j,), (0.4,)), (LAM2, X2), (LAM3, X3)):
             with pytest.raises(ValueError, match="coupling"):
                 eval_phi(lam, x, -1.0)
+            with pytest.raises(ValueError, match="coupling") as refused:
+                validate_contour(1.0, lam, 0.0)
+            assert not isinstance(refused.value, InfeasibleContourError)
 
     @pytest.mark.parametrize("contour, lam, g", [
         # the line Re = 0 cannot separate lattices once lambda is shifted by +2 at g=1.5
@@ -717,6 +736,21 @@ class TestQuadratureSpec:
 
 
 class TestEvalPhi:
+    @pytest.mark.parametrize("lam, x, g, low, high", [
+        ((0.5j,), (0.4,), G, 1.0, 1.0), (LAM3, X3, G, 1.0, 1.0), (LAM2, X2, G, 1.0, 10.0),
+        # Im(lambda_1 - lambda_2) = 81: the nodes cancel by 5e7 ... 2e8
+        ((0j, 81j), (0.0, 1.0), 10.0, 1e7, 1e9)], ids=["n1", "n3", "n2", "n2-wide"])
+    def test_sizes_count_the_terms(self, lam, x, g, low, high):
+        # a sizes list gets sum|term| per value: the nodes at n = 2, |value| at n = 1 and 3,
+        # and moves no value
+        n = len(lam)
+        derivs = [(0,) * n] + [tuple(o if j == 0 else 0 for j in range(n)) for o in (1, 2)]
+        sizes = []
+        values = eval_phi_many(lam, x, g, derivs, sizes=sizes)
+        assert values == eval_phi_many(lam, x, g, derivs) and len(sizes) == len(derivs)
+        for value, size in zip(values, sizes):
+            assert low * (1 - 1e-12) <= size / abs(value) <= high
+
     def test_n1_exponential(self):
         lam, x = 0.37j, 0.81
         assert eval_phi([lam], [x], 1.2) == pytest.approx(cmath.exp(lam * x), rel=1e-15)

@@ -11,7 +11,7 @@ Layers:
   0-based index subsets), gauges, measure weights.
 * ``macdonald`` -- the q,t-difference parents and their tau -> 0 limit.
 * ``identities`` -- exact verification of the subset-sum recurrences and
-  residue relations, on plain integers.
+  residue relations, in the prime field F_p at seeded points.
 * ``legendre`` -- the independent n = 2 closed-form oracle.
 * ``cli`` -- batch verification runs with NDJSON reports.
 """
@@ -32,8 +32,7 @@ from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         apply_macdonald, qpochhammer, tau_limit_check,
                         verify_gauge_equivalence, weight_and_gauge,
                         weight_limit_check, weight_shift_residual)
-from .identities import (binomial_limit_check, residue_check,
-                         substitution_check, substitution_map, sum_S,
+from .identities import (binomial_limit_check, residue_check, substitution_check,
                          verify_lemma1)
 from .legendre import (HypergeometricError, LegendreArgs, closed_form_phi2,
                        dual_system_residuals, hyp2f1, legendre_P,

@@ -51,7 +51,7 @@ def random_positions(rng, n, max_sep=0.95, min_sep=0.25):
 
 
 def test_criterion_01_appendix_identity():
-    # exact equality at 100 random rational points for every 1 <= r <= n <= 5
+    # exact equality at 100 random points of F_p for every 1 <= r <= n <= 5
     started = time.time()
     failures = []
     for n in range(1, 6):

@@ -5,8 +5,10 @@ import math
 import random
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -40,6 +42,30 @@ def shrink_identities(monkeypatch, n_max, trials):
     monkeypatch.setattr(identities, "_LEMMA1_FAMILY_N_MAX", n_max)
     monkeypatch.setattr(identities, "_RESIDUE_FAMILY_N_MAX", min(n_max, 4))
     monkeypatch.setattr(identities, "_LEMMA1_TRIALS", trials)
+
+
+def true_side(family, w):
+    """Whether the unplanted side of an identity witness is sum_S at its residues
+    mod its modulus (a planted side is off by 1 there)."""
+    p = w["modulus"]
+
+    def mod(x):
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    if family == "lemma1":
+        return w["lhs"] == mod(identities.sum_S(w["r"], w["u"], w["v"], w["alpha"]))
+    if family == "residue":
+        u, v, alpha, r = w["u"], w["v"], w["alpha"], w["r"]
+        weight = alpha * math.prod(Fraction(u[-1] - c - s, u[-1] - c)
+                                   for s, cs in ((alpha, u[:-1]), (-alpha, v[:-1])) for c in cs)
+        return all(side["predicted"] == mod(weight * identities.sum_S(
+            r - 1, u[:-1], v[:-1], alpha, "primed" + form))
+                   for form, side in (("_S", w.get("s_side")), ("_Stilde", w.get("stilde_side")))
+                   if side)
+    if family == "binomial":
+        return w["S"] == mod(identities.sum_S(w["r"], w["u"], w["v"], 0) + 1)
+    u, v, alpha = identities.substitution_map(w["lam"], w["nu"], w["g"])
+    return w["primed"] == mod(identities.sum_S(w["r"], u, v, alpha, "primed_" + w["form"]))
 
 
 def strict_json(line):
@@ -147,32 +173,35 @@ class TestExitStatus:
         assert math.isnan(rep.residual) and rep.status == "fail"
 
     @pytest.mark.parametrize("family, wrong, point", [
-        ("lemma1", lambda alpha, form, residue: form == "primed_Stilde" and alpha != 0,
+        ("lemma1", lambda alpha, form, residue: form == "primed_Stilde" and alpha.all(),
          {"u", "v", "alpha"}),
         ("residue", lambda alpha, form, residue: residue, {"u", "v", "alpha"}),
-        ("binomial", lambda alpha, form, residue: alpha == 0, {"n", "r", "u", "v"}),
+        ("binomial", lambda alpha, form, residue: not alpha.any(), {"n", "r", "u", "v"}),
         ("substitution", lambda alpha, form, residue: form.startswith("unprimed"),
          {"lam", "nu", "g", "r"})])
     def test_planted_exact_error_is_one(self, capsys, monkeypatch, family, wrong, point):
         # every order of every subset sum of the planted kind off by exactly 1 (its
         # numerator gains the common denominator): the family's checks fail, and
-        # each witness names the point where its identity failed
-        subset_orders = identities._subset_orders
+        # each witness names the point where its identity failed, in residues mod
+        # its modulus, where sum_S gives the true side
+        subset_sums = identities._subset_sums
 
         def planted(u, v, alpha, form, residue=False):
-            totals, common = subset_orders(u, v, alpha, form, residue)
-            if wrong(alpha, form, residue):
-                totals = [t + common for t in totals]
+            totals, common = subset_sums(u, v, alpha, form, residue)
+            if wrong(np.asarray(alpha), form, residue):
+                totals = (totals + common[:, None]) % identities._P
             return totals, common
 
-        monkeypatch.setattr(identities, "_subset_orders", planted)
+        monkeypatch.setattr(identities, "_subset_sums", planted)
         shrink_identities(monkeypatch, 3, 3)
         code, out, _ = run_main(capsys, ["check-identities"])
         assert code == 1
         failed = [rep for rep in reports_of(out)
                   if rep["check_id"].startswith(f"identities.{family}")]
         assert failed and all(rep["status"] == "fail" and not rep["exact_pass"]
-                              and point <= set(rep["witness"]) for rep in failed)
+                              and point | {"modulus"} <= set(rep["witness"]) for rep in failed)
+        for rep in failed:
+            assert true_side(family, rep["witness"])
 
     @pytest.mark.parametrize("command", ["check-sutherland", "check-dual"])
     @pytest.mark.parametrize("im", ["1e18", "1e300"])
@@ -627,23 +656,22 @@ class TestConfigSources:
         assert all(rep["inputs"]["lambda"] == [format_complex(v) for v in lam]
                    and rep["inputs"]["x"] == list(x) for rep in reps)
 
-    def test_run_api(self, monkeypatch):
-        shrink_identities(monkeypatch, 2, 5)
+    def test_run_api(self):
         status, reports = run("check-identities", RunConfig(seed=1))
         assert status == 0
         assert all(rep.status == "pass" for rep in reports)
 
     def test_lemma1_pass_is_shared_within_one_run_only(self, monkeypatch):
         # the Lemma 1 checks of one n share one pass, and the next run makes its
-        # own: two runs enumerate subsets equally often, and report the same
-        # checks with the same inputs in the same order
-        calls, subset_orders = [0], identities._subset_orders
+        # own: two runs call the subset-sum engine equally often, and report the
+        # same checks with the same inputs in the same order
+        calls, subset_sums = [0], identities._subset_sums
 
         def counting(*args, **kw):
             calls[0] += 1
-            return subset_orders(*args, **kw)
+            return subset_sums(*args, **kw)
 
-        monkeypatch.setattr(identities, "_subset_orders", counting)
+        monkeypatch.setattr(identities, "_subset_sums", counting)
         counts, lemma1 = [], []
         for _ in range(2):
             calls[0] = 0
@@ -668,7 +696,6 @@ class TestConfigSources:
             return moments(f, step, dx, M, m_max)
 
         monkeypatch.setattr(wavefn, "_lattice_moments", counting)
-        shrink_identities(monkeypatch, 2, 5)
         run("all", RunConfig())
         first = list(built)
         assert len(first) == len(set(first)) == 3
@@ -692,15 +719,15 @@ class TestConfigSources:
 
     def test_residue_pass_is_shared_per_n(self, monkeypatch):
         # one residue_check pass per n answers its r = 1..n checks: the residue and the
-        # reduced sum of both forms, 4 enumerations for each of n = 2, 3, 4 (36 when
+        # reduced sum of both forms, 4 engine calls for each of n = 2, 3, 4 (36 when
         # each of the 9 checks made its own)
-        calls, subset_orders = [0], identities._subset_orders
+        calls, subset_sums = [0], identities._subset_sums
 
         def counting(*args, **kw):
             calls[0] += 1
-            return subset_orders(*args, **kw)
+            return subset_sums(*args, **kw)
 
-        monkeypatch.setattr(identities, "_subset_orders", counting)
+        monkeypatch.setattr(identities, "_subset_sums", counting)
         config = RunConfig()
         residue = [check for check in checks("check-identities", config)
                    if check[0].startswith("identities.residue.")]

@@ -21,7 +21,9 @@ and the r > 1 reports only read the result.  Likewise the checks of one point
 (lambda, x, g) -- compare-oracle, the four Sutherland checks and the dual
 orders -- share one wavefn lattice dict, made anew by each call of checks(),
 so no run reads another's: the first check there carries the build of the
-gamma tables they share in its wall_time, and the later ones read them.  Each
+gamma tables they share in its wall_time, and the later ones read them, as they
+read the values of a call the lattice has seen under its full key (h1 and hs1
+ask for one jet, h2 and hs2 for another, each dual order for the base Phi).  Each
 gauge.* and measures.* check passes its draws to dual_ops as one stack, so its
 gamma factors take one log_gamma call per weight.  A failed check carries a
 witness: its inputs, residual and gate, or for an exact identity the point

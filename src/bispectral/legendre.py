@@ -95,17 +95,28 @@ def hyp2f1(a: complex, b: complex, c: complex, w: complex) -> complex:
     return total
 
 
+def _front(mu: complex, z: float, log_gamma_1mmu: complex) -> complex:
+    """((z+1)/(z-1))^{mu/2} / Gamma(1-mu) from log Gamma(1 - mu): the factor of P^mu_nu(z)
+    that does not depend on the degree nu."""
+    return cmath.exp(0.5 * mu * cmath.log((z + 1.0) / (z - 1.0)) - log_gamma_1mmu)
+
+
+def _series(args: LegendreArgs) -> complex:
+    """2F1(-nu, nu+1; 1-mu; (1-z)/2), the factor of P^mu_nu(z) that does; a 1 - mu on a
+    non-positive integer, a pole of the front's Gamma(1 - mu), is refused."""
+    mu, nu = args.mu, args.nu
+    if _near_nonpositive_int(1.0 - mu):
+        raise HypergeometricError(f"1 - mu = {1.0 - mu} is a non-positive integer")
+    return hyp2f1(-nu, nu + 1.0, 1.0 - mu, (1.0 - args.z) / 2.0)
+
+
 def legendre_P(args: LegendreArgs) -> complex:
     """Legendre function of the first kind for real z > 1, principal branch.
 
     P^mu_nu(z) = ((z+1)/(z-1))^{mu/2} / Gamma(1-mu) * 2F1(-nu, nu+1; 1-mu; (1-z)/2).
     """
-    mu, nu, z = args.mu, args.nu, args.z
-    if _near_nonpositive_int(1.0 - mu):
-        raise HypergeometricError(f"1 - mu = {1.0 - mu} is a non-positive integer")
-    w = (1.0 - z) / 2.0
-    front = cmath.exp(0.5 * mu * cmath.log((z + 1.0) / (z - 1.0)) - log_gamma(1.0 - mu))
-    return front * hyp2f1(-nu, nu + 1.0, 1.0 - mu, w)
+    series = _series(args)
+    return _front(args.mu, args.z, log_gamma(1.0 - args.mu)) * series
 
 
 def closed_form_phi2(lam1: complex, lam2: complex, x1: float, x2: float,
@@ -115,7 +126,8 @@ def closed_form_phi2(lam1: complex, lam2: complex, x1: float, x2: float,
     sinh^{1/2-g}(x1-x2) * e^{(l1+l2)(x1+x2)/2}
       * Gamma(g - d) Gamma(g + d) * P^{1/2-g}_{d - 1/2}(cosh(x1-x2)),
     with d = (l1 - l2)/2.  Requires x1 > x2 to fix the branch of the
-    fractional sinh power.
+    fractional sinh power.  Gamma(1 - mu) of the Legendre front and the two gammas
+    take one log_gamma call.
     """
     if not x1 > x2:
         raise ValueError(f"need x1 > x2 to fix orientation, got {x1} <= {x2}")
@@ -123,8 +135,11 @@ def closed_form_phi2(lam1: complex, lam2: complex, x1: float, x2: float,
     d = (lam1 - lam2) / 2.0
     sep = x1 - x2
     mu = 0.5 - g
-    p_val = legendre_P(LegendreArgs(mu=mu, nu=d - 0.5, z=math.cosh(sep)))
-    gammas = cmath.exp(sum(log_gamma([g - d, g + d])))
+    args = LegendreArgs(mu=mu, nu=d - 0.5, z=math.cosh(sep))
+    series = _series(args)
+    lg = log_gamma([1.0 - mu, g - d, g + d])
+    p_val = _front(mu, args.z, lg[0]) * series
+    gammas = cmath.exp(sum(lg[1:]))
     return (math.sinh(sep) ** mu
             * cmath.exp((lam1 + lam2) * (x1 + x2) / 2.0)
             * gammas * p_val)
@@ -134,7 +149,8 @@ def recurrence_check(lam: complex, x: float, g: float) -> float:
     """Residual of the degree recurrence driving the dual difference equation.
 
     (1/lam) [ (lam + 2g) P_{nu+1} + (lam - 2g) P_{nu-1} ] = (e^x + e^{-x}) P_nu
-    with order mu = 1/2 - g and degree nu = lam/2 - 1/2 at z = cosh x.
+    with order mu = 1/2 - g and degree nu = lam/2 - 1/2 at z = cosh x.  The three
+    degrees share one order and argument, so one front serves them.
     """
     lam = complex(lam)
     if abs(lam) < 1e-12:
@@ -142,9 +158,9 @@ def recurrence_check(lam: complex, x: float, g: float) -> float:
     mu = 0.5 - g
     z = math.cosh(x)
     nu = lam / 2.0 - 0.5
-    p0 = legendre_P(LegendreArgs(mu=mu, nu=nu, z=z))
-    p_up = legendre_P(LegendreArgs(mu=mu, nu=nu + 1.0, z=z))
-    p_dn = legendre_P(LegendreArgs(mu=mu, nu=nu - 1.0, z=z))
+    series = [_series(LegendreArgs(mu=mu, nu=v, z=z)) for v in (nu, nu + 1.0, nu - 1.0)]
+    front = _front(mu, z, log_gamma(1.0 - mu))
+    p0, p_up, p_dn = (front * s for s in series)
     lhs = ((lam + 2.0 * g) * p_up + (lam - 2.0 * g) * p_dn) / lam
     return EigenResidual.build(lhs, 2.0 * z * p0).relative_residual
 
@@ -155,12 +171,13 @@ def dual_system_residuals(lam1: complex, lam2: complex, x1: float, x2: float,
 
     ``dual_ops``' H_r applied to the closed form against e_r(e^{2x}) times it,
     r = 1, 2: H_1 = -1/(l1-l2) [ (l1-l2+2-2g) T_{l1} + (l1-l2-2+2g) T_{l2} ]
-    and H_2 = T_{l1} T_{l2}.
+    and H_2 = T_{l1} T_{l2}.  The base closed form is formed once for both.
     """
     lam = (complex(lam1), complex(lam2))
 
     def phi(lam):
         return closed_form_phi2(*lam, x1, x2, g)
 
-    return tuple(dual_eigen_residual(r, lam, (x1, x2), g, phi, phi(lam)).relative_residual
+    base = phi(lam)
+    return tuple(dual_eigen_residual(r, lam, (x1, x2), g, phi, base).relative_residual
                  for r in (1, 2))

@@ -603,6 +603,18 @@ def _quantities_n3(lam, x, g, c, step, derivs, lattice):
         T_in += grow
 
 
+def _one_pass(args, lattice, sizes):
+    """The values of one quadrature pass at args = (lam, x, g, c, step, derivs); sizes, unless
+    None, receives eval_phi_many's sizes of them."""
+    lam, x, _, _, _, derivs = args
+    if len(lam) == 2:
+        return _quantities_n2(*args, lattice, sizes)
+    values = _quantities_n1(lam, x, derivs) if len(lam) == 1 else _quantities_n3(*args, lattice)
+    if sizes is not None:
+        sizes.extend(map(abs, values))
+    return values
+
+
 def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
                   quad: QuadratureSpec | None = None, *, lattice: dict | None = None,
                   sizes: list | None = None) -> list[complex]:
@@ -621,7 +633,10 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     c and lambda only through c - Re lambda_k and Im lambda_k minus the grid
     centre, and for n = 3 the lambda- and c-independent envelope and moments.  So
     calls at real shifts of lambda or at other x share them (None: a fresh
-    one; n = 1 ignores it).  Every entry is a pure function of its key, so
+    one; n = 1 ignores it).  It also keeps each call's values and sizes under its full
+    key ("values", lambda, x, g, c, the step taken, derivs), so a repeated call makes no
+    quadrature pass and returns a fresh list, equal bit for bit; a refused call stores
+    nothing and raises again.  Every entry is a pure function of its key, so
     sharing moves no value.  Keep a dict for one point (lambda, x, g) and the
     checks made there: it holds every array built.  A sizes list receives, per value, the
     sum of |term| over the terms that value sums, whose round-off is at most a few eps
@@ -646,17 +661,17 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
                             f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
     quad = quad or QuadratureSpec()
     margin = validate_contour(contour, lam, g)
-    if n == 1:
-        values = _quantities_n1(lam.values, x.values, derivs)
-    else:
-        lattice = {} if lattice is None else lattice
-        step = min(quad.step, _STEP_PER_MARGIN * margin)
-        if n == 2:
-            return _quantities_n2(lam.values, x.values, g, contour, step, derivs, lattice, sizes)
-        values = _quantities_n3(lam.values, x.values, g, contour, step, derivs, lattice)
+    args = (lam.values, x.values, g, contour, min(quad.step, _STEP_PER_MARGIN * margin), derivs)
+    if n == 1 or lattice is None:
+        return _one_pass(args, {}, sizes)
+    key = ("values", *args[:-1], tuple(derivs))
+    if key not in lattice:
+        held: list = []
+        lattice[key] = _one_pass(args, lattice, held), held
+    values, held = lattice[key]
     if sizes is not None:
-        sizes.extend(map(abs, values))
-    return values
+        sizes.extend(held)
+    return list(values)
 
 
 def eval_phi(lam, x, g: float, contour: float = 0.0, quad: QuadratureSpec | None = None, *,

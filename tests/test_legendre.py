@@ -1,6 +1,7 @@
 """Closed-form n = 2 oracle: hypergeometric series, Legendre function,
 recurrence, and agreement with the contour-integral evaluator."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispectral.cli import main
+from bispectral import dual_ops, legendre, wavefn
+from bispectral.cgamma import log_gamma
+from bispectral.cli import RunConfig, main, run
+from bispectral.dual_ops import dual_eigen_residual
 from bispectral.legendre import (HypergeometricError, LegendreArgs,
                                  closed_form_phi2, dual_system_residuals,
                                  hyp2f1, legendre_P, recurrence_check)
+from bispectral.sutherland_ops import EigenResidual
 from bispectral.wavefn import ConvergenceWindowError, eval_phi
 
 
@@ -200,3 +205,65 @@ class TestDualSystem:
     def test_generic_complex_spectral_points(self):
         r1, r2 = dual_system_residuals(0.2 + 0.9j, -0.1 - 0.4j, 0.5, -0.1, 1.75)
         assert r1 <= 1e-9 and r2 <= 1e-9
+
+
+def _reference_closed_form(lam1, lam2, x1, x2, g):
+    """closed_form_phi2 from legendre_P, its own Gamma(1 - mu) included, and one more
+    log_gamma call for Gamma(g - d) Gamma(g + d)."""
+    d = (complex(lam1) - complex(lam2)) / 2.0
+    mu = 0.5 - g
+    p_val = legendre_P(LegendreArgs(mu=mu, nu=d - 0.5, z=math.cosh(x1 - x2)))
+    gammas = cmath.exp(sum(log_gamma([g - d, g + d])))
+    return (math.sinh(x1 - x2) ** mu * cmath.exp((complex(lam1) + complex(lam2)) * (x1 + x2) / 2.0)
+            * gammas * p_val)
+
+
+def _reference_recurrence(lam, x, g):
+    """recurrence_check from three legendre_P calls, each with its own front."""
+    lam, mu, z = complex(lam), 0.5 - g, math.cosh(x)
+    nu = lam / 2.0 - 0.5
+    p0, p_up, p_dn = (legendre_P(LegendreArgs(mu=mu, nu=v, z=z)) for v in (nu, nu + 1.0, nu - 1.0))
+    lhs = ((lam + 2.0 * g) * p_up + (lam - 2.0 * g) * p_dn) / lam
+    return EigenResidual.build(lhs, 2.0 * z * p0).relative_residual
+
+
+def _reference_dual_system(lam1, lam2, x1, x2, g):
+    """dual_system_residuals on the reference closed form, its base formed for each r."""
+    lam = (complex(lam1), complex(lam2))
+
+    def phi(lam):
+        return _reference_closed_form(*lam, x1, x2, g)
+
+    return tuple(dual_eigen_residual(r, lam, (x1, x2), g, phi, phi(lam)).relative_residual
+                 for r in (1, 2))
+
+
+class TestSharedFront:
+    """One Gamma(1 - mu) front per Legendre point moves no bit."""
+
+    @pytest.mark.parametrize("g", [0.5, 1.5, 2.0])
+    def test_bit_identical_to_separate_fronts(self, g):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            lam1, lam2 = (complex(rng.uniform(-0.3, 0.3), rng.uniform(-5.0, 5.0))
+                          for _ in range(2))
+            x2 = float(rng.uniform(-0.3, 0.3))
+            x1 = x2 + float(rng.uniform(0.1, 1.5))
+            assert recurrence_check(lam1, x1 - x2, g) == _reference_recurrence(lam1, x1 - x2, g)
+            assert closed_form_phi2(lam1, lam2, x1, x2, g) == \
+                _reference_closed_form(lam1, lam2, x1, x2, g)
+            assert dual_system_residuals(lam1, lam2, x1, x2, g) == \
+                _reference_dual_system(lam1, lam2, x1, x2, g)
+
+    def test_all_log_gamma_calls(self, monkeypatch):
+        # `all --seed 7` calls log_gamma 91 times, 67 of them from legendre: one front per
+        # recurrence point (30), one call per closed form (25 oracle points, and 4 per
+        # dual-system g: the base once, r = 1's two shifts and r = 2's one)
+        calls = []
+        for module in (dual_ops, legendre, wavefn):
+            def counting(z, module=module, log_gamma=module.log_gamma):
+                calls.append(module.__name__)
+                return log_gamma(z)
+            monkeypatch.setattr(module, "log_gamma", counting)
+        status, _ = run("all", RunConfig(seed=7))
+        assert status == 0 and len(calls) == 91 and calls.count(legendre.__name__) == 67

@@ -4,6 +4,7 @@ invariants, exact derivatives."""
 import cmath
 import math
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bispectral import wavefn
+from bispectral import sutherland_ops, wavefn
+from bispectral.cli import RunConfig, run
 from bispectral.cgamma import GammaPoleError
 from bispectral.sutherland_ops import apply_reduced_HS
 from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kernel,
@@ -74,6 +76,11 @@ def _count_log_gamma(monkeypatch):
 
     monkeypatch.setattr(wavefn, "log_gamma", counting)
     return elems
+
+
+def _kinds(lattice):
+    """How many lattice entries of each kind (the first item of the key) there are."""
+    return dict(Counter(key[0] for key in lattice))
 
 
 class TestKernelAndMeasure:
@@ -253,9 +260,8 @@ class TestKernelAndMeasure:
         moments = [key for key in lattice if key[0] == "moments"]
         assert len({key[3] for key in moments}) == 2 and len(moments) == 2
         assert len([key for key in lattice if key[0] == "envelope"]) == 2
-        # the offset column and one column per lambda_k of each point
-        assert len([key for key in lattice if key[0] == "column"]) == 7
-        assert len(lattice) == 11
+        # the offset column and one column per lambda_k of each point, and each call's values
+        assert _kinds(lattice) == {"column": 7, "envelope": 2, "moments": 2, "values": 2}
 
     @pytest.mark.parametrize("r, distinct", [(1, 9), (2, 9), (3, 6)])
     def test_dual_check_shares_outer_columns(self, monkeypatch, r, distinct):
@@ -396,7 +402,8 @@ class TestPairKernel:
         eval_phi((2 + 0.7j, -0.3j), X2, G, 1.0, lattice=lattice)
         first = len(elems)
         eval_phi((0.7j, 2 - 0.3j), X2, G, 1.0, lattice=lattice)
-        assert first > 0 and len(elems) == first and len(lattice) == 1
+        assert first > 0 and len(elems) == first
+        assert _kinds(lattice) == {"column": 1, "values": 2}
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 0.5, -1.0])
     @pytest.mark.parametrize("delta", [0.0, 0.37, -0.37])
@@ -422,7 +429,7 @@ class TestPairKernel:
         lattice = {}
         shared = [eval_phi(LAM2, x, G, lattice=lattice) for x in xs]
         assert shared == [eval_phi(LAM2, x, G) for x in xs]
-        assert len(lattice) == 1
+        assert _kinds(lattice) == {"column": 1, "values": 3}
 
 
 def _spy_outer(monkeypatch):
@@ -836,6 +843,92 @@ class TestEvalPhi:
     def test_empty_derivs_rejected_at_every_n(self, lam, x):
         with pytest.raises(ValueError, match="derivs is empty"):
             eval_phi_many(lam, x, G, [])
+
+
+def _count_passes(monkeypatch):
+    """Record the n of every quadrature pass, one per _quantities_n2 / _n3 call."""
+    passes = []
+    for n in (2, 3):
+        quantities = getattr(wavefn, f"_quantities_n{n}")
+
+        def counting(*args, n=n, quantities=quantities):
+            passes.append(n)
+            return quantities(*args)
+        monkeypatch.setattr(wavefn, f"_quantities_n{n}", counting)
+    return passes
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestValueMemo:
+    """A lattice keeps each call's values and sizes under the call's full key."""
+
+    CALL = dict(lam=LAM2, x=X2, g=G, derivs=[(0, 0), (1, 0), (0, 2)])
+
+    @pytest.mark.parametrize("lam, x, derivs", [(LAM2, X2, CALL["derivs"]), (LAM3, X3, D7)],
+                             ids=["n2", "n3"])
+    def test_repeat_makes_no_pass(self, monkeypatch, lam, x, derivs):
+        lattice, sizes = {}, [[], [], []]
+        first = eval_phi_many(lam, x, G, derivs, lattice=lattice, sizes=sizes[0])
+        passes = _count_passes(monkeypatch)
+        again = eval_phi_many(lam, x, G, derivs, lattice=lattice, sizes=sizes[1])
+        assert passes == []
+        assert _bits(again) == _bits(first) and _bits(sizes[1]) == _bits(sizes[0])
+        # and both are a fresh lattice's, which the memo never reads
+        fresh = eval_phi_many(lam, x, G, derivs, sizes=sizes[2])
+        assert passes == [len(lam)]
+        assert _bits(fresh) == _bits(first) and _bits(sizes[2]) == _bits(sizes[0])
+
+    @pytest.mark.parametrize("change", [
+        {"contour": 0.1}, {"quad": QuadratureSpec(0.09)}, {"derivs": [(0, 0), (1, 0), (0, 1)]},
+        {"derivs": [(1, 0), (0, 0), (0, 2)]}, {"x": (0.4, -0.25)}, {"g": 1.6}],
+        ids=["contour", "step", "derivs-order", "derivs-permuted", "x", "g"])
+    def test_other_calls_miss(self, monkeypatch, change):
+        # at margin 1.4 or more every step taken is quad.step, so only the changed key moves
+        lattice = {}
+        eval_phi_many(**self.CALL, lattice=lattice)
+        passes = _count_passes(monkeypatch)
+        got = eval_phi_many(**dict(self.CALL, **change), lattice=lattice)
+        assert passes == [2] and _kinds(lattice)["values"] == 2
+        assert _bits(got) == _bits(eval_phi_many(**dict(self.CALL, **change)))
+
+    @pytest.mark.parametrize("call, error", [
+        (dict(lam=LAM2, x=X2, g=G, contour=1.6), InfeasibleContourError),
+        (dict(lam=(2.0 + 0.7j, -0.3j), x=X2, g=1.0001, contour=1.0), wavefn.GridBudgetError),
+        (dict(lam=(2.0 + 0.9j, 0.1j, -0.6j), x=X3, g=1.0001, contour=1.0),
+         wavefn.GridBudgetError)], ids=["infeasible", "budget-n2", "budget-n3"])
+    def test_refused_call_stores_nothing(self, call, error):
+        lattice = {}
+        for _ in range(3):
+            with pytest.raises(error):
+                eval_phi(**call, lattice=lattice)
+        assert lattice == {}
+
+    def test_returned_lists_are_fresh(self):
+        lattice, sizes = {}, []
+        first = eval_phi_many(**self.CALL, lattice=lattice, sizes=sizes)
+        want, want_sizes = list(first), list(sizes)
+        first[0] = 0j
+        first.append(1j)
+        sizes[0] = -1.0
+        sizes = []
+        assert eval_phi_many(**self.CALL, lattice=lattice, sizes=sizes) == want
+        assert sizes == want_sizes
+
+    def test_all_makes_41_passes(self, monkeypatch):
+        # `all --seed 7` makes 48 eval_phi_many calls, and 7 repeat an earlier one: at n = 2
+        # and at n = 3 hs1 asks for h1's jet and hs2 for h2's, and each dual order r > 1 for
+        # the base Phi of r = 1
+        calls, passes = [], _count_passes(monkeypatch)
+        for module in (wavefn, sutherland_ops):
+            def counting(*args, many=module.eval_phi_many, **kwargs):
+                calls.append(args)
+                return many(*args, **kwargs)
+            monkeypatch.setattr(module, "eval_phi_many", counting)
+        status, _ = run("all", RunConfig(seed=7))
+        assert status == 0 and len(calls) == 48 and len(passes) == 41
 
 
 class TestDerivatives:

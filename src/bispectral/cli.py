@@ -17,13 +17,13 @@ quadrature, and the identity family's sizes are constants of ``identities``:
 no key or flag sets any of them.  The Lemma 1 checks of one n share one pass
 over their points, as do its residue checks, made by the first of them: the
 wall_time of identities.lemma1.n{n}r1 and .residue.n{n}r1 carries the pass,
-and the r > 1 reports only read the result.  Likewise the checks of one point
-(lambda, x, g) -- compare-oracle, the four Sutherland checks and the dual
-orders -- share one wavefn lattice dict, made anew by each call of checks(),
-so no run reads another's: the first check there carries the build of the
-gamma tables they share in its wall_time, and the later ones read them, as they
-read the values of a call the lattice has seen under its full key (h1 and hs1
-ask for one jet, h2 and hs2 for another, each dual order for the base Phi).  Each
+and the r > 1 reports only read the result.  Likewise every check that evaluates
+Phi -- compare-oracle, the four Sutherland checks and the dual orders, at every
+point -- shares one wavefn lattice dict, keyed by all each entry depends on and
+made anew by each call of checks(), so no run reads another's.  The first check
+to build a gamma table carries it in its wall_time, and later ones read it, as
+they read the values of a call the lattice has seen under its full key (h1 and
+hs1 ask for one jet, h2 and hs2 for another, each dual order for the base Phi).  Each
 gauge.* and measures.* check passes its draws to dual_ops as one stack, so its
 gamma factors take one log_gamma call per weight.  A failed check carries a
 witness: its inputs, residual and gate, or for an exact identity the point
@@ -216,9 +216,7 @@ def _strict(value):
 
 EXACT, VALUE = "exact", "value"
 Check = tuple[str, dict, str, Callable[[], object]]
-# the lattice dict of a config's point (lambda, x, g) within one checks() call
-Lattice = Callable[[RunConfig], dict]
-Family = Callable[[RunConfig, Lattice], list[Check]]
+Family = Callable[[RunConfig, dict], list[Check]]
 
 
 def _report(config: RunConfig, check: Check) -> CheckReport:
@@ -270,22 +268,22 @@ def _ratio_spread(ratios: Sequence[complex]) -> float:
     return float(np.max(np.abs(arr - arr.mean())) / abs(arr.mean()))
 
 
-def _sutherland(config: RunConfig, lattice: Lattice) -> list[Check]:
-    n, lam, x, g, shared = config.n, config.lam, config.x, config.g, lattice(config)
+def _sutherland(config: RunConfig, lattice: dict) -> list[Check]:
+    n, lam, x, g = config.n, config.lam, config.x, config.g
     operators = (("h1", apply_H1, {}), ("h2", apply_H2, {}),
                  ("hs1", apply_reduced_HS, {"order": 1}), ("hs2", apply_reduced_HS, {"order": 2}))
     return [(f"sutherland.n{n}.{name}", _echo_point(config),
              "sutherland.n3" if n >= 3 else f"sutherland.{name}",
-             lambda op=op, kw=kw: ((res := op(lam, x, g, **kw, lattice=shared)).relative_residual,
+             lambda op=op, kw=kw: ((res := op(lam, x, g, **kw, lattice=lattice)).relative_residual,
                                    res.floor))
             for name, op, kw in operators]
 
 
-def _dual(config: RunConfig, lattice: Lattice) -> list[Check]:
-    n, lam, x, g, shared = config.n, config.lam, config.x, config.g, lattice(config)
+def _dual(config: RunConfig, lattice: dict) -> list[Check]:
+    n, lam, x, g = config.n, config.lam, config.x, config.g
     orders = [config.r] if config.r is not None else range(1, n + 1)
     return [(f"dual.n{n}.r{r}", dict(_echo_point(config), r=r), "dual.n3" if n >= 3 else "dual",
-             lambda r=r: ((res := apply_dual_hamiltonian(r, lam, x, g, lattice=shared))
+             lambda r=r: ((res := apply_dual_hamiltonian(r, lam, x, g, lattice=lattice))
                           .relative_residual, res.floor))
             for r in orders]
 
@@ -300,7 +298,7 @@ def _rand_exp_probe(rng: np.random.Generator, n: int) -> Callable:
     return lambda lam: cmath.exp(sum(c * v for c, v in zip(coeffs, lam)))
 
 
-def _gauge(config: RunConfig, _lattice: Lattice) -> list[Check]:
+def _gauge(config: RunConfig, _lattice: dict) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     n, g, seed = 3, config.g, config.seed
     lams, shifts = zip(*[(_rand_generic_lambda(rng, n), int(rng.integers(0, n)))
@@ -323,7 +321,7 @@ def _sklyanin_spread(lams: Sequence[tuple], kind: str) -> float:
     return _ratio_spread([cmath.exp(a - b) for a, b in ratios])
 
 
-def _measures(config: RunConfig, _lattice: Lattice) -> list[Check]:
+def _measures(config: RunConfig, _lattice: dict) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     n, g, seed = 3, config.g, config.seed
     out = []
@@ -359,7 +357,7 @@ def _commutator_residual(params: MacdonaldParams, z: TorusPoint, f: Callable) ->
     return float(np.max(gaps, initial=0.0))
 
 
-def _macdonald(config: RunConfig, _lattice: Lattice) -> list[Check]:
+def _macdonald(config: RunConfig, _lattice: dict) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     params = MacdonaldParams(q=0.3, t=0.7)
     g, seed = config.g, config.seed
@@ -406,7 +404,7 @@ def _macdonald(config: RunConfig, _lattice: Lattice) -> list[Check]:
     ]
 
 
-def _identities(config: RunConfig, _lattice: Lattice) -> list[Check]:
+def _identities(config: RunConfig, _lattice: dict) -> list[Check]:
     # the family's sizes are identities' constants, read when the checks are built
     seed, trials = config.seed, identities._LEMMA1_TRIALS
     # one verify_lemma1 pass and one residue_check pass per n answer their r = 1..n
@@ -426,24 +424,24 @@ def _identities(config: RunConfig, _lattice: Lattice) -> list[Check]:
     return out
 
 
-def _oracle(config: RunConfig, lattice: Lattice) -> list[Check]:
+def _oracle(config: RunConfig, lattice: dict) -> list[Check]:
     if len(config.lam) != 2:
         raise ValueError("compare-oracle is the n = 2 closed-form check")
-    (l1, l2), g, shared = config.lam, config.g, lattice(config)
+    (l1, l2), g = config.lam, config.g
     seps, shifts = np.linspace(0.2, 1.0, config.grid), np.linspace(-0.3, 0.3, config.grid)
     grid = [(float(c + s / 2), float(c - s / 2)) for s in seps for c in shifts]
 
     def spread():
         # one lambda at every x: the grid points share the pair-kernel columns with the
         # point's other checks
-        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, lattice=shared)
+        return _ratio_spread([eval_phi((l1, l2), (x1, x2), g, lattice=lattice)
                               / closed_form_phi2(l1, l2, x1, x2, g) for x1, x2 in grid])
 
     return [("oracle.ratio_spread", dict(_echo_point(config), grid=config.grid),
              "oracle.spread", spread)]
 
 
-def _legendre(config: RunConfig, _lattice: Lattice) -> list[Check]:
+def _legendre(config: RunConfig, _lattice: dict) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     points = []
     for g in (0.5, 1.5, 2.0):
@@ -497,12 +495,8 @@ def checks(command: str, config: RunConfig) -> list[Check]:
     families = [family for name, family in REGISTRY if command in (name, "all")]
     if not families:
         raise ValueError(f"unknown command {command!r}")
-    # one lattice dict per point, made for this list of checks, so no run reads another's
-    lattices: dict = {}
-
-    def lattice(point: RunConfig) -> dict:
-        return lattices.setdefault((point.lam, point.x, point.g), {})
-
+    # one lattice dict for this list of checks, so no run reads another's
+    lattice: dict = {}
     return [check for family in families for check in family(config, lattice)]
 
 

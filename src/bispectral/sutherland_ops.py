@@ -7,8 +7,8 @@ act on Phi directly.  All coordinate derivatives of Phi are exact
 derivatives are closed-form coth/sinh expressions.  Each application returns
 an EigenResidual comparing against the known eigenvalue, with the round-off
 floor of that comparison.  Every operator takes ``eval_phi_many``'s
-keyword-only lattice dict, so the checks of one point can share the gamma
-tables their evaluations build.
+keyword-only lattice dict, so the checks of one run can share the gamma
+tables and values their evaluations build.
 
 Eigenvalues: H1 -> sum(lam), H2 -> -sum(lam^2) on Psi; HS1 -> sum(lam) and
 HS2 -> sum(lam^2) on Phi.  The HS2 eigenvalue follows from the exact

@@ -475,13 +475,15 @@ def _moment(C, S, d1, d2):
                for j in range(d2 + 1))
 
 
-def _quantities_n2(lam, x, g, c, step, derivs, lattice, sizes):
+def _quantities_n2(lam, x, g, c, step, derivs, lattice):
     """Phi_2 is the n = 3 inner contraction at the single pair (l1, l2): its integrand is
     e^{(l1+l2) x2} e^{gam (x1-x2)} K(gam, l1) K(gam, l2).  On the grid gam = c + 1j*(centre
     + step*k) the two kernel columns are _grid_kernel's at (c - Re l_j, +-delta), delta =
     (Im l1 - Im l2)/2, so at c - Re l2 = +-(c - Re l1) (c = 0 and 1 at Re lambda = 0 and its
     +2 shifts) they are one column read back twice.  The calls at one point, and at other x
-    or real shifts of lambda, share it through lattice, and each grows its own grid."""
+    or real shifts of lambda, share it through lattice, and each grows its own grid.
+    Returns the values and eval_phi_many's sizes of them: |each term| of the node sums
+    and of _moment's expansion."""
     l1, l2 = lam
     x1, x2 = x
     center = 0.5 * (l1.imag + l2.imag)
@@ -501,12 +503,11 @@ def _quantities_n2(lam, x, g, c, step, derivs, lattice, sizes):
     C = [(A * (base * gam ** m)[:, None]).T @ A for m in range(m_max + 1)]
     lam_sum = l1 + l2
     scale = np.exp(lam_sum * x2)
-    if sizes is not None:  # |each term| of the node sums and of _moment's expansion
-        node = np.abs(A[:, 0] * base * A[:, 1])
-        M = [float(node @ np.abs(gam) ** m) for m in range(m_max + 1)]
-        sizes.extend(abs(scale) * sum(math.comb(d2, j) * abs(lam_sum) ** j * M[d1 + d2 - j]
-                                      for j in range(d2 + 1)) for d1, d2 in derivs)
-    return [complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs]
+    node = np.abs(A[:, 0] * base * A[:, 1])
+    M = [float(node @ np.abs(gam) ** m) for m in range(m_max + 1)]
+    return ([complex(scale * _moment(C, lam_sum, d1, d2)[0, 1]) for d1, d2 in derivs],
+            [abs(scale) * sum(math.comb(d2, j) * abs(lam_sum) ** j * M[d1 + d2 - j]
+                              for j in range(d2 + 1)) for d1, d2 in derivs])
 
 
 def _outer_entries(nu, a, b, H, lam_sum, p, q, d):
@@ -603,18 +604,6 @@ def _quantities_n3(lam, x, g, c, step, derivs, lattice):
         T_in += grow
 
 
-def _one_pass(args, lattice, sizes):
-    """The values of one quadrature pass at args = (lam, x, g, c, step, derivs); sizes, unless
-    None, receives eval_phi_many's sizes of them."""
-    lam, x, _, _, _, derivs = args
-    if len(lam) == 2:
-        return _quantities_n2(*args, lattice, sizes)
-    values = _quantities_n1(lam, x, derivs) if len(lam) == 1 else _quantities_n3(*args, lattice)
-    if sizes is not None:
-        sizes.extend(map(abs, values))
-    return values
-
-
 def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
                   quad: QuadratureSpec | None = None, *, lattice: dict | None = None,
                   sizes: list | None = None) -> list[complex]:
@@ -633,15 +622,15 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     c and lambda only through c - Re lambda_k and Im lambda_k minus the grid
     centre, and for n = 3 the lambda- and c-independent envelope and moments.  So
     calls at real shifts of lambda or at other x share them (None: a fresh
-    one; n = 1 ignores it).  It also keeps each call's values and sizes under its full
-    key ("values", lambda, x, g, c, the step taken, derivs), so a repeated call makes no
-    quadrature pass and returns a fresh list, equal bit for bit; a refused call stores
-    nothing and raises again.  Every entry is a pure function of its key, so
-    sharing moves no value.  Keep a dict for one point (lambda, x, g) and the
-    checks made there: it holds every array built.  A sizes list receives, per value, the
-    sum of |term| over the terms that value sums, whose round-off is at most a few eps
-    times it: at n = 2 the quadrature nodes, which cancel where Im(lambda_1 - lambda_2)
-    is wide; at n = 1 and n = 3 (not formed there) |value|.
+    one).  It also keeps each call's values and sizes under its full key ("values",
+    lambda, x, g, c, the step taken, derivs), so a repeated call makes no quadrature
+    pass and returns a fresh list, equal bit for bit; a refused call stores nothing and
+    raises again.  Every entry is a pure function of its key, so sharing moves no value
+    and one dict serves every point of a run; it holds every array built, so keep it
+    for one run.  A sizes list receives, per value, the sum of |term| over the terms
+    that value sums, whose round-off is at most a few eps times it: at n = 2 the
+    quadrature nodes, which cancel where Im(lambda_1 - lambda_2) is wide; at n = 1 and
+    n = 3 |value|.
     """
     lam = as_spectral(lam)
     x = as_position(x)
@@ -662,12 +651,15 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     quad = quad or QuadratureSpec()
     margin = validate_contour(contour, lam, g)
     args = (lam.values, x.values, g, contour, min(quad.step, _STEP_PER_MARGIN * margin), derivs)
-    if n == 1 or lattice is None:
-        return _one_pass(args, {}, sizes)
+    lattice = {} if lattice is None else lattice
     key = ("values", *args[:-1], tuple(derivs))
     if key not in lattice:
-        held: list = []
-        lattice[key] = _one_pass(args, lattice, held), held
+        if n == 2:
+            lattice[key] = _quantities_n2(*args, lattice)
+        else:
+            values = (_quantities_n1(lam.values, x.values, derivs) if n == 1 else
+                      _quantities_n3(*args, lattice))
+            lattice[key] = values, list(map(abs, values))
     values, held = lattice[key]
     if sizes is not None:
         sizes.extend(held)

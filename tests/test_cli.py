@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from bispectral import cli, identities, macdonald, wavefn  # noqa: E402
+from bispectral import cli, identities, macdonald, sutherland_ops, wavefn  # noqa: E402
 from bispectral.cli import (_DEFAULT_TOLS, EXACT, VALUE, RunConfig, checks,  # noqa: E402
                             format_complex, main, parse_complex, run)
 from bispectral.dual_ops import apply_dual_hamiltonian  # noqa: E402
@@ -686,27 +686,36 @@ class TestConfigSources:
         assert lemma1[0] == lemma1[1] == want
 
     def test_point_tables_are_shared_within_one_run_only(self, monkeypatch):
-        # the checks of one point share one lattice dict, made by the run: one `all`
+        # every evaluation of one `all` gets one lattice dict, made by the run, which
         # builds each distinct n = 3 moments key once (the four Sutherland checks ask
-        # for two, the three dual checks for one), and the next run builds them again
-        built, moments = [], wavefn._lattice_moments
+        # for two, the three dual checks for one); the next run gets a new dict and
+        # builds them again
+        built, moments, lattices = [], wavefn._lattice_moments, []
 
         def counting(f, step, dx, M, m_max):
             built.append((f.size, step, dx, M, m_max))
             return moments(f, step, dx, M, m_max)
 
         monkeypatch.setattr(wavefn, "_lattice_moments", counting)
-        run("all", RunConfig())
-        first = list(built)
-        assert len(first) == len(set(first)) == 3
-        run("all", RunConfig())
-        assert built == first + first
+        for module in (wavefn, sutherland_ops):
+            def recording(*args, many=module.eval_phi_many, **kwargs):
+                lattices.append(kwargs["lattice"])
+                return many(*args, **kwargs)
+            monkeypatch.setattr(module, "eval_phi_many", recording)
+        for _ in range(2):
+            calls = len(lattices)
+            run("all", RunConfig())
+            lattice = lattices[calls]
+            assert all(held is lattice for held in lattices[calls:])
+            assert sum(key[0] == "moments" for key in lattice) == 3
+        assert lattices[0] is not lattice
+        assert len(set(built[:3])) == 3 and built == built[:3] * 2
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_shared_lattice_moves_no_residual(self, n):
-        # check-sutherland and check-dual share one lattice per point; each residual is
-        # the one its operator gives called alone, with no lattice
-        lam, x = cli._POINT_DEFAULTS[n] if n == 3 else (RunConfig().lam, RunConfig().x)
+        # check-sutherland and check-dual each share one lattice over their checks; each
+        # residual is the one its operator gives called alone, with no lattice
+        lam, x = cli._POINT_DEFAULTS.get(n, (RunConfig().lam, RunConfig().x))
         config = RunConfig(n=n, lam=lam, x=x)
         _, sutherland = run("check-sutherland", config)
         _, dual = run("check-dual", config)
@@ -742,10 +751,10 @@ class TestConfigSources:
 
 class TestGapOneRatchet:
     """A relative error of +-eps planted in every value the n = 2 and n = 3 quadratures
-    return (one seeded sign per value, in pass order) fails exactly these checks of
-    `all --seed 7`.  A repeated call reads its first pass from the point's lattice, so the
-    checks that share a pass share its planted value.  A later change may grow a set;
-    shrinking one loosens a check."""
+    return (one seeded sign per value, in pass order; the n = 2 node sizes pass through)
+    fails exactly these checks of `all --seed 7`.  A repeated call reads its first pass
+    from the run's lattice, so the checks that share a pass share its planted value.  A
+    later change may grow a set; shrinking one loosens a check."""
 
     N2 = ["dual.n2.r1", "dual.n2.r2", "oracle.ratio_spread",
           "sutherland.n2.h1", "sutherland.n2.h2", "sutherland.n2.hs1", "sutherland.n2.hs2"]
@@ -757,11 +766,16 @@ class TestGapOneRatchet:
     def test_failing_set(self, monkeypatch, eps, want):
         signs = random.Random(0)
 
-        def planted(quantities):
-            return lambda *args: [v * (1.0 + signs.choice((-1, 1)) * eps)
-                                  for v in quantities(*args)]
+        def plant(values):
+            return [v * (1.0 + signs.choice((-1, 1)) * eps) for v in values]
 
-        for name in ("_quantities_n2", "_quantities_n3"):
-            monkeypatch.setattr(wavefn, name, planted(getattr(wavefn, name)))
+        n2, n3 = wavefn._quantities_n2, wavefn._quantities_n3
+
+        def planted_n2(*args):
+            values, sizes = n2(*args)
+            return plant(values), sizes
+
+        monkeypatch.setattr(wavefn, "_quantities_n2", planted_n2)
+        monkeypatch.setattr(wavefn, "_quantities_n3", lambda *args: plant(n3(*args)))
         _, reports = run("all", RunConfig(seed=7))
         assert sorted(rep.check_id for rep in reports if rep.status == "fail") == sorted(want)

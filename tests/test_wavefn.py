@@ -3,6 +3,7 @@ invariants, exact derivatives."""
 
 import cmath
 import math
+import re
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -846,9 +847,9 @@ class TestEvalPhi:
 
 
 def _count_passes(monkeypatch):
-    """Record the n of every quadrature pass, one per _quantities_n2 / _n3 call."""
+    """Record the n of every quadrature pass, one per _quantities_n1 / _n2 / _n3 call."""
     passes = []
-    for n in (2, 3):
+    for n in (1, 2, 3):
         quantities = getattr(wavefn, f"_quantities_n{n}")
 
         def counting(*args, n=n, quantities=quantities):
@@ -867,19 +868,27 @@ class TestValueMemo:
 
     CALL = dict(lam=LAM2, x=X2, g=G, derivs=[(0, 0), (1, 0), (0, 2)])
 
-    @pytest.mark.parametrize("lam, x, derivs", [(LAM2, X2, CALL["derivs"]), (LAM3, X3, D7)],
-                             ids=["n2", "n3"])
+    @pytest.mark.parametrize("lam, x, derivs", [
+        ((0.5j,), (0.4,), [(0,), (1,), (2,)]), (LAM2, X2, CALL["derivs"]), (LAM3, X3, D7)],
+        ids=["n1", "n2", "n3"])
     def test_repeat_makes_no_pass(self, monkeypatch, lam, x, derivs):
-        lattice, sizes = {}, [[], [], []]
-        first = eval_phi_many(lam, x, G, derivs, lattice=lattice, sizes=sizes[0])
+        lattice, sizes = {}, [[], []]
+        first = eval_phi_many(lam, x, G, derivs, lattice=lattice)
         passes = _count_passes(monkeypatch)
-        again = eval_phi_many(lam, x, G, derivs, lattice=lattice, sizes=sizes[1])
+        again = eval_phi_many(lam, x, G, derivs, lattice=lattice, sizes=sizes[0])
         assert passes == []
-        assert _bits(again) == _bits(first) and _bits(sizes[1]) == _bits(sizes[0])
-        # and both are a fresh lattice's, which the memo never reads
-        fresh = eval_phi_many(lam, x, G, derivs, sizes=sizes[2])
+        assert _bits(again) == _bits(first)
+        # and both are a call's without a lattice, which takes the memo path with a fresh one
+        bare = eval_phi_many(lam, x, G, derivs, sizes=sizes[1])
         assert passes == [len(lam)]
-        assert _bits(fresh) == _bits(first) and _bits(sizes[2]) == _bits(sizes[0])
+        assert _bits(bare) == _bits(first) and _bits(sizes[1]) == _bits(sizes[0])
+        # the first call asked for no sizes, yet its entry holds them: |value| at n = 1 and
+        # 3, and at n = 2 the nodes, whose sum of |term| exceeds it
+        magnitudes = list(map(abs, first))
+        if len(lam) == 2:
+            assert all(size > m for size, m in zip(sizes[0], magnitudes))
+        else:
+            assert sizes[0] == magnitudes
 
     @pytest.mark.parametrize("change", [
         {"contour": 0.1}, {"quad": QuadratureSpec(0.09)}, {"derivs": [(0, 0), (1, 0), (0, 1)]},
@@ -898,13 +907,18 @@ class TestValueMemo:
         (dict(lam=LAM2, x=X2, g=G, contour=1.6), InfeasibleContourError),
         (dict(lam=(2.0 + 0.7j, -0.3j), x=X2, g=1.0001, contour=1.0), wavefn.GridBudgetError),
         (dict(lam=(2.0 + 0.9j, 0.1j, -0.6j), x=X3, g=1.0001, contour=1.0),
-         wavefn.GridBudgetError)], ids=["infeasible", "budget-n2", "budget-n3"])
+         wavefn.GridBudgetError),
+        (dict(lam=(700.0 + 0.5j,), x=(1.0,), g=G), OverflowError)],
+        ids=["infeasible", "budget-n2", "budget-n3", "scale-n1"])
     def test_refused_call_stores_nothing(self, call, error):
         lattice = {}
         for _ in range(3):
-            with pytest.raises(error):
+            with pytest.raises(error) as refused:
                 eval_phi(**call, lattice=lattice)
         assert lattice == {}
+        # a call without a lattice is refused alike
+        with pytest.raises(error, match=re.escape(str(refused.value))):
+            eval_phi(**call)
 
     def test_returned_lists_are_fresh(self):
         lattice, sizes = {}, []

@@ -20,9 +20,8 @@ from .cgamma import GammaPoleError, log_gamma
 from .symfun import elementary_symmetric
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
                      GridBudgetError, InfeasibleContourError, PositionPoint,
-                     QuadratureSpec, SpectralPoint, TailNotConvergedError, eval_phi,
-                     eval_phi_many, eval_psi, kernel_K, measure_mu, sinh_prefactor,
-                     validate_contour)
+                     SpectralPoint, TailNotConvergedError, eval_phi, eval_phi_many,
+                     eval_psi, kernel_K, measure_mu, sinh_prefactor, validate_contour)
 from .sutherland_ops import (EigenResidual, apply_H1, apply_H2,
                              apply_reduced_HS, prefactor_log_derivatives)
 from .dual_ops import (apply_dual_hamiltonian, apply_dual_operator, gauge_function,

@@ -12,8 +12,8 @@ flat RunConfig keys, overridden by flags; complex numbers are "re:im" pairs.
 Every eigen-relation reports |lhs - rhs| / |rhs|: both sides of H_r Phi =
 e_r(e^{2x}) Phi scale alike under x -> x + c, so it means the same at every x,
 where |H_r Phi / Phi - e_r| would grow like e^{2rc}.  Each check's gate is its
-constant in _DEFAULT_TOLS, every evaluation runs at wavefn's default
-quadrature, and the identity family's sizes are constants of ``identities``:
+constant in _DEFAULT_TOLS, every evaluation takes wavefn's constant step and
+tail tolerance, and the identity family's sizes are constants of ``identities``:
 no key or flag sets any of them.  The Lemma 1 checks of one n share one pass
 over their points, as do its residue checks, made by the first of them: the
 wall_time of identities.lemma1.n{n}r1 and .residue.n{n}r1 carries the pass,
@@ -67,8 +67,8 @@ from .macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint,
                         weight_shift_residual)
 from .sutherland_ops import apply_H1, apply_H2, apply_reduced_HS
 from .wavefn import (CoincidentCoordinatesError, ConvergenceWindowError,
-                     GridBudgetError, InfeasibleContourError, QuadratureSpec,
-                     TailNotConvergedError, eval_phi, eval_psi)
+                     GridBudgetError, InfeasibleContourError, TailNotConvergedError,
+                     eval_phi, eval_psi)
 
 __all__ = ["RunConfig", "CheckReport", "REGISTRY", "ResolutionError", "checks", "run", "main"]
 
@@ -171,9 +171,11 @@ class RunConfig:
         if self.r is not None and not 1 <= self.r <= self.n:
             raise ValueError(f"r must be in 1..{self.n}, got {self.r}")
 
-    def quad(self) -> QuadratureSpec:
-        """The default quadrature of every check, for callers of the operators."""
-        return QuadratureSpec()
+    def quad(self) -> None:
+        """None, which the benchmark's ``workloads.execute`` passes as the Sutherland
+        operators' lattice: a fresh one per call.  The method goes with the benchmark
+        half of ROADMAP item 5(g)."""
+        return None
 
     def tol(self, key: str) -> float:
         return _DEFAULT_TOLS[key]

@@ -30,8 +30,8 @@ import numpy as np
 from .cgamma import _is_pole, log_gamma
 from .symfun import elementary_symmetric, subset_terms
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
-from .wavefn import (_DISTINCT_TOL, QuadratureSpec, SpectralPoint, as_position, as_spectral,
-                     eval_phi, measure_mu, validate_contour)
+from .wavefn import (_DISTINCT_TOL, SpectralPoint, as_position, as_spectral, eval_phi,
+                     measure_mu, validate_contour)
 
 __all__ = [
     "DualWeightKind",
@@ -72,7 +72,7 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
     return total
 
 
-def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None = None, *,
+def apply_dual_hamiltonian(r: int, lam, x, g: float, *,
                            lattice: dict | None = None) -> EigenResidual:
     """Order-r dual Hamiltonian on Phi versus its e_r(e^{2x}) eigenvalue.
 
@@ -101,7 +101,7 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, quad: QuadratureSpec | None
     lattice, sizes = {} if lattice is None else lattice, []
 
     def phi(point, contour=0.0):
-        return eval_phi(point, x, g, contour=contour, quad=quad, lattice=lattice, sizes=sizes)
+        return eval_phi(point, x, g, contour=contour, lattice=lattice, sizes=sizes)
 
     base = phi(lam)
     res = dual_eigen_residual(r, lam, x.values, g, lambda s: phi(s, 1.0), base)

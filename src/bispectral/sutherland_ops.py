@@ -6,9 +6,9 @@ act on Phi directly.  All coordinate derivatives of Phi are exact
 (differentiation under the integral sign, see wavefn); the prefactor
 derivatives are closed-form coth/sinh expressions.  Each application returns
 an EigenResidual comparing against the known eigenvalue, with the round-off
-floor of that comparison.  Every operator takes ``eval_phi_many``'s
-keyword-only lattice dict, so the checks of one run can share the gamma
-tables and values their evaluations build.
+floor of that comparison.  Every operator takes ``eval_phi_many``'s lattice
+dict as its fourth argument, positional or keyword, so the checks of one run
+can share the gamma tables and values their evaluations build.
 
 Eigenvalues: H1 -> sum(lam), H2 -> -sum(lam^2) on Psi; HS1 -> sum(lam) and
 HS2 -> sum(lam^2) on Phi.  The HS2 eigenvalue follows from the exact
@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .wavefn import (QuadratureSpec, as_position, as_spectral, eval_phi_many,
-                     sinh_prefactor)
+from .wavefn import as_position, as_spectral, eval_phi_many, sinh_prefactor
 
 __all__ = [
     "EigenResidual",
@@ -79,24 +78,22 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
     return first, second
 
 
-def _jet(lam, x, g: float, quad: QuadratureSpec | None, order: int,
-         lattice: dict | None) -> tuple[tuple, tuple]:
+def _jet(lam, x, g: float, order: int, lattice: dict | None) -> tuple[tuple, tuple]:
     """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass, and the same of the sizes
     eval_phi_many reports for them; the second derivatives only for order 2, else []."""
     n = lam.n
     derivs = [(0,) * n] + [tuple(o if j == i else 0 for j in range(n))
                            for o in range(1, order + 1) for i in range(n)]
     sizes: list = []
-    vals = eval_phi_many(lam, x, g, derivs, quad=quad, lattice=lattice, sizes=sizes)
+    vals = eval_phi_many(lam, x, g, derivs, lattice=lattice, sizes=sizes)
     return (vals[0], vals[1:n + 1], vals[n + 1:]), (sizes[0], sizes[1:n + 1], sizes[n + 1:])
 
 
-def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None, *,
-             lattice: dict | None = None) -> EigenResidual:
+def apply_H1(lam, x, g: float, lattice: dict | None = None) -> EigenResidual:
     """(sum_i d/dx_i) Psi compared with (sum_p lam_p) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
-    (phi, grad, _), (s_phi, s_grad, _) = _jet(lam, x, g, quad, 1, lattice)
+    (phi, grad, _), (s_phi, s_grad, _) = _jet(lam, x, g, 1, lattice)
     w = sinh_prefactor(x, g)
     firsts = [prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n)]
     value = w * (sum(firsts) * phi + sum(grad))
@@ -105,13 +102,12 @@ def apply_H1(lam, x, g: float, quad: QuadratureSpec | None = None, *,
     return EigenResidual.build(value, expected, size)
 
 
-def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
-             lattice: dict | None = None) -> EigenResidual:
+def apply_H2(lam, x, g: float, lattice: dict | None = None) -> EigenResidual:
     """Pair-interaction Hamiltonian on Psi compared with -(sum lam^2) Psi."""
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, quad, 2, lattice)
+    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, 2, lattice)
     w = sinh_prefactor(x, g)
 
     lap_psi, size = 0.0 + 0.0j, 0.0
@@ -129,15 +125,15 @@ def apply_H2(lam, x, g: float, quad: QuadratureSpec | None = None, *,
     return EigenResidual.build(value, expected, abs(w) * (size + abs(potential) * s_phi))
 
 
-def apply_reduced_HS(lam, x, g: float, quad: QuadratureSpec | None = None,
-                     order: int = 1, *, lattice: dict | None = None) -> EigenResidual:
+def apply_reduced_HS(lam, x, g: float, lattice: dict | None = None,
+                     order: int = 1) -> EigenResidual:
     """Reduced Hamiltonian HS1 or HS2 on Phi (no prefactor)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     lam = as_spectral(lam)
     x = as_position(x)
     n = lam.n
-    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, quad, order, lattice)
+    (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, order, lattice)
     if order == 1:
         return EigenResidual.build(sum(grad), sum(lam.values) * phi, sum(s_grad))
     k = g * g * n * (n * n - 1) / 3.0

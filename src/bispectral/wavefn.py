@@ -14,14 +14,12 @@ until the integrand magnitude at the boundary falls below the constant
 integrand too: its nearest pole lies ``validate_contour``'s margin a off the
 contour, and the trapezoid error on a strip of half-width a decays like
 exp(-2 pi a / h) (Trefethen & Weideman, SIAM Rev. 56 (2014)), so every level
-takes h = min(QuadratureSpec.step, 2 pi a / ln(1/_TAIL_TOL)); the setting is
-an upper bound, reached wherever a >= 0.48.  A node budget of ``_MAX_NODES``
-per level, the line of half-width 120 at step 0.1, bounds the work: a grid
-whose start would exceed it raises ``GridBudgetError`` before any work, and
-no grid grows past it; a configured step below ``_MIN_STEP``, where every
-start would, is refused when the spec is made.  Derivatives in the
-coordinates are exact: they only multiply the integrand by linear forms in
-the integration variables.
+takes h = min(``_STEP``, 2 pi a / ln(1/_TAIL_TOL)): the constant step 0.1
+wherever a >= 0.48, less nearer a pole.  A node budget of ``_MAX_NODES`` per
+level, the line of half-width 120 at step 0.1, bounds the work: a grid whose
+start would exceed it raises ``GridBudgetError`` before any work, and no grid
+grows past it.  Derivatives in the coordinates are exact: they only multiply
+the integrand by linear forms in the integration variables.
 
 Supported sizes are n = 1, 2, 3 (the nested grid grows like
 grid^(n(n-1)/2)).  No 2*pi normalisation is applied anywhere; every check
@@ -42,7 +40,6 @@ from .cgamma import _is_pole, log_gamma
 __all__ = [
     "SpectralPoint",
     "PositionPoint",
-    "QuadratureSpec",
     "InfeasibleContourError",
     "TailNotConvergedError",
     "GridBudgetError",
@@ -87,6 +84,8 @@ _MAX_SEPARATION = 1.0
 _MAX_HALF_WIDTH = 120.0
 # the truncation boundary passes once its magnitude is at most this times the peak
 _TAIL_TOL = 1e-13
+# the trapezoid step of every level, unless the pole margin asks for less (_STEP_PER_MARGIN)
+_STEP = 0.1
 # the trapezoid error on a strip of half-width a decays like exp(-2 pi a / h), so the step
 # 2 pi a / ln(1/_TAIL_TOL) per unit of pole margin a brings it to _TAIL_TOL times the
 # integrand's size on the strip, which exceeds |Phi|: at margin 0.25 (g = 1.25, shifted
@@ -105,12 +104,9 @@ _STEP_PER_MARGIN = 2.0 * math.pi / -math.log(_TAIL_TOL)
 # apart from them, up to g = 10 and |Im lambda| = 10 (closest 0.4).  The 1.4x regrow is
 # its guard.
 _OUTER_SLACK = 12.0
-# the node budget of one level: the line of half-width _MAX_HALF_WIDTH at step 0.1 (the
+# the node budget of one level: the line of half-width _MAX_HALF_WIDTH at step _STEP (the
 # n = 3 level-1 line may take it once more past the outer one, as it does the cap)
 _MAX_NODES = 2401
-# the smallest step: below it even the narrowest start, half-width (ln(1/_TAIL_TOL) + 5) / pi
-# = 11.1, has more nodes than the budget, so every evaluation would be refused
-_MIN_STEP = 0.01
 # the bound on |Re sum lambda| max|x_i|, Phi's log scale: past +710 values overflow, past -650
 # they turn subnormal; residuals held to 640 (n = 2, 3, g 1.25..3, |Im lambda| <= 30, 8)
 _MAX_SCALE = 600.0
@@ -168,28 +164,6 @@ class PositionPoint:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Trapezoid discretisation of one vertical line.
-
-    step is an upper bound on the node spacing along the imaginary axis (it
-    must be in [_MIN_STEP, 0.25] = [0.01, 0.25]): an evaluation takes
-    min(step, 2 pi a / ln(1/_TAIL_TOL)) for the contour's pole margin a, so the
-    bound holds wherever a >= 0.48.  The truncation half-width is not set: it
-    expands adaptively until the boundary magnitude is below _TAIL_TOL times
-    the running maximum, up to the hard cap _MAX_HALF_WIDTH = 120 and the node
-    budget _MAX_NODES = 2401 per level; a start beyond the budget raises
-    GridBudgetError before any work.  So a step below 0.1 caps the half-width
-    at step * 1200, and refuses a point whose tail lies past that.
-    """
-
-    step: float = 0.1
-
-    def __post_init__(self):
-        if not (_MIN_STEP <= self.step <= 0.25):
-            raise ValueError(f"step must be in [{_MIN_STEP}, 0.25], got {self.step}")
 
 
 def as_spectral(lam) -> SpectralPoint:
@@ -604,9 +578,8 @@ def _quantities_n3(lam, x, g, c, step, derivs, lattice):
         T_in += grow
 
 
-def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
-                  quad: QuadratureSpec | None = None, *, lattice: dict | None = None,
-                  sizes: list | None = None) -> list[complex]:
+def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0, *,
+                  lattice: dict | None = None, sizes: list | None = None) -> list[complex]:
     """Evaluate several coordinate derivatives of Phi in one quadrature pass.
 
     derivs is a list of per-coordinate derivative-order tuples (total order
@@ -648,9 +621,8 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     if (scale := abs(sum(v.real for v in lam.values)) * max(map(abs, x.values))) > _MAX_SCALE:
         raise OverflowError(f"Phi's scale e^(Re(sum lambda) x) is out of range: "
                             f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
-    quad = quad or QuadratureSpec()
     margin = validate_contour(contour, lam, g)
-    args = (lam.values, x.values, g, contour, min(quad.step, _STEP_PER_MARGIN * margin), derivs)
+    args = (lam.values, x.values, g, contour, min(_STEP, _STEP_PER_MARGIN * margin), derivs)
     lattice = {} if lattice is None else lattice
     key = ("values", *args[:-1], tuple(derivs))
     if key not in lattice:
@@ -666,11 +638,11 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0,
     return list(values)
 
 
-def eval_phi(lam, x, g: float, contour: float = 0.0, quad: QuadratureSpec | None = None, *,
-             lattice: dict | None = None, sizes: list | None = None) -> complex:
+def eval_phi(lam, x, g: float, contour: float = 0.0, *, lattice: dict | None = None,
+             sizes: list | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
     n = as_spectral(lam).n
-    return eval_phi_many(lam, x, g, [(0,) * n], contour, quad, lattice=lattice, sizes=sizes)[0]
+    return eval_phi_many(lam, x, g, [(0,) * n], contour, lattice=lattice, sizes=sizes)[0]
 
 
 def sinh_prefactor(x, g: float) -> float:
@@ -683,6 +655,6 @@ def sinh_prefactor(x, g: float) -> float:
     return out
 
 
-def eval_psi(lam, x, g: float, quad: QuadratureSpec | None = None) -> complex:
+def eval_psi(lam, x, g: float) -> complex:
     """Full wave function Psi = prefactor * Phi."""
-    return sinh_prefactor(x, g) * eval_phi(lam, x, g, quad=quad)
+    return sinh_prefactor(x, g) * eval_phi(lam, x, g)

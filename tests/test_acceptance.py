@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from bispectral import wavefn
 from bispectral.dual_ops import apply_dual_hamiltonian, measure_weight
 from bispectral.identities import (binomial_limit_check, residue_check,
                                    verify_lemma1)
@@ -20,9 +21,10 @@ from bispectral.macdonald import (LaurentPolynomial, MacdonaldParams, TorusPoint
                                   verify_gauge_equivalence, weight_and_gauge,
                                   weight_limit_check)
 from bispectral.sutherland_ops import apply_H1, apply_H2
-from bispectral.wavefn import (InfeasibleContourError, QuadratureSpec, eval_phi)
+from bispectral.wavefn import InfeasibleContourError, eval_phi
 
-QUAD_N3 = QuadratureSpec(step=0.15)
+# the n = 3 criteria run at a coarser step than the default 0.1
+STEP_N3 = 0.15
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -115,25 +117,26 @@ def test_criterion_05_differential_side_n2():
            f"H1 {worst_h1:.2e} (<=1e-7), H2 {worst_h2:.2e} (<=1e-5), 5 points")
 
 
-def test_criterion_05_differential_side_n3():
+def test_criterion_05_differential_side_n3(monkeypatch):
+    monkeypatch.setattr(wavefn, "_STEP", STEP_N3)
     started = time.time()
     rng = np.random.default_rng(515)
     worst = 0.0
     for _ in range(5):
         lam = random_spectral(rng, 3)
         x = random_positions(rng, 3)
-        worst = max(worst, apply_H1(lam, x, 1.5, QUAD_N3).relative_residual,
-                    apply_H2(lam, x, 1.5, QUAD_N3).relative_residual)
+        worst = max(worst, apply_H1(lam, x, 1.5).relative_residual,
+                    apply_H2(lam, x, 1.5).relative_residual)
     elapsed = time.time() - started
     report("criterion 05 differential side n=3",
            worst <= 1e-3 and elapsed < 600.0,
            f"worst residual {worst:.2e} (<=1e-3), 5 points, {elapsed:.0f}s")
 
 
-def dual_metric(r, lam, x, g, quad=None):
+def dual_metric(r, lam, x, g):
     # the quantity the dual.* reports state: |H_r Phi - e_r Phi| / |e_r Phi|, the same at
     # every translate x + c
-    return apply_dual_hamiltonian(r, lam, x, g, quad).relative_residual
+    return apply_dual_hamiltonian(r, lam, x, g).relative_residual
 
 
 def test_criterion_06_dual_side_n1():
@@ -150,11 +153,12 @@ def test_criterion_06_dual_side_n2(g):
            f"worst relative residual {worst:.2e} (<=1e-7, the dual gate)")
 
 
-def test_criterion_06_dual_side_n3():
+def test_criterion_06_dual_side_n3(monkeypatch):
+    monkeypatch.setattr(wavefn, "_STEP", STEP_N3)
     started = time.time()
     lam = (0.9j, 0.1j, -0.6j)
     x = (0.45, 0.0, -0.4)
-    worst = max(dual_metric(r, lam, x, 1.5, QUAD_N3) for r in (1, 2, 3))
+    worst = max(dual_metric(r, lam, x, 1.5) for r in (1, 2, 3))
     elapsed = time.time() - started
     report("criterion 06 dual side n=3",
            worst <= 1e-5 and elapsed < 1200.0,

@@ -17,3 +17,18 @@ def test_star_import(name):
     namespace = {}
     exec(f"from bispectral.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+# the seven functions that evaluate Phi, each with arguments it accepts
+POINT = ((0.7j, -0.3j), (0.4, -0.2), 1.5)
+EVALUATORS = {"eval_phi_many": POINT + ([(0, 0)],), "eval_phi": POINT, "eval_psi": POINT,
+              "apply_H1": POINT, "apply_H2": POINT, "apply_reduced_HS": POINT,
+              "apply_dual_hamiltonian": (1,) + POINT}
+
+
+@pytest.mark.parametrize("setting", ["quad", "step", "tail_tol", "half_width"])
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_no_quadrature_setting(name, setting):
+    # the step, the tail tolerance and the adaptive truncation are constants of wavefn
+    with pytest.raises(TypeError, match=setting):
+        getattr(bispectral, name)(*EVALUATORS[name], **{setting: 0.1})

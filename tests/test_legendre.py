@@ -119,8 +119,16 @@ class TestLegendreP:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             LegendreArgs(mu=0.0, nu=0.0, z=0.9)
-        with pytest.raises(ValueError):
-            LegendreArgs(mu=0.0, nu=0.0, z=4.0)  # series argument out of reach
+        # the series argument (1 - z)/2 = -1.5 is out of reach: hyp2f1 refuses it
+        with pytest.raises(HypergeometricError, match="0.95"):
+            legendre_P(LegendreArgs(mu=0.0, nu=0.0, z=4.0))
+
+    def test_order_pole_refused_before_log_gamma(self, monkeypatch):
+        # at mu = 1 the front's Gamma(1 - mu) has a pole: hyp2f1 refuses its lower
+        # parameter 1 - mu = 0 before legendre_P calls log_gamma
+        monkeypatch.setattr(legendre, "log_gamma", lambda z: pytest.fail("log_gamma called"))
+        with pytest.raises(HypergeometricError, match="non-positive integer"):
+            legendre_P(LegendreArgs(mu=1.0, nu=0.2, z=1.5))
 
 
 class TestClosedForm:

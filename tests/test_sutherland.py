@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from bispectral import wavefn
+from bispectral.cli import RunConfig
 from bispectral.sutherland_ops import (apply_H1, apply_H2, apply_reduced_HS,
                                        prefactor_log_derivatives)
-from bispectral.wavefn import QuadratureSpec, eval_phi, eval_psi, sinh_prefactor
+from bispectral.wavefn import eval_phi, eval_psi, sinh_prefactor
 
 LAM2 = (0.7j, -0.3j)
 X2 = (0.4, -0.2)
@@ -49,8 +50,9 @@ class TestH2:
     def test_residual_decreases_with_refinement(self, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(wavefn, "_TAIL_TOL", 1e-7)
-            loose = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.22))
-        tight = apply_H2(LAM2, X2, G, QuadratureSpec(step=0.1))
+            patch.setattr(wavefn, "_STEP", 0.22)
+            loose = apply_H2(LAM2, X2, G)
+        tight = apply_H2(LAM2, X2, G)
         assert tight.relative_residual <= loose.relative_residual + 1e-13
 
     @pytest.mark.parametrize("g", [0.3, 0.8])
@@ -168,3 +170,19 @@ class TestRoundOffFloor:
         for lam, x in ((LAM2, X2), ((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4))):
             for name, op in OPERATORS.items():
                 assert op(lam, x, G).floor <= 1e-12, name
+
+
+class TestBenchmarkBridge:
+    """The benchmark's workloads.execute calls op(lam, x, g, RunConfig().quad()): the fourth
+    argument is the lattice, and None gives a fresh one."""
+
+    def test_quad_is_none(self):
+        assert RunConfig().quad() is None
+
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), ((0.9j, 0.1j, -0.6j), (0.45, 0.0, -0.4))],
+                             ids=["n2", "n3"])
+    def test_execute_call_is_the_plain_call(self, lam, x):
+        for op, kw in ((apply_H1, {}), (apply_H2, {}), (apply_reduced_HS, {"order": 1}),
+                       (apply_reduced_HS, {"order": 2})):
+            got, want = op(lam, x, G, RunConfig().quad(), **kw), op(lam, x, G, **kw)
+            assert (got.relative_residual, got.floor) == (want.relative_residual, want.floor)

@@ -21,7 +21,7 @@ from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kerne
                                _log_measure, _offset_kernel,
                                CoincidentCoordinatesError,
                                ConvergenceWindowError, InfeasibleContourError,
-                               PositionPoint, QuadratureSpec, SpectralPoint,
+                               PositionPoint, SpectralPoint,
                                TailNotConvergedError, eval_phi, eval_phi_many, eval_psi, kernel_K,
                                measure_mu, sinh_prefactor, validate_contour)
 
@@ -464,19 +464,20 @@ def _no_middle_certificate(monkeypatch):
 
 
 class TestOuterSum:
+    # quad: the wavefn constants a case sets (None: the defaults)
     @pytest.mark.parametrize("shift, quad", [
         ((0, 0, 0), None), ((2, 0, 0), None),
         # started at outer half-width 119 (M = 953), where mu alone overflows
-        ((0, 0, 0), QuadratureSpec(step=0.25))])
+        ((0, 0, 0), {"_STEP": 0.25, "_initial_half_width": lambda *args: 119.0})])
     @pytest.mark.parametrize("g", [1.25, 1.5, 2.0])
     def test_factored_sums_match_entrywise(self, monkeypatch, shift, quad, g):
         # the Toeplitz mat-vec sums against the sum of every M x M entry, in row
         # blocks
         lam = tuple(v + s for v, s in zip(LAM3, shift))
-        if quad is not None:
-            monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 119.0)
+        for name, value in (quad or {}).items():
+            monkeypatch.setattr(wavefn, name, value)
         passes = _spy_outer(monkeypatch)
-        eval_phi_many(lam, X3, g, D7, float(any(shift)), quad)
+        eval_phi_many(lam, X3, g, D7, float(any(shift)))
         (outer, values), = passes
         idx = np.arange(outer[0].size)
         for d, value in zip(D7, values):
@@ -489,13 +490,13 @@ class TestOuterSum:
     @pytest.mark.parametrize("g, quad", [
         (1.25, None), (1.5, None), (2.0, None),
         # at a tail of 1e-4 the first grid fails it and grows once: M = 103, then 143
-        (8.0, QuadratureSpec(step=0.25))])
+        (8.0, {"_STEP": 0.25, "_TAIL_TOL": 1e-4})])
     def test_full_peak_fallback_agrees(self, monkeypatch, g, quad):
-        if quad is not None:
-            monkeypatch.setattr(wavefn, "_TAIL_TOL", 1e-4)
-        want = eval_phi_many(LAM3, X3, g, D7, quad=quad)
+        for name, value in (quad or {}).items():
+            monkeypatch.setattr(wavefn, name, value)
+        want = eval_phi_many(LAM3, X3, g, D7)
         full = _no_middle_certificate(monkeypatch)
-        assert eval_phi_many(LAM3, X3, g, D7, quad=quad) == want
+        assert eval_phi_many(LAM3, X3, g, D7) == want
         assert len(full) >= len(D7)
 
     def test_full_peak_fallback_still_refuses(self, monkeypatch):
@@ -571,11 +572,11 @@ class TestOuterStart:
         assert len(calls) == len(evals)
         monkeypatch.setattr(wavefn, "_outer_reach", lambda g, m: wavefn._exp_reach(1.2))
         wide = [np.array(eval_phi_many(p, x, g, d, c)) for p, d, c in evals]
-        fine = QuadratureSpec(step=0.05)
+        monkeypatch.setattr(wavefn, "_STEP", 0.05)
         for (p, d, c), got, want in zip(evals, values, wide):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
             if c == 0.0 or g - 1.0 >= 0.48:
-                ref = np.array(eval_phi_many(p, x, g, d, c, fine))
+                ref = np.array(eval_phi_many(p, x, g, d, c))
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     @pytest.mark.parametrize("g, lam, x", [
@@ -610,19 +611,14 @@ class TestNodeBudget:
             eval_phi(shifted, x, 1.0 + margin, 1.0)
         assert not elems
 
-    def test_step_floor(self):
-        # below _MIN_STEP even the narrowest start, (ln(1/_TAIL_TOL) + 5) / pi, is over budget
-        assert wavefn._level_cap(wavefn._MIN_STEP) >= wavefn._exp_reach(math.pi)
-        with pytest.raises(ValueError, match=r"step must be in \[0.01, 0.25\]"):
-            QuadratureSpec(step=1e-5)
-
     @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
     def test_fine_step_refuses_the_point(self, monkeypatch, lam, x):
         # step 0.01 caps a level at half-width 12, short of these starts: GridBudgetError,
         # as for a small margin, before any work
         elems = _count_log_gamma(monkeypatch)
+        monkeypatch.setattr(wavefn, "_STEP", 0.01)
         with pytest.raises(wavefn.GridBudgetError, match="above the budget of 2401"):
-            eval_phi(lam, x, G, quad=QuadratureSpec(step=0.01))
+            eval_phi(lam, x, G)
         assert not elems
 
     @pytest.mark.parametrize("lam, x, cap", [(LAM2, X2, 10.0), (LAM3, X3, 13.0)],
@@ -713,21 +709,7 @@ class TestPoints:
             eval_phi(lam, x, G)
 
 
-class TestQuadratureSpec:
-    def test_step_bound(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(step=0.3)
-
-    def test_no_tail_tol(self):
-        # the tail tolerance is the constant _TAIL_TOL, not a setting
-        with pytest.raises(TypeError, match="tail_tol"):
-            QuadratureSpec(tail_tol=1e-13)
-
-    def test_no_fixed_half_width(self):
-        # the truncation is always adaptive, under the cap _MAX_HALF_WIDTH
-        with pytest.raises(TypeError, match="half_width"):
-            QuadratureSpec(half_width=30.0)
-
+class TestTruncationCap:
     @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
     def test_start_within_cap(self, monkeypatch, lam, x):
         # a tail tolerance no grid can reach starts every line at its cap and
@@ -821,9 +803,10 @@ class TestEvalPhi:
     def test_quadrature_convergence(self, monkeypatch):
         # half the step on twice the width moves the value by round-off only
         monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 30.0)
-        coarse = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.1))
+        coarse = eval_phi(LAM2, X2, G)
         monkeypatch.setattr(wavefn, "_initial_half_width", lambda *args: 60.0)
-        fine = eval_phi(LAM2, X2, G, quad=QuadratureSpec(step=0.05))
+        monkeypatch.setattr(wavefn, "_STEP", 0.05)
+        fine = eval_phi(LAM2, X2, G)
         assert abs(fine - coarse) / abs(fine) <= 10 * 1e-13
 
     def test_tail_not_converged(self, monkeypatch):
@@ -891,13 +874,16 @@ class TestValueMemo:
             assert sizes[0] == magnitudes
 
     @pytest.mark.parametrize("change", [
-        {"contour": 0.1}, {"quad": QuadratureSpec(0.09)}, {"derivs": [(0, 0), (1, 0), (0, 1)]},
+        {"contour": 0.1}, {"step": 0.09}, {"derivs": [(0, 0), (1, 0), (0, 1)]},
         {"derivs": [(1, 0), (0, 0), (0, 2)]}, {"x": (0.4, -0.25)}, {"g": 1.6}],
         ids=["contour", "step", "derivs-order", "derivs-permuted", "x", "g"])
     def test_other_calls_miss(self, monkeypatch, change):
-        # at margin 1.4 or more every step taken is quad.step, so only the changed key moves
+        # at margin 1.4 or more every step taken is _STEP, so only the changed key moves
         lattice = {}
         eval_phi_many(**self.CALL, lattice=lattice)
+        change = dict(change)
+        if "step" in change:
+            monkeypatch.setattr(wavefn, "_STEP", change.pop("step"))
         passes = _count_passes(monkeypatch)
         got = eval_phi_many(**dict(self.CALL, **change), lattice=lattice)
         assert passes == [2] and _kinds(lattice)["values"] == 2

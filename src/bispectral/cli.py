@@ -353,7 +353,7 @@ def _commutator_residual(params: MacdonaldParams, z: TorusPoint, f: Callable) ->
         return lambda zz: apply_macdonald(r, params, zz, fn)
 
     gaps = []
-    for r, s in combinations(range(1, z.n + 1), 2):
+    for r, s in combinations(range(1, len(z) + 1), 2):
         lhs, rhs = m(r, m(s, f))(z), m(s, m(r, f))(z)
         gaps.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     return float(np.max(gaps, initial=0.0))

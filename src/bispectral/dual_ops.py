@@ -30,8 +30,7 @@ import numpy as np
 from .cgamma import _is_pole, log_gamma
 from .symfun import elementary_symmetric, subset_terms
 from .sutherland_ops import _EPS_FLOOR, EigenResidual
-from .wavefn import (_DISTINCT_TOL, SpectralPoint, as_position, as_spectral, eval_phi,
-                     measure_mu, validate_contour)
+from .wavefn import PositionPoint, SpectralPoint, eval_phi, measure_mu, validate_contour
 
 __all__ = [
     "DualWeightKind",
@@ -64,10 +63,10 @@ def apply_dual_operator(r: int, lam, g: float, f: Callable) -> complex:
     For f entire (gauge relations, commutativity probes) no contour bookkeeping
     is involved; ``apply_dual_hamiltonian`` passes Phi on the line Re = 1.
     """
-    lam = as_spectral(lam)
-    sign = (-1.0) ** (r * (lam.n - 1))
+    lam = SpectralPoint(lam)
+    sign = (-1.0) ** (r * (len(lam) - 1))
     total = 0.0 + 0.0j
-    for coef, shifted in _terms(r, lam.values, 2.0 - 2.0 * g):
+    for coef, shifted in _terms(r, lam, 2.0 - 2.0 * g):
         total += coef * sign * f(shifted)
     return total
 
@@ -85,9 +84,8 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, *,
     is ``eval_phi_many``'s: the base and every shifted evaluation use it (None: a fresh one
     for this call).  The floor counts every evaluation's terms (``eval_phi_many``'s sizes).
     """
-    lam = as_spectral(lam)
-    x = as_position(x)
-    n = lam.n
+    lam, x = SpectralPoint(lam), PositionPoint(x)
+    n = len(lam)
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n={n}, got r={r}")
     # every subset shifts at least one variable, so all share the line Re = 1; the shifts
@@ -95,7 +93,7 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, *,
     # lambda_k's is its unshifted one's read back by K(-d) = K(d)) and, for n = 3, the
     # offset envelope and moments, which no line moves; a refused line is named up front
     weights = []
-    for coef, shifted in _terms(r, lam.values, 2.0 - 2.0 * g):
+    for coef, shifted in _terms(r, lam, 2.0 - 2.0 * g):
         validate_contour(1.0, shifted, g)
         weights.append(abs(coef))
     lattice, sizes = {} if lattice is None else lattice, []
@@ -104,7 +102,7 @@ def apply_dual_hamiltonian(r: int, lam, x, g: float, *,
         return eval_phi(point, x, g, contour=contour, lattice=lattice, sizes=sizes)
 
     base = phi(lam)
-    res = dual_eigen_residual(r, lam, x.values, g, lambda s: phi(s, 1.0), base)
+    res = dual_eigen_residual(r, lam, x, g, lambda s: phi(s, 1.0), base)
     # each side's terms: the shifted values' nodes times |coef|, and e_r times the base's
     size = np.dot(weights, sizes[1:]) + abs(res.expected) / max(abs(base), _EPS_FLOOR) * sizes[0]
     return EigenResidual.build(res.value, res.expected, size)
@@ -124,18 +122,13 @@ def dual_eigen_residual(r: int, lam, x, g: float, f: Callable, base: complex) ->
 
 
 def _points(lam) -> np.ndarray:
-    """lam as a complex array of points along its last axis, shape (..., n): one point (a
-    SpectralPoint or its values) or a stack of them.  Each point is refused as SpectralPoint
-    refuses one: a value that is not finite, or two that coincide."""
-    arr = np.asarray(lam.values if isinstance(lam, SpectralPoint) else lam, dtype=complex)
+    """lam as a complex array of points along its last axis, shape (..., n): one point or a
+    stack of them, each of which SpectralPoint checks."""
+    arr = np.asarray(lam, dtype=complex)
     if arr.ndim == 0:
         raise ValueError(f"a spectral point is an axis of n values, got {lam!r}")
-    p, q = np.triu_indices(arr.shape[-1], 1)
-    for bad, what in ((~np.isfinite(arr).all(axis=-1), "has a value that is not finite"),
-                      (np.any(np.abs(arr[..., p] - arr[..., q]) <= _DISTINCT_TOL, axis=-1),
-                       "has two values that coincide")):
-        if bad.any():
-            raise ValueError(f"spectral point {arr[bad][0].tolist()} {what}")
+    for point in arr.reshape(-1, arr.shape[-1]).tolist() if arr.size else ():
+        SpectralPoint(point)
     return arr
 
 

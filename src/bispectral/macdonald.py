@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from .sutherland_ops import _EPS_FLOOR
 from .symfun import subset_terms
+from .wavefn import _Point
 
 __all__ = [
     "MacdonaldParams",
@@ -67,31 +69,18 @@ class MacdonaldParams:
         return self.q * self.q
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """n finite nonzero coordinates, pairwise distinct (coefficients divide by differences)."""
+class TorusPoint(_Point):
+    """n finite nonzero complex coordinates, pairwise distinct: the coefficients divide by
+    their differences, so only equal coordinates are refused."""
 
-    values: tuple[complex, ...]
+    __slots__ = ()
+    _noun, _tol = "torus point", 0.0
 
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not all(map(cmath.isfinite, vals)):
-            raise ValueError(f"coordinates must be finite, got {vals}")
-        if any(v == 0 for v in vals):
-            raise ValueError("coordinates must be nonzero")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[i] == vals[j]:
-                    raise ValueError(f"coordinates {i} and {j} coincide")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-def _as_point(z) -> TorusPoint:
-    return z if isinstance(z, TorusPoint) else TorusPoint(tuple(complex(v) for v in z))
+    def __new__(cls, values):
+        point = super().__new__(cls, values)
+        if 0 in point:
+            raise ValueError(f"torus point {point}: every value must be nonzero")
+        return point
 
 
 def qpochhammer(z: complex, qsq: complex) -> complex:
@@ -123,7 +112,7 @@ def apply_macdonald(r: int, params: MacdonaldParams, point, f: Callable) -> comp
     """
     ca, cb, qsq = params.t, 1.0 / params.t, params.qsq
     total = 0.0 + 0.0j
-    for coef, shifted in subset_terms(r, _as_point(point).values,
+    for coef, shifted in subset_terms(r, TorusPoint(point),
                                       lambda a, b: (ca * a - cb * b) / (a - b), lambda v: v * qsq):
         total += coef * f(shifted)
     return total
@@ -136,7 +125,7 @@ def weight_and_gauge(params: MacdonaldParams, point, a: complex, b: complex) -> 
     at ``MacdonaldParams(q, q / t)`` that of (q, q/t); (a, b) = (q, q^2/t^2) is
     the gauge function between (q, t) and (q, q/t).
     """
-    z, qsq = _as_point(point).values, params.qsq
+    z, qsq = TorusPoint(point), params.qsq
     out = 1.0 + 0.0j
     for w in [zj / zk for j, zj in enumerate(z) for k, zk in enumerate(z) if j != k]:
         out *= qpochhammer(a * w, qsq) / qpochhammer(b * w, qsq)
@@ -150,14 +139,13 @@ def weight_shift_residual(params: MacdonaldParams, point, i: int, a: complex,
     Predicted ratio for the pair (a, b):
     prod_{j != i} (z_i - a q^{-2} z_j)(b z_i - z_j) / ((a z_i - z_j)(z_i - b q^{-2} z_j)).
     """
-    point = _as_point(point)
-    if not 0 <= i < point.n:
-        raise ValueError(f"coordinate index must be in 0..{point.n - 1}, got {i}")
-    z, qsq = point.values, params.qsq
+    z, qsq = TorusPoint(point), params.qsq
+    if not 0 <= i < len(z):
+        raise ValueError(f"coordinate index must be in 0..{len(z) - 1}, got {i}")
     shifted = tuple(v * qsq if k == i else v for k, v in enumerate(z))
-    ratio = weight_and_gauge(params, shifted, a, b) / weight_and_gauge(params, point, a, b)
+    ratio = weight_and_gauge(params, shifted, a, b) / weight_and_gauge(params, z, a, b)
     predicted = 1.0 + 0.0j
-    for j in range(point.n):
+    for j in range(len(z)):
         if j != i:
             predicted *= ((z[i] - a / qsq * z[j]) * (b * z[i] - z[j])
                           / ((a * z[i] - z[j]) * (z[i] - b / qsq * z[j])))
@@ -166,7 +154,7 @@ def weight_shift_residual(params: MacdonaldParams, point, i: int, a: complex,
 
 def verify_gauge_equivalence(r: int, params: MacdonaldParams, point, f: Callable) -> float:
     """Residual of M_r(.|q,t)(gauge * f) = gauge * M_r(.|q,q/t)(f) at the point."""
-    point = _as_point(point)
+    point = TorusPoint(point)
     a, b = params.q, (params.q / params.t) ** 2
 
     def gauged(z):
@@ -264,7 +252,8 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
     (T rho)^32 / 32! ~ 1e-20 (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Each v
     carries round-off of about 2 eps max|M_1 f|, which c_k divides by rho^k: the result's
     floor is the larger k 2 eps max|M_1 f| / ((pi rho)^k max(|HS_k f|, 1)).  Half the nodes
-    have |q| > 1, which the operator accepts.
+    have |q| > 1, which the operator accepts.  A rho so small (g past about 1e150) that the
+    quotients v / sigma^2 would leave the double range raises OverflowError instead.
     """
     z = tuple(cmath.exp(2.0 * xi) for xi in x_point)
     n = len(z)
@@ -272,6 +261,8 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
     degree = max((abs(e) for expo in f.terms for e in expo), default=0)
     exp_type = math.pi * ((n - 1) * g + 2 * degree)
     rho = _TAU_KAPPA / exp_type if exp_type * _TAU_RADIUS > _TAU_KAPPA else _TAU_RADIUS
+    if not exp_type < math.inf:
+        raise OverflowError(f"the tau fit's exponential type is out of range at g = {g:.3g}")
     sigmas = rho * np.exp(2j * np.pi * np.arange(_TAU_NODES) / _TAU_NODES)
     base = n * f(z)
     # t = e^{-pi g sigma}, not q^g, which carries g times q's rounding
@@ -279,6 +270,10 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
                                                  cmath.exp(-math.pi * g * s)), z, f)
               for s in sigmas]
     values = np.array(totals) - base
+    # the sum of c_2's quotients stays finite only while N max|v| < DBL_MAX rho^2
+    if not _TAU_NODES * float(np.max(np.abs(values))) < sys.float_info.max * rho * rho:
+        raise OverflowError(f"the tau fit's quotients v / sigma^2 on |sigma| = {rho:.3g} "
+                            f"(exponential type {exp_type:.3g}) are out of range")
     c1, c2 = np.mean(values / sigmas), np.mean(values / sigmas ** 2)
     noise = _TAU_FLOOR * float(np.max(np.abs(totals))) / (math.pi * rho)
     floor = max(noise / max(abs(hs1), 1.0), 2.0 * noise / (math.pi * rho) / max(abs(hs2), 1.0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .wavefn import as_position, as_spectral, eval_phi_many, sinh_prefactor
+from .wavefn import PositionPoint, SpectralPoint, eval_phi_many, sinh_prefactor
 
 __all__ = [
     "EigenResidual",
@@ -63,16 +63,16 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
     """(d_i log W, d_i^2 log W) for W = prod_{j<k} sinh^g |x_j - x_k|.
 
     d_i log W = g * sum_{j != i} coth(x_i - x_j); the sign of each term comes
-    from d/dx_i log sinh|x_i - x_j|.  Coincident coordinates are excluded by
-    the PositionPoint precondition, not regularised.
+    from d/dx_i log sinh|x_i - x_j|.  x is read as a PositionPoint, which refuses
+    coincident coordinates: they are not regularised.
     """
-    x = as_position(x)
+    x = PositionPoint(x)
     first = 0.0
     second = 0.0
-    for j in range(x.n):
+    for j in range(len(x)):
         if j == i:
             continue
-        d = x.values[i] - x.values[j]
+        d = x[i] - x[j]
         first += g / math.tanh(d)
         second -= g / math.sinh(d) ** 2
     return first, second
@@ -81,7 +81,7 @@ def prefactor_log_derivatives(x, g: float, i: int) -> tuple[float, float]:
 def _jet(lam, x, g: float, order: int, lattice: dict | None) -> tuple[tuple, tuple]:
     """(Phi, [d_i Phi], [d_i^2 Phi]) from one quadrature pass, and the same of the sizes
     eval_phi_many reports for them; the second derivatives only for order 2, else []."""
-    n = lam.n
+    n = len(lam)
     derivs = [(0,) * n] + [tuple(o if j == i else 0 for j in range(n))
                            for o in range(1, order + 1) for i in range(n)]
     sizes: list = []
@@ -91,22 +91,20 @@ def _jet(lam, x, g: float, order: int, lattice: dict | None) -> tuple[tuple, tup
 
 def apply_H1(lam, x, g: float, lattice: dict | None = None) -> EigenResidual:
     """(sum_i d/dx_i) Psi compared with (sum_p lam_p) Psi."""
-    lam = as_spectral(lam)
-    x = as_position(x)
+    lam, x = SpectralPoint(lam), PositionPoint(x)
     (phi, grad, _), (s_phi, s_grad, _) = _jet(lam, x, g, 1, lattice)
     w = sinh_prefactor(x, g)
-    firsts = [prefactor_log_derivatives(x, g, i)[0] for i in range(lam.n)]
+    firsts = [prefactor_log_derivatives(x, g, i)[0] for i in range(len(lam))]
     value = w * (sum(firsts) * phi + sum(grad))
-    expected = sum(lam.values) * w * phi
+    expected = sum(lam) * w * phi
     size = abs(w) * (sum(map(abs, firsts)) * s_phi + sum(s_grad))
     return EigenResidual.build(value, expected, size)
 
 
 def apply_H2(lam, x, g: float, lattice: dict | None = None) -> EigenResidual:
     """Pair-interaction Hamiltonian on Psi compared with -(sum lam^2) Psi."""
-    lam = as_spectral(lam)
-    x = as_position(x)
-    n = lam.n
+    lam, x = SpectralPoint(lam), PositionPoint(x)
+    n = len(lam)
     (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, 2, lattice)
     w = sinh_prefactor(x, g)
 
@@ -119,9 +117,9 @@ def apply_H2(lam, x, g: float, lattice: dict | None = None) -> EigenResidual:
     for i in range(n):
         for j in range(n):
             if i != j:
-                potential += g * (g - 1.0) / math.sinh(x.values[i] - x.values[j]) ** 2
+                potential += g * (g - 1.0) / math.sinh(x[i] - x[j]) ** 2
     value = -lap_psi + potential * w * phi
-    expected = -sum(v * v for v in lam.values) * w * phi
+    expected = -sum(v * v for v in lam) * w * phi
     return EigenResidual.build(value, expected, abs(w) * (size + abs(potential) * s_phi))
 
 
@@ -130,18 +128,17 @@ def apply_reduced_HS(lam, x, g: float, lattice: dict | None = None,
     """Reduced Hamiltonian HS1 or HS2 on Phi (no prefactor)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    lam = as_spectral(lam)
-    x = as_position(x)
-    n = lam.n
+    lam, x = SpectralPoint(lam), PositionPoint(x)
+    n = len(lam)
     (phi, grad, grad2), (s_phi, s_grad, s_grad2) = _jet(lam, x, g, order, lattice)
     if order == 1:
-        return EigenResidual.build(sum(grad), sum(lam.values) * phi, sum(s_grad))
+        return EigenResidual.build(sum(grad), sum(lam) * phi, sum(s_grad))
     k = g * g * n * (n * n - 1) / 3.0
     value, size = sum(grad2) + k * phi, sum(s_grad2) + abs(k) * s_phi
     for i in range(n):
         for j in range(i + 1, n):
-            cth = 1.0 / math.tanh(x.values[i] - x.values[j])
+            cth = 1.0 / math.tanh(x[i] - x[j])
             value += 2.0 * g * cth * (grad[i] - grad[j])
             size += 2.0 * g * abs(cth) * (s_grad[i] + s_grad[j])
-    expected = sum(v * v for v in lam.values) * phi
+    expected = sum(v * v for v in lam) * phi
     return EigenResidual.build(value, expected, size)

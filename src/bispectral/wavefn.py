@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -112,70 +111,50 @@ _MAX_NODES = 2401
 _MAX_SCALE = 600.0
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Tuple of n finite spectral parameters, pairwise distinct.
+class _Point(tuple):
+    """A tuple of finite values, no two within _tol, nor further apart than _window: the
+    one rule of every kind of point.  A point of the class itself is returned unchanged, and
+    a point hashes and compares as its plain tuple does."""
+
+    __slots__ = ()
+    _convert, _tol, _window, _coincide = complex, _DISTINCT_TOL, math.inf, ValueError
+
+    def __new__(cls, values):
+        if isinstance(values, cls):
+            return values
+        vals = tuple(map(cls._convert, values))
+        if not all(map(cmath.isfinite, vals)):
+            raise ValueError(f"{cls._noun} {vals}: every value must be finite")
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                sep = abs(vals[i] - vals[j])
+                if sep <= cls._tol:
+                    raise cls._coincide(f"{cls._noun} {vals}: values {i} and {j} coincide")
+                if sep > cls._window:
+                    raise ConvergenceWindowError(f"|x_{i} - x_{j}| = {sep} exceeds the "
+                                                 f"convergence window {cls._window}")
+        return super().__new__(cls, vals)
+
+
+class SpectralPoint(_Point):
+    """n finite complex spectral parameters, pairwise distinct.
 
     Nominally purely imaginary; a small real part (or the +2 shifts produced
     by the dual difference operators) is admitted as long as the evaluation's
     line Re = c separates the pole lattices, which ``validate_contour`` checks.
     """
 
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not all(map(cmath.isfinite, vals)):
-            raise ValueError(f"spectral parameters must be finite, got {vals}")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) <= _DISTINCT_TOL:
-                    raise ValueError(f"spectral parameters {i} and {j} coincide")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
+    __slots__ = ()
+    _noun = "spectral point"
 
 
-@dataclass(frozen=True)
-class PositionPoint:
-    """Tuple of n finite real coordinates, pairwise distinct, no two further
-    apart than the convergence window _MAX_SEPARATION."""
+class PositionPoint(_Point):
+    """n finite real coordinates, pairwise distinct, no two further apart than the
+    convergence window _MAX_SEPARATION."""
 
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"coordinates must be finite, got {vals}")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                sep = abs(vals[i] - vals[j])
-                if sep <= _DISTINCT_TOL:
-                    raise CoincidentCoordinatesError(
-                        f"coordinates {i} and {j} coincide at {vals[i]}")
-                if sep > _MAX_SEPARATION:
-                    raise ConvergenceWindowError(
-                        f"|x_{i} - x_{j}| = {sep} exceeds the convergence "
-                        f"window {_MAX_SEPARATION}")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-def as_spectral(lam) -> SpectralPoint:
-    if isinstance(lam, SpectralPoint):
-        return lam
-    return SpectralPoint(values=tuple(complex(v) for v in lam))
-
-
-def as_position(x) -> PositionPoint:
-    if isinstance(x, PositionPoint):
-        return x
-    return PositionPoint(values=tuple(float(v) for v in x))
+    __slots__ = ()
+    _convert, _noun, _window = float, "coordinates", _MAX_SEPARATION
+    _coincide = CoincidentCoordinatesError
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +290,9 @@ def validate_contour(c: float, lam, g: float) -> float:
     """
     if g <= 0:
         raise ValueError("coupling g must be positive")
-    lam = as_spectral(lam)
-    top_re = [v.real for v in lam.values]
-    margin = g - max(abs(c - d) for d in top_re) if lam.n > 1 else g
+    lam = SpectralPoint(lam)
+    top_re = [v.real for v in lam]
+    margin = g - max(abs(c - d) for d in top_re) if len(lam) > 1 else g
     if not margin > 0.0:
         raise InfeasibleContourError(
             f"the line Re = {c} does not separate the pole lattices "
@@ -605,31 +584,30 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0, *,
     quadrature nodes, which cancel where Im(lambda_1 - lambda_2) is wide; at n = 1 and
     n = 3 |value|.
     """
-    lam = as_spectral(lam)
-    x = as_position(x)
-    n = lam.n
+    lam, x = SpectralPoint(lam), PositionPoint(x)
+    n = len(lam)
     if not 1 <= n <= 3:
         raise ValueError(f"wave-function evaluation supports n = 1, 2, 3, got n = {n}")
-    if x.n != n:
-        raise ValueError(f"lambda has {n} entries but x has {x.n}")
+    if len(x) != n:
+        raise ValueError(f"lambda has {n} entries but x has {len(x)}")
     derivs = [tuple(int(o) for o in d) for d in derivs]
     if not derivs:
         raise ValueError("derivs is empty: ask for at least one derivative multi-index")
     for d in derivs:
         if len(d) != n or any(o < 0 for o in d) or sum(d) > 2:
             raise ValueError(f"bad derivative multi-index {d}")
-    if (scale := abs(sum(v.real for v in lam.values)) * max(map(abs, x.values))) > _MAX_SCALE:
+    if (scale := abs(sum(v.real for v in lam)) * max(map(abs, x))) > _MAX_SCALE:
         raise OverflowError(f"Phi's scale e^(Re(sum lambda) x) is out of range: "
                             f"|Re sum lambda| max|x| = {scale:.4g} > {_MAX_SCALE:g}")
     margin = validate_contour(contour, lam, g)
-    args = (lam.values, x.values, g, contour, min(_STEP, _STEP_PER_MARGIN * margin), derivs)
+    args = (lam, x, g, contour, min(_STEP, _STEP_PER_MARGIN * margin), derivs)
     lattice = {} if lattice is None else lattice
     key = ("values", *args[:-1], tuple(derivs))
     if key not in lattice:
         if n == 2:
             lattice[key] = _quantities_n2(*args, lattice)
         else:
-            values = (_quantities_n1(lam.values, x.values, derivs) if n == 1 else
+            values = (_quantities_n1(lam, x, derivs) if n == 1 else
                       _quantities_n3(*args, lattice))
             lattice[key] = values, list(map(abs, values))
     values, held = lattice[key]
@@ -641,17 +619,18 @@ def eval_phi_many(lam, x, g: float, derivs, contour: float = 0.0, *,
 def eval_phi(lam, x, g: float, contour: float = 0.0, *, lattice: dict | None = None,
              sizes: list | None = None) -> complex:
     """The Mellin-Barnes wave function Phi (no prefactor, no normalisation)."""
-    n = as_spectral(lam).n
-    return eval_phi_many(lam, x, g, [(0,) * n], contour, lattice=lattice, sizes=sizes)[0]
+    lam = SpectralPoint(lam)
+    return eval_phi_many(lam, x, g, [(0,) * len(lam)], contour, lattice=lattice,
+                         sizes=sizes)[0]
 
 
 def sinh_prefactor(x, g: float) -> float:
     """prod_{j<k} sinh^g |x_j - x_k| (real power; g need not be an integer)."""
-    x = as_position(x)
+    x = PositionPoint(x)
     out = 1.0
-    for j in range(x.n):
-        for k in range(j + 1, x.n):
-            out *= math.sinh(abs(x.values[j] - x.values[k])) ** g
+    for j in range(len(x)):
+        for k in range(j + 1, len(x)):
+            out *= math.sinh(abs(x[j] - x[k])) ** g
     return out
 
 

@@ -11,6 +11,7 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -57,3 +58,15 @@ def test_exit_is_zero_or_three(argv):
     assert code in (0, 3), f"exit {code}: bispectral {' '.join(argv)}\n{err}"
     if code == 3:
         assert not out and err.startswith("infeasible: ") and cause(err) != "unnamed", err
+
+
+@pytest.mark.parametrize("g", ["1e-300", "1e152", "1e170", "1e300"])
+@pytest.mark.parametrize("command", ["check-dual", "check-gauge", "check-identities",
+                                     "check-legendre", "check-macdonald", "check-measures",
+                                     "check-sutherland", "compare-oracle"])
+def test_extreme_coupling_passes_or_is_refused(command, g):
+    # every check at a coupling near either end of the double range, warnings as errors
+    code, out, err = run([command, "--g", g])
+    assert code in (0, 3), f"exit {code}: bispectral {command} --g {g}\n{err}"
+    if code == 3:
+        assert not out and cause(err) != "unnamed", err

@@ -1,7 +1,10 @@
-"""Every public name a module lists in ``__all__`` exists in it."""
+"""Every public name a module lists in ``__all__`` exists in it, and every name it imports
+is read."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,16 @@ def test_no_quadrature_setting(name, setting):
     # the step, the tail tolerance and the adaptive truncation are constants of wavefn
     with pytest.raises(TypeError, match=setting):
         getattr(bispectral, name)(*EVALUATORS[name], **{setting: 0.1})
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "__init__"])
+def test_every_import_is_read(name):
+    # no linter runs here: a name a module imports and never reads is dead weight
+    path = Path(bispectral.__path__[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert imported <= read, sorted(imported - read)

@@ -78,7 +78,7 @@ class TestOperators:
         z = rand_point(rng, 2)
         f = LaurentPolynomial.random(2, rng)
         got = apply_macdonald(2, params, z, f)
-        expected = f(tuple(v * params.qsq for v in z.values))
+        expected = f(tuple(v * params.qsq for v in z))
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_constant_function_at_t_one(self):
@@ -94,7 +94,7 @@ class TestOperators:
         rng = np.random.default_rng(20 + n)
         params = MacdonaldParams(q=0.3, t=0.7)
         q, t = params.q, params.t
-        z = rand_point(rng, n).values
+        z = rand_point(rng, n)
         f = LaurentPolynomial.random(n, rng)
         for r in range(n + 1):
             expected = 0.0 + 0.0j
@@ -139,7 +139,7 @@ class TestOperators:
         params = MacdonaldParams(q=0.3, t=0.7)
         z = rand_point(rng, 3)
         f = LaurentPolynomial.random(3, rng)
-        zs = z.values
+        zs = z
         perm = (zs[2], zs[0], zs[1])
         f_perm = lambda zz: f((zz[1], zz[2], zz[0]))
         a = apply_macdonald(1, params, zs, f)
@@ -153,7 +153,7 @@ class TestWeights:
         params = MacdonaldParams(q=0.35, t=0.6)
         a, b = 0.4 + 0.1j, 1.7 - 0.2j
         for _ in range(10):
-            z = rand_point(rng, 3).values
+            z = rand_point(rng, 3)
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
@@ -173,7 +173,7 @@ class TestWeights:
         rng = np.random.default_rng(6)
         params = MacdonaldParams(q=0.35, t=0.6)
         q, t = params.q, params.t
-        z = rand_point(rng, 3).values
+        z = rand_point(rng, 3)
         for at in (params, MacdonaldParams(q, q / t)):
             direct = 1.0
             for j, k in ((j, k) for j in range(3) for k in range(3) if j != k):
@@ -188,7 +188,7 @@ class TestWeights:
         params = MacdonaldParams(q=0.35, t=0.6)
         q, t = params.q, params.t
         for _ in range(10):
-            z = rand_point(rng, 3).values
+            z = rand_point(rng, 3)
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
@@ -209,7 +209,7 @@ class TestWeights:
         dual = MacdonaldParams(params.q, params.q / params.t)
         q, t = params.q, params.t
         for _ in range(5):
-            z = rand_point(rng, 3).values
+            z = rand_point(rng, 3)
             i = int(rng.integers(0, 3))
             zs = list(z)
             zs[i] *= params.qsq
@@ -345,6 +345,19 @@ class TestTauLimit:
         assert tau_limit_check((0.4, -0.2), 1e4, f).floor > tenth
         fit = tau_limit_check((0.4, -0.2), 1.5, f)
         assert fit.floor <= tenth and fit.error <= 1e-11
+
+    @pytest.mark.parametrize("g", [1e16, 1e100])
+    def test_floor_grows_with_the_coupling(self, g):
+        # the hs1 floor grows like g: finite, never NaN, and refused by cli from g of 100
+        floor = tau_limit_check((0.4, -0.2), g, LaurentPolynomial(2, {(1, -1): 1.0})).floor
+        assert 1.0 < floor < math.inf
+
+    @pytest.mark.parametrize("g", [1e170, 1e300, 1.7e308])
+    def test_out_of_range_fit_is_refused(self, g):
+        # a radius past the double range refuses before c_2's quotients overflow or divide
+        # by zero (warnings are errors in this suite)
+        with pytest.raises(OverflowError, match="out of range"):
+            tau_limit_check((0.5, 0.1, -0.4), g, LaurentPolynomial(3, {(0, 0, 0): 1.0}))
 
     def test_error_propagates_nan(self):
         fit = macdonald.TauFitResult(1.0, 1.0, complex(math.nan), 1.0)

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from bispectral import sutherland_ops, wavefn
 from bispectral.cli import RunConfig, run
 from bispectral.cgamma import GammaPoleError
+from bispectral.dual_ops import gauge_function, measure_weight
+from bispectral.macdonald import TorusPoint
 from bispectral.sutherland_ops import apply_reduced_HS
 from bispectral.wavefn import (_grid, _grid_kernel, _lattice_moments, _log_kernel,
                                _log_measure, _offset_kernel,
@@ -694,11 +696,58 @@ class TestPoints:
         with pytest.raises(ConvergenceWindowError):
             PositionPoint((1.4, -1.4))
         # the window is closed: a separation of exactly 1.0 is admitted
-        assert PositionPoint((0.5, -0.5)).n == 2
+        assert len(PositionPoint((0.5, -0.5))) == 2
 
     def test_spectral_distinct(self):
         with pytest.raises(ValueError):
             SpectralPoint((0.5j, 0.5j))
+
+    # one rule for every shape of point: each kind of point, and a stack of them through
+    # the dual weights, refuses a value that is not finite or two that coincide
+    MAKERS = {"spectral": SpectralPoint, "position": PositionPoint, "torus": TorusPoint,
+              "gauge-stack": lambda v: gauge_function([(0.3j, -0.2j), v], G),
+              "measure-stack": lambda v: measure_weight([(0.3j, -0.2j), v], G, "mu_g")}
+
+    @pytest.mark.parametrize("values, phrase", [
+        ((math.nan, 0.5), "finite"), ((math.inf, 0.5), "finite"), ((0.5, -math.inf), "finite"),
+        ((0.5, 0.5), "coincide")], ids=["nan", "inf", "-inf", "coincide"])
+    @pytest.mark.parametrize("make", MAKERS)
+    def test_one_rule(self, make, values, phrase):
+        with pytest.raises(ValueError, match=phrase) as info:
+            self.MAKERS[make](values)
+        coincident = make == "position" and phrase == "coincide"
+        assert info.type is (CoincidentCoordinatesError if coincident else ValueError)
+
+    def test_window_phrase(self):
+        # only a position has a window, closed at 1.0: every kind takes that separation
+        with pytest.raises(ConvergenceWindowError, match="convergence window"):
+            PositionPoint((0.5, -0.5000001))
+        for make in ("spectral", "position", "torus"):
+            assert self.MAKERS[make]((0.5, -0.5)) == (0.5, -0.5)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (2, 1)])
+    def test_stacks_of_short_points(self, shape):
+        # points of no pair: every weight is an empty sum
+        stack = np.full(shape, 0.5j)
+        for got in [gauge_function(stack, G)] + [measure_weight(stack, G, kind)
+                                                 for kind in ("mu_g", "mu_1mg", "sklyanin")]:
+            assert got.shape == shape[:1] and np.all(got == 0)
+
+    def test_a_point_is_its_tuple(self):
+        p = SpectralPoint((0.5j,))
+        assert SpectralPoint(p) is p and isinstance(p, tuple)
+        assert p == (0.5j,) and hash(p) == hash((0.5j,))
+        x = PositionPoint((0.4,))
+        assert PositionPoint(x) is x and TorusPoint(p) == p and not isinstance(p, PositionPoint)
+
+    @pytest.mark.parametrize("lam, x", [(LAM2, X2), (LAM3, X3)], ids=["n2", "n3"])
+    def test_memo_key_ignores_the_form(self, monkeypatch, lam, x):
+        # a point and its plain tuple share the ("values", ...) entry of one lattice
+        lattice, derivs = {}, [(0,) * len(lam)]
+        passes = _count_passes(monkeypatch)
+        first = eval_phi_many(SpectralPoint(lam), PositionPoint(x), G, derivs, lattice=lattice)
+        again = eval_phi_many(lam, x, G, derivs, lattice=lattice)
+        assert passes == [len(lam)] and _bits(again) == _bits(first)
 
     @pytest.mark.parametrize("lam, x", [
         ((math.nan,), (0.4,)), ((0.5j,), (math.inf,)),

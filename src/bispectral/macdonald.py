@@ -255,6 +255,7 @@ def tau_limit_check(x_point: Sequence[float], g: float, f: LaurentPolynomial) ->
     have |q| > 1, which the operator accepts.  A rho so small (g past about 1e150) that the
     quotients v / sigma^2 would leave the double range raises OverflowError instead.
     """
+    g = float(g)
     z = tuple(cmath.exp(2.0 * xi) for xi in x_point)
     n = len(z)
     hs1, hs2 = _reduced_action(f, z, g)

@@ -348,7 +348,7 @@ def _initial_half_width(im_spread: float, reach: float, step: float) -> float:
     T = min(im_spread + reach, _MAX_HALF_WIDTH)
     if T > _level_cap(step):
         raise GridBudgetError(
-            f"half-width {T:.1f} at step {step:.3g} needs {2 * math.ceil(T / step) + 1} "
+            f"half-width {T:.1f} at step {step:.3g} needs {2 * math.ceil(T / step) + 1:.3g} "
             f"nodes on one level, above the budget of {_MAX_NODES}")
     return T
 
@@ -463,44 +463,51 @@ def _quantities_n2(lam, x, g, c, step, derivs, lattice):
                               for j in range(d2 + 1)) for d1, d2 in derivs])
 
 
-def _outer_entries(nu, a, b, H, lam_sum, p, q, d):
-    """O[p, q] = (lam_sum - S)^d3 _moment(C, S, d1, d2) at index arrays p, q.
+def _outer_entries(nu, a, b, H, lam_sum, p, q, derivs):
+    """Each derivative's O[p, q] = (lam_sum - S)^d3 _moment(C, S, d1, d2) at index arrays p, q.
 
-    S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), nu_p, 0, k): the per-node
-    factors a, b times the level-2 moments, read off the Toeplitz offsets H_l.  b_q meets
-    H first, as in the sums: a_p b_q alone underflows where Phi nears the double range's
-    foot, and a tail of zeros would pass any test.
+    S = nu_p + nu_q and C_k[p, q] = a_p b_q _moment(H(p - q), nu_p, 0, k), each formed once
+    for the jet: the per-node factors a, b times the level-2 moments, read off the Toeplitz
+    offsets H_l.  b_q meets H first, as in the sums: a_p b_q alone underflows where Phi
+    nears the double range's foot, and a tail of zeros would pass any test.
     """
-    H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
-    C = [a[p] * (b[q] * _moment(H_pq, nu[p], 0, k)) for k in range(d[0] + d[1] + 1)]
-    return (lam_sum - nu[p] - nu[q]) ** d[2] * _moment(C, nu[p] + nu[q], d[0], d[1])
+    top, nu_p, nu_q = max(d[0] + d[1] for d in derivs), nu[p], nu[q]
+    H_pq = [H_l[p - q + nu.size - 1] for H_l in H[:top + 1]]
+    C = [a[p] * (b[q] * _moment(H_pq, nu_p, 0, k)) for k in range(top + 1)]
+    S, rest = nu_p + nu_q, lam_sum - nu_p - nu_q
+    return [rest ** d[2] * _moment(C, S, d[0], d[1]) for d in derivs]
 
 
 def _outer_values(outer, derivs):
     """Each derivative's sum of _outer_entries(*outer) over all (p, q), or None if a tail fails.
 
     Y[i][l] = sum_q H_l(p - q) b_q nu_q^i are direct Toeplitz mat-vecs, and expanding
-    S^s = (nu_p + nu_q)^s over them gives Z[s][k] = sum_{p,q} S^s C_k[p, q], with C_k as
-    in _outer_entries.  A tail passes if each edge |O| <= _TAIL_TOL
-    max|O| < inf; rows and columns 0, M // 2, M - 1 bound max|O| from below (not the
-    diagonal: mu(0) = 0), and only when that bound fails is the full M x M |O| taken.
+    S^s = (nu_p + nu_q)^s over them gives Z[s, k] = sum_{p,q} S^s C_k[p, q], with C_k as
+    in _outer_entries: only at the (s, k) some derivative reads, from the Y[i][l] with
+    i <= s and l <= k.  A tail passes if each edge |O| <= _TAIL_TOL max|O| < inf; rows and
+    columns 0, M // 2, M - 1, stacked in one _outer_entries call for the jet, bound max|O|
+    from below (not the diagonal: mu(0) = 0), and only when that bound fails is the
+    derivative's full M x M |O| taken.
     """
     nu, a, b, H, lam_sum = outer
-    top = max(map(sum, derivs))
-    Y = [[np.convolve(H_l, b * nu ** i, "valid") for H_l in H] for i in range(top + 1)]
-    Z = [[sum(math.comb(s, i) * np.dot(a * nu ** (s - i), _moment(Y[i], nu, 0, k))
-              for i in range(s + 1)) for k in range(len(H))] for s in range(top + 1)]
+    pairs = {(e + j, d1 + d2 - j) for d1, d2, d3 in derivs
+             for e in range(d3 + 1) for j in range(d2 + 1)}
+    reach = [max(k for s, k in pairs if s >= i) for i in range(max(s for s, _ in pairs) + 1)]
+    Y = [[np.convolve(H_l, b * nu ** i, "valid") for H_l in H[:l + 1]]
+         for i, l in enumerate(reach)]
+    Z = {(s, k): sum(math.comb(s, i) * np.dot(a * nu ** (s - i), _moment(Y[i], nu, 0, k))
+                     for i in range(s + 1)) for s, k in pairs}
     values = [complex(sum(math.comb(d3, e) * (-1) ** e * lam_sum ** (d3 - e)
-                          * math.comb(d2, j) * (-1) ** (d2 - j) * Z[e + j][d1 + d2 - j]
+                          * math.comb(d2, j) * (-1) ** (d2 - j) * Z[e + j, d1 + d2 - j]
                           for e in range(d3 + 1) for j in range(d2 + 1)))
               for d1, d2, d3 in derivs]
     idx = np.arange(nu.size)
-    ends = np.array([[0], [nu.size // 2], [nu.size - 1]])
-    for d in derivs:
-        mag = np.abs([_outer_entries(*outer, ends, idx, d), _outer_entries(*outer, idx, ends, d)])
+    lines = np.stack([np.broadcast_to([[0], [nu.size // 2], [nu.size - 1]], (3, nu.size)),
+                      np.broadcast_to(idx, (3, nu.size))])
+    for d, mag in zip(derivs, map(np.abs, _outer_entries(*outer, lines, lines[::-1], derivs))):
         edge, peak = mag[:, ::2].max(), mag.max()
         if np.isfinite(peak) and not edge < peak * _TAIL_TOL:
-            peak = np.abs(_outer_entries(*outer, idx[:, None], idx, d)).max()
+            peak = np.abs(_outer_entries(*outer, idx[:, None], idx, [d])[0]).max()
         if not (0.0 < peak < np.inf and edge <= peak * _TAIL_TOL):
             return None
     return values if np.isfinite(values).all() else None

@@ -70,3 +70,4 @@ def test_extreme_coupling_passes_or_is_refused(command, g):
     assert code in (0, 3), f"exit {code}: bispectral {command} --g {g}\n{err}"
     if code == 3:
         assert not out and cause(err) != "unnamed", err
+        assert all(len(line) < 200 for line in err.splitlines()), err

@@ -352,12 +352,15 @@ class TestTauLimit:
         floor = tau_limit_check((0.4, -0.2), g, LaurentPolynomial(2, {(1, -1): 1.0})).floor
         assert 1.0 < floor < math.inf
 
-    @pytest.mark.parametrize("g", [1e170, 1e300, 1.7e308])
+    @pytest.mark.parametrize("g", [1e170, 1e300, 1.7e308] + [
+        pytest.param(np.float64(g), id=f"float64-{g:g}") for g in (1e160, 1e170, 1.7e308)])
     def test_out_of_range_fit_is_refused(self, g):
         # a radius past the double range refuses before c_2's quotients overflow or divide
-        # by zero (warnings are errors in this suite)
+        # by zero (warnings are errors in this suite), and a numpy coupling as a Python one
         with pytest.raises(OverflowError, match="out of range"):
             tau_limit_check((0.5, 0.1, -0.4), g, LaurentPolynomial(3, {(0, 0, 0): 1.0}))
+        with pytest.raises(OverflowError, match="out of range"):
+            tau_limit_check((0.4, -0.2), g, LaurentPolynomial(2, {(1, -1): 1.0}))
 
     def test_error_propagates_nan(self):
         fit = macdonald.TauFitResult(1.0, 1.0, complex(math.nan), 1.0)

@@ -450,16 +450,18 @@ def _spy_outer(monkeypatch):
 
 
 def _no_middle_certificate(monkeypatch):
-    """Zero the sampled middle row and column, so the tail test takes the full M x M peak."""
+    """Zero the sampled middle row and column of every derivative, so the tail test takes
+    each derivative's full M x M peak."""
     full, entries = [], wavefn._outer_entries
 
     def patched(*args):
-        O = entries(*args)
-        if O.shape[0] == 3:  # rows or columns 0, M // 2, M - 1
-            O[1] = 0.0
-        else:
-            full.append(O.shape)
-        return O
+        jet = entries(*args)
+        for O in jet:
+            if O.ndim == 3:  # [rows, columns] 0, M // 2, M - 1
+                O[:, 1] = 0.0
+            else:
+                full.append(O.shape)
+        return jet
 
     monkeypatch.setattr(wavefn, "_outer_entries", patched)
     return full
@@ -483,7 +485,7 @@ class TestOuterSum:
         (outer, values), = passes
         idx = np.arange(outer[0].size)
         for d, value in zip(D7, values):
-            blocks = [wavefn._outer_entries(*outer, idx[i:i + 64, None], idx, d)
+            blocks = [wavefn._outer_entries(*outer, idx[i:i + 64, None], idx, [d])[0]
                       for i in range(0, idx.size, 64)]
             total = sum(block.sum() for block in blocks)
             scale = sum(np.abs(block).sum() for block in blocks)
@@ -491,7 +493,7 @@ class TestOuterSum:
 
     @pytest.mark.parametrize("g, quad", [
         (1.25, None), (1.5, None), (2.0, None),
-        # at a tail of 1e-4 the first grid fails it and grows once: M = 103, then 143
+        # a tail of 1e-4 at step 0.25: M = 151, against 323 at g = 1.5
         (8.0, {"_STEP": 0.25, "_TAIL_TOL": 1e-4})])
     def test_full_peak_fallback_agrees(self, monkeypatch, g, quad):
         for name, value in (quad or {}).items():
@@ -553,6 +555,99 @@ N3_CORE = [
     (1.25, (0.7382293670965696j, 0.03836414425964177j, -0.7400723008303022j),
      (0.46521851633961503, -0.006352431620322105, -0.4234048721657246)),
 ]
+
+
+# The n = 3 outer pass as it was written before one _outer_entries call served a whole
+# jet, kept as the reference: the shared pass must return its values and its refusals
+# bit for bit.
+
+def _loop_outer_entries(nu, a, b, H, lam_sum, p, q, d):
+    H_pq = [H_l[p - q + nu.size - 1] for H_l in H]
+    C = [a[p] * (b[q] * wavefn._moment(H_pq, nu[p], 0, k)) for k in range(d[0] + d[1] + 1)]
+    return (lam_sum - nu[p] - nu[q]) ** d[2] * wavefn._moment(C, nu[p] + nu[q], d[0], d[1])
+
+
+def _loop_outer_values(outer, derivs):
+    nu, a, b, H, lam_sum = outer
+    top = max(map(sum, derivs))
+    Y = [[np.convolve(H_l, b * nu ** i, "valid") for H_l in H] for i in range(top + 1)]
+    Z = [[sum(math.comb(s, i) * np.dot(a * nu ** (s - i), wavefn._moment(Y[i], nu, 0, k))
+              for i in range(s + 1)) for k in range(len(H))] for s in range(top + 1)]
+    values = [complex(sum(math.comb(d3, e) * (-1) ** e * lam_sum ** (d3 - e)
+                          * math.comb(d2, j) * (-1) ** (d2 - j) * Z[e + j][d1 + d2 - j]
+                          for e in range(d3 + 1) for j in range(d2 + 1)))
+              for d1, d2, d3 in derivs]
+    idx = np.arange(nu.size)
+    ends = np.array([[0], [nu.size // 2], [nu.size - 1]])
+    for d in derivs:
+        mag = np.abs([_loop_outer_entries(*outer, ends, idx, d),
+                      _loop_outer_entries(*outer, idx, ends, d)])
+        edge, peak = mag[:, ::2].max(), mag.max()
+        if np.isfinite(peak) and not edge < peak * wavefn._TAIL_TOL:
+            peak = np.abs(_loop_outer_entries(*outer, idx[:, None], idx, d)).max()
+        if not (0.0 < peak < np.inf and edge <= peak * wavefn._TAIL_TOL):
+            return None
+    return values if np.isfinite(values).all() else None
+
+
+class TestSharedOuterPass:
+    """One _outer_entries call per jet on the sampled lines, and only the (s, k) pairs the
+    values read, against the per-derivative loop."""
+
+    def _compare(self, monkeypatch, lam, x, g, derivs, contour):
+        """Run one evaluation with every outer pass, and its sampled entries, checked
+        against the loop; returns the Toeplitz convolutions each pass made and its result."""
+        convolutions, passes = [], []
+        convolve, outer_values = np.convolve, wavefn._outer_values
+
+        def both(outer, derivs):
+            convolutions.clear()
+            got = outer_values(outer, derivs)
+            passes.append((len(convolutions), got))
+            assert got == _loop_outer_values(outer, derivs)
+            # the sampled lines' entries, the loop's two calls per derivative, to the bit
+            idx = np.arange(outer[0].size)
+            ends = idx[[0, idx.size // 2, -1], None]
+            lines = np.stack([np.broadcast_to(ends, (3, idx.size)),
+                              np.broadcast_to(idx, (3, idx.size))])
+            for d, O in zip(derivs, wavefn._outer_entries(*outer, lines, lines[::-1], derivs)):
+                want = [_loop_outer_entries(*outer, ends, idx, d),
+                        _loop_outer_entries(*outer, idx, ends, d)]
+                assert O.tobytes() == np.array(want).tobytes()
+            return got
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "convolve", lambda *args: convolutions.append(1)
+                          or convolve(*args))
+            patch.setattr(wavefn, "_outer_values", both)
+            eval_phi_many(lam, x, g, derivs, contour)
+        return passes
+
+    @pytest.mark.parametrize("contour", [0.0, 1.0])
+    @pytest.mark.parametrize("g, lam, x", N3_CORE)
+    def test_equals_the_loop(self, monkeypatch, g, lam, x, contour):
+        # the Sutherland jets h2/hs2 and h1/hs1 and a dual check's Phi; on the line Re = 1
+        # at a point shifted as the dual operators shift it
+        if contour:
+            lam = (lam[0] + 2.0,) + lam[1:]
+        for derivs, count in ((D7, 6), (D7[:4], 3), (D7[:1], 1)):
+            (made, values), = self._compare(monkeypatch, lam, x, g, derivs, contour)
+            assert values is not None and made == count
+
+    @pytest.mark.parametrize("g, quad", [
+        (1.5, {}), (8.0, {"_STEP": 0.25, "_TAIL_TOL": 1e-4})])
+    def test_regrown_grids_refuse_alike(self, monkeypatch, g, quad):
+        # at its own start the line passes its tail on the first grid; started 4 past the
+        # spread it fails four grids and grows: each refusal, and the values of the grid
+        # that passes, are the loop's
+        for name, value in quad.items():
+            monkeypatch.setattr(wavefn, name, value)
+        (_, values), = self._compare(monkeypatch, LAM3, X3, g, D7, 0.0)
+        assert values is not None
+        monkeypatch.setattr(wavefn, "_outer_reach", lambda g, m: 4.0)
+        passes = self._compare(monkeypatch, LAM3, X3, g, D7, 0.0)
+        assert [values is None for _, values in passes] == [True] * 4 + [False]
+        assert [made for made, _ in passes] == [6] * 5
 
 
 class TestOuterStart:
